@@ -13,89 +13,29 @@ errors (including budget guards hit without --force).
 """
 
 import argparse
-import random
 import sys
-from typing import Iterable, List, Tuple
 
 from .bitsets import bits
-from .catengine import (
-    AlgebraInstance,
-    check_adjunction,
-    check_algebra,
-    check_algebra_morphism,
-    check_comonad_laws,
-    check_functor_laws,
-    check_lift_law,
-    check_monad_laws,
-    check_monad_morphism,
-    check_naturality,
-    comparison_algebra,
-    inverse_comparison,
-    lift_monad,
-)
 from .dlat import DistLattice, ideal_lattice
 from .documents import dumps, load_lattice, load_space, loads
 from .errors import BudgetExceeded, ParseError, StonekitError
 from .frame import (
     center_lattice,
-    comultiplication_hom,
-    comultiplication_via_functor,
-    check_coalgebra,
-    gamma_coalgebra,
     is_boolean,
     is_regular,
-    is_spatial,
     is_stably_compact,
     spectrum,
     way_below,
 )
-from .instances import (
-    center_monad_on_locales,
-    compact_reflection_monad,
-    compactification_collapse,
-    filter_monad_on_spaces,
-    frame_morphisms,
-    frame_universe,
-    ideal_comonad_on_frames,
-    ideal_monad_on_frames,
-    ideal_monad_on_locales,
-    lifted_ideal_monad,
-    open_spectrum_adjunction,
-    sobrification_monad,
-    sobrification_to_filters,
-    space_morphisms,
-    space_universe,
-)
-from .spaces import (
-    FinSpace,
-    compose_maps,
-    homeomorphic,
-    is_homeomorphism,
-    is_t0,
-    specialization_preorder,
-)
+from .instances import DEFAULT_SEED, LAW_SUITES, run_suite
+from .spaces import FinSpace, is_homeomorphism, is_t0, specialization_preorder
 from .topspace import (
-    canonical_algebra,
     compactification_square,
-    filter_map,
     filter_space,
     hausdorff_reflection,
-    mult_map,
-    open_frame_of_filters_iso,
-    pairing_map,
     sobrification,
     t0_quotient,
-    ultrafilter_comparison,
-    ultrafilter_space,
-    unit_map,
 )
-from .universes import MAX_POINTS, all_spaces_upto, lattice_universe
-
-MAX_LATTICE = 16
-DEFAULT_SEED = 271828
-SAMPLES_PER_SIZE = 20
-
-Row = Tuple[str, str, bool, object]
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +44,10 @@ Row = Tuple[str, str, bool, object]
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _space_summary(name: str, x: FinSpace) -> str:
@@ -295,335 +238,13 @@ def _cmd_export(args) -> int:
 # law suites: one row per checked instance
 
 
-def _space_pool(max_points: int, seed: int, force: bool) -> Tuple[FinSpace, ...]:
-    if max_points > MAX_POINTS and not force:
-        raise BudgetExceeded(
-            f"--max-points {max_points} exceeds the guard rail {MAX_POINTS}; "
-            "pass --force to sample anyway"
-        )
-    pool = list(all_spaces_upto(min(max_points, 4)))
-    for size in range(5, max_points + 1):
-        pool.extend(_sampled_spaces(size, seed))
-    return tuple(pool)
-
-
-def _sampled_spaces(size: int, seed: int) -> List[FinSpace]:
-    """Seeded sample of topologies on `size` points, via random preorders."""
-    rng = random.Random(seed * 1_000_003 + size)
-    names = tuple(chr(ord("p") + i) for i in range(size))
-    seen = set()
-    out: List[FinSpace] = []
-    while len(out) < SAMPLES_PER_SIZE:
-        up = [1 << i for i in range(size)]
-        for i in range(size):
-            for j in range(size):
-                if i != j and rng.random() < 0.3:
-                    up[i] |= 1 << j
-        changed = True
-        while changed:
-            changed = False
-            for i in range(size):
-                grown = up[i]
-                for j in bits(up[i]):
-                    grown |= up[j]
-                if grown != up[i]:
-                    up[i] = grown
-                    changed = True
-        opens = tuple(
-            sorted(
-                m
-                for m in range(1 << size)
-                if all(up[i] & ~m == 0 for i in bits(m))
-            )
-        )
-        if opens in seen:
-            continue
-        seen.add(opens)
-        out.append(FinSpace(names, opens))
-    return out
-
-
-def _lattice_pool(max_lattice: int, force: bool) -> Tuple[DistLattice, ...]:
-    if max_lattice > MAX_LATTICE and not force:
-        raise BudgetExceeded(
-            f"--max-lattice {max_lattice} exceeds the guard rail {MAX_LATTICE}; "
-            "pass --force to raise it"
-        )
-    bound = 4 if max_lattice <= MAX_LATTICE else 5
-    return tuple(
-        l for l in lattice_universe(bound, force=True) if l.n <= max_lattice
-    )
-
-
-def _space_ids(spaces) -> List[str]:
-    total = len(spaces)
-    return [
-        f"space {i + 1}/{total} ({x.n} points, {len(x.opens)} opens)"
-        for i, x in enumerate(spaces)
-    ]
-
-
-def _lattice_ids(lats) -> List[str]:
-    total = len(lats)
-    return [
-        f"lattice {i + 1}/{total} ({l.n} elements)" for i, l in enumerate(lats)
-    ]
-
-
-def _map_ids(maps) -> List[str]:
-    total = len(maps)
-    return [f"map {i + 1}/{total}" for i, f in enumerate(maps)]
-
-
-def _hom_ids(homs) -> List[str]:
-    total = len(homs)
-    return [f"hom {i + 1}/{total}" for i, h in enumerate(homs)]
-
-
-def _monad_rows(prefix, monad, objects, ids) -> Iterable[Row]:
-    u = monad.universe
-    for iid, x in zip(ids, objects):
-        fid = monad.functor.on_morphism(u.identity(x)) == u.identity(
-            monad.functor.on_object(x)
-        )
-        yield iid, f"{prefix}.functor-identity", fid, None
-        laws = check_monad_laws(monad, [x])
-        for law_name, check in zip(
-            ("left-unit", "right-unit", "associativity"), laws
-        ):
-            yield iid, f"{prefix}.{law_name}", check.ok, check.witness
-
-
-def _naturality_rows(prefix, pairs, morphisms, ids) -> Iterable[Row]:
-    for iid, f in zip(ids, morphisms):
-        for nt, law_name in pairs:
-            check = check_naturality(nt, [f])
-            yield iid, f"{prefix}.{law_name}", check.ok, check.witness
-
-
-def _composition_row(prefix, functor, morphisms) -> Row:
-    _, comp = check_functor_laws(functor, (), morphisms)
-    return (
-        "all composable pairs",
-        f"{prefix}.functor-composition",
-        comp.ok,
-        comp.witness,
-    )
-
-
-def _suite_monad_f(spaces, lats, maps, homs) -> Iterable[Row]:
-    m = filter_monad_on_spaces()
-    yield from _monad_rows("monad-f", m, spaces, _space_ids(spaces))
-    yield from _naturality_rows(
-        "monad-f",
-        ((m.unit, "unit-naturality"), (m.mult, "mult-naturality")),
-        maps,
-        _map_ids(maps),
-    )
-    yield _composition_row("monad-f", m.functor, maps)
-
-
-def _suite_monad_i(spaces, lats, maps, homs) -> Iterable[Row]:
-    t = ideal_monad_on_frames()
-    yield from _monad_rows("monad-i", t, lats, _lattice_ids(lats))
-    yield from _naturality_rows(
-        "monad-i",
-        ((t.unit, "unit-naturality"), (t.mult, "mult-naturality")),
-        homs,
-        _hom_ids(homs),
-    )
-    yield _composition_row("monad-i", t.functor, homs)
-
-
-def _suite_comonad_k(spaces, lats, maps, homs) -> Iterable[Row]:
-    k = ideal_comonad_on_frames()
-    ids = _lattice_ids(lats)
-    for iid, lat in zip(ids, lats):
-        laws = check_comonad_laws(k, [lat])
-        for law_name, check in zip(
-            ("left-counit", "right-counit", "coassociativity"), laws
-        ):
-            yield iid, f"comonad-k.{law_name}", check.ok, check.witness
-        two_routes = comultiplication_hom(lat) == comultiplication_via_functor(lat)
-        yield iid, "comonad-k.comult-two-routes", two_routes, None
-        report = check_coalgebra(gamma_coalgebra(lat))
-        yield iid, "comonad-k.downset-coalgebra", report.ok, report.witness
-    yield from _naturality_rows(
-        "comonad-k",
-        ((k.counit, "counit-naturality"), (k.comult, "comult-naturality")),
-        homs,
-        _hom_ids(homs),
-    )
-
-
-def _suite_adjunction_os(spaces, lats, maps, homs) -> Iterable[Row]:
-    adj = open_spectrum_adjunction()
-    top = space_universe()
-    for iid, x in zip(_space_ids(spaces), spaces):
-        triangle, _ = check_adjunction(adj, [x], [])
-        yield iid, "adjunction-os.triangle-open", triangle.ok, triangle.witness
-        unit_iso = top.invert(adj.unit.component(x)) is not None
-        yield iid, "adjunction-os.unit-iso-iff-t0", unit_iso == is_t0(x), None
-    for iid, lat in zip(_lattice_ids(lats), lats):
-        _, triangle = check_adjunction(adj, [], [lat])
-        yield iid, "adjunction-os.triangle-spectrum", triangle.ok, triangle.witness
-        yield iid, "adjunction-os.counit-iso", is_spatial(lat), None
-    yield from _naturality_rows(
-        "adjunction-os", ((adj.unit, "unit-naturality"),), maps, _map_ids(maps)
-    )
-    yield from _naturality_rows(
-        "adjunction-os", ((adj.counit, "counit-naturality"),), homs, _hom_ids(homs)
-    )
-
-
-def _suite_lifting(spaces, lats, maps, homs) -> Iterable[Row]:
-    adj = open_spectrum_adjunction()
-    t = ideal_monad_on_locales()
-    m = lifted_ideal_monad()
-    top = space_universe()
-    loc = frame_universe()
-    yield from _monad_rows("lifting", m, spaces, _space_ids(spaces))
-    h = sobrification_monad()
-    for iid, x in zip(_space_ids(spaces), spaces):
-        agrees = (
-            h.functor.on_object(x) == sobrification(x)[0]
-            and h.unit.component(x) == sobrification(x)[1]
-        )
-        yield iid, "lifting.sobrification-agrees", agrees, None
-        if is_t0(x):
-            back_p = top.invert(pairing_map(x))
-            alpha = compose_maps(canonical_algebra(x), back_p)
-            m_alg = AlgebraInstance(m, x, alpha)
-            ok = all(c.ok for c in check_algebra(m_alg))
-            t_alg = inverse_comparison(adj, t, m_alg)
-            ok = ok and all(c.ok for c in check_algebra(t_alg))
-            again = comparison_algebra(adj, t, m, t_alg)
-            eta = adj.unit.component(x)
-            ok = (
-                ok
-                and top.invert(eta) is not None
-                and check_algebra_morphism(m_alg, again, eta)
-            )
-            yield iid, "lifting.comparison-round-trip", ok, None
-    for iid, lat in zip(_lattice_ids(lats), lats):
-        unit_sq, mult_sq = check_lift_law(adj, t, m, [lat])
-        yield iid, "lifting.law-unit-square", unit_sq.ok, unit_sq.witness
-        yield iid, "lifting.law-mult-square", mult_sq.ok, mult_sq.witness
-        t_alg = AlgebraInstance(t, lat, gamma_coalgebra(lat).structure)
-        m_alg = comparison_algebra(adj, t, m, t_alg)
-        ok = all(c.ok for c in check_algebra(m_alg))
-        back = inverse_comparison(adj, t, m_alg)
-        eps = adj.counit.component(lat)
-        ok = (
-            ok
-            and loc.invert(eps) is not None
-            and check_algebra_morphism(back, t_alg, eps)
-        )
-        yield iid, "lifting.inverse-round-trip", ok, None
-    sigma = sobrification_to_filters()
-    for law_name, check in zip(
-        ("morphism-unit", "morphism-mult"), check_monad_morphism(sigma, h, m, spaces)
-    ):
-        yield "all pool spaces", f"lifting.{law_name}", check.ok, check.witness
-    yield from _naturality_rows(
-        "lifting",
-        ((m.unit, "unit-naturality"), (m.mult, "mult-naturality")),
-        maps,
-        _map_ids(maps),
-    )
-
-
-def _suite_pairing(spaces, lats, maps, homs) -> Iterable[Row]:
-    m = lifted_ideal_monad()
-    frm = frame_universe()
-    for iid, x in zip(_space_ids(spaces), spaces):
-        p = pairing_map(x)
-        yield iid, "pairing.homeomorphism", is_homeomorphism(p), None
-        unit_ok = compose_maps(p, unit_map(x)) == m.unit.component(x)
-        yield iid, "pairing.unit-transport", unit_ok, None
-        doubled = compose_maps(
-            m.functor.on_morphism(p), pairing_map(filter_space(x))
-        )
-        mult_ok = compose_maps(m.mult.component(x), doubled) == compose_maps(
-            p, mult_map(x)
-        )
-        yield iid, "pairing.mult-transport", mult_ok, None
-        frame_iso = frm.invert(open_frame_of_filters_iso(x)) is not None
-        yield iid, "pairing.open-frame-iso", frame_iso, None
-    for iid, f in zip(_map_ids(maps), maps):
-        lhs = compose_maps(pairing_map(f.target), filter_map(f))
-        rhs = compose_maps(m.functor.on_morphism(f), pairing_map(f.source))
-        yield iid, "pairing.naturality", lhs == rhs, None
-
-
-def _suite_cechstone(spaces, lats, maps, homs) -> Iterable[Row]:
-    beta = compact_reflection_monad()
-    m = lifted_ideal_monad()
-    collapse = compactification_collapse()
-    top = space_universe()
-    yield from _monad_rows("cechstone", beta, spaces, _space_ids(spaces))
-    for iid, x in zip(_space_ids(spaces), spaces):
-        report = compactification_square(x)
-        yield iid, "cechstone.square-iso", report.ok, None
-        matches = homeomorphic(
-            beta.functor.on_object(x), hausdorff_reflection(filter_space(x))[0]
-        )
-        yield iid, "cechstone.matches-clopen-quotient", matches, None
-        yield (
-            iid,
-            "cechstone.collapse-iso",
-            top.invert(collapse.component(x)) is not None,
-            None,
-        )
-        route = compose_maps(
-            collapse.component(x),
-            compose_maps(
-                _lifted_center_unit(m.functor.on_object(x)), m.unit.component(x)
-            ),
-        )
-        yield iid, "cechstone.unit-factors", route == beta.unit.component(x), None
-    yield from _naturality_rows(
-        "cechstone",
-        ((beta.unit, "unit-naturality"), (beta.mult, "mult-naturality")),
-        maps,
-        _map_ids(maps),
-    )
-
-
-def _lifted_center_unit(space_obj):
-    lifted = lift_monad(
-        open_spectrum_adjunction(), center_monad_on_locales(), "spectral center monad"
-    )
-    return lifted.unit.component(space_obj)
-
-
-def _suite_ultrafilter(spaces, lats, maps, homs) -> Iterable[Row]:
-    for iid, x in zip(_space_ids(spaces), spaces):
-        ux = ultrafilter_space(x)
-        yield iid, "ultrafilter.principal-points", ux == FinSpace(x.points, x.opens), None
-        yield iid, "ultrafilter.filters-recovered", ultrafilter_comparison(x), None
-
-
-SUITES = {
-    "monad-f": _suite_monad_f,
-    "monad-i": _suite_monad_i,
-    "comonad-k": _suite_comonad_k,
-    "adjunction-os": _suite_adjunction_os,
-    "lifting": _suite_lifting,
-    "pairing": _suite_pairing,
-    "cechstone": _suite_cechstone,
-    "ultrafilter": _suite_ultrafilter,
-}
-
-
 def _cmd_laws(args) -> int:
-    spaces = _space_pool(args.max_points, args.seed, args.force)
-    lats = _lattice_pool(args.max_lattice, args.force)
-    maps = space_morphisms(min(args.max_points, 2))
-    homs = frame_morphisms(2)
+    rows = run_suite(
+        args.suite, args.max_points, args.max_lattice, args.seed, args.force
+    )
     failures = 0
     count = 0
-    for instance, law, ok, witness in SUITES[args.suite](spaces, lats, maps, homs):
+    for instance, law, ok, witness in rows:
         count += 1
         if ok:
             sys.stdout.write(f"{instance}\t{law}\tPASS\n")
@@ -663,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.set_defaults(handler=handler)
 
     laws = sub.add_parser("laws", help="run a law suite, one line per instance")
-    laws.add_argument("--suite", required=True, choices=sorted(SUITES))
+    laws.add_argument("--suite", required=True, choices=sorted(LAW_SUITES))
     laws.add_argument("--max-points", type=int, default=3)
     laws.add_argument("--max-lattice", type=int, default=8)
     laws.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -691,7 +312,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StonekitError as exc:

@@ -373,18 +373,6 @@ def ideal_join(lat: DistLattice, family: Iterable[Ideal]) -> Ideal:
     return Ideal(lat, _join_closure(lat, union))
 
 
-def is_directed_family(lat: DistLattice, family: Iterable[Ideal]) -> bool:
-    """Nonempty, and every two members sit inside a third."""
-    masks = [i.members for i in family]
-    if not masks:
-        return False
-    return all(
-        any(a | b == c | (a | b) and (a | b) & ~c == 0 for c in masks)
-        for a in masks
-        for b in masks
-    )
-
-
 def ideal_image(f: LatticeHom, ideal: Ideal) -> Ideal:
     """Functor action on ideals: everything under the image of a member."""
     _check_home(f.source, ideal)

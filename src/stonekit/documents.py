@@ -35,7 +35,7 @@ from .bitsets import bits, mask_of
 from .dlat import DistLattice, lattice_from_poset
 from .errors import ParseError
 from .order import order_closure
-from .spaces import FinSpace
+from .spaces import FinSpace, space_from_basis
 
 Payload = Union[DistLattice, FinSpace]
 
@@ -72,6 +72,11 @@ def _take(entries, key, kind):
 def _name_list(value, key, lineno):
     if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
         raise ParseError(f"{key!r} must be a list of strings", line=lineno)
+    seen = set()
+    for name in value:
+        if name in seen:
+            raise ParseError(f"duplicate {key[:-1]} name {name!r}", line=lineno)
+        seen.add(name)
     return value
 
 
@@ -128,23 +133,13 @@ def loads(text: str) -> Tuple[str, str, Payload]:
     if not isinstance(opens, list) or not all(isinstance(o, list) for o in opens):
         raise ParseError("'opens' must be a list of point-name lists", line=op_line)
     index = {p: i for i, p in enumerate(points)}
-    if len(index) != len(points):
-        raise ParseError("duplicate point name", line=pt_line)
-    masks = set()
+    masks = []
     for open_set in opens:
         for p in open_set:
             if not isinstance(p, str) or p not in index:
                 raise ParseError(f"open set mentions unknown point {p!r}", line=op_line)
-        masks.add(mask_of(index[p] for p in open_set))
-    masks |= {0, (1 << len(points)) - 1}
-    while True:
-        fresh = {a | b for a in masks for b in masks} | {
-            a & b for a in masks for b in masks
-        }
-        if fresh <= masks:
-            break
-        masks |= fresh
-    return "space", name_value, FinSpace(tuple(points), tuple(sorted(masks)))
+        masks.append(mask_of(index[p] for p in open_set))
+    return "space", name_value, space_from_basis(points, masks)
 
 
 def load_lattice(text: str) -> Tuple[str, DistLattice]:

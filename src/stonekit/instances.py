@@ -12,20 +12,23 @@ comultiplication read backwards; the open-set functor is left adjoint to
 the spectrum; lifting the locale monad across that adjunction gives a
 monad on spaces; and the pairing homeomorphism identifies the lifted
 monad with the open-prime-filter monad exactly. Composing with the
-Boolean-center monad lifts the compact reflection the same way. Every law
-suite at the bottom reruns these claims by enumeration and returns one
-status line per law.
+Boolean-center monad lifts the compact reflection the same way.
+
+The law suites at the bottom rerun these claims by enumeration over pools
+of spaces, lattices and maps, one row per checked instance; `LAW_SUITES`
+is the registry the command line runs and `run_suite` builds the pools.
 """
 
+import random
 from functools import lru_cache
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from .bitsets import bits
 from .catengine import (
     AdjunctionInstance,
     AlgebraInstance,
     ComonadInstance,
     FunctorInstance,
-    LawCheck,
     MonadInstance,
     NatTransInstance,
     Universe,
@@ -63,9 +66,11 @@ from .dlat import (
     prime_filters_bruteforce,
     union_hom,
 )
+from .errors import BudgetExceeded
 from .frame import (
     center_lattice,
     center_view,
+    check_coalgebra,
     comultiplication_hom,
     comultiplication_via_functor,
     corestrict_to_center,
@@ -93,16 +98,25 @@ from .spaces import (
 )
 from .topspace import (
     canonical_algebra,
+    compactification_square,
     filter_map,
     filter_space,
     hausdorff_reflection,
     is_sober,
     mult_map,
+    open_frame_of_filters_iso,
     pairing_map,
     sobrification,
+    ultrafilter_comparison,
+    ultrafilter_space,
     unit_map,
 )
-from .universes import all_continuous_maps, all_spaces_upto, lattice_universe
+from .universes import (
+    MAX_POINTS,
+    all_continuous_maps,
+    all_spaces_upto,
+    lattice_universe,
+)
 
 
 def _space_label(x) -> str:
@@ -387,330 +401,428 @@ def compactification_collapse() -> NatTransInstance:
 
 
 # ---------------------------------------------------------------------------
-# law suites
+# pools: every space and lattice up to a size bound, ids naming each instance
+
+MAX_LATTICE = 16
+DEFAULT_SEED = 271828
+SAMPLES_PER_SIZE = 20
+
+Row = Tuple[str, str, bool, object]
 
 
-def _each(name: str, labeled_cases) -> LawCheck:
-    """Collapse (label, ok) pairs into one status line."""
-    for label, ok in labeled_cases:
-        if not ok:
-            return LawCheck(name, False, label)
-    return LawCheck(name, True)
-
-
-def _positions(items):
-    total = len(items)
-    for i, item in enumerate(items):
-        yield f"{i + 1}/{total}", item
-
-
-def frame_suite(max_poset: int = 3, max_points: int = 2) -> List[LawCheck]:
-    """Ideal monad and comonad over the lattice universe."""
-    lats = lattice_universe(max_poset)
-    homs = frame_morphisms(min(max_poset, 2))
-    t = ideal_monad_on_frames()
-    k = ideal_comonad_on_frames()
-    checks = list(check_functor_laws(t.functor, lats, homs))
-    checks += check_monad_laws(t, lats)
-    checks.append(check_naturality(t.unit, homs))
-    checks.append(check_naturality(t.mult, homs))
-    checks += check_comonad_laws(k, lats)
-    checks.append(check_naturality(k.counit, homs))
-    checks.append(check_naturality(k.comult, homs))
-    checks.append(
-        _each(
-            "comultiplication agrees with the functored unit",
-            (
-                (label, comultiplication_hom(l) == comultiplication_via_functor(l))
-                for label, l in _positions(lats)
-            ),
+def _space_pool(max_points: int, seed: int, force: bool) -> Tuple[FinSpace, ...]:
+    if max_points > MAX_POINTS and not force:
+        raise BudgetExceeded(
+            f"--max-points {max_points} exceeds the guard rail {MAX_POINTS}; "
+            "pass --force to sample anyway"
         )
-    )
-    return checks
+    pool = list(all_spaces_upto(min(max_points, 4)))
+    for size in range(5, max_points + 1):
+        pool.extend(_sampled_spaces(size, seed))
+    return tuple(pool)
 
 
-def locale_suite(max_poset: int = 3, max_points: int = 2) -> List[LawCheck]:
-    """Ideal, center, and complemented-ideal monads on locales."""
-    lats = lattice_universe(max_poset)
-    homs = frame_morphisms(min(max_poset, 2))
-    checks: List[LawCheck] = []
-    for monad in (
-        ideal_monad_on_locales(),
-        center_monad_on_locales(),
-        center_ideal_monad_on_locales(),
-    ):
-        checks += check_functor_laws(monad.functor, lats, homs)
-        checks += check_monad_laws(monad, lats)
-        checks.append(check_naturality(monad.unit, homs))
-        checks.append(check_naturality(monad.mult, homs))
-    return checks
-
-
-def space_suite(max_poset: int = 3, max_points: int = 2) -> List[LawCheck]:
-    """Filter monad over the space universe."""
-    spaces = all_spaces_upto(max_points)
-    maps = space_morphisms(min(max_points, 2))
-    f = filter_monad_on_spaces()
-    checks = list(check_functor_laws(f.functor, spaces, maps))
-    checks += check_monad_laws(f, spaces)
-    checks.append(check_naturality(f.unit, maps))
-    checks.append(check_naturality(f.mult, maps))
-    checks.append(
-        _each(
-            "canonical algebra exists exactly on T0 spaces",
-            (
-                (label, _has_canonical_algebra(x) == is_t0(x))
-                for label, x in _positions(spaces)
-            ),
-        )
-    )
-    return checks
-
-
-def _has_canonical_algebra(x: FinSpace) -> bool:
-    eta = unit_map(x)
-    return len(set(eta.assignment)) == x.n
-
-
-def adjunction_suite(max_poset: int = 3, max_points: int = 2) -> List[LawCheck]:
-    """Triangle identities and naturality for open sets below spectrum."""
-    adj = open_spectrum_adjunction()
-    spaces = all_spaces_upto(max_points)
-    lats = lattice_universe(max_poset)
-    checks = list(check_adjunction(adj, spaces, lats))
-    checks += check_functor_laws(
-        adj.left, spaces, space_morphisms(min(max_points, 2))
-    )
-    checks += check_functor_laws(
-        adj.right, lats, frame_morphisms(min(max_poset, 2))
-    )
-    checks.append(check_naturality(adj.unit, space_morphisms(min(max_points, 2))))
-    checks.append(check_naturality(adj.counit, frame_morphisms(min(max_poset, 2))))
-    checks.append(
-        _each(
-            "counit is an isomorphism (spatiality)",
-            ((label, is_spatial(l)) for label, l in _positions(lats)),
-        )
-    )
-    return checks
-
-
-def lifting_suite(max_poset: int = 3, max_points: int = 2) -> List[LawCheck]:
-    """The lifted monad, its identification with the filter monad, the
-    lift-law squares, and both comparison round trips."""
-    adj = open_spectrum_adjunction()
-    t = ideal_monad_on_locales()
-    m = lifted_ideal_monad()
-    spaces = all_spaces_upto(max_points)
-    lats = lattice_universe(max_poset)
-    maps = space_morphisms(min(max_points, 2))
-    checks = list(check_monad_laws(m, spaces))
-    checks.append(check_naturality(m.unit, maps))
-    checks.append(check_naturality(m.mult, maps))
-
-    def transport_cases():
-        for label, x in _positions(spaces):
-            p = pairing_map(x)
-            unit_ok = compose_maps(p, unit_map(x)) == m.unit.component(x)
-            doubled = compose_maps(
-                m.functor.on_morphism(p), pairing_map(filter_space(x))
+def _sampled_spaces(size: int, seed: int) -> List[FinSpace]:
+    """Seeded sample of topologies on `size` points, via random preorders."""
+    rng = random.Random(seed * 1_000_003 + size)
+    names = tuple(chr(ord("p") + i) for i in range(size))
+    seen = set()
+    out: List[FinSpace] = []
+    while len(out) < SAMPLES_PER_SIZE:
+        up = [1 << i for i in range(size)]
+        for i in range(size):
+            for j in range(size):
+                if i != j and rng.random() < 0.3:
+                    up[i] |= 1 << j
+        changed = True
+        while changed:
+            changed = False
+            for i in range(size):
+                grown = up[i]
+                for j in bits(up[i]):
+                    grown |= up[j]
+                if grown != up[i]:
+                    up[i] = grown
+                    changed = True
+        opens = tuple(
+            sorted(
+                m
+                for m in range(1 << size)
+                if all(up[i] & ~m == 0 for i in bits(m))
             )
-            mult_ok = compose_maps(m.mult.component(x), doubled) == compose_maps(
-                p, mult_map(x)
-            )
-            yield label, is_homeomorphism(p) and unit_ok and mult_ok
-
-    checks.append(_each("pairing carries the filter monad exactly", transport_cases()))
-
-    h = sobrification_monad()
-    checks.append(
-        _each(
-            "lifted identity monad is the sobrification",
-            (
-                (
-                    label,
-                    h.functor.on_object(x) == sobrification(x)[0]
-                    and h.unit.component(x) == sobrification(x)[1],
-                )
-                for label, x in _positions(spaces)
-            ),
         )
-    )
-    checks += check_monad_laws(h, spaces)
-    sigma = sobrification_to_filters()
-    checks += check_monad_morphism(sigma, h, m, spaces)
-    checks.append(check_naturality(sigma, maps))
-    checks += check_lift_law(adj, t, m, lats)
-    checks.append(_each("algebras round trip from locales", _locale_round_trips(lats)))
-    checks.append(
-        _each("algebras round trip from spaces", _space_round_trips(spaces))
-    )
-    collapse = compactification_collapse()
-    checks.append(
-        _each(
-            "lifted composite collapses invertibly",
-            (
-                (label, _invert_map(collapse.component(x)) is not None)
-                for label, x in _positions(spaces)
-            ),
-        )
-    )
-    checks.append(check_naturality(collapse, maps))
-    return checks
-
-
-def _locale_round_trips(lats):
-    adj = open_spectrum_adjunction()
-    t = ideal_monad_on_locales()
-    m = lifted_ideal_monad()
-    loc = locale_universe()
-    for label, lat in _positions(lats):
-        structure = gamma_coalgebra(lat).structure
-        t_alg = AlgebraInstance(t, lat, structure)
-        ok = all(c.ok for c in check_algebra(t_alg))
-        m_alg = comparison_algebra(adj, t, m, t_alg)
-        ok = ok and all(c.ok for c in check_algebra(m_alg))
-        back = inverse_comparison(adj, t, m_alg)
-        ok = ok and all(c.ok for c in check_algebra(back))
-        eps = adj.counit.component(lat)
-        ok = ok and loc.invert(eps) is not None
-        ok = ok and check_algebra_morphism(back, t_alg, eps)
-        yield label, ok
-
-
-def _space_round_trips(spaces):
-    adj = open_spectrum_adjunction()
-    t = ideal_monad_on_locales()
-    m = lifted_ideal_monad()
-    top = space_universe()
-    for label, x in _positions(spaces):
-        if not is_t0(x):
-            yield label, True
+        if opens in seen:
             continue
-        p = pairing_map(x)
-        back_p = _invert_map(p)
-        alpha = compose_maps(canonical_algebra(x), back_p)
-        m_alg = AlgebraInstance(m, x, alpha)
-        ok = all(c.ok for c in check_algebra(m_alg))
-        t_alg = inverse_comparison(adj, t, m_alg)
-        ok = ok and all(c.ok for c in check_algebra(t_alg))
-        again = comparison_algebra(adj, t, m, t_alg)
-        ok = ok and all(c.ok for c in check_algebra(again))
-        eta = adj.unit.component(x)
-        ok = ok and top.invert(eta) is not None
-        ok = ok and check_algebra_morphism(m_alg, again, eta)
-        yield label, ok
+        seen.add(opens)
+        out.append(FinSpace(names, opens))
+    return out
 
 
-def compactification_suite(max_poset: int = 3, max_points: int = 2) -> List[LawCheck]:
-    """The compact reflection monad and its agreement with the clopen
-    quotient of the filter space."""
-    spaces = all_spaces_upto(max_points)
-    maps = space_morphisms(min(max_points, 2))
-    beta = compact_reflection_monad()
-    checks = list(check_monad_laws(beta, spaces))
-    checks.append(check_naturality(beta.unit, maps))
-    checks.append(check_naturality(beta.mult, maps))
-    checks.append(
-        _each(
-            "compactification matches the clopen quotient of the filter space",
-            (
-                (
-                    label,
-                    homeomorphic(
-                        beta.functor.on_object(x),
-                        hausdorff_reflection(filter_space(x))[0],
-                    ),
-                )
-                for label, x in _positions(spaces)
-            ),
+def _lattice_pool(max_lattice: int, force: bool) -> Tuple[DistLattice, ...]:
+    if max_lattice > MAX_LATTICE and not force:
+        raise BudgetExceeded(
+            f"--max-lattice {max_lattice} exceeds the guard rail {MAX_LATTICE}; "
+            "pass --force to raise it"
         )
+    bound = 4 if max_lattice <= MAX_LATTICE else 5
+    return tuple(
+        l for l in lattice_universe(bound, force=True) if l.n <= max_lattice
     )
 
-    def unit_factors():
-        m = lifted_ideal_monad()
-        b = center_monad_on_locales()
-        adj = open_spectrum_adjunction()
-        collapse = compactification_collapse()
-        lifted_center = lift_monad(adj, b, "spectral center monad")
-        for label, x in _positions(spaces):
-            mx = m.functor.on_object(x)
-            route = compose_maps(
-                collapse.component(x),
-                compose_maps(lifted_center.unit.component(mx), m.unit.component(x)),
-            )
-            yield label, route == beta.unit.component(x)
 
-    checks.append(_each("reflection unit factors through both liftings", unit_factors()))
-    return checks
-
-
-def degeneracy_suite(max_poset: int = 4, max_points: int = 3) -> List[LawCheck]:
-    """Finite-scale degeneracies, each checked against an independent
-    route: way-below is the order, regular is Boolean, every ideal is
-    principal, both prime-filter routes agree, the comparison into the
-    spectrum is bijective, everything is stably compact, and sober is T0."""
-    lats = lattice_universe(max_poset)
-    spaces = all_spaces_upto(max_points)
-    checks = [
-        _each(
-            "way below equals the order",
-            (
-                (label, way_below(l).below == l.poset.down)
-                for label, l in _positions(lats)
-            ),
-        ),
-        _each(
-            "regular equals Boolean",
-            ((label, is_regular(l) == is_boolean(l)) for label, l in _positions(lats)),
-        ),
-        _each(
-            "every ideal is principal",
-            (
-                (label, tuple(sorted(ideal_view(l).masks)) == principal_masks(l))
-                for label, l in _positions(lats)
-            ),
-        ),
-        _each(
-            "prime filter routes agree",
-            (
-                (
-                    label,
-                    tuple(f.members for f in prime_filters(l))
-                    == prime_filters_bruteforce(l),
-                )
-                for label, l in _positions(lats)
-            ),
-        ),
-        _each(
-            "spatiality comparison is bijective",
-            ((label, is_spatial(l)) for label, l in _positions(lats)),
-        ),
-        _each(
-            "everything is stably compact",
-            ((label, is_stably_compact(l)) for label, l in _positions(lats)),
-        ),
-        _each(
-            "sober equals T0",
-            ((label, is_sober(x) == is_t0(x)) for label, x in _positions(spaces)),
-        ),
+def _space_ids(spaces) -> List[str]:
+    total = len(spaces)
+    return [
+        f"space {i + 1}/{total} ({x.n} points, {len(x.opens)} opens)"
+        for i, x in enumerate(spaces)
     ]
-    return checks
 
 
-LAW_SUITES: dict = {
-    "frames": frame_suite,
-    "locales": locale_suite,
-    "spaces": space_suite,
-    "adjunction": adjunction_suite,
-    "lifting": lifting_suite,
-    "compactification": compactification_suite,
-    "degeneracy": degeneracy_suite,
+def _lattice_ids(lats) -> List[str]:
+    total = len(lats)
+    return [
+        f"lattice {i + 1}/{total} ({l.n} elements)" for i, l in enumerate(lats)
+    ]
+
+
+def _numbered(kind: str, items) -> List[str]:
+    total = len(items)
+    return [f"{kind} {i + 1}/{total}" for i in range(total)]
+
+
+# ---------------------------------------------------------------------------
+# algebra round trips through the comparison functors
+
+
+def _holds(checks) -> bool:
+    return all(c.ok for c in checks)
+
+
+def locale_round_trip(lat: DistLattice) -> bool:
+    """Downset coalgebra of `lat`, read as an algebra of the locale ideal
+    monad, to a lifted-monad algebra and back: every algebra on the way
+    satisfies its laws and the counit is an invertible algebra morphism."""
+    adj = open_spectrum_adjunction()
+    t = ideal_monad_on_locales()
+    m = lifted_ideal_monad()
+    t_alg = AlgebraInstance(t, lat, gamma_coalgebra(lat).structure)
+    m_alg = comparison_algebra(adj, t, m, t_alg)
+    back = inverse_comparison(adj, t, m_alg)
+    eps = adj.counit.component(lat)
+    return (
+        all(_holds(check_algebra(alg)) for alg in (t_alg, m_alg, back))
+        and _invert_hom(eps) is not None
+        and check_algebra_morphism(back, t_alg, eps)
+    )
+
+
+def space_round_trip(x: FinSpace) -> Optional[AlgebraInstance]:
+    """Canonical algebra of a T0 space `x`, carried to a lifted-monad
+    algebra, to a locale algebra and back again.
+
+    Returns the algebra reached again when the first two satisfy their
+    laws and the unit is an invertible algebra morphism onto it, else
+    None. The laws of the returned algebra are left to the caller."""
+    adj = open_spectrum_adjunction()
+    t = ideal_monad_on_locales()
+    m = lifted_ideal_monad()
+    alpha = compose_maps(canonical_algebra(x), _invert_map(pairing_map(x)))
+    m_alg = AlgebraInstance(m, x, alpha)
+    ok = _holds(check_algebra(m_alg))
+    t_alg = inverse_comparison(adj, t, m_alg)
+    ok = ok and _holds(check_algebra(t_alg))
+    again = comparison_algebra(adj, t, m, t_alg)
+    eta = adj.unit.component(x)
+    ok = (
+        ok
+        and _invert_map(eta) is not None
+        and check_algebra_morphism(m_alg, again, eta)
+    )
+    return again if ok else None
+
+
+# ---------------------------------------------------------------------------
+# law suites: each yields one row (instance id, law id, ok, witness) per
+# checked instance
+
+
+def _preserves_identity(functor: FunctorInstance, obj) -> bool:
+    image = functor.on_morphism(functor.source.identity(obj))
+    return image == functor.target.identity(functor.on_object(obj))
+
+
+def _monad_rows(prefix, monad, objects, ids) -> Iterator[Row]:
+    for iid, x in zip(ids, objects):
+        identity = _preserves_identity(monad.functor, x)
+        yield iid, f"{prefix}.functor-identity", identity, None
+        laws = check_monad_laws(monad, [x])
+        for law_name, check in zip(
+            ("left-unit", "right-unit", "associativity"), laws
+        ):
+            yield iid, f"{prefix}.{law_name}", check.ok, check.witness
+
+
+def _naturality_rows(prefix, pairs, morphisms, ids) -> Iterator[Row]:
+    for iid, f in zip(ids, morphisms):
+        for nt, law_name in pairs:
+            check = check_naturality(nt, [f])
+            yield iid, f"{prefix}.{law_name}", check.ok, check.witness
+
+
+def _composition_row(prefix, functor, morphisms) -> Row:
+    _, comp = check_functor_laws(functor, (), morphisms)
+    return (
+        "all composable pairs",
+        f"{prefix}.functor-composition",
+        comp.ok,
+        comp.witness,
+    )
+
+
+def _full_monad_rows(prefix, monad, objects, ids, morphisms, morphism_ids):
+    """Functor and monad laws per object, naturality of unit and
+    multiplication per morphism, functor composition over the morphisms."""
+    yield from _monad_rows(prefix, monad, objects, ids)
+    yield from _naturality_rows(
+        prefix,
+        ((monad.unit, "unit-naturality"), (monad.mult, "mult-naturality")),
+        morphisms,
+        morphism_ids,
+    )
+    yield _composition_row(prefix, monad.functor, morphisms)
+
+
+def _suite_monad_f(spaces, lats, maps, homs) -> Iterator[Row]:
+    ids, map_ids = _space_ids(spaces), _numbered("map", maps)
+    yield from _full_monad_rows(
+        "monad-f", filter_monad_on_spaces(), spaces, ids, maps, map_ids
+    )
+    for iid, x in zip(ids, spaces):
+        # the canonical algebra exists exactly when the unit is injective
+        has_algebra = len(set(unit_map(x).assignment)) == x.n
+        yield iid, "monad-f.algebra-iff-t0", has_algebra == is_t0(x), None
+
+
+def _suite_monad_i(spaces, lats, maps, homs) -> Iterator[Row]:
+    ids, hom_ids = _lattice_ids(lats), _numbered("hom", homs)
+    yield from _full_monad_rows(
+        "monad-i", ideal_monad_on_frames(), lats, ids, homs, hom_ids
+    )
+    yield from _full_monad_rows(
+        "monad-i.locale", ideal_monad_on_locales(), lats, ids, homs, hom_ids
+    )
+
+
+def _suite_comonad_k(spaces, lats, maps, homs) -> Iterator[Row]:
+    k = ideal_comonad_on_frames()
+    for iid, lat in zip(_lattice_ids(lats), lats):
+        laws = check_comonad_laws(k, [lat])
+        for law_name, check in zip(
+            ("left-counit", "right-counit", "coassociativity"), laws
+        ):
+            yield iid, f"comonad-k.{law_name}", check.ok, check.witness
+        two_routes = comultiplication_hom(lat) == comultiplication_via_functor(lat)
+        yield iid, "comonad-k.comult-two-routes", two_routes, None
+        report = check_coalgebra(gamma_coalgebra(lat))
+        yield iid, "comonad-k.downset-coalgebra", report.ok, report.witness
+    yield from _naturality_rows(
+        "comonad-k",
+        ((k.counit, "counit-naturality"), (k.comult, "comult-naturality")),
+        homs,
+        _numbered("hom", homs),
+    )
+
+
+def _suite_adjunction_os(spaces, lats, maps, homs) -> Iterator[Row]:
+    adj = open_spectrum_adjunction()
+    space_ids, map_ids = _space_ids(spaces), _numbered("map", maps)
+    for iid, x in zip(space_ids, spaces):
+        triangle, _ = check_adjunction(adj, [x], [])
+        yield iid, "adjunction-os.triangle-open", triangle.ok, triangle.witness
+        unit_iso = _invert_map(adj.unit.component(x)) is not None
+        yield iid, "adjunction-os.unit-iso-iff-t0", unit_iso == is_t0(x), None
+        identity = _preserves_identity(adj.left, x)
+        yield iid, "adjunction-os.open.functor-identity", identity, None
+    for iid, lat in zip(_lattice_ids(lats), lats):
+        _, triangle = check_adjunction(adj, [], [lat])
+        yield iid, "adjunction-os.triangle-spectrum", triangle.ok, triangle.witness
+        yield iid, "adjunction-os.counit-iso", is_spatial(lat), None
+        identity = _preserves_identity(adj.right, lat)
+        yield iid, "adjunction-os.spectrum.functor-identity", identity, None
+    sigma = sobrification_to_filters()
+    yield from _naturality_rows(
+        "adjunction-os",
+        ((adj.unit, "unit-naturality"), (sigma, "sigma-naturality")),
+        maps,
+        map_ids,
+    )
+    yield from _naturality_rows(
+        "adjunction-os",
+        ((adj.counit, "counit-naturality"),),
+        homs,
+        _numbered("hom", homs),
+    )
+    yield _composition_row("adjunction-os.open", adj.left, maps)
+    yield _composition_row("adjunction-os.spectrum", adj.right, homs)
+    yield from _monad_rows(
+        "adjunction-os.sobrification", sobrification_monad(), spaces, space_ids
+    )
+
+
+def _suite_lifting(spaces, lats, maps, homs) -> Iterator[Row]:
+    adj = open_spectrum_adjunction()
+    t = ideal_monad_on_locales()
+    m = lifted_ideal_monad()
+    h = sobrification_monad()
+    space_ids = _space_ids(spaces)
+    yield from _monad_rows("lifting", m, spaces, space_ids)
+    for iid, x in zip(space_ids, spaces):
+        sober, unit = sobrification(x)
+        agrees = h.functor.on_object(x) == sober and h.unit.component(x) == unit
+        yield iid, "lifting.sobrification-agrees", agrees, None
+        if is_t0(x):
+            ok = space_round_trip(x) is not None
+            yield iid, "lifting.comparison-round-trip", ok, None
+    for iid, lat in zip(_lattice_ids(lats), lats):
+        unit_sq, mult_sq = check_lift_law(adj, t, m, [lat])
+        yield iid, "lifting.law-unit-square", unit_sq.ok, unit_sq.witness
+        yield iid, "lifting.law-mult-square", mult_sq.ok, mult_sq.witness
+        yield iid, "lifting.inverse-round-trip", locale_round_trip(lat), None
+    sigma = sobrification_to_filters()
+    for law_name, check in zip(
+        ("morphism-unit", "morphism-mult"), check_monad_morphism(sigma, h, m, spaces)
+    ):
+        yield "all pool spaces", f"lifting.{law_name}", check.ok, check.witness
+    yield from _naturality_rows(
+        "lifting",
+        ((m.unit, "unit-naturality"), (m.mult, "mult-naturality")),
+        maps,
+        _numbered("map", maps),
+    )
+
+
+def _suite_pairing(spaces, lats, maps, homs) -> Iterator[Row]:
+    m = lifted_ideal_monad()
+    for iid, x in zip(_space_ids(spaces), spaces):
+        p = pairing_map(x)
+        yield iid, "pairing.homeomorphism", is_homeomorphism(p), None
+        unit_ok = compose_maps(p, unit_map(x)) == m.unit.component(x)
+        yield iid, "pairing.unit-transport", unit_ok, None
+        doubled = compose_maps(
+            m.functor.on_morphism(p), pairing_map(filter_space(x))
+        )
+        mult_ok = compose_maps(m.mult.component(x), doubled) == compose_maps(
+            p, mult_map(x)
+        )
+        yield iid, "pairing.mult-transport", mult_ok, None
+        frame_iso = _invert_hom(open_frame_of_filters_iso(x)) is not None
+        yield iid, "pairing.open-frame-iso", frame_iso, None
+    for iid, f in zip(_numbered("map", maps), maps):
+        lhs = compose_maps(pairing_map(f.target), filter_map(f))
+        rhs = compose_maps(m.functor.on_morphism(f), pairing_map(f.source))
+        yield iid, "pairing.naturality", lhs == rhs, None
+
+
+def _suite_cechstone(spaces, lats, maps, homs) -> Iterator[Row]:
+    beta = compact_reflection_monad()
+    m = lifted_ideal_monad()
+    collapse = compactification_collapse()
+    lifted_center = lift_monad(
+        open_spectrum_adjunction(), center_monad_on_locales(), "spectral center monad"
+    )
+    space_ids = _space_ids(spaces)
+    yield from _monad_rows("cechstone", beta, spaces, space_ids)
+    for iid, x in zip(space_ids, spaces):
+        report = compactification_square(x)
+        yield iid, "cechstone.square-iso", report.ok, None
+        matches = homeomorphic(
+            beta.functor.on_object(x), hausdorff_reflection(filter_space(x))[0]
+        )
+        yield iid, "cechstone.matches-clopen-quotient", matches, None
+        collapse_iso = _invert_map(collapse.component(x)) is not None
+        yield iid, "cechstone.collapse-iso", collapse_iso, None
+        route = compose_maps(
+            collapse.component(x),
+            compose_maps(
+                lifted_center.unit.component(m.functor.on_object(x)),
+                m.unit.component(x),
+            ),
+        )
+        yield iid, "cechstone.unit-factors", route == beta.unit.component(x), None
+    yield from _naturality_rows(
+        "cechstone",
+        (
+            (beta.unit, "unit-naturality"),
+            (beta.mult, "mult-naturality"),
+            (collapse, "collapse-naturality"),
+        ),
+        maps,
+        _numbered("map", maps),
+    )
+    lattice_ids, hom_ids = _lattice_ids(lats), _numbered("hom", homs)
+    for prefix, monad in (
+        ("cechstone.center", center_monad_on_locales()),
+        ("cechstone.center-ideal", center_ideal_monad_on_locales()),
+    ):
+        yield from _full_monad_rows(prefix, monad, lats, lattice_ids, homs, hom_ids)
+
+
+def _suite_ultrafilter(spaces, lats, maps, homs) -> Iterator[Row]:
+    for iid, x in zip(_space_ids(spaces), spaces):
+        ux = ultrafilter_space(x)
+        yield iid, "ultrafilter.principal-points", ux == FinSpace(x.points, x.opens), None
+        yield iid, "ultrafilter.filters-recovered", ultrafilter_comparison(x), None
+
+
+def _suite_degeneracy(spaces, lats, maps, homs) -> Iterator[Row]:
+    """Finite-scale collapses, each against an independent route."""
+    for iid, lat in zip(_lattice_ids(lats), lats):
+        below = way_below(lat).below == lat.poset.down
+        yield iid, "degeneracy.way-below-is-order", below, None
+        regular = is_regular(lat) == is_boolean(lat)
+        yield iid, "degeneracy.regular-iff-boolean", regular, None
+        principal = tuple(sorted(ideal_view(lat).masks)) == principal_masks(lat)
+        yield iid, "degeneracy.ideals-principal", principal, None
+        routes = (
+            tuple(f.members for f in prime_filters(lat))
+            == prime_filters_bruteforce(lat)
+        )
+        yield iid, "degeneracy.prime-filter-routes", routes, None
+        yield iid, "degeneracy.stably-compact", is_stably_compact(lat), None
+    for iid, x in zip(_space_ids(spaces), spaces):
+        yield iid, "degeneracy.sober-iff-t0", is_sober(x) == is_t0(x), None
+
+
+LAW_SUITES: Dict[str, Callable[..., Iterator[Row]]] = {
+    "monad-f": _suite_monad_f,
+    "monad-i": _suite_monad_i,
+    "comonad-k": _suite_comonad_k,
+    "adjunction-os": _suite_adjunction_os,
+    "lifting": _suite_lifting,
+    "pairing": _suite_pairing,
+    "cechstone": _suite_cechstone,
+    "ultrafilter": _suite_ultrafilter,
+    "degeneracy": _suite_degeneracy,
 }
 
 
-def run_suite(name: str, max_poset: int = 3, max_points: int = 2) -> List[LawCheck]:
+def run_suite(
+    name: str,
+    max_points: int = 3,
+    max_lattice: int = 8,
+    seed: int = DEFAULT_SEED,
+    force: bool = False,
+) -> Iterator[Row]:
+    """Rows of the named suite over every space up to `max_points` points
+    (seeded samples from five points on), every universe lattice with at
+    most `max_lattice` elements, the continuous maps between spaces of at
+    most two points and the lattice maps between lattices from posets of
+    at most two elements. The pools are built before this returns, the
+    rows as they are consumed."""
     if name not in LAW_SUITES:
         known = ", ".join(sorted(LAW_SUITES))
         raise ValueError(f"unknown suite {name!r}; known suites: {known}")
-    return LAW_SUITES[name](max_poset=max_poset, max_points=max_points)
+    spaces = _space_pool(max_points, seed, force)
+    lats = _lattice_pool(max_lattice, force)
+    maps = space_morphisms(min(max_points, 2))
+    return LAW_SUITES[name](spaces, lats, maps, frame_morphisms(2))

@@ -14,8 +14,8 @@ subset-order morphisms are pairs (smaller mask, larger mask).
 from functools import lru_cache
 from typing import Optional, Tuple
 
-from .bitsets import bits, format_subset, mask_of
-from .catengine import (
+from stonekit.bitsets import bits, format_subset, mask_of
+from stonekit.catengine import (
     AdjunctionInstance,
     AlgebraInstance,
     FunctorInstance,
@@ -27,7 +27,7 @@ from .catengine import (
     lift_monad,
     make_monad,
 )
-from .spaces import FinSpace, closure_of, preimage_mask
+from stonekit.spaces import FinSpace, closure_of, preimage_mask
 
 
 @lru_cache(maxsize=None)

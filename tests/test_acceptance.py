@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from stonekit.catengine import (
+    check_algebra,
     check_comonad_laws,
     check_lift_law,
     check_monad_laws,
@@ -30,18 +31,18 @@ from stonekit.frame import (
     way_below,
 )
 from stonekit.instances import (
-    _locale_round_trips,
-    _space_round_trips,
     compactification_collapse,
     filter_monad_on_spaces,
     ideal_comonad_on_frames,
     ideal_monad_on_frames,
     ideal_monad_on_locales,
     lifted_ideal_monad,
+    locale_round_trip,
     open_spectrum_adjunction,
     sobrification_monad,
     sobrification_to_filters,
     space_morphisms,
+    space_round_trip,
     space_universe,
 )
 from stonekit.frame import comultiplication_hom, comultiplication_via_functor
@@ -179,9 +180,13 @@ def test_criterion_07_lifting_suite():
         lats = lattice_universe(4)
         for check in check_lift_law(adj, t, m, lats):
             assert check.ok, str(check)
-        assert all(ok for _, ok in _locale_round_trips(lats))
+        assert all(locale_round_trip(lat) for lat in lats)
         spaces = all_spaces_upto(3)
-        assert all(ok for _, ok in _space_round_trips(spaces))
+        for x in spaces:
+            if is_t0(x):
+                again = space_round_trip(x)
+                assert again is not None, x
+                assert all(c.ok for c in check_algebra(again)), x
         collapse = compactification_collapse()
         top = space_universe()
         for x in spaces:

@@ -26,7 +26,19 @@ from stonekit.catengine import (
     NatTransInstance,
 )
 from stonekit.errors import CounitNotIso, HypothesisFailed
-from stonekit.faults import (
+from stonekit.spaces import (
+    ContinuousMap,
+    closure_of,
+    discrete_space,
+    disjoint_union,
+    identity_map,
+    indiscrete_space,
+    sierpinski,
+    subspace,
+)
+from stonekit.universes import all_spaces_upto
+
+from faults import (
     all_functions,
     closure_monad,
     collapsing_transformation,
@@ -45,17 +57,6 @@ from stonekit.faults import (
     swap_counit_adjunction,
     topological_closure_monad,
 )
-from stonekit.spaces import (
-    ContinuousMap,
-    closure_of,
-    discrete_space,
-    disjoint_union,
-    identity_map,
-    indiscrete_space,
-    sierpinski,
-    subspace,
-)
-from stonekit.universes import all_spaces_upto
 
 SIZES = (0, 1, 2, 3)
 

@@ -181,3 +181,31 @@ def test_validate_round_trips_its_own_output(tmp_path, capsys):
     echoed.write_text(out)
     code2, out2, _ = run(capsys, "validate", str(echoed))
     assert code2 == 0 and out2 == out
+
+
+def _duplicate_names(tmp_path):
+    path = tmp_path / "twice.lattice"
+    path.write_text('type: "lattice"\nname: "x"\nelements: ["a", "a"]\nleq: []\n')
+    return path
+
+
+def _latin1(tmp_path):
+    path = tmp_path / "latin1.space"
+    path.write_bytes('type: "space"\nname: "café"\n'.encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize(
+    "make, fragment",
+    [
+        (_duplicate_names, "duplicate element name 'a'"),
+        (_latin1, "not UTF-8"),
+        (lambda tmp_path: tmp_path, "Is a directory"),
+    ],
+    ids=["duplicate-names", "not-utf8", "directory"],
+)
+def test_unreadable_input_exits_2_with_one_line(tmp_path, capsys, make, fragment):
+    code, out, err = run(capsys, "validate", str(make(tmp_path)))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err

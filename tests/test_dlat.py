@@ -31,7 +31,6 @@ from stonekit.dlat import (
     ideal_view,
     ideals_bruteforce,
     identity_hom,
-    is_directed_family,
     is_distributive,
     is_ideal_mask,
     join_irreducibles,
@@ -164,7 +163,6 @@ def test_foreign_ideal_rejected():
 def test_directed_join_is_plain_union():
     c = chain3()
     fam = [principal_ideal(c, "{}"), principal_ideal(c, "{a}")]
-    assert is_directed_family(c, fam)
     union = fam[0].members | fam[1].members
     assert ideal_join(c, fam).members == union
 

@@ -1,35 +1,31 @@
 """Wired-up instances: universes, monads, the adjunction, and the suites."""
 
+import argparse
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pytest
 
 from stonekit.catengine import check_naturality
+from stonekit.cli import _build_parser
 from stonekit.dlat import compose_homs, identity_hom, two_lattice
 from stonekit.frame import counit_hom, spectrum_map
 from stonekit.instances import (
     LAW_SUITES,
-    adjunction_suite,
     compact_reflection_monad,
     compactification_collapse,
-    compactification_suite,
-    degeneracy_suite,
     filter_monad_on_spaces,
     frame_morphisms,
-    frame_suite,
     frame_universe,
     ideal_monad_on_frames,
     ideal_monad_on_locales,
     lifted_ideal_monad,
-    lifting_suite,
-    locale_suite,
     locale_universe,
     open_spectrum_adjunction,
     run_suite,
     sobrification_to_filters,
     space_morphisms,
-    space_suite,
     space_universe,
 )
 from stonekit.spaces import discrete_space, open_set_frame, sierpinski
@@ -120,56 +116,40 @@ def test_collapse_components_are_homeomorphisms():
         assert u.invert(comp) is not None
 
 
-def test_frame_suite_is_green():
-    for check in frame_suite(max_poset=3):
-        assert check.ok, str(check)
+# the two slowest suites run on spaces of at most two points
+SUITE_MAX_POINTS = {"lifting": 2, "cechstone": 2}
 
 
-def test_locale_suite_is_green():
-    for check in locale_suite(max_poset=3):
-        assert check.ok, str(check)
+@pytest.mark.parametrize("name", sorted(LAW_SUITES))
+def test_law_suite_is_green(name):
+    rows = list(
+        run_suite(name, max_points=SUITE_MAX_POINTS.get(name, 3), max_lattice=8)
+    )
+    assert rows
+    failed = [row for row in rows if not row[2]]
+    assert not failed, failed[:3]
 
 
-def test_space_suite_is_green():
-    for check in space_suite(max_points=3):
-        assert check.ok, str(check)
-
-
-def test_adjunction_suite_is_green():
-    for check in adjunction_suite(max_poset=3, max_points=3):
-        assert check.ok, str(check)
-
-
-def test_lifting_suite_is_green():
-    for check in lifting_suite(max_poset=3, max_points=2):
-        assert check.ok, str(check)
-
-
-def test_compactification_suite_is_green():
-    for check in compactification_suite(max_poset=2, max_points=2):
-        assert check.ok, str(check)
-
-
-def test_degeneracy_suite_is_green():
-    for check in degeneracy_suite(max_poset=3, max_points=3):
-        assert check.ok, str(check)
-
-
-def test_suite_registry_routes_by_name():
-    names = sorted(LAW_SUITES)
-    assert names == [
-        "adjunction",
-        "compactification",
-        "degeneracy",
-        "frames",
-        "lifting",
-        "locales",
-        "spaces",
-    ]
-    checks = run_suite("frames", max_poset=2, max_points=2)
-    assert checks and all(c.ok for c in checks)
+def test_law_ids_belong_to_one_suite():
+    owner = {}
+    for name in LAW_SUITES:
+        for _, law, _, _ in run_suite(name, max_points=1, max_lattice=2):
+            assert law.startswith(name + "."), (name, law)
+            assert owner.setdefault(law, name) == name, law
+    assert sorted(set(owner.values())) == sorted(LAW_SUITES)
     with pytest.raises(ValueError):
         run_suite("nonsense")
+    commands = next(
+        action
+        for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    suite = next(
+        action
+        for action in commands.choices["laws"]._actions
+        if action.dest == "suite"
+    )
+    assert list(suite.choices) == sorted(LAW_SUITES)
 
 
 @given(st.data())
