@@ -6,9 +6,20 @@ Conventions:
   - an ideal is a nonempty, down-closed, join-closed subset;
   - a filter here is always proper (it never contains bottom).
 
-Fast routes exploit finiteness (every ideal is principal, prime filters are
-the up-sets of join-irreducibles); each has a definitional brute-force twin
-used as an oracle in the tests.
+Fast routes exploit finiteness and the canonical element order; each has a
+definitional twin that the tests use as its oracle:
+  - lattice_from_poset reads each meet and join off one bitmask (a linear
+    extension puts a greatest lower bound at the highest index); twin: a
+    search over all common bounds, in the tests;
+  - distributivity_witness tests Birkhoff's criterion (every
+    join-irreducible is join-prime); twin: distributivity_witness_bruteforce;
+  - ideal_view lists the principal ideals (principal_masks); twin:
+    ideals_bruteforce, over every subset;
+  - is_ideal_mask and is_prime_filter_mask test closure under joins and
+    meets by one aggregate join or meet; twin: ideals_bruteforce and the
+    characters of homs_to_2_bruteforce;
+  - prime_filters takes the up-sets of join-irreducibles; twins:
+    prime_filters_bruteforce and homs_to_2_bruteforce.
 """
 
 from dataclasses import dataclass
@@ -80,24 +91,28 @@ def lattice_from_poset(p: FinPoset, check: bool = True) -> DistLattice:
     n = p.n
     if n == 0:
         raise NotALattice("carrier", "empty")
-    ups = p.up_masks()
+    down, ups = p.down, p.up_masks
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
     for i in range(n):
+        meet_i, join_i = meet[i], join[i]
         for j in range(i, n):
-            lower = p.down[i] & p.down[j]
-            g = next((k for k in bits(lower) if lower & ~p.down[k] == 0), None)
-            if g is None:
+            # the element order is a linear extension, so a greatest lower
+            # bound can only be the highest-index common lower bound and a
+            # least upper bound only the lowest-index common upper bound
+            lower = down[i] & down[j]
+            g = lower.bit_length() - 1
+            if not lower or lower & ~down[g]:
                 raise NotALattice("meet", (p.elements[i], p.elements[j]))
-            meet[i][j] = meet[j][i] = g
+            meet_i[j] = meet[j][i] = g
             upper = ups[i] & ups[j]
-            u = next((k for k in bits(upper) if upper & ~ups[k] == 0), None)
-            if u is None:
+            u = (upper & -upper).bit_length() - 1
+            if not upper or upper & ~ups[u]:
                 raise NotALattice("join", (p.elements[i], p.elements[j]))
-            join[i][j] = join[j][i] = u
+            join_i[j] = join[j][i] = u
     full = (1 << n) - 1
     bot = next(i for i in range(n) if ups[i] == full)
-    top = next(i for i in range(n) if p.down[i] == full)
+    top = next(i for i in range(n) if down[i] == full)
     lat = DistLattice(
         p,
         tuple(tuple(row) for row in meet),
@@ -113,7 +128,27 @@ def lattice_from_poset(p: FinPoset, check: bool = True) -> DistLattice:
 
 
 def distributivity_witness(lat: DistLattice) -> Optional[Tuple[str, str, str]]:
-    """A triple (a, b, c) with a^(bvc) != (a^b)v(a^c), or None."""
+    """A triple (a, b, c) with a^(bvc) != (a^b)v(a^c), or None.
+
+    Birkhoff: a finite lattice is distributive iff every join-irreducible
+    is join-prime, i.e. no join-irreducible lies below a v b without lying
+    below a or b. The triple loop runs only when that test fails, so the
+    witness is the one distributivity_witness_bruteforce finds.
+    """
+    down, join = lat.poset.down, lat.join
+    irr = join_irreducible_mask(lat)
+    for a in range(lat.n):
+        join_a, down_a = join[a], down[a]
+        for b in range(a + 1, lat.n):
+            if down[join_a[b]] & irr & ~(down_a | down[b]):
+                return distributivity_witness_bruteforce(lat)
+    return None
+
+
+def distributivity_witness_bruteforce(
+    lat: DistLattice,
+) -> Optional[Tuple[str, str, str]]:
+    """The first triple failing the distributive law, by checking them all."""
     meet, join = lat.meet, lat.join
     for a in range(lat.n):
         for b in range(lat.n):
@@ -242,11 +277,13 @@ def downset_lattice(p: FinPoset) -> DistLattice:
 
 
 def join_irreducible_mask(lat: DistLattice) -> int:
-    """Bitmask of elements with exactly one lower cover (bottom excluded)."""
-    counts = [0] * lat.n
-    for _, j in lat.poset.covers():
-        counts[j] += 1
-    return mask_of(j for j in range(lat.n) if counts[j] == 1)
+    """Bitmask of the elements that are not bottom and not the join of
+    the elements strictly below them (exactly one lower cover)."""
+    return mask_of(
+        j
+        for j in range(lat.n)
+        if j != lat.bot and lat.join_mask(lat.poset.down[j] ^ (1 << j)) != j
+    )
 
 
 def join_irreducibles(lat: DistLattice) -> FinPoset:
@@ -289,12 +326,15 @@ def _ideal_violation(lat: DistLattice, mask: int) -> Optional[str]:
     for i in bits(mask):
         if lat.poset.down[i] & ~mask:
             return f"not down-closed at {lat.elements[i]!r}"
-    for i in bits(mask):
-        for j in bits(mask >> i << i):
-            if not (mask >> lat.join[i][j]) & 1:
-                return (
-                    f"not join-closed at ({lat.elements[i]!r}, {lat.elements[j]!r})"
-                )
+    # a nonempty down-set is join-closed iff it holds the join of all of it;
+    # the pairwise search only names the first failing pair
+    if not (mask >> lat.join_mask(mask)) & 1:
+        for i in bits(mask):
+            for j in bits(mask >> i << i):
+                if not (mask >> lat.join[i][j]) & 1:
+                    return (
+                        f"not join-closed at ({lat.elements[i]!r}, {lat.elements[j]!r})"
+                    )
     return None
 
 
@@ -399,14 +439,15 @@ class IdealView:
 
 @lru_cache(maxsize=None)
 def ideal_view(lat: DistLattice) -> IdealView:
-    masks = ideals_bruteforce(lat)
+    """Every ideal of a finite lattice is principal, so the ideals are the
+    down-sets of the elements (ideals_bruteforce is the test oracle)."""
+    masks = principal_masks(lat)
     names = [lat.subset_name(m) for m in masks]
     by_name = dict(zip(names, masks))
-    down = [
-        mask_of(j for j, mj in enumerate(masks) if mj & ~mi == 0)
-        for mi in masks
-    ]
-    ilat = lattice_from_poset(make_poset(names, down), check=True)
+    # masks[k] is the down-set of e_k (its top bit is k), and the ideal of e_a
+    # sits inside that of e_b iff a <= b, so the inclusion order's down-masks
+    # are the masks themselves
+    ilat = lattice_from_poset(make_poset(names, masks), check=True)
     aligned = tuple(by_name[e] for e in ilat.elements)
     return IdealView(lat, ilat, aligned)
 
@@ -500,20 +541,26 @@ def _prime_filter_violation(lat: DistLattice, mask: int) -> Optional[str]:
         return "members out of range"
     if (mask >> lat.bot) & 1:
         return "contains bottom"
-    ups = lat.poset.up_masks()
+    ups = lat.poset.up_masks
     for i in bits(mask):
         if ups[i] & ~mask:
             return f"not up-closed at {lat.elements[i]!r}"
-    for i in bits(mask):
-        for j in bits(mask >> i << i):
-            if not (mask >> lat.meet[i][j]) & 1:
-                return f"not meet-closed at ({lat.elements[i]!r}, {lat.elements[j]!r})"
-    for a in range(lat.n):
-        for b in range(a, lat.n):
-            if (mask >> lat.join[a][b]) & 1 and not (
-                (mask >> a) & 1 or (mask >> b) & 1
-            ):
-                return f"join ({lat.elements[a]!r}, {lat.elements[b]!r}) not prime"
+    # an up-set is meet-closed iff it holds the meet of all of it, and prime
+    # iff its complement (a down-set holding bottom) holds its own join; the
+    # pairwise searches only name the first failing pair
+    if not (mask >> lat.meet_mask(mask)) & 1:
+        for i in bits(mask):
+            for j in bits(mask >> i << i):
+                if not (mask >> lat.meet[i][j]) & 1:
+                    return f"not meet-closed at ({lat.elements[i]!r}, {lat.elements[j]!r})"
+    rest = ((1 << lat.n) - 1) & ~mask
+    if (mask >> lat.join_mask(rest)) & 1:
+        for a in range(lat.n):
+            for b in range(a, lat.n):
+                if (mask >> lat.join[a][b]) & 1 and not (
+                    (mask >> a) & 1 or (mask >> b) & 1
+                ):
+                    return f"join ({lat.elements[a]!r}, {lat.elements[b]!r}) not prime"
     return None
 
 
@@ -536,7 +583,7 @@ def prime_filters(lat: DistLattice) -> Tuple[PrimeFilter, ...]:
     up-sets of join-irreducible elements; candidates are still checked
     against the definition rather than trusted.
     """
-    ups = lat.poset.up_masks()
+    ups = lat.poset.up_masks
     candidates = sorted(ups[j] for j in bits(join_irreducible_mask(lat)))
     out = []
     for m in candidates:

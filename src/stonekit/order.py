@@ -7,6 +7,7 @@ all derived subset bitmasks are reproducible across runs.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .bitsets import bits, mask_of
@@ -53,7 +54,9 @@ class FinPoset:
     def leq(self, x: str, y: str) -> bool:
         return self.leq_index(self.index(x), self.index(y))
 
+    @cached_property
     def up_masks(self) -> Tuple[int, ...]:
+        """up_masks[i] is the bitmask of {j | e_i <= e_j}, built once."""
         ups = [0] * self.n
         for j in range(self.n):
             for i in bits(self.down[j]):
@@ -206,8 +209,8 @@ def poset_isomorphism(p: FinPoset, q: FinPoset) -> Optional[Tuple[int, ...]]:
     """An order isomorphism p -> q as an index assignment, or None."""
     if p.n != q.n:
         return None
-    p_up = p.up_masks()
-    q_up = q.up_masks()
+    p_up = p.up_masks
+    q_up = q.up_masks
 
     def sig(down, up, i):
         return (bin(down[i]).count("1"), bin(up[i]).count("1"))

@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Tuple
 
-from .bitsets import bits, mask_of
+from .bitsets import bits
 from .dlat import DistLattice, downset_lattice
 from .errors import BudgetExceeded
 from .order import FinPoset, make_poset

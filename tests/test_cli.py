@@ -1,5 +1,6 @@
 """End-to-end command tests: documents in, reports out, exit codes."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -209,3 +210,23 @@ def test_unreadable_input_exits_2_with_one_line(tmp_path, capsys, make, fragment
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err
+
+
+def test_waybelow_on_64_elements_exits_2_with_one_line(tmp_path, capsys):
+    # the Boolean lattice of subsets of a 6-element set, by its covers
+    names = [f"s{m}" for m in range(64)]
+    covers = [
+        [names[m], names[m | 1 << k]]
+        for m in range(64)
+        for k in range(6)
+        if not (m >> k) & 1
+    ]
+    path = tmp_path / "b6.lattice"
+    path.write_text(
+        'type: "lattice"\nname: "b6"\n'
+        f"elements: {json.dumps(names)}\nleq: {json.dumps(covers)}\n"
+    )
+    code, out, err = run(capsys, "waybelow", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "2^64 subsets" in err

@@ -7,15 +7,15 @@ computed by the definitional brute-force routes first and then frozen.
 import pytest
 from hypothesis import given, strategies as st
 
-from stonekit.bitsets import bits
 from stonekit.dlat import (
-    DownsetView,
     Ideal,
     LatticeHom,
     all_lattice_homs,
     character_filter,
     compose_homs,
+    PrimeFilter,
     distributivity_witness,
+    distributivity_witness_bruteforce,
     downset_lattice,
     downset_view,
     filter_character,
@@ -52,7 +52,7 @@ from stonekit.errors import (
     UniverseMismatch,
 )
 from stonekit.order import antichain, chain, order_closure, poset_isomorphic
-from stonekit.universes import all_posets_upto, lattice_universe
+from stonekit.universes import all_posets, all_posets_upto, lattice_universe
 
 
 def diamond():
@@ -249,9 +249,16 @@ def test_diamond_prime_filter_masks():
 
 
 def test_fast_route_matches_brute_force():
-    for lat in lattice_universe(3):
+    for lat in lattice_universe(4):
         fast = tuple(f.members for f in prime_filters(lat))
         assert fast == prime_filters_bruteforce(lat)
+        # the characters pass hom_violation, which shares no code with the
+        # prime-filter check behind both routes above
+        ones = tuple(
+            sum(v << i for i, v in enumerate(h.assignment))
+            for h in homs_to_2_bruteforce(lat)
+        )
+        assert fast == ones
 
 
 def test_characters_match_brute_force():
@@ -337,3 +344,107 @@ def test_principal_ideal_naturality(lat, data):
         left = ideal_image(hom, principal_ideal(lat, name))
         right = principal_ideal(hom.target, hom.apply(name))
         assert left == right
+
+
+# ---------------------------------------------------------------------------
+# fast routes against their definitional twins
+
+
+def _plain_tables(p):
+    """Meet and join tables by searching all common bounds, or the first
+    (kind, pair) that has no greatest lower or least upper bound."""
+    n = p.n
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            lower = [k for k in range(n) if p.leq_index(k, i) and p.leq_index(k, j)]
+            glb = [g for g in lower if all(p.leq_index(k, g) for k in lower)]
+            if not glb:
+                return "meet", (p.elements[i], p.elements[j])
+            upper = [k for k in range(n) if p.leq_index(i, k) and p.leq_index(j, k)]
+            lub = [u for u in upper if all(p.leq_index(u, k) for k in upper)]
+            if not lub:
+                return "join", (p.elements[i], p.elements[j])
+            meet[i][j] = meet[j][i] = glb[0]
+            join[i][j] = join[j][i] = lub[0]
+    return tuple(map(tuple, meet)), tuple(map(tuple, join))
+
+
+def test_meet_and_join_tables_match_plain_search():
+    # from five elements on, a missing join can be the first failure even
+    # though common upper bounds exist (a bottom under a bowtie)
+    posets = [p for n in range(1, 6) for p in all_posets(n)]
+    rejected = 0
+    for p in posets:
+        expected = _plain_tables(p)
+        try:
+            lat = lattice_from_poset(p, check=False)
+        except NotALattice as exc:
+            rejected += 1
+            assert (exc.kind, exc.witness) == expected, p
+        else:
+            assert (lat.meet, lat.join) == expected, p
+    assert 0 < rejected < len(posets)
+
+
+def n5_candidate():
+    p = order_closure(
+        ["0", "a", "b", "c", "1"],
+        [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")],
+    )
+    return lattice_from_poset(p, check=False)
+
+
+def test_birkhoff_distributivity_matches_triple_loop():
+    lattices = []
+    for n in range(1, 6):
+        for p in all_posets(n):
+            try:
+                lattices.append(lattice_from_poset(p, check=False))
+            except NotALattice:
+                pass
+    for lat in lattices:
+        assert distributivity_witness(lat) == distributivity_witness_bruteforce(lat)
+    # the pool holds labeled copies of M3 and N5, so both verdicts occur
+    for bad in (m3_candidate(), n5_candidate()):
+        assert any(lattice_isomorphic(bad, lat) for lat in lattices)
+        assert distributivity_witness(bad) is not None
+
+
+def test_ideal_routes_match_brute_force():
+    for lat in lattice_universe(4):
+        oracle = set(ideals_bruteforce(lat))
+        assert {m for m in range(1 << lat.n) if is_ideal_mask(lat, m)} == oracle
+        assert set(ideal_view(lat).masks) == oracle
+
+
+def boolean8():
+    return downset_lattice(antichain(["a", "b", "c"]))
+
+
+@pytest.mark.parametrize(
+    "make, kind, mask, message",
+    [
+        (diamond, Ideal, 0, "empty"),
+        (diamond, Ideal, 0b10000, "members out of range"),
+        (diamond, Ideal, 0b0010, "not down-closed at '{a}'"),
+        (boolean8, Ideal, 0b111, "not join-closed at ('{a}', '{b}')"),
+        (boolean8, Ideal, 0b10011, "not join-closed at ('{a}', '{c}')"),
+        (boolean8, Ideal, 0b10101, "not join-closed at ('{b}', '{c}')"),
+        (m3_candidate, Ideal, 0b111, "not join-closed at ('a', 'b')"),
+        (diamond, PrimeFilter, 0b1111, "contains bottom"),
+        (diamond, PrimeFilter, 0b0010, "not up-closed at '{a}'"),
+        (diamond, PrimeFilter, 0b1110, "not meet-closed at ('{a}', '{b}')"),
+        (diamond, PrimeFilter, 0b1000, "join ('{a}', '{b}') not prime"),
+        (boolean8, PrimeFilter, 0b11100000, "not meet-closed at ('{a,c}', '{b,c}')"),
+        (boolean8, PrimeFilter, 0b10000000, "join ('{a}', '{b,c}') not prime"),
+        (m3_candidate, PrimeFilter, 0b11010, "not meet-closed at ('a', 'c')"),
+        (m3_candidate, PrimeFilter, 0b10010, "join ('b', 'c') not prime"),
+    ],
+)
+def test_violation_messages_name_the_first_failing_pair(make, kind, mask, message):
+    with pytest.raises(ValueError) as exc:
+        kind(make(), mask)
+    assert str(exc.value).endswith(f": {message}")
+

@@ -165,7 +165,7 @@ def test_cover_pairs_regenerate_the_order(p):
 
 @given(small_posets())
 def test_up_and_down_masks_agree(p):
-    ups = p.up_masks()
+    ups = p.up_masks
     for i in range(p.n):
         for j in range(p.n):
             assert ((ups[i] >> j) & 1) == ((p.down[j] >> i) & 1)

@@ -26,13 +26,11 @@ from stonekit.topspace import (
     filter_algebra_structures,
     filter_map,
     filter_space,
-    filter_space_view,
     hausdorff_reflection,
     is_sober,
     mult_map,
     neighborhood_filter,
     open_frame_of_filters_iso,
-    open_prime_filters,
     pairing_map,
     sobrification,
     t0_quotient,
