@@ -14,6 +14,7 @@ from .errors import (
     ForeignFilter,
     ForeignIdeal,
     HypothesisFailed,
+    InvariantViolated,
     NoCanonicalAlgebra,
     NotALattice,
     NotATopology,

@@ -14,9 +14,19 @@ multiplying. A comparison functor turns algebras of the inner monad into
 algebras of the lifted one, and is inverted by sending an algebra back
 through L, which needs the counit to be invertible at one object; when it
 is not, that failure is reported, not papered over.
+
+Contract: objects are hashable values and every component is a pure
+function of its object. A natural transformation therefore computes its
+component at an object once and returns the stored morphism on every
+later call, so a diagram that asks for the same component many times, or
+a monad shared by several checks, builds each structure map once. The
+composites the checks form are not re-validated either: the constructors
+of the concrete universes validate maps where they are built from raw
+data, and a composite of valid maps is valid.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 from .errors import CounitNotIso, HypothesisFailed
@@ -47,12 +57,17 @@ class FunctorInstance:
 
 @dataclass(frozen=True)
 class NatTransInstance:
-    """Componentwise morphism between two parallel functors."""
+    """Componentwise morphism between two parallel functors; each
+    component is computed once per object and then reused."""
 
     name: str
     source: FunctorInstance
     target: FunctorInstance
     component: Callable
+
+    def __post_init__(self):
+        memo = lru_cache(maxsize=None)(self.component)
+        object.__setattr__(self, "component", memo)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .errors import (
     NotDistributive,
     UniverseMismatch,
 )
-from .order import FinPoset, make_poset, poset_isomorphism
+from .order import FinPoset, _unvalidated, make_poset, poset_isomorphism
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,9 @@ def identity_hom(lat: DistLattice) -> LatticeHom:
 def compose_homs(g: LatticeHom, f: LatticeHom) -> LatticeHom:
     if f.target != g.source:
         raise UniverseMismatch("hom composite endpoints do not match")
-    return LatticeHom(f.source, g.target, tuple(g.assignment[a] for a in f.assignment))
+    return _unvalidated(
+        LatticeHom, f.source, g.target, tuple(g.assignment[a] for a in f.assignment)
+    )
 
 
 def lattice_isomorphism(a: DistLattice, b: DistLattice) -> Optional[LatticeHom]:

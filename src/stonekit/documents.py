@@ -146,7 +146,8 @@ def load_lattice(text: str) -> Tuple[str, DistLattice]:
     kind, name, obj = loads(text)
     if kind != "lattice":
         raise ParseError(f"expected a lattice document, found {kind!r}")
-    assert isinstance(obj, DistLattice)
+    if not isinstance(obj, DistLattice):
+        raise TypeError(f"lattice document parsed to {type(obj).__name__}")
     return name, obj
 
 
@@ -154,7 +155,8 @@ def load_space(text: str) -> Tuple[str, FinSpace]:
     kind, name, obj = loads(text)
     if kind != "space":
         raise ParseError(f"expected a space document, found {kind!r}")
-    assert isinstance(obj, FinSpace)
+    if not isinstance(obj, FinSpace):
+        raise TypeError(f"space document parsed to {type(obj).__name__}")
     return name, obj
 
 

@@ -98,5 +98,10 @@ class ParseError(StonekitError):
         super().__init__(message + at)
 
 
+class InvariantViolated(StonekitError):
+    """A fact that a construction relies on fails on a value it built;
+    the message names the fact and where it failed."""
+
+
 class BudgetExceeded(StonekitError):
     """Requested enumeration exceeds the guard-rail size limits."""

@@ -29,7 +29,7 @@ from .dlat import (
     prime_filters,
     principal_embedding,
 )
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, NotDistributive
 from .order import make_poset
 from .spaces import ContinuousMap, FinSpace, open_frame_view
 
@@ -210,7 +210,9 @@ def center_view(lat: DistLattice) -> CenterView:
         for b in keep:
             # complemented elements stay closed under meet and join in any
             # distributive lattice; failing here means the input was not one
-            assert lat.meet[a][b] in pos and lat.join[a][b] in pos, "center not closed"
+            if lat.meet[a][b] not in pos or lat.join[a][b] not in pos:
+                e = lat.elements
+                raise NotDistributive((e[a], e[b], "center not closed"))
     down = [
         mask_of(pos[j] for j in keep if lat.leq_index(j, i)) for i in keep
     ]
@@ -326,10 +328,12 @@ def comultiplication_ideal(lat: DistLattice, ideal: Ideal) -> Ideal:
     view = ideal_view(lat)
     if ideal.home != view.base:
         raise ValueError("comultiplication expects an ideal of the base lattice")
+    # each ideal is the down-set of its join, which the linear-extension
+    # order puts at the mask's highest bit
     members = mask_of(
         k
         for k, m in enumerate(view.masks)
-        if (ideal.members >> lat.join_mask(m)) & 1
+        if (ideal.members >> (m.bit_length() - 1)) & 1
     )
     return Ideal(view.lattice, members)
 

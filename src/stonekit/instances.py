@@ -23,7 +23,6 @@ import random
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .bitsets import bits
 from .catengine import (
     AdjunctionInstance,
     AlgebraInstance,
@@ -53,6 +52,7 @@ from .catengine import (
 )
 from .dlat import (
     DistLattice,
+    _downclosed_masks,
     LatticeHom,
     all_lattice_homs,
     compose_homs,
@@ -66,7 +66,7 @@ from .dlat import (
     prime_filters_bruteforce,
     union_hom,
 )
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvariantViolated
 from .frame import (
     center_lattice,
     center_view,
@@ -85,6 +85,7 @@ from .frame import (
     spectrum_map,
     way_below,
 )
+from .order import preorder_closure
 from .spaces import (
     ContinuousMap,
     FinSpace,
@@ -219,11 +220,13 @@ def space_morphisms(max_points: int = 2) -> Tuple[ContinuousMap, ...]:
 # the instances
 
 
+@lru_cache(maxsize=None)
 def ideal_functor_on_frames() -> FunctorInstance:
     u = frame_universe()
     return FunctorInstance("ideals", u, u, ideal_lattice, ideal_functor_hom)
 
 
+@lru_cache(maxsize=None)
 def ideal_monad_on_frames() -> MonadInstance:
     """Ideals with the principal-ideal unit and the union multiplication."""
     return make_monad(
@@ -231,6 +234,7 @@ def ideal_monad_on_frames() -> MonadInstance:
     )
 
 
+@lru_cache(maxsize=None)
 def ideal_comonad_on_frames() -> ComonadInstance:
     """Ideals with the join counit and the membership comultiplication."""
     return make_comonad(
@@ -241,11 +245,13 @@ def ideal_comonad_on_frames() -> ComonadInstance:
     )
 
 
+@lru_cache(maxsize=None)
 def ideal_functor_on_locales() -> FunctorInstance:
     u = locale_universe()
     return FunctorInstance("ideals", u, u, ideal_lattice, ideal_functor_hom)
 
 
+@lru_cache(maxsize=None)
 def ideal_monad_on_locales() -> MonadInstance:
     """The comonad read backwards: unit is the join map, multiplication
     the comultiplication."""
@@ -257,6 +263,7 @@ def ideal_monad_on_locales() -> MonadInstance:
     )
 
 
+@lru_cache(maxsize=None)
 def identity_monad_on_locales() -> MonadInstance:
     u = locale_universe()
     return make_monad(
@@ -264,6 +271,7 @@ def identity_monad_on_locales() -> MonadInstance:
     )
 
 
+@lru_cache(maxsize=None)
 def open_functor() -> FunctorInstance:
     return FunctorInstance(
         "open sets",
@@ -274,12 +282,14 @@ def open_functor() -> FunctorInstance:
     )
 
 
+@lru_cache(maxsize=None)
 def spectrum_functor() -> FunctorInstance:
     return FunctorInstance(
         "spectrum", locale_universe(), space_universe(), spectrum, spectrum_map
     )
 
 
+@lru_cache(maxsize=None)
 def open_spectrum_adjunction() -> AdjunctionInstance:
     """Open sets below spectrum, with the sobrification unit and the
     spatial comparison counit."""
@@ -299,12 +309,14 @@ def open_spectrum_adjunction() -> AdjunctionInstance:
     return AdjunctionInstance("open sets below spectrum", left, right, unit, counit)
 
 
+@lru_cache(maxsize=None)
 def filter_monad_on_spaces() -> MonadInstance:
     u = space_universe()
     functor = FunctorInstance("prime open filters", u, u, filter_space, filter_map)
     return make_monad("filter monad", functor, unit_map, mult_map)
 
 
+@lru_cache(maxsize=None)
 def lifted_ideal_monad() -> MonadInstance:
     """The locale ideal monad pushed across the adjunction: the spectrum
     of the ideals of the opens."""
@@ -313,6 +325,7 @@ def lifted_ideal_monad() -> MonadInstance:
     )
 
 
+@lru_cache(maxsize=None)
 def sobrification_monad() -> MonadInstance:
     """The lifted identity monad; its functor is the sobrification."""
     return lift_monad(
@@ -322,6 +335,7 @@ def sobrification_monad() -> MonadInstance:
     )
 
 
+@lru_cache(maxsize=None)
 def sobrification_to_filters() -> NatTransInstance:
     """The lifted join unit, a morphism of monads from sobrification to
     the spectral ideal monad."""
@@ -333,18 +347,26 @@ def sobrification_to_filters() -> NatTransInstance:
     )
 
 
+def _into_center(hom: LatticeHom, fact: str) -> LatticeHom:
+    """`hom` corestricted to its target's center, which `fact` promises."""
+    cor = corestrict_to_center(hom)
+    if cor is None:
+        raise InvariantViolated(f"image outside the center: {fact}")
+    return cor
+
+
+@lru_cache(maxsize=None)
 def center_functor_on_locales() -> FunctorInstance:
     u = locale_universe()
 
     def on_morphism(h: LatticeHom) -> LatticeHom:
         restricted = compose_homs(h, center_view(h.source).inclusion)
-        cor = corestrict_to_center(restricted)
-        assert cor is not None, "lattice maps preserve complements"
-        return cor
+        return _into_center(restricted, "lattice maps preserve complements")
 
     return FunctorInstance("center", u, u, center_lattice, on_morphism)
 
 
+@lru_cache(maxsize=None)
 def center_monad_on_locales() -> MonadInstance:
     """The Boolean center as a monad on locales; its unit is the
     inclusion read backwards."""
@@ -353,13 +375,14 @@ def center_monad_on_locales() -> MonadInstance:
         return center_view(lat).inclusion
 
     def mult_at(lat: DistLattice) -> LatticeHom:
-        cor = corestrict_to_center(identity_hom(center_lattice(lat)))
-        assert cor is not None, "a center is its own center"
-        return cor
+        return _into_center(
+            identity_hom(center_lattice(lat)), "a center is its own center"
+        )
 
     return make_monad("center monad", center_functor_on_locales(), unit_at, mult_at)
 
 
+@lru_cache(maxsize=None)
 def center_ideal_monad_on_locales() -> MonadInstance:
     """Complemented ideals in one step: the composite of the center and
     ideal monads, with the join-of-the-inclusion unit and the principal
@@ -374,13 +397,15 @@ def center_ideal_monad_on_locales() -> MonadInstance:
 
     def mult_at(lat: DistLattice) -> LatticeHom:
         carrier = functor.on_object(lat)
-        cor = corestrict_to_center(principal_embedding(carrier))
-        assert cor is not None, "principal ideals of complemented elements"
-        return cor
+        return _into_center(
+            principal_embedding(carrier),
+            "principal ideals of complemented elements are complemented",
+        )
 
     return make_monad("complemented ideal monad", functor, unit_at, mult_at)
 
 
+@lru_cache(maxsize=None)
 def compact_reflection_monad() -> MonadInstance:
     """The lifted complemented-ideal monad: the spectrum of the Boolean
     center of the ideals of the opens."""
@@ -391,6 +416,7 @@ def compact_reflection_monad() -> MonadInstance:
     )
 
 
+@lru_cache(maxsize=None)
 def compactification_collapse() -> NatTransInstance:
     """Collapse of lift(center) after lift(ideals) onto the lifted composite."""
     return lift_composite_iso(
@@ -434,23 +460,8 @@ def _sampled_spaces(size: int, seed: int) -> List[FinSpace]:
             for j in range(size):
                 if i != j and rng.random() < 0.3:
                     up[i] |= 1 << j
-        changed = True
-        while changed:
-            changed = False
-            for i in range(size):
-                grown = up[i]
-                for j in bits(up[i]):
-                    grown |= up[j]
-                if grown != up[i]:
-                    up[i] = grown
-                    changed = True
-        opens = tuple(
-            sorted(
-                m
-                for m in range(1 << size)
-                if all(up[i] & ~m == 0 for i in bits(m))
-            )
-        )
+        # the opens are the up-closed sets of the preorder
+        opens = tuple(_downclosed_masks(preorder_closure(up)))
         if opens in seen:
             continue
         seen.add(opens)

@@ -125,6 +125,23 @@ def make_poset(elements: Sequence[str], down: Sequence[int]) -> FinPoset:
     return FinPoset(new_elements, new_down)
 
 
+def preorder_closure(up: Sequence[int]) -> Tuple[int, ...]:
+    """Reflexive-transitive closure of a relation given by up-masks
+    (bit j of up[i] means i <= j). Cycles are kept, not rejected."""
+    up = [m | 1 << i for i, m in enumerate(up)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(up)):
+            acc = up[i]
+            for j in bits(up[i]):
+                acc |= up[j]
+            if acc != up[i]:
+                up[i] = acc
+                changed = True
+    return tuple(up)
+
+
 def order_closure(
     elements: Sequence[str], pairs: Iterable[Tuple[str, str]]
 ) -> FinPoset:
@@ -142,16 +159,7 @@ def order_closure(
         if x not in idx or y not in idx:
             raise ValueError(f"pair ({x!r}, {y!r}) mentions unknown element")
         up[idx[x]] |= 1 << idx[y]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = up[i]
-            for j in bits(up[i]):
-                acc |= up[j]
-            if acc != up[i]:
-                up[i] = acc
-                changed = True
+    up = preorder_closure(up)
     for i in range(n):
         for j in bits(up[i]):
             if j != i and (up[j] >> i) & 1:
@@ -195,6 +203,15 @@ class MonotoneMap:
         return self.target.elements[self.assignment[self.source.index(name)]]
 
 
+def _unvalidated(cls, *values):
+    """cls(*values) for a frozen dataclass, without its __post_init__
+    check; only for values valid by construction, such as the composite
+    of two maps that were validated when they were built."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
+
+
 def identity_monotone(p: FinPoset) -> MonotoneMap:
     return MonotoneMap(p, p, tuple(range(p.n)))
 
@@ -202,7 +219,9 @@ def identity_monotone(p: FinPoset) -> MonotoneMap:
 def compose_monotone(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
     if f.target != g.source:
         raise ValueError("composite endpoints do not match")
-    return MonotoneMap(f.source, g.target, tuple(g.assignment[a] for a in f.assignment))
+    return _unvalidated(
+        MonotoneMap, f.source, g.target, tuple(g.assignment[a] for a in f.assignment)
+    )
 
 
 def poset_isomorphism(p: FinPoset, q: FinPoset) -> Optional[Tuple[int, ...]]:

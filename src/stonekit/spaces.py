@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Tuple
 from .bitsets import bits, format_subset, mask_of
 from .dlat import DistLattice, LatticeHom, lattice_from_poset
 from .errors import CycleError, NotATopology, UniverseMismatch
-from .order import FinPoset, make_poset
+from .order import FinPoset, _unvalidated, make_poset
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,8 @@ def identity_map(x: FinSpace) -> ContinuousMap:
 def compose_maps(g: ContinuousMap, f: ContinuousMap) -> ContinuousMap:
     if f.target != g.source:
         raise UniverseMismatch("map composite endpoints do not match")
-    return ContinuousMap(
-        f.source, g.target, tuple(g.assignment[v] for v in f.assignment)
+    return _unvalidated(
+        ContinuousMap, f.source, g.target, tuple(g.assignment[v] for v in f.assignment)
     )
 
 

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 from .bitsets import bits, format_subset, mask_of
 from .dlat import LatticeHom, ideal_view, prime_filters
-from .errors import BudgetExceeded, NoCanonicalAlgebra
+from .errors import BudgetExceeded, InvariantViolated, NoCanonicalAlgebra
 from .frame import center_view, spectrum_view
 from .spaces import (
     ContinuousMap,
@@ -114,7 +114,8 @@ def filter_space_view(x: FinSpace) -> FilterSpaceView:
     filters = tuple(sorted(converted))
     for members in filters:
         reason = _filter_violation(x, members)
-        assert reason is None, reason
+        if reason is not None:
+            raise InvariantViolated(f"prime filter of the open frame: {reason}")
     open_names = tuple(x.set_name(o) for o in x.opens)
     names = tuple(format_subset(open_names, m) for m in filters)
     star = tuple(
@@ -196,7 +197,8 @@ def canonical_algebra(x: FinSpace) -> ContinuousMap:
             raise NoCanonicalAlgebra((x.points[seen[k]], x.points[i]))
         seen[k] = i
     fx = eta.target
-    assert len(seen) == fx.n, "unit of a finite space must be onto"
+    if len(seen) != fx.n:
+        raise InvariantViolated("unit of a finite space must be onto")
     assignment = tuple(seen[k] for k in range(fx.n))
     return ContinuousMap(fx, x, assignment)
 
@@ -403,24 +405,37 @@ def compactification_square(x: FinSpace) -> CompactificationReport:
     return CompactificationReport(sview.space, reflection, comparison)
 
 
+def _ultrafilter_violation(chosen: set, n: int) -> Optional[str]:
+    """The first ultrafilter axiom a family of subsets of n points fails."""
+    full = (1 << n) - 1
+    if 0 in chosen:
+        return "proper"
+    for a in chosen:
+        for b in range(1 << n):
+            if a & ~b == 0 and b not in chosen:
+                return "up-closed"
+        for b in chosen:
+            if (a & b) not in chosen:
+                return "meet-closed"
+    for a in range(1 << n):
+        if (a in chosen) == ((full & ~a) in chosen):
+            return "maximal"
+    return None
+
+
 def ultrafilter_space(x: FinSpace) -> FinSpace:
     """Space of ultrafilters on the underlying set, opens generated by the
     images of opens. Candidates are the principal filters, each verified
     against the ultrafilter axioms definitionally."""
     n = x.n
-    full = (1 << n) - 1
     points = []
     for i in range(n):
         chosen = {a for a in range(1 << n) if (a >> i) & 1}
-        assert 0 not in chosen, "proper"
-        for a in chosen:
-            for b in range(1 << n):
-                if a & ~b == 0:
-                    assert b in chosen, "up-closed"
-            for b in chosen:
-                assert (a & b) in chosen, "meet-closed"
-        for a in range(1 << n):
-            assert (a in chosen) != ((full & ~a) in chosen), "maximal"
+        failed = _ultrafilter_violation(chosen, n)
+        if failed is not None:
+            raise InvariantViolated(
+                f"principal filter at {x.points[i]!r} is not {failed}"
+            )
         points.append(x.points[i])
     return FinSpace(tuple(points), x.opens)
 

@@ -12,7 +12,7 @@ from itertools import product
 from typing import Tuple
 
 from .bitsets import bits
-from .dlat import DistLattice, downset_lattice
+from .dlat import DistLattice, _downclosed_masks, downset_lattice
 from .errors import BudgetExceeded
 from .order import FinPoset, make_poset
 from .spaces import ContinuousMap, FinSpace, is_continuous_assignment
@@ -89,12 +89,8 @@ def all_spaces(n: int, force: bool = False) -> Tuple[FinSpace, ...]:
     names = tuple(POINT_NAMES[:n])
     out = []
     for up in _relation_candidates(n, antisymmetric=False):
-        opens = [
-            m
-            for m in range(1 << n)
-            if all(up[i] & ~m == 0 for i in bits(m))
-        ]
-        out.append(FinSpace(names, tuple(sorted(opens))))
+        # the opens are the up-closed sets of the preorder
+        out.append(FinSpace(names, tuple(_downclosed_masks(up))))
     return tuple(out)
 
 

@@ -1,5 +1,7 @@
 """Generic categorical checkers, proven able to say yes and no."""
 
+from collections import Counter
+
 import pytest
 
 from stonekit.catengine import (
@@ -292,6 +294,31 @@ def test_weakening_the_topology_loses_initiality():
     f = ContinuousMap(fine, coarse, (0, 1))
     assert not is_closure_initial(f)
     assert closure_initiality_witness(f) == 0b01
+
+
+def test_components_are_computed_once_per_object():
+    calls = Counter()
+    base = fresh_point_monad()
+
+    def counted(kind, component):
+        def at(n):
+            calls[kind, n] += 1
+            return component(n)
+
+        return at
+
+    t = make_monad(
+        "counted fresh point",
+        base.functor,
+        counted("unit", base.unit.component),
+        counted("mult", base.mult.component),
+    )
+    for _ in range(3):
+        assert all(c.ok for c in check_monad_laws(t, SIZES))
+        assert check_naturality(t.unit, finset_morphisms()).ok
+        assert check_naturality(t.mult, finset_morphisms()).ok
+    assert {n for kind, n in calls if kind == "mult"} >= set(SIZES)
+    assert set(calls.values()) == {1}
 
 
 def test_make_monad_names_the_pieces():

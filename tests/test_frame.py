@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from stonekit.bitsets import mask_of
 from stonekit.dlat import (
     LatticeHom,
     all_lattice_homs,
@@ -212,6 +213,22 @@ def test_comultiplication_pointwise_frozen():
     # ideals whose join lands under {a}: just bottom and the principal of {a}
     member_masks = {view.masks[k] for k in range(view.lattice.n) if (c_of_a.members >> k) & 1}
     assert member_masks == {0b0001, 0b0011}
+
+
+def test_comultiplication_reads_joins_off_the_top_bit():
+    """Twin of the fast route: c(I) by its definition, the ideals whose
+    join (computed with join_mask) lands in I."""
+    for lat in lattice_universe(4):
+        view = ideal_view(lat)
+        assert all(m.bit_length() - 1 == lat.join_mask(m) for m in view.masks)
+        for k in range(view.lattice.n):
+            ideal = view.ideal_at(k)
+            definitional = mask_of(
+                j
+                for j, m in enumerate(view.masks)
+                if (ideal.members >> lat.join_mask(m)) & 1
+            )
+            assert comultiplication_ideal(lat, ideal).members == definitional
 
 
 def test_comultiplication_routes_agree():

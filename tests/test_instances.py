@@ -1,6 +1,7 @@
 """Wired-up instances: universes, monads, the adjunction, and the suites."""
 
 import argparse
+import hashlib
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +10,12 @@ import pytest
 
 from stonekit.catengine import check_naturality
 from stonekit.cli import _build_parser
-from stonekit.dlat import compose_homs, identity_hom, two_lattice
+from stonekit.dlat import LatticeHom, compose_homs, identity_hom, two_lattice
 from stonekit.frame import counit_hom, spectrum_map
 from stonekit.instances import (
+    DEFAULT_SEED,
     LAW_SUITES,
+    _sampled_spaces,
     compact_reflection_monad,
     compactification_collapse,
     filter_monad_on_spaces,
@@ -28,7 +31,13 @@ from stonekit.instances import (
     space_morphisms,
     space_universe,
 )
-from stonekit.spaces import discrete_space, open_set_frame, sierpinski
+from stonekit.spaces import (
+    ContinuousMap,
+    compose_maps,
+    discrete_space,
+    open_set_frame,
+    sierpinski,
+)
 from stonekit.topspace import filter_space, unit_map
 from stonekit.universes import all_spaces_upto, lattice_universe
 
@@ -37,6 +46,49 @@ def test_universes_are_singletons():
     assert space_universe() is space_universe()
     assert frame_universe() is frame_universe()
     assert locale_universe() is locale_universe()
+    assert lifted_ideal_monad() is lifted_ideal_monad()
+    assert open_spectrum_adjunction() is open_spectrum_adjunction()
+
+
+@pytest.mark.parametrize(
+    "pool, compose, validated",
+    [
+        (space_morphisms(2), compose_maps, ContinuousMap),
+        (frame_morphisms(2), compose_homs, LatticeHom),
+    ],
+    ids=["maps", "homs"],
+)
+def test_trusted_composites_match_validated_ones(pool, compose, validated):
+    """Composites skip validation; the validating constructor accepts
+    every one of them and builds an equal value."""
+    by_source = {}
+    for f in pool:
+        by_source.setdefault(f.source, []).append(f)
+    pairs = 0
+    for f in pool:
+        for g in by_source.get(f.target, ()):
+            trusted = compose(g, f)
+            checked = validated(
+                f.source, g.target, tuple(g.assignment[a] for a in f.assignment)
+            )
+            assert trusted == checked and hash(trusted) == hash(checked)
+            pairs += 1
+    assert pairs > len(pool)
+
+
+# the seeded pools the law suites sample from five points on; a change to
+# the sampler must keep them
+@pytest.mark.parametrize(
+    "size, digest",
+    [
+        (5, "b55bafc609a06830e1be70a7ddfaa8d7ac651d769ec3019ddfc1dd7b592c67ff"),
+        (6, "3ae6f7674d383b1a8e810655897ddc5bb98f1824de9f6b71b03f2011e884a6b0"),
+    ],
+)
+def test_sampled_space_pool_is_pinned(size, digest):
+    pool = _sampled_spaces(size, DEFAULT_SEED)
+    text = repr([(x.points, x.opens) for x in pool])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_locale_universe_reads_backwards():

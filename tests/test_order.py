@@ -15,6 +15,7 @@ from stonekit.order import (
     make_poset,
     order_closure,
     poset_isomorphic,
+    preorder_closure,
     poset_isomorphism,
 )
 
@@ -63,6 +64,12 @@ def test_cycle_detected_with_witness():
     with pytest.raises(CycleError) as exc:
         order_closure(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
     assert set(exc.value.witness) <= {"a", "b", "c"}
+
+
+def test_preorder_closure_keeps_cycles():
+    # 0 <= 1 <= 0 and 1 <= 2: the closure relates 0 and 1 both ways
+    assert preorder_closure([0b010, 0b101, 0b000]) == (0b111, 0b111, 0b100)
+    assert preorder_closure([]) == ()
 
 
 def test_canonical_order_ignores_input_order():
@@ -131,6 +138,8 @@ def test_monotone_composition():
     g = MonotoneMap(q, p, (0, 0, 1))
     assert compose_monotone(g, f).assignment == (0, 1)
     assert compose_monotone(f, identity_monotone(p)) == f
+    # the composite skips validation; the validating constructor agrees
+    assert compose_monotone(g, f) == MonotoneMap(p, p, (0, 1))
 
 
 def test_isomorphism_found_for_relabeled_poset():

@@ -34,6 +34,7 @@ from stonekit.topspace import (
     pairing_map,
     sobrification,
     t0_quotient,
+    _ultrafilter_violation,
     ultrafilter_comparison,
     ultrafilter_space,
     unit_map,
@@ -307,6 +308,15 @@ def test_compactification_of_sierpinski_is_a_point():
 def test_ultrafilter_space_is_the_space_itself():
     for x in (sierpinski(), discrete_space(["a", "b"]), indiscrete_space(["a", "b"])):
         assert ultrafilter_space(x) == x
+
+
+def test_ultrafilter_axioms_are_checked():
+    principal = {a for a in range(4) if a & 0b01}
+    assert _ultrafilter_violation(principal, 2) is None
+    assert _ultrafilter_violation(principal | {0}, 2) == "proper"
+    assert _ultrafilter_violation({0b01}, 2) == "up-closed"
+    assert _ultrafilter_violation({0b01, 0b10, 0b11}, 2) == "meet-closed"
+    assert _ultrafilter_violation({0b11}, 2) == "maximal"
 
 
 def test_ultrafilter_comparison_small():
