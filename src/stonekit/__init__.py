@@ -11,14 +11,12 @@ from .errors import (
     BudgetExceeded,
     CounitNotIso,
     CycleError,
-    ForeignFilter,
     ForeignIdeal,
     HypothesisFailed,
     InvariantViolated,
     NoCanonicalAlgebra,
     NotALattice,
     NotATopology,
-    NotAnAlgebra,
     NotDistributive,
     ParseError,
     StonekitError,

@@ -22,10 +22,6 @@ def mask_of(indices) -> int:
     return out
 
 
-def is_subset(a: int, b: int) -> bool:
-    return a & ~b == 0
-
-
 def format_subset(names: Sequence[str], mask: int) -> str:
     """Render a subset as `{a,b}` in carrier order; empty set is `{}`."""
     return "{" + ",".join(names[i] for i in bits(mask)) + "}"

@@ -25,7 +25,7 @@ definitional twin that the tests use as its oracle:
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .bitsets import bits, format_subset, mask_of
 from .errors import (
@@ -236,18 +236,29 @@ def two_lattice() -> DistLattice:
 
 
 # ---------------------------------------------------------------------------
-# downsets and Birkhoff duality
+# lattices of sets: downsets, ideals and (in spaces) opens
 
 
 @dataclass(frozen=True)
-class DownsetView:
-    """Downset lattice of a poset plus the subset each element denotes."""
+class SetLatticeView:
+    """Lattice of a family of subsets under inclusion; masks[i] is the
+    subset that element i denotes."""
 
     lattice: DistLattice
     masks: Tuple[int, ...]
 
     def index_of(self, mask: int) -> int:
         return self.masks.index(mask)
+
+
+def inclusion_view(carrier: Sequence[str], masks: Sequence[int]) -> SetLatticeView:
+    """The subsets `masks` of `carrier`, ordered by inclusion, as a checked
+    distributive lattice whose elements are named by format_subset."""
+    names = [format_subset(carrier, m) for m in masks]
+    by_name = dict(zip(names, masks))
+    down = [mask_of(j for j, mj in enumerate(masks) if mj & ~mi == 0) for mi in masks]
+    lat = lattice_from_poset(make_poset(names, down), check=True)
+    return SetLatticeView(lat, tuple(by_name[e] for e in lat.elements))
 
 
 def _downclosed_masks(down: Tuple[int, ...]) -> list:
@@ -260,17 +271,8 @@ def _downclosed_masks(down: Tuple[int, ...]) -> list:
 
 
 @lru_cache(maxsize=None)
-def downset_view(p: FinPoset) -> DownsetView:
-    masks = _downclosed_masks(p.down)
-    names = [format_subset(p.elements, m) for m in masks]
-    by_name = dict(zip(names, masks))
-    down = [
-        mask_of(j for j, mj in enumerate(masks) if mj & ~mi == 0)
-        for mi in masks
-    ]
-    lat = lattice_from_poset(make_poset(names, down), check=True)
-    aligned = tuple(by_name[e] for e in lat.elements)
-    return DownsetView(lat, aligned)
+def downset_view(p: FinPoset) -> SetLatticeView:
+    return inclusion_view(p.elements, _downclosed_masks(p.down))
 
 
 def downset_lattice(p: FinPoset) -> DistLattice:
@@ -424,34 +426,11 @@ def ideal_image(f: LatticeHom, ideal: Ideal) -> Ideal:
     return Ideal(f.target, out)
 
 
-@dataclass(frozen=True)
-class IdealView:
-    """Ideal lattice of a lattice, with each element's member mask."""
-
-    base: DistLattice
-    lattice: DistLattice
-    masks: Tuple[int, ...]
-
-    def index_of(self, mask: int) -> int:
-        return self.masks.index(mask)
-
-    def ideal_at(self, i: int) -> Ideal:
-        return Ideal(self.base, self.masks[i])
-
-
 @lru_cache(maxsize=None)
-def ideal_view(lat: DistLattice) -> IdealView:
+def ideal_view(lat: DistLattice) -> SetLatticeView:
     """Every ideal of a finite lattice is principal, so the ideals are the
     down-sets of the elements (ideals_bruteforce is the test oracle)."""
-    masks = principal_masks(lat)
-    names = [lat.subset_name(m) for m in masks]
-    by_name = dict(zip(names, masks))
-    # masks[k] is the down-set of e_k (its top bit is k), and the ideal of e_a
-    # sits inside that of e_b iff a <= b, so the inclusion order's down-masks
-    # are the masks themselves
-    ilat = lattice_from_poset(make_poset(names, masks), check=True)
-    aligned = tuple(by_name[e] for e in ilat.elements)
-    return IdealView(lat, ilat, aligned)
+    return inclusion_view(lat.elements, principal_masks(lat))
 
 
 def ideal_lattice(lat: DistLattice) -> DistLattice:
@@ -583,7 +562,7 @@ def prime_filters(lat: DistLattice) -> Tuple[PrimeFilter, ...]:
 
     In a finite distributive lattice the prime filters are exactly the
     up-sets of join-irreducible elements; candidates are still checked
-    against the definition rather than trusted.
+    against the definition, once, rather than trusted.
     """
     ups = lat.poset.up_masks
     candidates = sorted(ups[j] for j in bits(join_irreducible_mask(lat)))
@@ -592,7 +571,7 @@ def prime_filters(lat: DistLattice) -> Tuple[PrimeFilter, ...]:
         reason = _prime_filter_violation(lat, m)
         if reason is not None:
             raise NotDistributive((lat.subset_name(m), "irreducible up-set", reason))
-        out.append(PrimeFilter(lat, m))
+        out.append(_unvalidated(PrimeFilter, lat, m))
     return tuple(out)
 
 

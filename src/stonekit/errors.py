@@ -41,10 +41,6 @@ class ForeignIdeal(StonekitError):
     """An ideal was used with a lattice other than its home lattice."""
 
 
-class ForeignFilter(StonekitError):
-    """A filter was used with a carrier other than its home."""
-
-
 class NotATopology(StonekitError):
     """Open-set family fails a closure axiom; witness names the offending sets."""
 
@@ -55,15 +51,6 @@ class NotATopology(StonekitError):
 
 class UniverseMismatch(StonekitError):
     """Composite of instance-level maps whose endpoints do not line up."""
-
-
-class NotAnAlgebra(StonekitError):
-    """Structure map fails an algebra law; witness is the failing element."""
-
-    def __init__(self, law, witness):
-        self.law = law
-        self.witness = witness
-        super().__init__(f"algebra law {law} fails at {witness!r}")
 
 
 class CounitNotIso(StonekitError):

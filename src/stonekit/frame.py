@@ -12,9 +12,9 @@ definitional routes.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .bitsets import bits, mask_of
+from .bitsets import bits, format_subset, mask_of
 from .dlat import (
     DistLattice,
     Ideal,
@@ -30,7 +30,6 @@ from .dlat import (
     principal_embedding,
 )
 from .errors import BudgetExceeded, NotDistributive
-from .order import make_poset
 from .spaces import ContinuousMap, FinSpace, open_frame_view
 
 
@@ -195,7 +194,6 @@ def is_boolean(lat: DistLattice) -> bool:
 class CenterView:
     """Boolean center of a lattice with its inclusion hom."""
 
-    base: DistLattice
     lattice: DistLattice
     inclusion: LatticeHom
 
@@ -203,24 +201,19 @@ class CenterView:
 @lru_cache(maxsize=None)
 def center_view(lat: DistLattice) -> CenterView:
     """Sublattice of complemented elements (the regular coreflection)."""
-    keep = list(bits(complemented_mask(lat)))
-    names = [lat.elements[i] for i in keep]
-    pos = {old: new for new, old in enumerate(keep)}
-    for a in keep:
-        for b in keep:
+    cmask = complemented_mask(lat)
+    for a in bits(cmask):
+        for b in bits(cmask):
             # complemented elements stay closed under meet and join in any
             # distributive lattice; failing here means the input was not one
-            if lat.meet[a][b] not in pos or lat.join[a][b] not in pos:
+            if not (cmask >> lat.meet[a][b]) & 1 or not (cmask >> lat.join[a][b]) & 1:
                 e = lat.elements
                 raise NotDistributive((e[a], e[b], "center not closed"))
-    down = [
-        mask_of(pos[j] for j in keep if lat.leq_index(j, i)) for i in keep
-    ]
-    center = lattice_from_poset(make_poset(names, down), check=True)
+    center = lattice_from_poset(lat.poset.restrict(cmask), check=True)
     inclusion = LatticeHom(
         center, lat, tuple(lat.index(e) for e in center.elements)
     )
-    return CenterView(lat, center, inclusion)
+    return CenterView(center, inclusion)
 
 
 def center_lattice(lat: DistLattice) -> DistLattice:
@@ -246,6 +239,20 @@ def corestrict_to_center(hom: LatticeHom) -> Optional[LatticeHom]:
 # spectrum
 
 
+def filter_space_of(
+    carrier: Sequence[str], filters: Sequence[int]
+) -> Tuple[FinSpace, Tuple[int, ...]]:
+    """Filters on `carrier` (member masks) as the points of a space, each
+    named by format_subset, topologized by the basic opens: sigma[a] is the
+    point-set of the filters that contain carrier element a."""
+    names = tuple(format_subset(carrier, m) for m in filters)
+    sigma = tuple(
+        mask_of(k for k, m in enumerate(filters) if (m >> a) & 1)
+        for a in range(len(carrier))
+    )
+    return FinSpace(names, tuple(sorted(set(sigma)))), sigma
+
+
 @dataclass(frozen=True)
 class SpectrumView:
     """Prime spectrum of a lattice.
@@ -254,7 +261,6 @@ class SpectrumView:
     sigma[a] is the point-set of the basic open for element a.
     """
 
-    base: DistLattice
     space: FinSpace
     filters: Tuple[int, ...]
     sigma: Tuple[int, ...]
@@ -263,13 +269,8 @@ class SpectrumView:
 @lru_cache(maxsize=None)
 def spectrum_view(lat: DistLattice) -> SpectrumView:
     filters = tuple(f.members for f in prime_filters(lat))
-    names = tuple(lat.subset_name(m) for m in filters)
-    sigma = tuple(
-        mask_of(k for k, fm in enumerate(filters) if (fm >> a) & 1)
-        for a in range(lat.n)
-    )
-    opens = tuple(sorted(set(sigma)))
-    return SpectrumView(lat, FinSpace(names, opens), filters, sigma)
+    space, sigma = filter_space_of(lat.elements, filters)
+    return SpectrumView(space, filters, sigma)
 
 
 def spectrum(lat: DistLattice) -> FinSpace:
@@ -325,9 +326,9 @@ def is_spatial(lat: DistLattice) -> bool:
 
 def comultiplication_ideal(lat: DistLattice, ideal: Ideal) -> Ideal:
     """c(I): the ideals whose join lands in I, as an ideal one level up."""
-    view = ideal_view(lat)
-    if ideal.home != view.base:
+    if ideal.home != lat:
         raise ValueError("comultiplication expects an ideal of the base lattice")
+    view = ideal_view(lat)
     # each ideal is the down-set of its join, which the linear-extension
     # order puts at the mask's highest bit
     members = mask_of(
@@ -343,8 +344,8 @@ def comultiplication_hom(lat: DistLattice) -> LatticeHom:
     view = ideal_view(lat)
     double = ideal_view(view.lattice)
     assignment = tuple(
-        double.index_of(comultiplication_ideal(lat, view.ideal_at(k)).members)
-        for k in range(view.lattice.n)
+        double.index_of(comultiplication_ideal(lat, Ideal(lat, m)).members)
+        for m in view.masks
     )
     return LatticeHom(view.lattice, double.lattice, assignment)
 

@@ -57,11 +57,7 @@ class FinPoset:
     @cached_property
     def up_masks(self) -> Tuple[int, ...]:
         """up_masks[i] is the bitmask of {j | e_i <= e_j}, built once."""
-        ups = [0] * self.n
-        for j in range(self.n):
-            for i in bits(self.down[j]):
-                ups[i] |= 1 << j
-        return tuple(ups)
+        return transpose(self.down)
 
     def pairs(self) -> Tuple[Tuple[str, str], ...]:
         """All comparable pairs (x, y) with x <= y, in index order."""
@@ -98,6 +94,16 @@ class FinPoset:
             mask_of(pos[j] for j in bits(self.down[i] & mask)) for i in keep
         ]
         return make_poset(names, down)
+
+
+def transpose(masks: Sequence[int]) -> Tuple[int, ...]:
+    """The converse of a relation given by masks: bit i of the result's
+    entry j is bit j of masks[i], so down-masks become up-masks and back."""
+    out = [0] * len(masks)
+    for i, m in enumerate(masks):
+        for j in bits(m):
+            out[j] |= 1 << i
+    return tuple(out)
 
 
 def make_poset(elements: Sequence[str], down: Sequence[int]) -> FinPoset:
@@ -164,11 +170,7 @@ def order_closure(
         for j in bits(up[i]):
             if j != i and (up[j] >> i) & 1:
                 raise CycleError((names[i], names[j]))
-    down = [0] * n
-    for i in range(n):
-        for j in bits(up[i]):
-            down[j] |= 1 << i
-    return make_poset(names, down)
+    return make_poset(names, transpose(up))
 
 
 def chain(names: Sequence[str]) -> FinPoset:

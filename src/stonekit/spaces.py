@@ -11,9 +11,9 @@ from functools import lru_cache
 from typing import Iterable, Optional, Tuple
 
 from .bitsets import bits, format_subset, mask_of
-from .dlat import DistLattice, LatticeHom, lattice_from_poset
+from .dlat import DistLattice, LatticeHom, SetLatticeView, inclusion_view
 from .errors import CycleError, NotATopology, UniverseMismatch
-from .order import FinPoset, _unvalidated, make_poset
+from .order import FinPoset, _unvalidated, make_poset, transpose
 
 
 @dataclass(frozen=True)
@@ -205,11 +205,7 @@ def specialization_order(x: FinSpace) -> FinPoset:
         for j in range(i + 1, x.n):
             if (up[i] >> j) & 1 and (up[j] >> i) & 1:
                 raise CycleError((x.points[i], x.points[j]))
-    down = [0] * x.n
-    for i in range(x.n):
-        for j in bits(up[i]):
-            down[j] |= 1 << i
-    return make_poset(list(x.points), down)
+    return make_poset(list(x.points), transpose(up))
 
 
 def closure_of(x: FinSpace, mask: int) -> int:
@@ -238,29 +234,10 @@ def clopen_masks(x: FinSpace) -> Tuple[int, ...]:
 # the open-set frame
 
 
-@dataclass(frozen=True)
-class OpenFrameView:
-    """Open-set lattice of a space; masks[i] is the point-set of element i."""
-
-    space: FinSpace
-    lattice: DistLattice
-    masks: Tuple[int, ...]
-
-    def index_of(self, mask: int) -> int:
-        return self.masks.index(mask)
-
-
 @lru_cache(maxsize=None)
-def open_frame_view(x: FinSpace) -> OpenFrameView:
-    names = [x.set_name(o) for o in x.opens]
-    by_name = dict(zip(names, x.opens))
-    down = [
-        mask_of(j for j, oj in enumerate(x.opens) if oj & ~oi == 0)
-        for oi in x.opens
-    ]
-    lat = lattice_from_poset(make_poset(names, down), check=True)
-    aligned = tuple(by_name[e] for e in lat.elements)
-    return OpenFrameView(x, lat, aligned)
+def open_frame_view(x: FinSpace) -> SetLatticeView:
+    """Open-set lattice of a space; masks[i] is the point-set of element i."""
+    return inclusion_view(x.points, x.opens)
 
 
 def open_set_frame(x: FinSpace) -> DistLattice:

@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 from .bitsets import bits, format_subset, mask_of
 from .dlat import LatticeHom, ideal_view, prime_filters
 from .errors import BudgetExceeded, InvariantViolated, NoCanonicalAlgebra
-from .frame import center_view, spectrum_view
+from .frame import center_view, filter_space_of, spectrum_view
 from .spaces import (
     ContinuousMap,
     FinSpace,
@@ -84,19 +84,15 @@ def _filter_violation(x: FinSpace, members: int) -> Optional[str]:
 class FilterSpaceView:
     """F X with its bookkeeping.
 
-    filters[k] is the k-th prime filter as a mask over base.opens;
+    filters[k] is the k-th prime filter as a mask over the opens of X;
     star[i] is the point-set of opens[i]* in the filter space;
     star_open_pos[i] locates opens[i]* inside space.opens.
     """
 
-    base: FinSpace
     space: FinSpace
     filters: Tuple[int, ...]
     star: Tuple[int, ...]
     star_open_pos: Tuple[int, ...]
-
-    def filter_at(self, k: int) -> OpenPrimeFilter:
-        return OpenPrimeFilter(self.base, self.filters[k])
 
     def index_of(self, members: int) -> int:
         return self.filters.index(members)
@@ -116,25 +112,13 @@ def filter_space_view(x: FinSpace) -> FilterSpaceView:
         reason = _filter_violation(x, members)
         if reason is not None:
             raise InvariantViolated(f"prime filter of the open frame: {reason}")
-    open_names = tuple(x.set_name(o) for o in x.opens)
-    names = tuple(format_subset(open_names, m) for m in filters)
-    star = tuple(
-        mask_of(k for k, m in enumerate(filters) if (m >> i) & 1)
-        for i in range(len(x.opens))
-    )
-    opens = tuple(sorted(set(star)))
-    space = FinSpace(names, opens)
-    star_open_pos = tuple(opens.index(s) for s in star)
-    return FilterSpaceView(x, space, filters, star, star_open_pos)
+    space, star = filter_space_of(tuple(x.set_name(o) for o in x.opens), filters)
+    star_open_pos = tuple(space.opens.index(s) for s in star)
+    return FilterSpaceView(space, filters, star, star_open_pos)
 
 
 def filter_space(x: FinSpace) -> FinSpace:
     return filter_space_view(x).space
-
-
-def open_prime_filters(x: FinSpace) -> Tuple[OpenPrimeFilter, ...]:
-    view = filter_space_view(x)
-    return tuple(view.filter_at(k) for k in range(len(view.filters)))
 
 
 def neighborhood_filter(x: FinSpace, point: str) -> OpenPrimeFilter:
@@ -423,21 +407,33 @@ def _ultrafilter_violation(chosen: set, n: int) -> Optional[str]:
     return None
 
 
+def _principal_filter(s: int, n: int) -> set:
+    """The filter of every subset of n points that contains s."""
+    return {a for a in range(1 << n) if s & ~a == 0}
+
+
+def _ultrafilter_search(n: int) -> Tuple[int, ...]:
+    """The nonempty subsets s of n points whose filter of supersets passes
+    the ultrafilter axioms. Every filter on a finite set is principal, so
+    this finds every ultrafilter."""
+    return tuple(
+        s
+        for s in range(1, 1 << n)
+        if _ultrafilter_violation(_principal_filter(s, n), n) is None
+    )
+
+
 def ultrafilter_space(x: FinSpace) -> FinSpace:
     """Space of ultrafilters on the underlying set, opens generated by the
-    images of opens. Candidates are the principal filters, each verified
-    against the ultrafilter axioms definitionally."""
-    n = x.n
-    points = []
-    for i in range(n):
-        chosen = {a for a in range(1 << n) if (a >> i) & 1}
-        failed = _ultrafilter_violation(chosen, n)
-        if failed is not None:
-            raise InvariantViolated(
-                f"principal filter at {x.points[i]!r} is not {failed}"
-            )
-        points.append(x.points[i])
-    return FinSpace(tuple(points), x.opens)
+    images of opens. The ultrafilters are searched for among all filters,
+    and must be exactly the principal filters of the points."""
+    found = _ultrafilter_search(x.n)
+    if found != tuple(1 << i for i in range(x.n)):
+        raise InvariantViolated(
+            "ultrafilters are generated by "
+            f"{[x.set_name(s) for s in found]}, not by the points"
+        )
+    return FinSpace(tuple(x.points[s.bit_length() - 1] for s in found), x.opens)
 
 
 def ultrafilter_comparison(x: FinSpace) -> bool:

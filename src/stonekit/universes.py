@@ -14,7 +14,7 @@ from typing import Tuple
 from .bitsets import bits
 from .dlat import DistLattice, _downclosed_masks, downset_lattice
 from .errors import BudgetExceeded
-from .order import FinPoset, make_poset
+from .order import FinPoset, make_poset, transpose
 from .spaces import ContinuousMap, FinSpace, is_continuous_assignment
 
 POSET_NAMES = "abcde"
@@ -63,11 +63,7 @@ def all_posets(n: int, force: bool = False) -> Tuple[FinPoset, ...]:
     names = list(POSET_NAMES[:n])
     out = []
     for up in _relation_candidates(n, antisymmetric=True):
-        down = [0] * n
-        for i in range(n):
-            for j in bits(up[i]):
-                down[j] |= 1 << i
-        out.append(make_poset(names, down))
+        out.append(make_poset(names, transpose(up)))
     return tuple(out)
 
 
@@ -134,14 +130,3 @@ def all_continuous_maps(x: FinSpace, y: FinSpace, limit: int = 200_000):
     for assignment in product(range(y.n), repeat=x.n):
         if is_continuous_assignment(x, y, assignment):
             yield ContinuousMap(x, y, assignment)
-
-
-def all_monotone_assignments(p: FinPoset, q: FinPoset, limit: int = 200_000):
-    """Monotone index assignments p -> q (used for sampling lattice maps)."""
-    total = max(q.n, 1) ** p.n
-    if total > limit:
-        raise BudgetExceeded(f"{total} assignments exceed the limit {limit}")
-    pairs = [(i, j) for j in range(p.n) for i in bits(p.down[j]) if i != j]
-    for assignment in product(range(q.n), repeat=p.n):
-        if all(q.leq_index(assignment[i], assignment[j]) for i, j in pairs):
-            yield assignment

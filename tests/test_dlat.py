@@ -200,7 +200,7 @@ def test_ideal_union_inverts_unit():
     d = diamond()
     view = ideal_view(d)
     for i in range(view.lattice.n):
-        ideal = view.ideal_at(i)
+        ideal = Ideal(d, view.masks[i])
         # wrap the ideal as the principal ideal it generates one level up
         big = Ideal(view.lattice, view.lattice.poset.down[i])
         assert ideal_union(d, big) == ideal

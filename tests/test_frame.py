@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from stonekit.bitsets import mask_of
 from stonekit.dlat import (
+    Ideal,
     LatticeHom,
     all_lattice_homs,
     compose_homs,
@@ -209,7 +210,7 @@ def test_spatiality_hom_sends_elements_to_basic_opens():
 def test_comultiplication_pointwise_frozen():
     d = diamond()
     view = ideal_view(d)
-    c_of_a = comultiplication_ideal(d, view.ideal_at(view.index_of(0b0011)))
+    c_of_a = comultiplication_ideal(d, Ideal(d, 0b0011))
     # ideals whose join lands under {a}: just bottom and the principal of {a}
     member_masks = {view.masks[k] for k in range(view.lattice.n) if (c_of_a.members >> k) & 1}
     assert member_masks == {0b0001, 0b0011}
@@ -222,7 +223,7 @@ def test_comultiplication_reads_joins_off_the_top_bit():
         view = ideal_view(lat)
         assert all(m.bit_length() - 1 == lat.join_mask(m) for m in view.masks)
         for k in range(view.lattice.n):
-            ideal = view.ideal_at(k)
+            ideal = Ideal(lat, view.masks[k])
             definitional = mask_of(
                 j
                 for j, m in enumerate(view.masks)

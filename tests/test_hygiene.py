@@ -1,21 +1,25 @@
 """Source hygiene: every name a module imports at top level is used in it,
-and the package states no check as an `assert`.
+every top-level function and class of the package is used somewhere, and
+the package states no check as an `assert`.
 
 The package's `__init__.py` is exempt from the import rule, since its
-imports are re-exports. `python -O` strips `assert` statements, so a check
-written as one would silently pass there.
+imports are re-exports, and its re-exports do not count as uses. `python -O`
+strips `assert` statements, so a check written as one would silently pass
+there.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "stonekit").glob("*.py"))
-MODULES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+MODULES = SOURCES + TESTS
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -56,3 +60,57 @@ def test_assert_is_reported():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_assert_statements_in_the_package(path):
     assert assert_lines(path.read_text(encoding="utf-8")) == []
+
+
+def names_used(node: ast.AST) -> set:
+    """Every name and attribute that code under `node` refers to."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+    return out
+
+
+def unreferenced_definitions(package: dict, others: list) -> list:
+    """Top-level functions and classes of the `package` modules (name ->
+    source) that no code refers to outside their own definition, neither in
+    another top-level statement of the package nor in the `others` sources,
+    as `module.name`."""
+    outside = set()
+    for source in others:
+        outside |= names_used(ast.parse(source))
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    used_by = {}
+    statements_using = Counter()
+    for tree in trees.values():
+        for node in tree.body:
+            used_by[node] = names_used(node)
+            statements_using.update(used_by[node])
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            elsewhere = statements_using[node.name] - (node.name in used_by[node])
+            if not elsewhere and node.name not in outside:
+                out.append(f"{module}.{node.name}")
+    return out
+
+
+def test_unreferenced_definition_is_reported():
+    package = {
+        "a": "def used():\n    pass\n\ndef lonely(n):\n    return lonely(n - 1)\n",
+        "b": "class Kept:\n    pass\n\ndef build():\n    return Kept()\n",
+    }
+    assert unreferenced_definitions(package, ["from a import used\nused()\n"]) == [
+        "a.lonely",
+        "b.build",
+    ]
+
+
+def test_every_package_definition_is_used():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    others = [p.read_text(encoding="utf-8") for p in TESTS + DEMOS]
+    assert unreferenced_definitions(package, others) == []

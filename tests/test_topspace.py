@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stonekit.errors import NoCanonicalAlgebra
+from stonekit.errors import InvariantViolated, NoCanonicalAlgebra
 from stonekit.frame import spectrum_map
 from stonekit.spaces import (
     ContinuousMap,
@@ -34,6 +34,8 @@ from stonekit.topspace import (
     pairing_map,
     sobrification,
     t0_quotient,
+    _principal_filter,
+    _ultrafilter_search,
     _ultrafilter_violation,
     ultrafilter_comparison,
     ultrafilter_space,
@@ -317,6 +319,20 @@ def test_ultrafilter_axioms_are_checked():
     assert _ultrafilter_violation({0b01}, 2) == "up-closed"
     assert _ultrafilter_violation({0b01, 0b10, 0b11}, 2) == "meet-closed"
     assert _ultrafilter_violation({0b11}, 2) == "maximal"
+
+
+def test_ultrafilter_search_finds_exactly_the_singletons():
+    # the filter of supersets of {a,b} holds neither {a} nor its complement
+    assert _ultrafilter_violation(_principal_filter(0b011, 3), 3) == "maximal"
+    assert _ultrafilter_search(3) == (0b001, 0b010, 0b100)
+
+
+def test_ultrafilter_space_rejects_a_search_beyond_the_points(monkeypatch):
+    import stonekit.topspace as topspace
+
+    monkeypatch.setattr(topspace, "_ultrafilter_search", lambda n: (0b01, 0b11))
+    with pytest.raises(InvariantViolated):
+        ultrafilter_space(discrete_space(["a", "b"]))
 
 
 def test_ultrafilter_comparison_small():
