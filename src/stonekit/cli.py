@@ -9,10 +9,11 @@ failure; it exits 0 exactly when nothing failed. ``export dot`` renders
 a structure as a graph description.
 
 Exit codes: 0 success, 1 law or validation failure, 2 usage or parse
-errors (including budget guards hit without --force).
+errors, budget guards hit without --force, or a closed standard output.
 """
 
 import argparse
+import os
 import sys
 
 from .bitsets import bits
@@ -304,7 +305,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout before the run finished: say nothing, and
+        # point stdout at the null device so the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except ParseError as exc:
         where = "" if exc.line is None else f"line {exc.line}: "
         print(f"error: {where}{exc.message}", file=sys.stderr)

@@ -23,7 +23,7 @@ definitional twin that the tests use as its oracle:
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -81,6 +81,16 @@ class DistLattice:
     def subset_name(self, mask: int) -> str:
         return format_subset(self.elements, mask)
 
+    @cached_property
+    def join_irreducible_mask(self) -> int:
+        """Bitmask of the elements that are not bottom and not the join of
+        the elements strictly below them (exactly one lower cover); built once."""
+        return mask_of(
+            j
+            for j in range(self.n)
+            if j != self.bot and self.join_mask(self.poset.down[j] ^ (1 << j)) != j
+        )
+
 
 def lattice_from_poset(p: FinPoset, check: bool = True) -> DistLattice:
     """Compute meet/join tables for a poset that is a bounded lattice.
@@ -136,7 +146,7 @@ def distributivity_witness(lat: DistLattice) -> Optional[Tuple[str, str, str]]:
     witness is the one distributivity_witness_bruteforce finds.
     """
     down, join = lat.poset.down, lat.join
-    irr = join_irreducible_mask(lat)
+    irr = lat.join_irreducible_mask
     for a in range(lat.n):
         join_a, down_a = join[a], down[a]
         for b in range(a + 1, lat.n):
@@ -251,10 +261,14 @@ class SetLatticeView:
         return self.masks.index(mask)
 
 
-def inclusion_view(carrier: Sequence[str], masks: Sequence[int]) -> SetLatticeView:
+def inclusion_view(
+    carrier: Sequence[str], masks: Sequence[int], names: Optional[Sequence[str]] = None
+) -> SetLatticeView:
     """The subsets `masks` of `carrier`, ordered by inclusion, as a checked
-    distributive lattice whose elements are named by format_subset."""
-    names = [format_subset(carrier, m) for m in masks]
+    distributive lattice. Element k is named names[k], which must be
+    distinct; by default, the subset's members by format_subset."""
+    if names is None:
+        names = [format_subset(carrier, m) for m in masks]
     by_name = dict(zip(names, masks))
     down = [mask_of(j for j, mj in enumerate(masks) if mj & ~mi == 0) for mi in masks]
     lat = lattice_from_poset(make_poset(names, down), check=True)
@@ -280,22 +294,12 @@ def downset_lattice(p: FinPoset) -> DistLattice:
     return downset_view(p).lattice
 
 
-def join_irreducible_mask(lat: DistLattice) -> int:
-    """Bitmask of the elements that are not bottom and not the join of
-    the elements strictly below them (exactly one lower cover)."""
-    return mask_of(
-        j
-        for j in range(lat.n)
-        if j != lat.bot and lat.join_mask(lat.poset.down[j] ^ (1 << j)) != j
-    )
-
-
 def join_irreducibles(lat: DistLattice) -> FinPoset:
     """Subposet of join-irreducible elements; requires distributivity."""
     witness = distributivity_witness(lat)
     if witness is not None:
         raise NotDistributive(witness)
-    return lat.poset.restrict(join_irreducible_mask(lat))
+    return lat.poset.restrict(lat.join_irreducible_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +433,11 @@ def ideal_image(f: LatticeHom, ideal: Ideal) -> Ideal:
 @lru_cache(maxsize=None)
 def ideal_view(lat: DistLattice) -> SetLatticeView:
     """Every ideal of a finite lattice is principal, so the ideals are the
-    down-sets of the elements (ideals_bruteforce is the test oracle)."""
-    return inclusion_view(lat.elements, principal_masks(lat))
+    down-sets of the elements (ideals_bruteforce is the test oracle). Ideal
+    m is named down(a) after its generator a, the top bit of m."""
+    masks = principal_masks(lat)
+    names = [f"down({lat.elements[m.bit_length() - 1]})" for m in masks]
+    return inclusion_view(lat.elements, masks, names)
 
 
 def ideal_lattice(lat: DistLattice) -> DistLattice:
@@ -565,7 +572,7 @@ def prime_filters(lat: DistLattice) -> Tuple[PrimeFilter, ...]:
     against the definition, once, rather than trusted.
     """
     ups = lat.poset.up_masks
-    candidates = sorted(ups[j] for j in bits(join_irreducible_mask(lat)))
+    candidates = sorted(ups[j] for j in bits(lat.join_irreducible_mask))
     out = []
     for m in candidates:
         reason = _prime_filter_violation(lat, m)
@@ -616,7 +623,7 @@ def all_lattice_homs(
     A hom is determined by where irreducibles go; each candidate tuple is
     expanded to a full assignment and validated. Requires src distributive.
     """
-    irr = list(bits(join_irreducible_mask(src)))
+    irr = list(bits(src.join_irreducible_mask))
     witness = distributivity_witness(src)
     if witness is not None:
         raise NotDistributive(witness)

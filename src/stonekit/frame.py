@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Optional, Sequence, Tuple
 
-from .bitsets import bits, format_subset, mask_of
+from .bitsets import bits, mask_of
 from .dlat import (
     DistLattice,
     Ideal,
@@ -243,9 +243,10 @@ def filter_space_of(
     carrier: Sequence[str], filters: Sequence[int]
 ) -> Tuple[FinSpace, Tuple[int, ...]]:
     """Filters on `carrier` (member masks) as the points of a space, each
-    named by format_subset, topologized by the basic opens: sigma[a] is the
-    point-set of the filters that contain carrier element a."""
-    names = tuple(format_subset(carrier, m) for m in filters)
+    named up(j) after its generator j, its lowest member in carrier order;
+    topologized by the basic opens: sigma[a] is the point-set of the filters
+    that contain carrier element a."""
+    names = tuple(f"up({carrier[(m & -m).bit_length() - 1]})" for m in filters)
     sigma = tuple(
         mask_of(k for k, m in enumerate(filters) if (m >> a) & 1)
         for a in range(len(carrier))

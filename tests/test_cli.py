@@ -1,13 +1,18 @@
 """End-to-end command tests: documents in, reports out, exit codes."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from stonekit.cli import main
 
-DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "demos" / "data"
 
 
 def run(capsys, *argv):
@@ -230,3 +235,51 @@ def test_waybelow_on_64_elements_exits_2_with_one_line(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "2^64 subsets" in err
+
+
+def _child(*argv, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.Popen(
+        [sys.executable, "-m", "stonekit.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        **kwargs,
+    )
+
+
+def test_closed_stdout_ends_quietly_with_exit_2():
+    # the rows outgrow the pipe buffer, so the child writes after the close
+    child = _child("laws", "--suite", "lifting", "--max-points", "4")
+    first = child.stdout.readline()
+    child.stdout.close()
+    try:
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+    assert first.startswith(b"space 1/")
+    assert err == b""
+    assert child.returncode == 2
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_cechstone_on_eight_discrete_points_fits_in_one_gib(tmp_path):
+    points = [f"p{i}" for i in range(8)]
+    path = tmp_path / "discrete8.space"
+    path.write_text(
+        'type: "space"\nname: "discrete8"\n'
+        f"points: {json.dumps(points)}\nopens: {json.dumps([[p] for p in points])}\n"
+    )
+    child = _child("cechstone", str(path), preexec_fn=_limit_address_space)
+    try:
+        out, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+    assert child.returncode == 0, err.decode()[-2000:]
+    assert out.decode().splitlines()[0] == (
+        '# cechstone "discrete8": both sides: 8 points, ISO'
+    )
+    assert len(out) < 100_000

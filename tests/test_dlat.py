@@ -31,6 +31,7 @@ from stonekit.dlat import (
     ideal_view,
     ideals_bruteforce,
     identity_hom,
+    inclusion_view,
     is_distributive,
     is_ideal_mask,
     join_irreducibles,
@@ -188,6 +189,28 @@ def test_ideal_lattice_of_diamond():
     view = ideal_view(diamond())
     assert sorted(view.masks) == [1, 3, 5, 15]
     assert lattice_isomorphic(view.lattice, diamond())
+
+
+def test_ideals_are_named_by_their_generators():
+    for lat in lattice_universe(4):
+        view = ideal_view(lat)
+        names = view.lattice.elements
+        assert len(set(names)) == len(names)
+        for name, m in zip(names, view.masks):
+            g = m.bit_length() - 1
+            assert name == f"down({lat.elements[g]})"
+            assert m == lat.poset.down[g]
+        # the same family named by its members: equal masks give an order
+        # isomorphism, so the names changed nothing but the labels
+        old = inclusion_view(lat.elements, principal_masks(lat))
+        iso = tuple(old.index_of(m) for m in view.masks)
+        assert sorted(iso) == list(range(old.lattice.n))
+        LatticeHom(view.lattice, old.lattice, iso)
+        for i in range(lat.n):
+            for j in range(lat.n):
+                assert view.lattice.leq_index(i, j) == old.lattice.leq_index(
+                    iso[i], iso[j]
+                )
 
 
 def test_principal_embedding_is_iso_on_universe_samples():

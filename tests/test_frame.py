@@ -1,9 +1,12 @@
 """Way-below, stable compactness, regularity, spectra, the ideal comonad."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
 from stonekit.bitsets import mask_of
+from stonekit.cli import main
 from stonekit.dlat import (
     Ideal,
     LatticeHom,
@@ -16,6 +19,7 @@ from stonekit.dlat import (
     principal_embedding,
     two_lattice,
 )
+from stonekit.documents import loads
 from stonekit.errors import BudgetExceeded
 from stonekit.frame import (
     CoalgebraCandidate,
@@ -46,7 +50,8 @@ from stonekit.frame import (
 )
 from stonekit.order import antichain, chain, order_closure
 from stonekit.spaces import discrete_space, homeomorphic, sierpinski
-from stonekit.universes import lattice_universe
+from stonekit.topspace import filter_space_view
+from stonekit.universes import all_spaces, lattice_universe
 
 
 def diamond():
@@ -181,8 +186,104 @@ def test_spectrum_of_diamond_is_discrete_pair():
 
 def test_spectrum_points_name_their_filters():
     view = spectrum_view(chain3())
-    assert view.space.points == ("{{a,b}}", "{{a},{a,b}}")
+    assert view.space.points == ("up({a,b})", "up({a})")
     assert view.space.opens == (0, 2, 3)
+
+
+def _assert_named_by_lowest_member(carrier, space, filters, up):
+    """Point k is up(j) for j the lowest bit of filters[k], and the filter is
+    exactly the up-set up[j] of that generator."""
+    assert len(set(space.points)) == len(space.points)
+    for name, m in zip(space.points, filters):
+        j = (m & -m).bit_length() - 1
+        assert name == f"up({carrier[j]})"
+        assert m == up[j]
+
+
+def test_spectrum_points_are_named_by_their_generators():
+    for lat in lattice_universe(4):
+        view = spectrum_view(lat)
+        _assert_named_by_lowest_member(
+            lat.elements, view.space, view.filters, lat.poset.up_masks
+        )
+
+
+def test_filter_points_are_named_by_their_generators():
+    for x in all_spaces(3):
+        view = filter_space_view(x)
+        up = [
+            mask_of(k for k, o in enumerate(x.opens) if u & ~o == 0) for u in x.opens
+        ]
+        carrier = [x.set_name(o) for o in x.opens]
+        _assert_named_by_lowest_member(carrier, view.space, view.filters, up)
+
+
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+
+# outputs of the subcommands that print derived names, as they were when
+# ideals and filters were named by their members (format_subset)
+MEMBER_NAMED_OUTPUTS = {
+    ("ideals", "chain3.lattice"): """# ideals: 3 ideals of 3 elements, all principal
+type: "lattice"
+name: "ideals of chain3"
+elements: ["{0}", "{0,m}", "{0,m,1}"]
+leq: [["{0}", "{0,m}"], ["{0,m}", "{0,m,1}"]]
+""",
+    ("spectrum", "chain3.lattice"): """# spectrum: 2 points, 3 opens
+type: "space"
+name: "spectrum of chain3"
+points: ["{1}", "{m,1}"]
+opens: [[], ["{m,1}"], ["{1}", "{m,1}"]]
+""",
+    ("ideals", "diamond.lattice"): """# ideals: 4 ideals of 4 elements, all principal
+type: "lattice"
+name: "ideals of diamond"
+elements: ["{0}", "{0,a}", "{0,b}", "{0,a,b,1}"]
+leq: [["{0}", "{0,a}"], ["{0}", "{0,b}"], ["{0,a}", "{0,a,b,1}"], ["{0,b}", "{0,a,b,1}"]]
+""",
+    ("spectrum", "diamond.lattice"): """# spectrum: 2 points, 4 opens
+type: "space"
+name: "spectrum of diamond"
+points: ["{a,1}", "{b,1}"]
+opens: [[], ["{a,1}"], ["{b,1}"], ["{a,1}", "{b,1}"]]
+""",
+    ("filters", "sierpinski.space"): """# filters: 2 filters, 3 opens
+type: "space"
+name: "filters of sierpinski"
+points: ["{{0,1}}", "{{1},{0,1}}"]
+opens: [[], ["{{1},{0,1}}"], ["{{0,1}}", "{{1},{0,1}}"]]
+""",
+    ("sobrify", "sierpinski.space"): """# sobrification: 2 -> 2 points, already sober
+type: "space"
+name: "sobrification of sierpinski"
+points: ["{{0,1}}", "{{1},{0,1}}"]
+opens: [[], ["{{1},{0,1}}"], ["{{0,1}}", "{{1},{0,1}}"]]
+""",
+    ("cechstone", "sierpinski.space"): """# cechstone "sierpinski": both sides: 1 point, ISO
+type: "space"
+name: "compactification of sierpinski"
+points: ["{{{{0,1}},{{1},{0,1}}}}"]
+opens: [[], ["{{{{0,1}},{{1},{0,1}}}}"]]
+""",
+}
+
+
+@pytest.mark.parametrize(
+    "command, document", sorted(MEMBER_NAMED_OUTPUTS), ids="-".join
+)
+def test_derived_documents_differ_only_by_relabelling(capsys, command, document):
+    code = main([command, str(DATA / document)])
+    out = capsys.readouterr().out
+    before = MEMBER_NAMED_OUTPUTS[command, document]
+    assert code == 0
+    assert out.splitlines()[0] == before.splitlines()[0]
+    kind, name, new = loads(out)
+    old_kind, old_name, old = loads(before)
+    assert (kind, name) == (old_kind, old_name)
+    if kind == "lattice":
+        assert lattice_isomorphic(new, old)
+    else:
+        assert homeomorphic(new, old)
 
 
 def test_point_characters_enumerate_homs():

@@ -60,7 +60,7 @@ def test_filter_space_of_discrete_pair():
 
 def test_filter_points_name_their_contents():
     fs = filter_space(sierpinski())
-    assert fs.points == ("{{0,1}}", "{{1},{0,1}}")
+    assert fs.points == ("up({0,1})", "up({1})")
 
 
 def test_neighborhood_filters_frozen():
