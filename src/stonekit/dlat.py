@@ -15,6 +15,12 @@ definitional twin that the tests use as its oracle:
     join-irreducible is join-prime); twin: distributivity_witness_bruteforce;
   - ideal_view lists the principal ideals (principal_masks); twin:
     ideals_bruteforce, over every subset;
+  - ideal_view builds the ideal lattice by relabelling: down(a) <= down(b)
+    iff a <= b, so it is the lattice itself with a renamed down(a), sharing
+    its meet and join tables; twin: inclusion_view on principal_masks;
+  - inclusion_view reads the meets and joins of a family closed under &
+    and | off the family (intersection and union), as for opens and
+    down-sets; twin: lattice_from_poset on the inclusion order;
   - is_ideal_mask and is_prime_filter_mask test closure under joins and
     meets by one aggregate join or meet; twin: ideals_bruteforce and the
     characters of homs_to_2_bruteforce;
@@ -52,7 +58,7 @@ class DistLattice:
     def elements(self) -> Tuple[str, ...]:
         return self.poset.elements
 
-    @property
+    @cached_property
     def n(self) -> int:
         return self.poset.n
 
@@ -130,10 +136,14 @@ def lattice_from_poset(p: FinPoset, check: bool = True) -> DistLattice:
         bot,
         top,
     )
-    if check:
-        witness = distributivity_witness(lat)
-        if witness is not None:
-            raise NotDistributive(witness)
+    return _checked(lat) if check else lat
+
+
+def _checked(lat: DistLattice) -> DistLattice:
+    """lat itself, or NotDistributive with the witness triple."""
+    witness = distributivity_witness(lat)
+    if witness is not None:
+        raise NotDistributive(witness)
     return lat
 
 
@@ -204,11 +214,14 @@ def hom_violation(
         return f"bottom ({src.elements[src.bot]!r})"
     if f[src.top] != tgt.top:
         return f"top ({src.elements[src.top]!r})"
-    for a in range(src.n):
-        for b in range(a + 1, src.n):
-            if f[src.meet[a][b]] != tgt.meet[f[a]][f[b]]:
+    n, tgt_meet, tgt_join = src.n, tgt.meet, tgt.join
+    for a in range(n - 1):
+        meet_a, join_a = src.meet[a], src.join[a]
+        image_meet, image_join = tgt_meet[f[a]], tgt_join[f[a]]
+        for b in range(a + 1, n):
+            if f[meet_a[b]] != image_meet[f[b]]:
                 return f"meet at ({src.elements[a]!r}, {src.elements[b]!r})"
-            if f[src.join[a][b]] != tgt.join[f[a]][f[b]]:
+            if f[join_a[b]] != image_join[f[b]]:
                 return f"join at ({src.elements[a]!r}, {src.elements[b]!r})"
     return None
 
@@ -266,13 +279,37 @@ def inclusion_view(
 ) -> SetLatticeView:
     """The subsets `masks` of `carrier`, ordered by inclusion, as a checked
     distributive lattice. Element k is named names[k], which must be
-    distinct; by default, the subset's members by format_subset."""
+    distinct; by default, the subset's members by format_subset. A family
+    closed under & and | takes its meets and joins from them; any other
+    goes through lattice_from_poset."""
     if names is None:
         names = [format_subset(carrier, m) for m in masks]
     by_name = dict(zip(names, masks))
     down = [mask_of(j for j, mj in enumerate(masks) if mj & ~mi == 0) for mi in masks]
-    lat = lattice_from_poset(make_poset(names, down), check=True)
-    return SetLatticeView(lat, tuple(by_name[e] for e in lat.elements))
+    poset = make_poset(names, down)
+    sets = tuple(by_name[e] for e in poset.elements)
+    lat = _set_operation_lattice(poset, sets)
+    if lat is None:
+        return SetLatticeView(lattice_from_poset(poset, check=True), sets)
+    return SetLatticeView(_checked(lat), sets)
+
+
+def _set_operation_lattice(
+    poset: FinPoset, sets: Tuple[int, ...]
+) -> Optional[DistLattice]:
+    """The lattice of a nonempty family closed under & and |, ordered by
+    inclusion: its meets are intersections and its joins unions, and a
+    linear extension puts the least set first and the greatest last. None
+    when the family is empty or some intersection or union falls outside it."""
+    if not sets:
+        return None
+    index = {m: i for i, m in enumerate(sets)}
+    try:
+        meet = tuple(tuple(index[a & b] for b in sets) for a in sets)
+        join = tuple(tuple(index[a | b] for b in sets) for a in sets)
+    except KeyError:
+        return None
+    return DistLattice(poset, meet, join, 0, len(sets) - 1)
 
 
 def _downclosed_masks(down: Tuple[int, ...]) -> list:
@@ -296,10 +333,7 @@ def downset_lattice(p: FinPoset) -> DistLattice:
 
 def join_irreducibles(lat: DistLattice) -> FinPoset:
     """Subposet of join-irreducible elements; requires distributivity."""
-    witness = distributivity_witness(lat)
-    if witness is not None:
-        raise NotDistributive(witness)
-    return lat.poset.restrict(lat.join_irreducible_mask)
+    return _checked(lat).poset.restrict(lat.join_irreducible_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +468,31 @@ def ideal_image(f: LatticeHom, ideal: Ideal) -> Ideal:
 def ideal_view(lat: DistLattice) -> SetLatticeView:
     """Every ideal of a finite lattice is principal, so the ideals are the
     down-sets of the elements (ideals_bruteforce is the test oracle). Ideal
-    m is named down(a) after its generator a, the top bit of m."""
+    m is named down(a) after its generator a, the top bit of m.
+
+    down(a) <= down(b) iff a <= b, so the ideal lattice is lat with each a
+    renamed down(a): it shares lat's tables and takes lat.poset.down as its
+    masks. The canonical element order stays the same only when the new
+    names sort as the old ones do (`a` and `a(1)` do not); otherwise the
+    ideals go through inclusion_view."""
+    names = tuple(f"down({e})" for e in lat.elements)
+    if _sorts_alike(lat.elements, names):
+        poset = _unvalidated(FinPoset, names, lat.poset.down)
+        ideals = DistLattice(poset, lat.meet, lat.join, lat.bot, lat.top)
+        return SetLatticeView(_checked(ideals), lat.poset.down)
     masks = principal_masks(lat)
-    names = [f"down({lat.elements[m.bit_length() - 1]})" for m in masks]
-    return inclusion_view(lat.elements, masks, names)
+    return inclusion_view(
+        lat.elements, masks, [names[m.bit_length() - 1] for m in masks]
+    )
+
+
+def _sorts_alike(old: Sequence[str], new: Sequence[str]) -> bool:
+    """Whether sorting by the new names orders the positions as sorting
+    by the old names does."""
+    positions = range(len(old))
+    return sorted(positions, key=old.__getitem__) == sorted(
+        positions, key=new.__getitem__
+    )
 
 
 def ideal_lattice(lat: DistLattice) -> DistLattice:
@@ -623,10 +678,7 @@ def all_lattice_homs(
     A hom is determined by where irreducibles go; each candidate tuple is
     expanded to a full assignment and validated. Requires src distributive.
     """
-    irr = list(bits(src.join_irreducible_mask))
-    witness = distributivity_witness(src)
-    if witness is not None:
-        raise NotDistributive(witness)
+    irr = list(bits(_checked(src).join_irreducible_mask))
     total = tgt.n ** len(irr)
     if total > limit:
         raise BudgetExceeded(

@@ -10,9 +10,9 @@ definitional routes.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .bitsets import bits, mask_of
 from .dlat import (
@@ -25,11 +25,12 @@ from .dlat import (
     hom_violation,
     ideal_functor_hom,
     ideal_view,
-    lattice_from_poset,
+    inclusion_view,
     prime_filters,
     principal_embedding,
 )
 from .errors import BudgetExceeded, NotDistributive
+from .order import _unvalidated
 from .spaces import ContinuousMap, FinSpace, open_frame_view
 
 
@@ -202,6 +203,11 @@ class CenterView:
 def center_view(lat: DistLattice) -> CenterView:
     """Sublattice of complemented elements (the regular coreflection)."""
     cmask = complemented_mask(lat)
+    if cmask == (1 << lat.n) - 1:
+        # a Boolean lattice is its own center: meets and joins of the
+        # complemented elements cannot leave the full mask
+        identity = _unvalidated(LatticeHom, lat, lat, tuple(range(lat.n)))
+        return CenterView(lat, identity)
     for a in bits(cmask):
         for b in bits(cmask):
             # complemented elements stay closed under meet and join in any
@@ -209,7 +215,14 @@ def center_view(lat: DistLattice) -> CenterView:
             if not (cmask >> lat.meet[a][b]) & 1 or not (cmask >> lat.join[a][b]) & 1:
                 e = lat.elements
                 raise NotDistributive((e[a], e[b], "center not closed"))
-    center = lattice_from_poset(lat.poset.restrict(cmask), check=True)
+    # the principal down-sets of the complemented elements, ordered by
+    # inclusion, are the center with its induced order
+    kept = list(bits(cmask))
+    center = inclusion_view(
+        lat.elements,
+        [lat.poset.down[a] for a in kept],
+        [lat.elements[a] for a in kept],
+    ).lattice
     inclusion = LatticeHom(
         center, lat, tuple(lat.index(e) for e in center.elements)
     )
@@ -266,6 +279,11 @@ class SpectrumView:
     filters: Tuple[int, ...]
     sigma: Tuple[int, ...]
 
+    @cached_property
+    def point_of(self) -> Dict[int, int]:
+        """The point of each prime filter, keyed by its member mask."""
+        return {m: k for k, m in enumerate(self.filters)}
+
 
 @lru_cache(maxsize=None)
 def spectrum_view(lat: DistLattice) -> SpectrumView:
@@ -286,12 +304,16 @@ def spectrum_map(h: LatticeHom) -> ContinuousMap:
     """
     src = spectrum_view(h.target)
     tgt = spectrum_view(h.source)
+    # preimages[v] is the set of source elements sent to target element v
+    preimages = [0] * h.target.n
+    for a, v in enumerate(h.assignment):
+        preimages[v] |= 1 << a
     assignment = []
     for fm in src.filters:
-        pulled = mask_of(
-            a for a in range(h.source.n) if (fm >> h.assignment[a]) & 1
-        )
-        assignment.append(tgt.filters.index(pulled))
+        pulled = 0
+        for v in bits(fm):
+            pulled |= preimages[v]
+        assignment.append(tgt.point_of[pulled])
     return ContinuousMap(src.space, tgt.space, tuple(assignment))
 
 

@@ -68,6 +68,7 @@ from .dlat import (
 )
 from .errors import BudgetExceeded, InvariantViolated
 from .frame import (
+    WAY_BELOW_MAX_ELEMENTS,
     center_lattice,
     center_view,
     check_coalgebra,
@@ -432,6 +433,10 @@ def compactification_collapse() -> NatTransInstance:
 MAX_LATTICE = 16
 DEFAULT_SEED = 271828
 SAMPLES_PER_SIZE = 20
+
+# suites that compute way-below on every pool lattice; --force raises the
+# pool guard rails, not the cap of that oracle
+WAY_BELOW_SUITES = ("comonad-k", "degeneracy", "lifting")
 
 Row = Tuple[str, str, bool, object]
 
@@ -833,6 +838,12 @@ def run_suite(
     if name not in LAW_SUITES:
         known = ", ".join(sorted(LAW_SUITES))
         raise ValueError(f"unknown suite {name!r}; known suites: {known}")
+    if name in WAY_BELOW_SUITES and max_lattice > WAY_BELOW_MAX_ELEMENTS:
+        raise BudgetExceeded(
+            f"--max-lattice {max_lattice} exceeds the way-below cap of "
+            f"{WAY_BELOW_MAX_ELEMENTS} elements, and the {name} suite computes "
+            "way-below on every pool lattice"
+        )
     spaces = _space_pool(max_points, seed, force)
     lats = _lattice_pool(max_lattice, force)
     maps = space_morphisms(min(max_points, 2))

@@ -41,7 +41,7 @@ class FinPoset:
                 if self.down[j] & ~self.down[i]:
                     raise ValueError("relation not transitive")
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.elements)
 

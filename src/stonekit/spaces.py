@@ -143,9 +143,17 @@ class ContinuousMap:
         for v in self.assignment:
             if not 0 <= v < max(self.target.n, 1):
                 raise ValueError("assignment value out of range")
+        # fibres[v] is the point-set sent to target point v, and the
+        # preimage of an open the union of the fibres of its points
+        fibres = [0] * max(self.target.n, 1)
+        for i, v in enumerate(self.assignment):
+            fibres[v] |= 1 << i
         src_opens = set(self.source.opens)
         for o in self.target.opens:
-            if preimage_mask(self.assignment, o) not in src_opens:
+            pre = 0
+            for v in bits(o):
+                pre |= fibres[v]
+            if pre not in src_opens:
                 raise ValueError(
                     f"preimage of {self.target.set_name(o)} is not open"
                 )

@@ -55,7 +55,6 @@ class OpenPrimeFilter:
 
 def _filter_violation(x: FinSpace, members: int) -> Optional[str]:
     opens = x.opens
-    pos = {o: i for i, o in enumerate(opens)}
     if members == 0:
         return "empty"
     if members >> len(opens):
@@ -63,6 +62,22 @@ def _filter_violation(x: FinSpace, members: int) -> Optional[str]:
     if members & 1:
         return "contains the empty set"  # opens[0] is always the empty set
     chosen = [opens[i] for i in bits(members)]
+    # a family of opens without the empty set is a prime filter iff it is
+    # exactly the opens above the meet of its members (that meet is open,
+    # so this puts it in the family) and the union of the opens outside it
+    # is not in it; the pairwise searches only name the first failure
+    meet = x.full
+    for a in chosen:
+        meet &= a
+    above = outside = 0
+    for i, o in enumerate(opens):
+        if meet & ~o == 0:
+            above |= 1 << i
+        if not (members >> i) & 1:
+            outside |= o
+    if members == above and meet & ~outside:
+        return None
+    pos = {o: i for i, o in enumerate(opens)}
     for a in chosen:
         for b in opens:
             if a & ~b == 0 and not (members >> pos[b]) & 1:

@@ -262,6 +262,21 @@ def test_closed_stdout_ends_quietly_with_exit_2():
     assert child.returncode == 2
 
 
+def test_degeneracy_past_the_way_below_cap_exits_2_before_any_row():
+    # --force raises the pool guard rails, not the cap of the way-below
+    # oracle that the suite runs on every pool lattice
+    child = _child("laws", "--suite", "degeneracy", "--max-lattice", "23", "--force")
+    try:
+        out, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+    assert child.returncode == 2
+    assert out == b""
+    lines = err.decode().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: --max-lattice 23 exceeds the way-below cap")
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

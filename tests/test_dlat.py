@@ -4,10 +4,13 @@ Derived values asserted here (ideal masks, hom counts, witnesses) were
 computed by the definitional brute-force routes first and then frozen.
 """
 
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
 from stonekit.dlat import (
+    _set_operation_lattice,
     Ideal,
     LatticeHom,
     all_lattice_homs,
@@ -52,7 +55,13 @@ from stonekit.errors import (
     NotDistributive,
     UniverseMismatch,
 )
-from stonekit.order import antichain, chain, order_closure, poset_isomorphic
+from stonekit.order import (
+    antichain,
+    chain,
+    make_poset,
+    order_closure,
+    poset_isomorphic,
+)
 from stonekit.universes import all_posets, all_posets_upto, lattice_universe
 
 
@@ -211,6 +220,79 @@ def test_ideals_are_named_by_their_generators():
                 assert view.lattice.leq_index(i, j) == old.lattice.leq_index(
                     iso[i], iso[j]
                 )
+
+
+def _ideals_by_inclusion(lat):
+    """The ideal lattice the definitional way: the principal ideals as a
+    family of sets under inclusion, each named after its generator."""
+    masks = principal_masks(lat)
+    names = [f"down({lat.elements[m.bit_length() - 1]})" for m in masks]
+    return inclusion_view(lat.elements, masks, names)
+
+
+def test_relabelled_ideal_lattice_equals_the_inclusion_route():
+    for lat in lattice_universe(4):
+        view = ideal_view(lat)
+        assert view == _ideals_by_inclusion(lat)
+        # built afresh, the relabelled lattice shares the tables of lat
+        fresh = ideal_view.__wrapped__(lat).lattice
+        assert fresh.meet is lat.meet and fresh.join is lat.join
+    # ideal lattices of ideal lattices, three levels deep
+    for lat in lattice_universe(3):
+        for _ in range(3):
+            view = ideal_view(lat)
+            assert view == _ideals_by_inclusion(lat)
+            lat = view.lattice
+
+
+def renaming_diamond():
+    """A diamond whose atoms `a` and `a(1)` sort the other way once they
+    are renamed down(a) and down(a(1)), since `(` sorts before `)`."""
+    p = order_closure(
+        ["0", "a", "a(1)", "1"],
+        [("0", "a"), ("0", "a(1)"), ("a", "1"), ("a(1)", "1")],
+    )
+    return lattice_from_poset(p)
+
+
+def test_ideal_lattice_whose_names_reorder_takes_the_inclusion_route():
+    lat = renaming_diamond()
+    assert lat.elements == ("0", "a", "a(1)", "1")
+    view = ideal_view(lat)
+    assert view == _ideals_by_inclusion(lat)
+    assert view.lattice.elements == ("down(0)", "down(a(1))", "down(a)", "down(1)")
+    # the element order is the canonical one for the new names
+    assert view.lattice.poset == make_poset(
+        view.lattice.elements, view.lattice.poset.down
+    )
+    assert view.masks == (0b0001, 0b0101, 0b0011, 0b1111)
+
+
+def test_ideal_lattice_of_m3_is_refused_with_the_inclusion_witness():
+    m3 = m3_candidate()
+    with pytest.raises(NotDistributive) as fast:
+        ideal_view(m3)
+    with pytest.raises(NotDistributive) as slow:
+        _ideals_by_inclusion(m3)
+    assert fast.value.witness == slow.value.witness
+    assert str(fast.value) == str(slow.value)
+
+
+def test_set_operation_route_equals_lattice_from_poset_on_downsets():
+    for p in all_posets_upto(4):
+        view = downset_view(p)
+        poset = view.lattice.poset
+        fast = _set_operation_lattice(poset, view.masks)
+        assert fast is not None
+        assert fast == lattice_from_poset(poset) == view.lattice
+
+
+def test_set_operation_route_declines_a_family_not_closed_under_union():
+    # the principal ideals of the diamond: down(a) | down(b) is no ideal
+    d = diamond()
+    view = inclusion_view(d.elements, principal_masks(d))
+    assert _set_operation_lattice(view.lattice.poset, view.masks) is None
+    assert view.lattice == lattice_from_poset(view.lattice.poset)
 
 
 def test_principal_embedding_is_iso_on_universe_samples():
@@ -471,3 +553,63 @@ def test_violation_messages_name_the_first_failing_pair(make, kind, mask, messag
         kind(make(), mask)
     assert str(exc.value).endswith(f": {message}")
 
+
+def _plain_structure(lat):
+    """Bottom, top, meets and joins found by search over the order alone."""
+    n, leq = lat.n, lat.leq_index
+    bottom = next(z for z in range(n) if all(leq(z, w) for w in range(n)))
+    top = next(z for z in range(n) if all(leq(w, z) for w in range(n)))
+    meet, join = {}, {}
+    for a, b in product(range(n), repeat=2):
+        lower = [z for z in range(n) if leq(z, a) and leq(z, b)]
+        meet[a, b] = next(z for z in lower if all(leq(w, z) for w in lower))
+        upper = [z for z in range(n) if leq(a, z) and leq(b, z)]
+        join[a, b] = next(z for z in upper if all(leq(z, w) for w in upper))
+    return bottom, top, meet, join
+
+
+def _hom_violation_plain(src, tgt, f, structure):
+    """The first failing homomorphism equation, in the wording of
+    hom_violation, against the searched structure of both lattices."""
+    e = src.elements
+    if len(f) != src.n:
+        return "arity"
+    src_bottom, src_top, src_meet, src_join = structure[src]
+    tgt_bottom, tgt_top, tgt_meet, tgt_join = structure[tgt]
+    if f[src_bottom] != tgt_bottom:
+        return f"bottom ({e[src_bottom]!r})"
+    if f[src_top] != tgt_top:
+        return f"top ({e[src_top]!r})"
+    for a in range(src.n):
+        for b in range(a + 1, src.n):
+            if f[src_meet[a, b]] != tgt_meet[f[a], f[b]]:
+                return f"meet at ({e[a]!r}, {e[b]!r})"
+            if f[src_join[a, b]] != tgt_join[f[a], f[b]]:
+                return f"join at ({e[a]!r}, {e[b]!r})"
+    return None
+
+
+def test_hom_violation_matches_its_plain_twin():
+    # one lattice per isomorphism class of lattice_universe(3): every
+    # assignment from a source of at most 5 elements, and every assignment
+    # keeping bottom and top from the 6-element ones (any other stops at
+    # the bottom or top equation); the 8-element Boolean lattice is only a
+    # target. All assignments of the labeled universe number 34 million
+    reps = []
+    for lat in lattice_universe(3):
+        if not any(lattice_isomorphic(lat, r) for r in reps):
+            reps.append(lat)
+    assert sorted(r.n for r in reps) == [1, 2, 3, 4, 4, 5, 5, 6, 8]
+    structure = {lat: _plain_structure(lat) for lat in reps}
+    verdicts = set()
+    for src, tgt in product([r for r in reps if r.n <= 6], reps):
+        if src.n <= 5:
+            assignments = product(range(tgt.n), repeat=src.n)
+        else:
+            inner = product(range(tgt.n), repeat=src.n - 2)
+            assignments = ((tgt.bot,) + middle + (tgt.top,) for middle in inner)
+        for f in assignments:
+            expected = _hom_violation_plain(src, tgt, f, structure)
+            assert hom_violation(src, tgt, f) == expected, (src, tgt, f)
+            verdicts.add(expected if expected is None else expected.split()[0])
+    assert verdicts == {None, "bottom", "top", "meet", "join"}

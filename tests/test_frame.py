@@ -15,6 +15,7 @@ from stonekit.dlat import (
     downset_lattice,
     homs_to_2,
     ideal_view,
+    lattice_from_poset,
     lattice_isomorphic,
     principal_embedding,
     two_lattice,
@@ -24,12 +25,14 @@ from stonekit.errors import BudgetExceeded
 from stonekit.frame import (
     CoalgebraCandidate,
     center_lattice,
+    CenterView,
     center_view,
     check_coalgebra,
     coalgebra_structures,
     comultiplication_hom,
     comultiplication_ideal,
     comultiplication_via_functor,
+    complemented_mask,
     corestrict_to_center,
     counit_hom,
     gamma_coalgebra,
@@ -49,7 +52,12 @@ from stonekit.frame import (
     well_inside_masks,
 )
 from stonekit.order import antichain, chain, order_closure
-from stonekit.spaces import discrete_space, homeomorphic, sierpinski
+from stonekit.spaces import (
+    discrete_space,
+    homeomorphic,
+    open_set_frame,
+    sierpinski,
+)
 from stonekit.topspace import filter_space_view
 from stonekit.universes import all_spaces, lattice_universe
 
@@ -139,6 +147,27 @@ def test_center_of_six_frozen():
 
 def test_center_of_boolean_is_everything():
     assert center_lattice(diamond()) == diamond()
+
+
+def _center_rebuilt(lat):
+    """The center built from the complemented elements as a subposet."""
+    center = lattice_from_poset(lat.poset.restrict(complemented_mask(lat)))
+    inclusion = LatticeHom(center, lat, tuple(lat.index(e) for e in center.elements))
+    return CenterView(center, inclusion)
+
+
+def test_center_of_a_boolean_lattice_is_itself_as_rebuilt():
+    boolean = [lat for lat in lattice_universe(4) if is_boolean(lat)]
+    assert sorted(lat.n for lat in boolean) == [1, 2, 4, 8, 16]
+    for lat in boolean + [open_set_frame(discrete_space("abcdef"))]:
+        view = center_view(lat)
+        assert view.lattice == lat
+        assert view == _center_rebuilt(lat)
+
+
+def test_center_of_every_universe_lattice_equals_the_rebuilt_route():
+    for lat in lattice_universe(4):
+        assert center_view(lat) == _center_rebuilt(lat)
 
 
 def test_center_couniversality_by_enumeration():

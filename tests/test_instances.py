@@ -11,10 +11,12 @@ import pytest
 from stonekit.catengine import check_naturality
 from stonekit.cli import _build_parser
 from stonekit.dlat import LatticeHom, compose_homs, identity_hom, two_lattice
-from stonekit.frame import counit_hom, spectrum_map
+from stonekit.errors import BudgetExceeded
+from stonekit.frame import WAY_BELOW_MAX_ELEMENTS, counit_hom, spectrum_map
 from stonekit.instances import (
     DEFAULT_SEED,
     LAW_SUITES,
+    WAY_BELOW_SUITES,
     _sampled_spaces,
     compact_reflection_monad,
     compactification_collapse,
@@ -180,6 +182,14 @@ def test_law_suite_is_green(name):
     assert rows
     failed = [row for row in rows if not row[2]]
     assert not failed, failed[:3]
+
+
+@pytest.mark.parametrize("name", WAY_BELOW_SUITES)
+def test_way_below_suites_refuse_a_lattice_bound_past_its_cap(name):
+    # refused before the pools are built: --force lifts the pool guard
+    # rails, not the cap of an oracle the suite runs on every lattice
+    with pytest.raises(BudgetExceeded, match="way-below cap"):
+        run_suite(name, max_lattice=WAY_BELOW_MAX_ELEMENTS + 1, force=True)
 
 
 def test_law_ids_belong_to_one_suite():

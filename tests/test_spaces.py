@@ -1,8 +1,16 @@
 """Finite spaces: validation, specialization, open-set frames, homeomorphism."""
 
+from itertools import product
+
 import pytest
 
-from stonekit.dlat import compose_homs, lattice_isomorphic, downset_lattice
+from stonekit.dlat import (
+    _set_operation_lattice,
+    compose_homs,
+    downset_lattice,
+    lattice_from_poset,
+    lattice_isomorphic,
+)
 from stonekit.errors import CycleError, NotATopology, UniverseMismatch
 from stonekit.order import antichain, chain
 from stonekit.spaces import (
@@ -19,6 +27,7 @@ from stonekit.spaces import (
     indiscrete_space,
     interior_of,
     is_t0,
+    open_frame_view,
     open_preimage_hom,
     open_set_frame,
     sierpinski,
@@ -27,6 +36,7 @@ from stonekit.spaces import (
     specialization_preorder,
     subspace,
 )
+from stonekit.universes import all_spaces_upto
 
 
 def test_union_axiom_enforced():
@@ -169,3 +179,51 @@ def test_homeomorphism_distinguishes_topologies():
 def test_preorder_of_indiscrete_is_total():
     up = specialization_preorder(indiscrete_space(["a", "b"]))
     assert up == (0b11, 0b11)
+
+
+def test_open_frame_tables_equal_lattice_from_poset():
+    # the opens are closed under & and |, so the frame reads its meets and
+    # joins off intersections and unions; the twin searches the order
+    for x in all_spaces_upto(4):
+        view = open_frame_view(x)
+        assert sorted(view.masks) == list(x.opens)
+        poset = view.lattice.poset
+        fast = _set_operation_lattice(poset, view.masks)
+        assert fast is not None
+        assert fast == lattice_from_poset(poset) == view.lattice
+
+
+def _continuity_violation_plain(x, y, assignment):
+    """The first reason `assignment` is not a continuous map x -> y, in the
+    wording of ContinuousMap, by comparing point sets."""
+    if len(assignment) != x.n:
+        return "assignment length mismatch"
+    if any(not 0 <= v < max(y.n, 1) for v in assignment):
+        return "assignment value out of range"
+    opens = {frozenset(i for i in range(x.n) if (o >> i) & 1) for o in x.opens}
+    for o in y.opens:
+        members = {v for v in range(y.n) if (o >> v) & 1}
+        preimage = frozenset(i for i, v in enumerate(assignment) if v in members)
+        if preimage not in opens:
+            return f"preimage of {y.set_name(o)} is not open"
+    return None
+
+
+def test_continuous_map_errors_match_their_plain_twin():
+    # every assignment between spaces of at most three points, with one
+    # value out of range on either side and one assignment too short
+    spaces = all_spaces_upto(3)
+    verdicts = set()
+    for x, y in product(spaces, spaces):
+        values = range(-1, max(y.n, 1) + 1)
+        candidates = list(product(values, repeat=x.n)) + [(0,) * (x.n - 1)]
+        for assignment in candidates:
+            expected = _continuity_violation_plain(x, y, assignment)
+            try:
+                ContinuousMap(x, y, assignment)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == expected, (x, y, assignment)
+            verdicts.add(expected if expected is None else expected.split()[0])
+    assert verdicts == {None, "assignment", "preimage"}

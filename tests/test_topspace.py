@@ -20,6 +20,7 @@ from stonekit.spaces import (
 )
 from stonekit.topspace import (
     OpenPrimeFilter,
+    _filter_violation,
     canonical_algebra,
     check_filter_algebra,
     compactification_square,
@@ -354,3 +355,43 @@ def test_unit_laws_on_random_three_point_spaces(x):
     mu = mult_map(x)
     assert compose_maps(mu, unit_map(fx)) == identity_map(fx)
     assert compose_maps(mu, filter_map(unit_map(x))) == identity_map(fx)
+
+
+def _filter_violation_pairwise(x, members):
+    """The open prime filter check by pairwise loops over the opens: the
+    twin of topspace._filter_violation, which decides by one aggregate."""
+    opens = x.opens
+    pos = {o: i for i, o in enumerate(opens)}
+    if members == 0:
+        return "empty"
+    if members >> len(opens):
+        return "members out of range"
+    if members & 1:
+        return "contains the empty set"
+    chosen = [opens[i] for i in range(len(opens)) if (members >> i) & 1]
+    for a in chosen:
+        for b in opens:
+            if a & ~b == 0 and not (members >> pos[b]) & 1:
+                return f"not up-closed at {x.set_name(b)}"
+    for a in chosen:
+        for b in chosen:
+            if not (members >> pos[a & b]) & 1:
+                return f"not meet-closed at {x.set_name(a & b)}"
+    for a in opens:
+        for b in opens:
+            if (members >> pos[a | b]) & 1 and not (
+                (members >> pos[a]) & 1 or (members >> pos[b]) & 1
+            ):
+                return f"union {x.set_name(a | b)} in filter but no side is"
+    return None
+
+
+def test_filter_violation_matches_the_pairwise_twin():
+    verdicts = set()
+    for x in all_spaces(3):
+        # every member mask over the opens, and as many reaching past them
+        for members in range(1 << (len(x.opens) + 1)):
+            expected = _filter_violation_pairwise(x, members)
+            assert _filter_violation(x, members) == expected, (x, members)
+            verdicts.add(expected if expected is None else expected.split()[0])
+    assert verdicts == {None, "empty", "members", "contains", "not", "union"}
