@@ -13,6 +13,7 @@ from .errors import (
     CycleError,
     ForeignIdeal,
     HypothesisFailed,
+    InvalidValue,
     InvariantViolated,
     NoCanonicalAlgebra,
     NotALattice,
@@ -22,6 +23,7 @@ from .errors import (
     StonekitError,
     UniverseMismatch,
 )
+from .memo import clear_caches
 from .order import (
     FinPoset,
     MonotoneMap,

@@ -26,21 +26,33 @@ definitional twin that the tests use as its oracle:
     characters of homs_to_2_bruteforce;
   - prime_filters takes the up-sets of join-irreducibles; twins:
     prime_filters_bruteforce and homs_to_2_bruteforce.
+
+Memo contract (see memo.name_free): every check and every name-free
+derivation runs once per distinct name-free value. A lattice's `shape` is
+an int shared by exactly the lattices with equal down-sets, tables, bottom
+and top, whatever their names; hom, ideal, prime-filter and
+distributivity verdicts, the prime-filter masks and the assignments of
+ideal_functor_hom are stored under keys built from shapes and masks, and
+the names are attached per call. Only passing verdicts are stored, so a
+failure is checked again each time and its message names the caller's
+own elements.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import count, product
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .bitsets import bits, format_subset, mask_of
 from .errors import (
     BudgetExceeded,
     ForeignIdeal,
+    InvalidValue,
     NotALattice,
     NotDistributive,
     UniverseMismatch,
 )
+from .memo import name_free
 from .order import FinPoset, _unvalidated, make_poset, poset_isomorphism
 
 
@@ -86,6 +98,12 @@ class DistLattice:
 
     def subset_name(self, mask: int) -> str:
         return format_subset(self.elements, mask)
+
+    @cached_property
+    def shape(self) -> int:
+        """The lattice without its names, as an int: equal exactly for
+        lattices with equal down-sets, meet and join tables, bottom and top."""
+        return _shape_id((self.poset.down, self.meet, self.join, self.bot, self.top))
 
     @cached_property
     def join_irreducible_mask(self) -> int:
@@ -139,12 +157,27 @@ def lattice_from_poset(p: FinPoset, check: bool = True) -> DistLattice:
     return _checked(lat) if check else lat
 
 
+# shape ids are never reused, so a lattice that outlives clear_caches
+# cannot share an id with a different one built afterwards
+_SHAPE_IDS = count()
+
+
+@name_free(lambda structure: structure)
+def _shape_id(structure) -> int:
+    return next(_SHAPE_IDS)
+
+
 def _checked(lat: DistLattice) -> DistLattice:
     """lat itself, or NotDistributive with the witness triple."""
+    _check_distributive(lat)
+    return lat
+
+
+@name_free(lambda lat: lat.shape)
+def _check_distributive(lat: DistLattice) -> None:
     witness = distributivity_witness(lat)
     if witness is not None:
         raise NotDistributive(witness)
-    return lat
 
 
 def distributivity_witness(lat: DistLattice) -> Optional[Tuple[str, str, str]]:
@@ -192,9 +225,7 @@ class LatticeHom:
     assignment: Tuple[int, ...]
 
     def __post_init__(self):
-        bad = hom_violation(self.source, self.target, self.assignment)
-        if bad is not None:
-            raise ValueError(f"not a lattice homomorphism: fails {bad}")
+        _check_hom(self.source, self.target, tuple(self.assignment))
 
     def apply_index(self, i: int) -> int:
         return self.assignment[i]
@@ -224,6 +255,13 @@ def hom_violation(
             if f[join_a[b]] != image_join[f[b]]:
                 return f"join at ({src.elements[a]!r}, {src.elements[b]!r})"
     return None
+
+
+@name_free(lambda src, tgt, assignment: (src.shape, tgt.shape, assignment))
+def _check_hom(src: DistLattice, tgt: DistLattice, assignment: Tuple[int, ...]) -> None:
+    bad = hom_violation(src, tgt, assignment)
+    if bad is not None:
+        raise InvalidValue(f"not a lattice homomorphism: fails {bad}")
 
 
 def identity_hom(lat: DistLattice) -> LatticeHom:
@@ -348,9 +386,7 @@ class Ideal:
     members: int
 
     def __post_init__(self):
-        reason = _ideal_violation(self.home, self.members)
-        if reason is not None:
-            raise ValueError(f"not an ideal: {reason}")
+        _check_ideal(self.home, self.members)
 
     def member_names(self) -> Tuple[str, ...]:
         return tuple(self.home.elements[i] for i in bits(self.members))
@@ -358,6 +394,13 @@ class Ideal:
     @property
     def name(self) -> str:
         return self.home.subset_name(self.members)
+
+
+@name_free(lambda lat, mask: (lat.shape, mask))
+def _check_ideal(lat: DistLattice, mask: int) -> None:
+    reason = _ideal_violation(lat, mask)
+    if reason is not None:
+        raise InvalidValue(f"not an ideal: {reason}")
 
 
 def _ideal_violation(lat: DistLattice, mask: int) -> Optional[str]:
@@ -537,13 +580,29 @@ def ideal_functor_hom(f: LatticeHom) -> LatticeHom:
     """Hom between ideal lattices induced elementwise by ideal_image."""
     src = ideal_view(f.source)
     tgt = ideal_view(f.target)
-    assignment = []
-    for m in src.masks:
-        out = 0
+    assignment = _ideal_image_assignment(
+        src.masks, f.target.poset.down, tuple(f.assignment), tgt.masks
+    )
+    return LatticeHom(src.lattice, tgt.lattice, assignment)
+
+
+# keyed by the masks of both views, not by shapes: the inclusion_view
+# route of ideal_view orders the ideals by their names
+@name_free(lambda *args: args)
+def _ideal_image_assignment(
+    src_masks: Tuple[int, ...],
+    down: Tuple[int, ...],
+    assignment: Tuple[int, ...],
+    tgt_masks: Tuple[int, ...],
+) -> Tuple[int, ...]:
+    index = {m: i for i, m in enumerate(tgt_masks)}
+    out = []
+    for m in src_masks:
+        image = 0
         for a in bits(m):
-            out |= f.target.poset.down[f.assignment[a]]
-        assignment.append(tgt.index_of(out))
-    return LatticeHom(src.lattice, tgt.lattice, tuple(assignment))
+            image |= down[assignment[a]]
+        out.append(index[image])
+    return tuple(out)
 
 
 def frame_join_algebra(lat: DistLattice) -> LatticeHom:
@@ -568,13 +627,18 @@ class PrimeFilter:
     members: int
 
     def __post_init__(self):
-        reason = _prime_filter_violation(self.home, self.members)
-        if reason is not None:
-            raise ValueError(f"not a prime filter: {reason}")
+        _check_prime_filter(self.home, self.members)
 
     @property
     def name(self) -> str:
         return self.home.subset_name(self.members)
+
+
+@name_free(lambda lat, mask: (lat.shape, mask))
+def _check_prime_filter(lat: DistLattice, mask: int) -> None:
+    reason = _prime_filter_violation(lat, mask)
+    if reason is not None:
+        raise InvalidValue(f"not a prime filter: {reason}")
 
 
 def _prime_filter_violation(lat: DistLattice, mask: int) -> Optional[str]:
@@ -624,8 +688,13 @@ def prime_filters(lat: DistLattice) -> Tuple[PrimeFilter, ...]:
 
     In a finite distributive lattice the prime filters are exactly the
     up-sets of join-irreducible elements; candidates are still checked
-    against the definition, once, rather than trusted.
+    against the definition, once per shape, rather than trusted.
     """
+    return tuple(_unvalidated(PrimeFilter, lat, m) for m in _prime_filter_masks(lat))
+
+
+@name_free(lambda lat: lat.shape)
+def _prime_filter_masks(lat: DistLattice) -> Tuple[int, ...]:
     ups = lat.poset.up_masks
     candidates = sorted(ups[j] for j in bits(lat.join_irreducible_mask))
     out = []
@@ -633,7 +702,7 @@ def prime_filters(lat: DistLattice) -> Tuple[PrimeFilter, ...]:
         reason = _prime_filter_violation(lat, m)
         if reason is not None:
             raise NotDistributive((lat.subset_name(m), "irreducible up-set", reason))
-        out.append(_unvalidated(PrimeFilter, lat, m))
+        out.append(m)
     return tuple(out)
 
 

@@ -9,6 +9,12 @@ class StonekitError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidValue(StonekitError, ValueError):
+    """A constructor's check failed: the values given do not form the
+    structure (poset, lattice map, ideal, filter, space, continuous map)
+    asked for. Also a ValueError, as these checks raised before."""
+
+
 class CycleError(StonekitError):
     """Raised when a relation closure violates antisymmetry.
 

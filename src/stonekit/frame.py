@@ -7,6 +7,12 @@ coreflection, the prime spectrum, and the ideal comonad with its
 coalgebras. Finite degeneracies (way-below collapsing to the order, every
 ideal being principal) are theorems the tests verify against these
 definitional routes.
+
+The opens of a space of filters and the point assignment of spectrum_map
+are computed once per distinct name-free input (memo.name_free): filter
+masks for the one, the shapes of both lattices and the hom's assignment
+for the other. The names of each call's own lattices and spaces are
+attached afterwards.
 """
 
 from dataclasses import dataclass
@@ -30,6 +36,7 @@ from .dlat import (
     principal_embedding,
 )
 from .errors import BudgetExceeded, NotDistributive
+from .memo import name_free
 from .order import _unvalidated
 from .spaces import ContinuousMap, FinSpace, open_frame_view
 
@@ -260,11 +267,19 @@ def filter_space_of(
     topologized by the basic opens: sigma[a] is the point-set of the filters
     that contain carrier element a."""
     names = tuple(f"up({carrier[(m & -m).bit_length() - 1]})" for m in filters)
+    opens, sigma = _filter_opens(len(carrier), tuple(filters))
+    return FinSpace(names, opens), sigma
+
+
+@name_free(lambda *args: args)
+def _filter_opens(
+    n: int, filters: Tuple[int, ...]
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The sorted opens of a space of filters on n elements, and sigma."""
     sigma = tuple(
-        mask_of(k for k, m in enumerate(filters) if (m >> a) & 1)
-        for a in range(len(carrier))
+        mask_of(k for k, m in enumerate(filters) if (m >> a) & 1) for a in range(n)
     )
-    return FinSpace(names, tuple(sorted(set(sigma)))), sigma
+    return tuple(sorted(set(sigma))), sigma
 
 
 @dataclass(frozen=True)
@@ -304,17 +319,31 @@ def spectrum_map(h: LatticeHom) -> ContinuousMap:
     """
     src = spectrum_view(h.target)
     tgt = spectrum_view(h.source)
+    return ContinuousMap(
+        src.space, tgt.space, _spectrum_assignment(h, src.filters, tgt.point_of)
+    )
+
+
+# the filters of both spectra are fixed by the shapes, so the hom's
+# shapes and assignment determine the point assignment
+@name_free(lambda h, filters, point_of: (
+    h.source.shape, h.target.shape, tuple(h.assignment)
+))
+def _spectrum_assignment(
+    h: LatticeHom, filters: Tuple[int, ...], point_of: Dict[int, int]
+) -> Tuple[int, ...]:
+    """The point of the pull-back through h of each target filter."""
     # preimages[v] is the set of source elements sent to target element v
     preimages = [0] * h.target.n
     for a, v in enumerate(h.assignment):
         preimages[v] |= 1 << a
     assignment = []
-    for fm in src.filters:
+    for fm in filters:
         pulled = 0
         for v in bits(fm):
             pulled |= preimages[v]
-        assignment.append(tgt.point_of[pulled])
-    return ContinuousMap(src.space, tgt.space, tuple(assignment))
+        assignment.append(point_of[pulled])
+    return tuple(assignment)
 
 
 def point_character(lat: DistLattice, point: str) -> LatticeHom:

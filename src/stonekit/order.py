@@ -11,7 +11,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .bitsets import bits, mask_of
-from .errors import CycleError
+from .errors import CycleError, InvalidValue
 
 
 @dataclass(frozen=True)
@@ -24,22 +24,22 @@ class FinPoset:
     def __post_init__(self):
         n = len(self.elements)
         if len(self.down) != n:
-            raise ValueError("down mask count does not match element count")
+            raise InvalidValue("down mask count does not match element count")
         if len(set(self.elements)) != n:
-            raise ValueError("duplicate element names")
+            raise InvalidValue("duplicate element names")
         full = (1 << n) - 1
         for i, d in enumerate(self.down):
             if d & ~full:
-                raise ValueError("down mask out of range")
+                raise InvalidValue("down mask out of range")
             if not (d >> i) & 1:
-                raise ValueError(f"relation not reflexive at {self.elements[i]!r}")
+                raise InvalidValue(f"relation not reflexive at {self.elements[i]!r}")
             # canonical order is a linear extension: predecessors sit at lower indices
             if d >> (i + 1):
-                raise ValueError("element order is not a linear extension")
+                raise InvalidValue("element order is not a linear extension")
         for i in range(n):
             for j in bits(self.down[i]):
                 if self.down[j] & ~self.down[i]:
-                    raise ValueError("relation not transitive")
+                    raise InvalidValue("relation not transitive")
 
     @cached_property
     def n(self) -> int:
@@ -192,11 +192,11 @@ class MonotoneMap:
 
     def __post_init__(self):
         if len(self.assignment) != self.source.n:
-            raise ValueError("assignment length mismatch")
+            raise InvalidValue("assignment length mismatch")
         for j in range(self.source.n):
             for i in bits(self.source.down[j]):
                 if not self.target.leq_index(self.assignment[i], self.assignment[j]):
-                    raise ValueError(
+                    raise InvalidValue(
                         "map is not monotone at "
                         f"({self.source.elements[i]!r}, {self.source.elements[j]!r})"
                     )

@@ -4,6 +4,10 @@ Opens are bitmasks over the point tuple, stored sorted ascending, and the
 constructor enforces the closure axioms, so two equal-looking spaces are
 equal as values. All finite topologies are Alexandrov: arbitrary meets of
 opens are again open, which the rest of the package leans on freely.
+
+The closure check of a family of opens and the continuity check of a map
+run once per distinct (opens, assignment) value, whatever the point names
+(memo.name_free); only passing verdicts are stored.
 """
 
 from dataclasses import dataclass
@@ -12,7 +16,8 @@ from typing import Iterable, Optional, Tuple
 
 from .bitsets import bits, format_subset, mask_of
 from .dlat import DistLattice, LatticeHom, SetLatticeView, inclusion_view
-from .errors import CycleError, NotATopology, UniverseMismatch
+from .errors import CycleError, InvalidValue, NotATopology, UniverseMismatch
+from .memo import name_free
 from .order import FinPoset, _unvalidated, make_poset, transpose
 
 
@@ -24,7 +29,7 @@ class FinSpace:
     def __post_init__(self):
         n = len(self.points)
         if len(set(self.points)) != n:
-            raise ValueError("duplicate point names")
+            raise InvalidValue("duplicate point names")
         full = (1 << n) - 1
         if list(self.opens) != sorted(set(self.opens)):
             raise NotATopology("opens must be distinct and sorted ascending")
@@ -35,19 +40,7 @@ class FinSpace:
             )
         if not self.opens:
             raise NotATopology("no opens given")
-        have = set(self.opens)
-        for a in self.opens:
-            for b in self.opens:
-                if a | b not in have:
-                    raise NotATopology(
-                        f"union of {self.set_name(a)} and {self.set_name(b)} not open",
-                        witness=(a, b),
-                    )
-                if a & b not in have:
-                    raise NotATopology(
-                        f"intersection of {self.set_name(a)} and {self.set_name(b)} not open",
-                        witness=(a, b),
-                    )
+        _check_closed(self)
 
     @property
     def n(self) -> int:
@@ -75,6 +68,24 @@ class FinSpace:
         return out
 
 
+@name_free(lambda x: tuple(x.opens))
+def _check_closed(x: FinSpace) -> None:
+    """NotATopology unless the opens are closed under union and intersection."""
+    have = set(x.opens)
+    for a in x.opens:
+        for b in x.opens:
+            if a | b not in have:
+                raise NotATopology(
+                    f"union of {x.set_name(a)} and {x.set_name(b)} not open",
+                    witness=(a, b),
+                )
+            if a & b not in have:
+                raise NotATopology(
+                    f"intersection of {x.set_name(a)} and {x.set_name(b)} not open",
+                    witness=(a, b),
+                )
+
+
 def discrete_space(names: Iterable[str]) -> FinSpace:
     names = tuple(names)
     return FinSpace(names, tuple(range(1 << len(names))))
@@ -92,20 +103,35 @@ def sierpinski() -> FinSpace:
 
 
 def space_from_basis(names: Iterable[str], basis: Iterable[int]) -> FinSpace:
-    """Close a family of point-masks under union and intersection."""
+    """Close a family of point-masks under union and intersection.
+
+    The closure is the family of unions of the minimal neighbourhoods U_x,
+    the meet of the given sets that hold x: each U_x is such a meet, each
+    given set is the union of the U_x of its points, and U_x & U_y is the
+    union of the U_z inside it. So it grows from {} by s -> s | U_x, in
+    O(opens x points) steps."""
     names = tuple(names)
     full = (1 << len(names)) - 1
-    have = {0, full} | set(basis)
-    grown = True
-    while grown:
-        grown = False
-        current = list(have)
-        for i, a in enumerate(current):
-            for b in current[i:]:
-                for c in (a | b, a & b):
-                    if c not in have:
-                        have.add(c)
-                        grown = True
+    basis = list(basis)
+    for m in basis:
+        if m & ~full:
+            raise NotATopology(f"set mask {m} reaches past the {len(names)} points")
+    nbhds = set()
+    for x in range(len(names)):
+        u = full
+        for m in basis:
+            if (m >> x) & 1:
+                u &= m
+        nbhds.add(u)
+    have = {0}
+    todo = [0]
+    while todo:
+        s = todo.pop()
+        for u in nbhds:
+            t = s | u
+            if t not in have:
+                have.add(t)
+                todo.append(t)
     return FinSpace(names, tuple(sorted(have)))
 
 
@@ -138,31 +164,34 @@ class ContinuousMap:
     assignment: Tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.assignment) != self.source.n:
-            raise ValueError("assignment length mismatch")
-        for v in self.assignment:
-            if not 0 <= v < max(self.target.n, 1):
-                raise ValueError("assignment value out of range")
-        # fibres[v] is the point-set sent to target point v, and the
-        # preimage of an open the union of the fibres of its points
-        fibres = [0] * max(self.target.n, 1)
-        for i, v in enumerate(self.assignment):
-            fibres[v] |= 1 << i
-        src_opens = set(self.source.opens)
-        for o in self.target.opens:
-            pre = 0
-            for v in bits(o):
-                pre |= fibres[v]
-            if pre not in src_opens:
-                raise ValueError(
-                    f"preimage of {self.target.set_name(o)} is not open"
-                )
+        _check_continuous(self.source, self.target, tuple(self.assignment))
 
     def apply(self, name: str) -> str:
         return self.target.points[self.assignment[self.source.index(name)]]
 
     def image_mask(self, mask: int) -> int:
         return mask_of(self.assignment[i] for i in bits(mask))
+
+
+@name_free(lambda x, y, assignment: (tuple(x.opens), tuple(y.opens), assignment))
+def _check_continuous(x: FinSpace, y: FinSpace, assignment: Tuple[int, ...]) -> None:
+    if len(assignment) != x.n:
+        raise InvalidValue("assignment length mismatch")
+    for v in assignment:
+        if not 0 <= v < max(y.n, 1):
+            raise InvalidValue("assignment value out of range")
+    # fibres[v] is the point-set sent to target point v, and the
+    # preimage of an open the union of the fibres of its points
+    fibres = [0] * max(y.n, 1)
+    for i, v in enumerate(assignment):
+        fibres[v] |= 1 << i
+    src_opens = set(x.opens)
+    for o in y.opens:
+        pre = 0
+        for v in bits(o):
+            pre |= fibres[v]
+        if pre not in src_opens:
+            raise InvalidValue(f"preimage of {y.set_name(o)} is not open")
 
 
 def preimage_mask(assignment: Tuple[int, ...], target_mask: int) -> int:

@@ -16,7 +16,12 @@ from typing import Optional, Tuple
 
 from .bitsets import bits, format_subset, mask_of
 from .dlat import LatticeHom, ideal_view, prime_filters
-from .errors import BudgetExceeded, InvariantViolated, NoCanonicalAlgebra
+from .errors import (
+    BudgetExceeded,
+    InvalidValue,
+    InvariantViolated,
+    NoCanonicalAlgebra,
+)
 from .frame import center_view, filter_space_of, spectrum_view
 from .spaces import (
     ContinuousMap,
@@ -42,7 +47,7 @@ class OpenPrimeFilter:
     def __post_init__(self):
         reason = _filter_violation(self.space, self.members)
         if reason is not None:
-            raise ValueError(f"not an open prime filter: {reason}")
+            raise InvalidValue(f"not an open prime filter: {reason}")
 
     def open_masks(self) -> Tuple[int, ...]:
         return tuple(self.space.opens[i] for i in bits(self.members))

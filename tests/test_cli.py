@@ -298,3 +298,53 @@ def test_cechstone_on_eight_discrete_points_fits_in_one_gib(tmp_path):
         '# cechstone "discrete8": both sides: 8 points, ISO'
     )
     assert len(out) < 100_000
+
+
+# a child that swaps meet and join in the ideal lattices that ideal_view
+# builds by relabelling, then runs the CLI on its own arguments
+SWAPPED_IDEAL_TABLES = """
+import sys
+from functools import lru_cache
+
+from stonekit import cli, dlat
+
+original = dlat.ideal_view
+
+
+@lru_cache(maxsize=None)
+def swapped(lat):
+    view = original(lat)
+    if view.masks != lat.poset.down:
+        return view
+    i = view.lattice
+    return dlat.SetLatticeView(
+        dlat.DistLattice(i.poset, i.join, i.meet, i.bot, i.top), view.masks
+    )
+
+
+for module in list(sys.modules.values()):
+    if getattr(module, "__name__", "").startswith("stonekit"):
+        if getattr(module, "ideal_view", None) is original:
+            module.ideal_view = swapped
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_suite_map_failing_its_check_ends_in_one_invalid_line():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    child = subprocess.Popen(
+        [sys.executable, "-c", SWAPPED_IDEAL_TABLES, "laws", "--suite", "lifting",
+         "--max-points", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+    lines = err.decode().splitlines()
+    assert child.returncode == 1
+    assert "Traceback" not in err.decode()
+    assert len(lines) == 1
+    assert lines[0].startswith("invalid: not a lattice homomorphism: fails ")

@@ -9,8 +9,10 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from stonekit import dlat
 from stonekit.dlat import (
     _set_operation_lattice,
+    DistLattice,
     Ideal,
     LatticeHom,
     all_lattice_homs,
@@ -40,6 +42,7 @@ from stonekit.dlat import (
     join_irreducibles,
     lattice_from_poset,
     lattice_isomorphic,
+    lattice_isomorphism,
     prime_filters,
     prime_filters_bruteforce,
     principal_embedding,
@@ -51,6 +54,7 @@ from stonekit.dlat import (
 from stonekit.errors import (
     BudgetExceeded,
     ForeignIdeal,
+    InvalidValue,
     NotALattice,
     NotDistributive,
     UniverseMismatch,
@@ -62,6 +66,7 @@ from stonekit.order import (
     order_closure,
     poset_isomorphic,
 )
+from stonekit.instances import frame_morphisms
 from stonekit.universes import all_posets, all_posets_upto, lattice_universe
 
 
@@ -613,3 +618,152 @@ def test_hom_violation_matches_its_plain_twin():
             assert hom_violation(src, tgt, f) == expected, (src, tgt, f)
             verdicts.add(expected if expected is None else expected.split()[0])
     assert verdicts == {None, "bottom", "top", "meet", "join"}
+
+
+# ---------------------------------------------------------------------------
+# memo contract: each check and name-free derivation runs once per distinct
+# name-free value, and a failure is never stored
+
+
+def relabelled(lat, prefix, check=True):
+    """lat with each element e renamed prefix + e: the names sort as
+    before, so the element order, the tables and the shape stay."""
+    return lattice_from_poset(
+        make_poset([prefix + e for e in lat.elements], lat.poset.down), check=check
+    )
+
+
+def renested(lat):
+    """lat with element k renamed `x` followed by k copies of `(1)`: these
+    names sort as the old ones need not, and `down(x(1))` sorts before
+    `down(x)`, so ideal_view takes its inclusion_view route."""
+    return lattice_from_poset(
+        make_poset(["x" + "(1)" * k for k in range(lat.n)], lat.poset.down)
+    )
+
+
+def test_relabelled_copies_share_a_shape_and_swapped_tables_do_not():
+    lat = diamond()
+    copy = relabelled(lat, "p")
+    assert copy.elements != lat.elements and copy.shape == lat.shape
+    swapped = DistLattice(lat.poset, lat.join, lat.meet, lat.bot, lat.top)
+    assert swapped.shape != lat.shape
+
+
+def test_failed_hom_check_is_not_stored():
+    two = two_lattice()
+    # the character of neither atom: it fails the join of the two atoms
+    bad = (0, 0, 0, 1)
+    for prefix in ("p", "q", "p"):
+        lat = relabelled(diamond(), prefix)
+        with pytest.raises(InvalidValue) as err:
+            LatticeHom(lat, two, bad)
+        assert str(err.value) == (
+            f"not a lattice homomorphism: fails join at "
+            f"('{prefix}{{a}}', '{prefix}{{b}}')"
+        )
+        assert (lat.shape, two.shape, bad) not in dlat._check_hom.table
+
+
+def test_failed_ideal_and_prime_filter_checks_are_not_stored():
+    for prefix in ("p", "q", "p"):
+        lat = relabelled(chain3(), prefix)
+        with pytest.raises(InvalidValue, match=f"not down-closed at '{prefix}{{a}}'"):
+            Ideal(lat, 0b010)
+        with pytest.raises(InvalidValue, match=f"not up-closed at '{prefix}{{a}}'"):
+            PrimeFilter(lat, 0b010)
+        assert (lat.shape, 0b010) not in dlat._check_ideal.table
+        assert (lat.shape, 0b010) not in dlat._check_prime_filter.table
+
+
+def test_failed_distributivity_check_is_not_stored():
+    m3 = m3_candidate()
+    for prefix in ("p", "q", "p"):
+        lat = relabelled(m3, prefix, check=False)
+        with pytest.raises(NotDistributive) as err:
+            dlat._checked(lat)
+        assert err.value.witness == (prefix + "a", prefix + "b", prefix + "c")
+    assert m3.shape not in dlat._check_distributive.table
+
+
+def test_memo_keys_cover_the_tables_not_only_the_order():
+    # two check=False lattices on one poset: the diamond, and the diamond
+    # with meet and join swapped; a verdict on one must not answer the other
+    lat = diamond()
+    swapped = DistLattice(lat.poset, lat.join, lat.meet, lat.bot, lat.top)
+    two = two_lattice()
+    character = (0, 1, 0, 1)  # the prime filter up({a})
+    LatticeHom(lat, two, character)
+    with pytest.raises(InvalidValue, match="fails meet"):
+        LatticeHom(swapped, two, character)
+    with pytest.raises(InvalidValue, match="not join-closed"):
+        Ideal(lat, 0b0111)
+    Ideal(swapped, 0b0111)
+    PrimeFilter(swapped, 0b1110)
+    with pytest.raises(InvalidValue, match="not meet-closed"):
+        PrimeFilter(lat, 0b1110)
+    # M3 with each join replaced by the later element of the pair passes
+    # Birkhoff's test; the true M3 on the same poset must still fail it
+    m3 = m3_candidate()
+    later = tuple(tuple(max(a, b) for b in range(m3.n)) for a in range(m3.n))
+    fake = DistLattice(m3.poset, m3.meet, later, m3.bot, m3.top)
+    assert dlat._checked(fake) is fake
+    with pytest.raises(NotDistributive):
+        dlat._checked(m3)
+
+
+def fresh_prime_filter_masks(lat):
+    """The up-sets of the elements with exactly one lower cover, sorted."""
+    covers = lat.poset.covers()
+    irreducible = [j for j in range(lat.n) if sum(1 for _, k in covers if k == j) == 1]
+    return sorted(lat.poset.up_masks[j] for j in irreducible)
+
+
+def test_memoised_prime_filter_masks_equal_fresh_ones():
+    lats = lattice_universe(4)
+    for lat in lats + tuple(relabelled(lat, "p") for lat in lats):
+        filters = prime_filters(lat)
+        assert [f.members for f in filters] == fresh_prime_filter_masks(lat)
+        assert all(f.home is lat for f in filters)
+    for lat in lattice_universe(3):
+        copy = renested(lat)
+        assert [f.members for f in prime_filters(copy)] == list(
+            prime_filters_bruteforce(copy)
+        )
+
+
+def fresh_ideal_functor_assignment(f):
+    src = ideal_view(f.source)
+    tgt = ideal_view(f.target)
+    out = []
+    for m in src.masks:
+        image = 0
+        for a in range(f.source.n):
+            if (m >> a) & 1:
+                image |= f.target.poset.down[f.assignment[a]]
+        out.append(tgt.masks.index(image))
+    return tuple(out)
+
+
+def test_memoised_ideal_functor_homs_equal_fresh_ones():
+    homs = list(frame_morphisms(2))
+    for f in frame_morphisms(2):
+        for rename in (lambda lat: relabelled(lat, "p"), renested):
+            source, target = rename(f.source), rename(f.target)
+            assign = f.assignment
+            if rename is renested:
+                # renested reorders the elements: carry the map across by
+                # the order isomorphisms
+                to_new = lattice_isomorphism(f.source, source).assignment
+                from_old = lattice_isomorphism(f.target, target).assignment
+                assign = [0] * source.n
+                for a, v in enumerate(f.assignment):
+                    assign[to_new[a]] = from_old[v]
+            homs.append(LatticeHom(source, target, tuple(assign)))
+    routes = set()
+    for f in homs:
+        g = ideal_functor_hom(f)
+        assert g.assignment == fresh_ideal_functor_assignment(f)
+        assert g.source is ideal_view(f.source).lattice
+        routes.add(ideal_view(f.source).masks == f.source.poset.down)
+    assert routes == {True, False}

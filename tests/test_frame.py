@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stonekit.bitsets import mask_of
+from stonekit.memo import MEMOS, clear_caches
 from stonekit.cli import main
 from stonekit.dlat import (
     Ideal,
@@ -17,6 +18,8 @@ from stonekit.dlat import (
     ideal_view,
     lattice_from_poset,
     lattice_isomorphic,
+    PrimeFilter,
+    prime_filters,
     principal_embedding,
     two_lattice,
 )
@@ -46,12 +49,14 @@ from stonekit.frame import (
     point_character,
     spatiality_hom,
     spectrum,
+    spectrum_map,
     spectrum_view,
     stably_compact_report,
     way_below,
     well_inside_masks,
 )
-from stonekit.order import antichain, chain, order_closure
+from stonekit.instances import frame_morphisms, run_suite
+from stonekit.order import antichain, chain, make_poset, order_closure
 from stonekit.spaces import (
     discrete_space,
     homeomorphic,
@@ -423,3 +428,107 @@ def test_all_finite_homs_are_proper():
 @given(st.sampled_from(lattice_universe(3)))
 def test_way_below_matches_order_universewide(lat):
     assert way_below(lat).below == lat.poset.down
+
+
+# ---------------------------------------------------------------------------
+# memo contract: the filter-space opens and the spectrum_map assignments are
+# computed once per name-free input; each check runs once per distinct key
+
+
+def relabelled(lat, prefix):
+    """lat with each element e renamed prefix + e; the shape stays."""
+    return lattice_from_poset(
+        make_poset([prefix + e for e in lat.elements], lat.poset.down)
+    )
+
+
+def test_memoised_filter_space_opens_equal_fresh_ones():
+    lats = lattice_universe(4)
+    for lat in lats + tuple(relabelled(lat, "p") for lat in lats):
+        view = spectrum_view(lat)
+        sigma = tuple(
+            mask_of(k for k, m in enumerate(view.filters) if (m >> a) & 1)
+            for a in range(lat.n)
+        )
+        assert view.sigma == sigma
+        assert view.space.opens == tuple(sorted(set(sigma)))
+        assert view.space.points == tuple(
+            f"up({lat.elements[(m & -m).bit_length() - 1]})" for m in view.filters
+        )
+
+
+def fresh_spectrum_assignment(h):
+    src = spectrum_view(h.target).filters
+    tgt = spectrum_view(h.source).filters
+    out = []
+    for fm in src:
+        pulled = mask_of(a for a, v in enumerate(h.assignment) if (fm >> v) & 1)
+        out.append(tgt.index(pulled))
+    return tuple(out)
+
+
+def test_memoised_spectrum_maps_equal_fresh_ones():
+    homs = list(frame_morphisms(2))
+    homs += [
+        LatticeHom(relabelled(h.source, "p"), relabelled(h.target, "q"), h.assignment)
+        for h in frame_morphisms(2)
+    ]
+    for h in homs:
+        f = spectrum_map(h)
+        assert f.assignment == fresh_spectrum_assignment(h)
+        assert f.source is spectrum(h.target) and f.target is spectrum(h.source)
+
+
+def _structure(lat):
+    return (lat.poset.down, lat.meet, lat.join, lat.bot, lat.top)
+
+
+# the name-free value each memo stands for, spelt out from the arguments
+# without shapes, so that a shape given to two equal lattices apart would
+# show up as one value checked twice
+NAME_FREE_VALUE = {
+    "_shape_id": lambda structure: structure,
+    "_check_distributive": _structure,
+    "_check_hom": lambda s, t, f: (_structure(s), _structure(t), f),
+    "_check_ideal": lambda lat, m: (_structure(lat), m),
+    "_check_prime_filter": lambda lat, m: (_structure(lat), m),
+    "_prime_filter_masks": _structure,
+    "_ideal_image_assignment": lambda *masks: masks,
+    "_check_closed": lambda x: x.opens,
+    "_check_continuous": lambda x, y, f: (x.opens, y.opens, f),
+    "_filter_opens": lambda n, filters: (n, filters),
+    "_spectrum_assignment": lambda h, filters, point_of: (
+        _structure(h.source),
+        _structure(h.target),
+        h.assignment,
+    ),
+}
+
+
+def test_each_name_free_value_is_checked_once(monkeypatch):
+    assert sorted(memo.__name__ for memo in MEMOS) == sorted(NAME_FREE_VALUE)
+    clear_caches()
+    runs = {memo.__name__: [] for memo in MEMOS}
+    for memo in MEMOS:
+
+        def counted(*args, inner=memo.__wrapped__, name=memo.__name__):
+            runs[name].append(NAME_FREE_VALUE[name](*args))
+            return inner(*args)
+
+        monkeypatch.setattr(memo, "__wrapped__", counted)
+    try:
+        rows = list(run_suite("lifting", max_points=2))
+        # no suite builds a checked PrimeFilter: build one per prime filter
+        # of each small lattice and of a relabelled copy
+        for lat in lattice_universe(3):
+            for home in (lat, relabelled(lat, "p")):
+                for f in prime_filters(home):
+                    PrimeFilter(home, f.members)
+        assert len(rows) == 733 and all(ok for _, _, ok, _ in rows)
+        for memo in MEMOS:
+            values = runs[memo.__name__]
+            assert values, memo.__name__
+            assert len(values) == len(set(values)), memo.__name__
+            assert len(memo.table) == len(values), memo.__name__
+    finally:
+        clear_caches()

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports at top level is used in it,
-every top-level function and class of the package is used somewhere, and
-the package states no check as an `assert`.
+every top-level function and class of the package is used somewhere, the
+package states no check as an `assert`, and `clear_caches` empties every
+cache the package fills.
 
 The package's `__init__.py` is exempt from the import rule, since its
 imports are re-exports, and its re-exports do not count as uses. `python -O`
@@ -9,10 +10,16 @@ there.
 """
 
 import ast
+import sys
+import types
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+
+from stonekit.instances import run_suite
+from stonekit.memo import clear_caches
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "stonekit").glob("*.py"))
@@ -114,3 +121,73 @@ def test_every_package_definition_is_used():
     package = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     others = [p.read_text(encoding="utf-8") for p in TESTS + DEMOS]
     assert unreferenced_definitions(package, others) == []
+
+
+def cache_sizes(modules) -> dict:
+    """`module.name` -> (kind, size) for each lru_cache function ("cache":
+    its currsize), each memo with a `table` dict ("cache": its length) and
+    each module-level dict, set or list ("container": its length)."""
+    out = {}
+    for module in modules:
+        for name, obj in vars(module).items():
+            if name.startswith("__"):
+                continue
+            key = f"{module.__name__}.{name}"
+            if callable(getattr(obj, "cache_info", None)):
+                out[key] = ("cache", obj.cache_info().currsize)
+            elif isinstance(getattr(obj, "table", None), dict):
+                out[key] = ("cache", len(obj.table))
+            elif isinstance(obj, (dict, set, list)):
+                out[key] = ("container", len(obj))
+    return out
+
+
+def uncleared(modules, run) -> tuple:
+    """Run `run` from cleared caches and call clear_caches; returns the
+    caches the run filled, and the caches and containers that still hold
+    something: a cache anything, a container more than before the run."""
+    clear_caches()
+    start = cache_sizes(modules)
+    run()
+    filled = sorted(k for k, (kind, n) in cache_sizes(modules).items() if n and kind == "cache")
+    clear_caches()
+    left = [
+        key
+        for key, (kind, n) in cache_sizes(modules).items()
+        if n > (start.get(key, (kind, 0))[1] if kind == "container" else 0)
+    ]
+    return filled, sorted(left)
+
+
+def test_a_cache_that_clear_caches_misses_is_reported():
+    fake = types.ModuleType("fake")
+    fake.seen = {}
+    fake.constants = [1, 2]
+    fake.table_holder = types.SimpleNamespace(table={})
+
+    @lru_cache(maxsize=None)
+    def view(x):
+        return x
+
+    fake.view = view
+
+    def run():
+        fake.seen[1] = 1
+        fake.table_holder.table[2] = 2
+        view(3)
+
+    filled, left = uncleared([fake], run)
+    assert filled == ["fake.table_holder", "fake.view"]
+    assert left == ["fake.seen", "fake.table_holder", "fake.view"]
+
+
+def test_clear_caches_empties_every_view_and_memo_table():
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "stonekit"]
+    filled, left = uncleared(
+        modules, lambda: list(run_suite("lifting", max_points=2))
+    )
+    for view in ("dlat.ideal_view", "dlat.prime_filters", "frame.spectrum_view"):
+        assert f"stonekit.{view}" in filled
+    for memo in ("dlat._check_hom", "spaces._check_continuous", "frame._filter_opens"):
+        assert f"stonekit.{memo}" in filled
+    assert left == []

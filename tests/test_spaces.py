@@ -1,6 +1,7 @@
 """Finite spaces: validation, specialization, open-set frames, homeomorphism."""
 
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
 
@@ -11,7 +12,8 @@ from stonekit.dlat import (
     lattice_from_poset,
     lattice_isomorphic,
 )
-from stonekit.errors import CycleError, NotATopology, UniverseMismatch
+from stonekit import spaces
+from stonekit.errors import CycleError, InvalidValue, NotATopology, UniverseMismatch
 from stonekit.order import antichain, chain
 from stonekit.spaces import (
     ContinuousMap,
@@ -227,3 +229,88 @@ def test_continuous_map_errors_match_their_plain_twin():
             assert got == expected, (x, y, assignment)
             verdicts.add(expected if expected is None else expected.split()[0])
     assert verdicts == {None, "assignment", "preimage"}
+
+
+def space_from_basis_fixpoint(names, basis):
+    """The definitional twin: add unions and intersections of pairs of the
+    family until a round adds nothing."""
+    names = tuple(names)
+    full = (1 << len(names)) - 1
+    have = {0, full} | set(basis)
+    grown = True
+    while grown:
+        grown = False
+        current = list(have)
+        for i, a in enumerate(current):
+            for b in current[i:]:
+                for c in (a | b, a & b):
+                    if c not in have:
+                        have.add(c)
+                        grown = True
+    return FinSpace(names, tuple(sorted(have)))
+
+
+def test_space_from_basis_matches_the_fixpoint_on_every_small_family():
+    names = ("a", "b", "c")
+    checked = 0
+    for size in range(4):
+        for family in combinations(range(8), size):
+            got = space_from_basis(names, family)
+            assert got == space_from_basis_fixpoint(names, family), family
+            checked += 1
+    assert checked == 1 + 8 + 28 + 56
+
+
+def test_space_from_basis_matches_the_fixpoint_on_random_bases():
+    rng = random.Random(20261018)
+    sizes = set()
+    for _ in range(200):
+        n = rng.randint(0, 7)
+        names = tuple(f"p{i}" for i in range(n))
+        basis = [rng.randrange(1 << n) for _ in range(rng.randint(0, 6))]
+        got = space_from_basis(names, basis)
+        assert got == space_from_basis_fixpoint(names, basis), (n, basis)
+        sizes.add(len(got.opens))
+    assert len(sizes) > 10
+
+
+def test_space_from_basis_refuses_a_mask_past_the_points():
+    with pytest.raises(NotATopology):
+        space_from_basis(("a", "b"), [0b100])
+
+
+# ---------------------------------------------------------------------------
+# memo contract: the closure and continuity checks run once per distinct
+# (opens, assignment), and a failure is never stored
+
+
+def test_failed_continuity_check_is_not_stored():
+    for prefix in ("p", "q", "p"):
+        x = FinSpace((prefix + "0", prefix + "1"), sierpinski().opens)
+        with pytest.raises(InvalidValue) as err:
+            ContinuousMap(x, x, (1, 0))
+        assert str(err.value) == f"preimage of {{{prefix}1}} is not open"
+        assert (x.opens, x.opens, (1, 0)) not in spaces._check_continuous.table
+
+
+def test_failed_closure_check_is_not_stored():
+    opens = (0b000, 0b011, 0b110, 0b111)
+    for prefix in ("p", "q", "p"):
+        names = tuple(prefix + e for e in "xyz")
+        with pytest.raises(NotATopology) as err:
+            FinSpace(names, opens)
+        assert str(err.value) == (
+            f"intersection of {{{prefix}x,{prefix}y}} and "
+            f"{{{prefix}y,{prefix}z}} not open"
+        )
+    assert opens not in spaces._check_closed.table
+
+
+def test_a_stored_verdict_still_checks_each_map_on_its_own_spaces():
+    x = sierpinski()
+    discrete = discrete_space(("0", "1"))
+    ContinuousMap(discrete, x, (1, 0))
+    with pytest.raises(InvalidValue):
+        ContinuousMap(x, x, (1, 0))
+    with pytest.raises(InvalidValue, match="length"):
+        ContinuousMap(x, discrete, (1,))
