@@ -333,8 +333,8 @@ sys.exit(cli.main(sys.argv[1:]))
 def test_a_suite_map_failing_its_check_ends_in_one_invalid_line():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     child = subprocess.Popen(
-        [sys.executable, "-c", SWAPPED_IDEAL_TABLES, "laws", "--suite", "lifting",
-         "--max-points", "2"],
+        [sys.executable, "-c", SWAPPED_IDEAL_TABLES]
+        + ["laws", "--suite", "lifting", "--max-points", "2"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
