@@ -27,15 +27,16 @@ definitional twin that the tests use as its oracle:
   - prime_filters takes the up-sets of join-irreducibles; twins:
     prime_filters_bruteforce and homs_to_2_bruteforce.
 
-Memo contract (see memo.name_free): every check and every name-free
-derivation runs once per distinct name-free value. A lattice's `shape` is
-an int shared by exactly the lattices with equal down-sets, tables, bottom
-and top, whatever their names; hom, ideal, prime-filter and
-distributivity verdicts, the prime-filter masks and the assignments of
-ideal_functor_hom are stored under keys built from shapes and masks, and
-the names are attached per call. Only passing verdicts are stored, so a
-failure is checked again each time and its message names the caller's
-own elements.
+Memo contract (see memo.name_free): the hom, ideal and distributivity
+checks, the prime-filter masks and the assignments of ideal_functor_hom
+run once per distinct name-free value. A lattice's `shape` is an int
+shared by exactly the lattices with equal down-sets, tables, bottom and
+top, whatever their names; the results are stored under keys built from
+shapes and masks, and the names are attached per call. Only passing
+verdicts are stored, so a failure is checked again each time and its
+message names the caller's own elements. The PrimeFilter check is not
+memoised: prime_filters builds its filters from checked masks, so only
+character_filter runs it.
 """
 
 from dataclasses import dataclass
@@ -627,18 +628,13 @@ class PrimeFilter:
     members: int
 
     def __post_init__(self):
-        _check_prime_filter(self.home, self.members)
+        reason = _prime_filter_violation(self.home, self.members)
+        if reason is not None:
+            raise InvalidValue(f"not a prime filter: {reason}")
 
     @property
     def name(self) -> str:
         return self.home.subset_name(self.members)
-
-
-@name_free(lambda lat, mask: (lat.shape, mask))
-def _check_prime_filter(lat: DistLattice, mask: int) -> None:
-    reason = _prime_filter_violation(lat, mask)
-    if reason is not None:
-        raise InvalidValue(f"not a prime filter: {reason}")
 
 
 def _prime_filter_violation(lat: DistLattice, mask: int) -> Optional[str]:

@@ -16,6 +16,9 @@ from functools import wraps
 # every function decorated with name_free, in definition order
 MEMOS = []
 
+# marks a key with no stored result; None is a stored verdict
+_MISS = object()
+
 
 def name_free(key):
     """Memoise a function on key(*args); `.table` holds the stored results
@@ -27,13 +30,11 @@ def name_free(key):
         @wraps(fn)
         def memoised(*args):
             k = key(*args)
-            try:
-                return table[k]
-            except KeyError:
+            value = table.get(k, _MISS)
+            if value is _MISS:
                 value = table[k] = memoised.__wrapped__(*args)
-                return value
+            return value
 
-        memoised.key = key
         memoised.table = table
         MEMOS.append(memoised)
         return memoised

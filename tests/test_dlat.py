@@ -673,7 +673,18 @@ def test_failed_ideal_and_prime_filter_checks_are_not_stored():
         with pytest.raises(InvalidValue, match=f"not up-closed at '{prefix}{{a}}'"):
             PrimeFilter(lat, 0b010)
         assert (lat.shape, 0b010) not in dlat._check_ideal.table
-        assert (lat.shape, 0b010) not in dlat._check_prime_filter.table
+
+
+def test_failed_check_is_not_raised_inside_the_memo_lookup():
+    # a miss runs the check outside any handler, so its error carries no
+    # implicit context (no "During handling of ..." with the memo key)
+    lat = relabelled(diamond(), "p")
+    with pytest.raises(InvalidValue) as err:
+        LatticeHom(lat, two_lattice(), (0, 0, 0, 1))
+    assert err.value.__context__ is None
+    with pytest.raises(NotDistributive) as err:
+        dlat._checked(m3_candidate())
+    assert err.value.__context__ is None
 
 
 def test_failed_distributivity_check_is_not_stored():

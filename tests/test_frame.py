@@ -18,8 +18,6 @@ from stonekit.dlat import (
     ideal_view,
     lattice_from_poset,
     lattice_isomorphic,
-    PrimeFilter,
-    prime_filters,
     principal_embedding,
     two_lattice,
 )
@@ -491,7 +489,6 @@ NAME_FREE_VALUE = {
     "_check_distributive": _structure,
     "_check_hom": lambda s, t, f: (_structure(s), _structure(t), f),
     "_check_ideal": lambda lat, m: (_structure(lat), m),
-    "_check_prime_filter": lambda lat, m: (_structure(lat), m),
     "_prime_filter_masks": _structure,
     "_ideal_image_assignment": lambda *masks: masks,
     "_check_closed": lambda x: x.opens,
@@ -518,12 +515,6 @@ def test_each_name_free_value_is_checked_once(monkeypatch):
         monkeypatch.setattr(memo, "__wrapped__", counted)
     try:
         rows = list(run_suite("lifting", max_points=2))
-        # no suite builds a checked PrimeFilter: build one per prime filter
-        # of each small lattice and of a relabelled copy
-        for lat in lattice_universe(3):
-            for home in (lat, relabelled(lat, "p")):
-                for f in prime_filters(home):
-                    PrimeFilter(home, f.members)
         assert len(rows) == 733 and all(ok for _, _, ok, _ in rows)
         for memo in MEMOS:
             values = runs[memo.__name__]
