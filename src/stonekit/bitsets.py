@@ -4,7 +4,9 @@ A subset of a carrier with canonical element order e_0, ..., e_{n-1} is an
 int whose bit i says whether e_i is in the subset.
 """
 
-from typing import Iterator, Sequence
+from typing import Dict, Iterator, Sequence
+
+from .errors import InvariantViolated
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -25,3 +27,12 @@ def mask_of(indices) -> int:
 def format_subset(names: Sequence[str], mask: int) -> str:
     """Render a subset as `{a,b}` in carrier order; empty set is `{}`."""
     return "{" + ",".join(names[i] for i in bits(mask)) + "}"
+
+
+def index_in(positions: Dict[int, int], mask: int, what: str) -> int:
+    """positions[mask], for a mask that a construction relies on finding;
+    InvariantViolated names the mask and what it should have been."""
+    index = positions.get(mask)
+    if index is None:
+        raise InvariantViolated(f"mask {mask:#b} is not {what}")
+    return index

@@ -28,23 +28,27 @@ definitional twin that the tests use as its oracle:
     prime_filters_bruteforce and homs_to_2_bruteforce.
 
 Memo contract (see memo.name_free): the hom, ideal and distributivity
-checks, the prime-filter masks and the assignments of ideal_functor_hom
-run once per distinct name-free value. A lattice's `shape` is an int
-shared by exactly the lattices with equal down-sets, tables, bottom and
-top, whatever their names; the results are stored under keys built from
-shapes and masks, and the names are attached per call. Only passing
-verdicts are stored, so a failure is checked again each time and its
-message names the caller's own elements. The PrimeFilter check is not
-memoised: prime_filters builds its filters from checked masks, so only
-character_filter runs it.
+checks, the prime-filter masks, the assignments of ideal_functor_hom and
+the lattices of inclusion_view run once per distinct name-free value. A
+lattice's `shape` is an int shared by exactly the lattices with equal
+down-sets, tables, bottom and top, whatever their names; the results are
+stored under keys built from shapes and masks, and the names are attached
+per call. inclusion_view's key is (masks, the argsort of the names): the
+names only break ties in make_poset, so their ranking fixes the element
+order, and a hit shares the stored down-sets, tables and shape under the
+caller's names (the duplicate-name check runs on every call). Only
+passing verdicts are stored, so a failure is checked again each time and
+its message names the caller's own elements. The PrimeFilter check is
+not memoised: prime_filters builds its filters from checked masks, so
+only character_filter runs it.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import count, product
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .bitsets import bits, format_subset, mask_of
+from .bitsets import bits, format_subset, index_in, mask_of
 from .errors import (
     BudgetExceeded,
     ForeignIdeal,
@@ -309,8 +313,13 @@ class SetLatticeView:
     lattice: DistLattice
     masks: Tuple[int, ...]
 
+    @cached_property
+    def element_of(self) -> Dict[int, int]:
+        """The element that denotes each subset, keyed by its mask."""
+        return {m: i for i, m in enumerate(self.masks)}
+
     def index_of(self, mask: int) -> int:
-        return self.masks.index(mask)
+        return index_in(self.element_of, mask, "a subset of the lattice")
 
 
 def inclusion_view(
@@ -320,17 +329,46 @@ def inclusion_view(
     distributive lattice. Element k is named names[k], which must be
     distinct; by default, the subset's members by format_subset. A family
     closed under & and | takes its meets and joins from them; any other
-    goes through lattice_from_poset."""
+    goes through lattice_from_poset. The lattice is built once per
+    name-free family (_inclusion_lattice) and named per call."""
     if names is None:
         names = [format_subset(carrier, m) for m in masks]
-    by_name = dict(zip(names, masks))
+    names = tuple(names)
+    order, sets, built = _inclusion_lattice(tuple(masks), names)
+    if len(set(names)) != len(names):
+        raise InvalidValue("duplicate element names")
+    # the stored lattice was checked when it was built: share its down-sets,
+    # tables and shape under this call's names
+    poset = _unvalidated(FinPoset, tuple(names[i] for i in order), built.poset.down)
+    lat = DistLattice(poset, built.meet, built.join, built.bot, built.top)
+    lat.__dict__["shape"] = built.shape
+    return SetLatticeView(lat, sets)
+
+
+def _name_rank(names: Tuple[str, ...]) -> Tuple[int, ...]:
+    """The positions of names in ascending name order (an argsort)."""
+    return tuple(sorted(range(len(names)), key=names.__getitem__))
+
+
+# make_poset reads the names only to break ties by comparing them, so the
+# masks and the ranking of the names fix the element order, the down-sets,
+# the tables and the shape
+@name_free(lambda masks, names: (masks, _name_rank(names)))
+def _inclusion_lattice(
+    masks: Tuple[int, ...], names: Tuple[str, ...]
+) -> Tuple[Tuple[int, ...], Tuple[int, ...], DistLattice]:
+    """The family ordered by inclusion as a checked lattice named by
+    names, with the position in masks of each of its elements and the
+    mask of each."""
     down = [mask_of(j for j, mj in enumerate(masks) if mj & ~mi == 0) for mi in masks]
     poset = make_poset(names, down)
-    sets = tuple(by_name[e] for e in poset.elements)
+    position = {name: i for i, name in enumerate(names)}
+    order = tuple(position[e] for e in poset.elements)
+    sets = tuple(masks[i] for i in order)
     lat = _set_operation_lattice(poset, sets)
     if lat is None:
-        return SetLatticeView(lattice_from_poset(poset, check=True), sets)
-    return SetLatticeView(_checked(lat), sets)
+        return order, sets, lattice_from_poset(poset, check=True)
+    return order, sets, _checked(lat)
 
 
 def _set_operation_lattice(

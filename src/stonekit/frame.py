@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 from typing import Dict, Optional, Sequence, Tuple
 
-from .bitsets import bits, mask_of
+from .bitsets import bits, index_in, mask_of
 from .dlat import (
     DistLattice,
     Ideal,
@@ -299,6 +299,9 @@ class SpectrumView:
         """The point of each prime filter, keyed by its member mask."""
         return {m: k for k, m in enumerate(self.filters)}
 
+    def index_of(self, members: int) -> int:
+        return index_in(self.point_of, members, "a prime filter of the lattice")
+
 
 @lru_cache(maxsize=None)
 def spectrum_view(lat: DistLattice) -> SpectrumView:
@@ -342,7 +345,7 @@ def _spectrum_assignment(
         pulled = 0
         for v in bits(fm):
             pulled |= preimages[v]
-        assignment.append(point_of[pulled])
+        assignment.append(index_in(point_of, pulled, "a prime filter of the lattice"))
     return tuple(assignment)
 
 

@@ -178,11 +178,11 @@ def _check_continuous(x: FinSpace, y: FinSpace, assignment: Tuple[int, ...]) -> 
     if len(assignment) != x.n:
         raise InvalidValue("assignment length mismatch")
     for v in assignment:
-        if not 0 <= v < max(y.n, 1):
+        if not 0 <= v < y.n:
             raise InvalidValue("assignment value out of range")
     # fibres[v] is the point-set sent to target point v, and the
     # preimage of an open the union of the fibres of its points
-    fibres = [0] * max(y.n, 1)
+    fibres = [0] * y.n
     for i, v in enumerate(assignment):
         fibres[v] |= 1 << i
     src_opens = set(x.opens)

@@ -10,11 +10,11 @@ compactification square. All of that is checked by the tests, not assumed.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .bitsets import bits, format_subset, mask_of
+from .bitsets import bits, format_subset, index_in, mask_of
 from .dlat import LatticeHom, ideal_view, prime_filters
 from .errors import (
     BudgetExceeded,
@@ -114,8 +114,13 @@ class FilterSpaceView:
     star: Tuple[int, ...]
     star_open_pos: Tuple[int, ...]
 
+    @cached_property
+    def point_of(self) -> Dict[int, int]:
+        """The point of each prime filter, keyed by its member mask."""
+        return {m: k for k, m in enumerate(self.filters)}
+
     def index_of(self, members: int) -> int:
-        return self.filters.index(members)
+        return index_in(self.point_of, members, "an open prime filter")
 
 
 @lru_cache(maxsize=None)
@@ -308,7 +313,7 @@ def sobrification(x: FinSpace) -> Tuple[FinSpace, ContinuousMap]:
         character = mask_of(
             p for p in range(frame.lattice.n) if (frame.masks[p] >> i) & 1
         )
-        assignment.append(sview.filters.index(character))
+        assignment.append(sview.index_of(character))
     unit = ContinuousMap(x, sview.space, tuple(assignment))
     return sview.space, unit
 
@@ -345,7 +350,7 @@ def pairing_map(x: FinSpace) -> ContinuousMap:
             for e in range(ideals.lattice.n)
             if ideals.masks[e] & frame_mask
         )
-        assignment.append(sview.filters.index(touched))
+        assignment.append(sview.index_of(touched))
     return ContinuousMap(fx.space, sview.space, tuple(assignment))
 
 
@@ -401,10 +406,10 @@ def compactification_square(x: FinSpace) -> CompactificationReport:
         character = mask_of(
             e for e, m in enumerate(center_masks) if (m >> rep) & 1
         )
-        try:
-            assignment.append(sview.filters.index(character))
-        except ValueError:
+        point = sview.point_of.get(character)
+        if point is None:
             return CompactificationReport(sview.space, reflection, None)
+        assignment.append(point)
     comparison = ContinuousMap(reflection, sview.space, tuple(assignment))
     return CompactificationReport(sview.space, reflection, comparison)
 

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from stonekit import dlat
 from stonekit.cli import main
+from stonekit.memo import clear_caches
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "demos" / "data"
@@ -348,3 +350,20 @@ def test_a_suite_map_failing_its_check_ends_in_one_invalid_line():
     assert "Traceback" not in err.decode()
     assert len(lines) == 1
     assert lines[0].startswith("invalid: not a lattice homomorphism: fails ")
+
+
+def test_a_missing_prime_filter_ends_laws_in_one_invalid_line(capsys, monkeypatch):
+    # every lattice loses its last prime filter, so a construction that
+    # looks one up misses it
+    masks = dlat._prime_filter_masks
+    clear_caches()
+    monkeypatch.setattr(dlat, "_prime_filter_masks", lambda lat: masks(lat)[:-1])
+    try:
+        code, out, err = run(capsys, "laws", "--suite", "lifting")
+    finally:
+        clear_caches()
+    assert code == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("invalid: mask ") and "is not a prime filter" in lines[0]

@@ -4,6 +4,7 @@ Derived values asserted here (ideal masks, hom counts, witnesses) were
 computed by the definitional brute-force routes first and then frozen.
 """
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -51,10 +52,12 @@ from stonekit.dlat import (
     two_lattice,
     union_hom,
 )
+from stonekit.bitsets import format_subset, mask_of
 from stonekit.errors import (
     BudgetExceeded,
     ForeignIdeal,
     InvalidValue,
+    InvariantViolated,
     NotALattice,
     NotDistributive,
     UniverseMismatch,
@@ -67,7 +70,13 @@ from stonekit.order import (
     poset_isomorphic,
 )
 from stonekit.instances import frame_morphisms
-from stonekit.universes import all_posets, all_posets_upto, lattice_universe
+from stonekit.memo import clear_caches
+from stonekit.universes import (
+    all_posets,
+    all_posets_upto,
+    all_spaces_upto,
+    lattice_universe,
+)
 
 
 def diamond():
@@ -298,6 +307,14 @@ def test_set_operation_route_declines_a_family_not_closed_under_union():
     view = inclusion_view(d.elements, principal_masks(d))
     assert _set_operation_lattice(view.lattice.poset, view.masks) is None
     assert view.lattice == lattice_from_poset(view.lattice.poset)
+
+
+def test_a_subset_outside_the_family_is_an_invariant_violation():
+    view = downset_view(chain(["a", "b"]))
+    assert view.masks == (0b00, 0b01, 0b11)
+    assert [view.index_of(m) for m in view.masks] == [0, 1, 2]
+    with pytest.raises(InvariantViolated, match="mask 0b10 is not a subset"):
+        view.index_of(0b10)
 
 
 def test_principal_embedding_is_iso_on_universe_samples():
@@ -778,3 +795,107 @@ def test_memoised_ideal_functor_homs_equal_fresh_ones():
         assert g.source is ideal_view(f.source).lattice
         routes.add(ideal_view(f.source).masks == f.source.poset.down)
     assert routes == {True, False}
+
+
+# inclusion_view builds each name-free family once: the masks and the
+# ranking of the names fix the lattice, and the names are attached per call
+
+# names that sort in unlike ways once nested: `a(1)` before `a1`, `{a,a(1)}`
+# before `{a,a1}`, and a non-ASCII letter after every ASCII one
+TRICKY = ("a", "a1", "a(1)", "b", "\u00e4")
+
+
+def plain_inclusion_view(carrier, masks, names=None):
+    """The lattice of sets the definitional way: the inclusion order
+    through make_poset, and every meet and join searched for by
+    lattice_from_poset."""
+    if names is None:
+        names = [format_subset(carrier, m) for m in masks]
+    down = [mask_of(j for j, b in enumerate(masks) if b & ~a == 0) for a in masks]
+    poset = make_poset(names, down)
+    by_name = dict(zip(names, masks))
+    return dlat.SetLatticeView(
+        lattice_from_poset(poset), tuple(by_name[e] for e in poset.elements)
+    )
+
+
+def tricky_families():
+    """The opens of every space of at most four points, the points named
+    by each rotation of TRICKY, each open named by its members and, in a
+    second case, by the members of another open. Each case comes again in
+    upper case, which sorts as it did, so that it finds the entry of the
+    first."""
+    for x in all_spaces_upto(4):
+        for shift in range(len(TRICKY)):
+            points = (TRICKY[shift:] + TRICKY[:shift])[: x.n]
+            for case in (points, tuple(p.upper() for p in points)):
+                own = [format_subset(case, m) for m in x.opens]
+                yield case, x.opens, None
+                yield case, x.opens, own[::-1]
+
+
+def test_memoised_inclusion_views_equal_fresh_and_plain_ones():
+    cases = list(tricky_families())
+    table = dlat._inclusion_lattice.table
+    # each fresh view is a miss: a call that found an entry is made again
+    # after clear_caches()
+    fresh = []
+    clear_caches()
+    for case in cases:
+        size = len(table)
+        view = inclusion_view(*case)
+        if len(table) == size:
+            clear_caches()
+            view = inclusion_view(*case)
+            assert len(table) == 1
+        fresh.append(view)
+    clear_caches()
+    first = [inclusion_view(*case) for case in cases]
+    warm = [inclusion_view(*case) for case in cases]
+    # every case shares its entry with its upper-case twin at least
+    assert len(table) <= len(cases) // 2
+    for case, f, a, b in zip(cases, fresh, first, warm):
+        assert f == a == b == plain_inclusion_view(*case), case
+        # a hit shares the stored tables, and the shape it is given is the
+        # one its own structure interns to
+        assert b.lattice.meet is a.lattice.meet and b.lattice.join is a.lattice.join
+        assert b.lattice.shape == replace(b.lattice).shape
+
+
+def test_duplicate_names_are_refused_on_a_hit_and_on_a_miss():
+    clear_caches()
+    carrier, masks = ("a", "b"), (0b00, 0b01, 0b11)
+    with pytest.raises(InvalidValue, match="duplicate element names"):
+        inclusion_view(carrier, masks, ["x", "x", "y"])
+    assert not dlat._inclusion_lattice.table
+    # distinct names ranked as ["x", "x", "y"] is: the next call is a hit
+    inclusion_view(carrier, masks, ["x", "y", "z"])
+    assert list(dlat._inclusion_lattice.table) == [(masks, (0, 1, 2))]
+    with pytest.raises(InvalidValue, match="duplicate element names"):
+        inclusion_view(carrier, masks, ["x", "x", "y"])
+
+
+@pytest.mark.parametrize(
+    "masks, error, witness",
+    [
+        # {a} and {b} have no upper bound in the family
+        ((0b00, 0b01, 0b10), NotALattice, ("{1a}", "{1b}")),
+        # the two-element subsets of three points, with {} and the whole
+        # set, form M3 under inclusion
+        ((0b000, 0b011, 0b101, 0b110, 0b111), NotDistributive, None),
+    ],
+)
+def test_a_family_that_is_refused_is_refused_on_every_call(masks, error, witness):
+    clear_caches()
+    witnesses = []
+    for prefix in ("1", "2", "1"):
+        carrier = tuple(prefix + e for e in "abc")
+        with pytest.raises(error) as err:
+            inclusion_view(carrier, masks)
+        witnesses.append(err.value.witness)
+        # the witness names this call's own elements
+        assert all(w.startswith("{" + prefix) for w in err.value.witness)
+    assert witnesses[0] == witnesses[2] != witnesses[1]
+    if witness is not None:
+        assert witnesses[0] == witness
+    assert not dlat._inclusion_lattice.table

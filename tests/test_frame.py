@@ -22,7 +22,7 @@ from stonekit.dlat import (
     two_lattice,
 )
 from stonekit.documents import loads
-from stonekit.errors import BudgetExceeded
+from stonekit.errors import BudgetExceeded, InvariantViolated
 from stonekit.frame import (
     CoalgebraCandidate,
     center_lattice,
@@ -220,6 +220,14 @@ def test_spectrum_points_name_their_filters():
     view = spectrum_view(chain3())
     assert view.space.points == ("up({a,b})", "up({a})")
     assert view.space.opens == (0, 2, 3)
+
+
+def test_a_mask_that_is_no_prime_filter_is_an_invariant_violation():
+    view = spectrum_view(chain3())
+    assert view.filters == (0b100, 0b110)
+    assert [view.index_of(m) for m in view.filters] == [0, 1]
+    with pytest.raises(InvariantViolated, match="mask 0b10 is not a prime filter"):
+        view.index_of(0b010)
 
 
 def _assert_named_by_lowest_member(carrier, space, filters, up):
@@ -491,6 +499,11 @@ NAME_FREE_VALUE = {
     "_check_ideal": lambda lat, m: (_structure(lat), m),
     "_prime_filter_masks": _structure,
     "_ideal_image_assignment": lambda *masks: masks,
+    # each name replaced by its place among the sorted names
+    "_inclusion_lattice": lambda masks, names: (
+        masks,
+        tuple(sorted(names).index(e) for e in names),
+    ),
     "_check_closed": lambda x: x.opens,
     "_check_continuous": lambda x, y, f: (x.opens, y.opens, f),
     "_filter_opens": lambda n, filters: (n, filters),

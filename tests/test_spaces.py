@@ -200,7 +200,7 @@ def _continuity_violation_plain(x, y, assignment):
     wording of ContinuousMap, by comparing point sets."""
     if len(assignment) != x.n:
         return "assignment length mismatch"
-    if any(not 0 <= v < max(y.n, 1) for v in assignment):
+    if any(not 0 <= v < y.n for v in assignment):
         return "assignment value out of range"
     opens = {frozenset(i for i in range(x.n) if (o >> i) & 1) for o in x.opens}
     for o in y.opens:
@@ -209,6 +209,13 @@ def _continuity_violation_plain(x, y, assignment):
         if preimage not in opens:
             return f"preimage of {y.set_name(o)} is not open"
     return None
+
+
+def test_a_map_into_the_empty_space_is_refused():
+    empty = FinSpace((), (0,))
+    with pytest.raises(InvalidValue, match="assignment value out of range"):
+        ContinuousMap(discrete_space(["a"]), empty, (0,))
+    assert ContinuousMap(empty, empty, ()).assignment == ()
 
 
 def test_continuous_map_errors_match_their_plain_twin():

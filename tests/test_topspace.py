@@ -1,10 +1,13 @@
 """Open-prime-filter monad, separation quotients, compactification square."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stonekit import topspace
 from stonekit.errors import InvariantViolated, NoCanonicalAlgebra
-from stonekit.frame import spectrum_map
+from stonekit.frame import spectrum_map, spectrum_view
 from stonekit.spaces import (
     ContinuousMap,
     compose_maps,
@@ -27,6 +30,7 @@ from stonekit.topspace import (
     filter_algebra_structures,
     filter_map,
     filter_space,
+    filter_space_view,
     hausdorff_reflection,
     is_sober,
     mult_map,
@@ -297,6 +301,32 @@ def test_compactification_square_on_samples():
         report = compactification_square(x)
         assert report.ok
         assert report.spectral_side.n == report.reflection_side.n
+
+
+@pytest.mark.parametrize("x", [sierpinski(), discrete_space(["a", "b"])])
+def test_a_prime_filter_missing_from_a_spectrum_is_an_invariant_violation(
+    monkeypatch, x
+):
+    # every spectrum these constructions read loses its last point
+    def short(lat):
+        view = spectrum_view(lat)
+        return replace(view, filters=view.filters[:-1])
+
+    monkeypatch.setattr(topspace, "spectrum_view", short)
+    with pytest.raises(InvariantViolated, match="is not a prime filter"):
+        sobrification(x)
+    with pytest.raises(InvariantViolated, match="is not a prime filter"):
+        pairing_map(x)
+    # the square reports a missing character as no comparison
+    report = compactification_square(x)
+    assert report.comparison is None and not report.ok
+
+
+def test_a_mask_that_is_no_open_prime_filter_is_an_invariant_violation():
+    view = filter_space_view(sierpinski())
+    assert [view.index_of(m) for m in view.filters] == list(range(len(view.filters)))
+    with pytest.raises(InvariantViolated, match="mask 0b0 is not an open prime filter"):
+        view.index_of(0)
 
 
 def test_compactification_of_sierpinski_is_a_point():
