@@ -1,12 +1,12 @@
 """Frame-theoretic structure on finite distributive lattices.
 
-Covers the way-below relation (computed from its definition by quantifying
-over every subset, not assumed equal to the order), stable compactness,
-pseudocomplements and regularity, the Boolean center as the regular
-coreflection, the prime spectrum, and the ideal comonad with its
-coalgebras. Finite degeneracies (way-below collapsing to the order, every
-ideal being principal) are theorems the tests verify against these
-definitional routes.
+Covers the way-below relation (read off the order, since on a finite
+lattice the two coincide; twin: way_below_bruteforce, over every subset),
+stable compactness, pseudocomplements and regularity, the Boolean center
+as the regular coreflection, the prime spectrum, and the ideal comonad
+with its coalgebras. Finite degeneracies (way-below collapsing to the
+order, every ideal being principal) are theorems the degeneracy suite and
+the tests prove by running the definitional routes over their pools.
 
 The opens of a space of filters and the point assignment of spectrum_map
 are computed once per distinct name-free input (memo.name_free): filter
@@ -16,15 +16,17 @@ attached afterwards.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from typing import Dict, Optional, Sequence, Tuple
 
 from .bitsets import bits, index_in, mask_of
 from .dlat import (
+    SUBSET_ORACLE_MAX_ELEMENTS,
     DistLattice,
     Ideal,
     LatticeHom,
+    check_subset_budget,
     compose_homs,
     frame_join_algebra,
     homs_to_2,
@@ -36,7 +38,7 @@ from .dlat import (
     principal_embedding,
 )
 from .errors import BudgetExceeded, NotDistributive
-from .memo import name_free
+from .memo import cached, name_free
 from .order import _unvalidated
 from .spaces import ContinuousMap, FinSpace, open_frame_view
 
@@ -44,10 +46,11 @@ from .spaces import ContinuousMap, FinSpace, open_frame_view
 # ---------------------------------------------------------------------------
 # way-below and stable compactness
 
-# way_below quantifies over all 2^n subsets: its time grows about 4x per two
-# more elements (0.24 s at 16, 4.2 s at 20) and its subset join table holds
-# 2^n entries, past 2 GB from 28 elements on
-WAY_BELOW_MAX_ELEMENTS = 22
+# bounds way_below_bruteforce, which visits all 2^n subsets. way_below
+# visits none but keeps the cap: it stays the budget of `stonekit waybelow`
+# and of the suites that compute way-below on every pool lattice
+# (instances.WAY_BELOW_SUITES)
+WAY_BELOW_MAX_ELEMENTS = SUBSET_ORACLE_MAX_ELEMENTS
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,18 @@ class WayBelowRelation:
         )
 
 
+def way_below(lat: DistLattice) -> WayBelowRelation:
+    """a way below b: every set joining above b has a finite subset
+    already joining above a. On a finite lattice every set is its own
+    finite subset, so a is way below b exactly when a <= b (Gierz et al.,
+    Continuous Lattices and Domains, I-1) and the relation is the order's
+    down-sets. way_below_bruteforce is the definitional route, and the
+    degeneracy suite proves the two equal on its pool. Lattices above
+    WAY_BELOW_MAX_ELEMENTS raise BudgetExceeded as that route does."""
+    check_subset_budget(lat, "way-below")
+    return WayBelowRelation(lat, lat.poset.down)
+
+
 def _join_table(lat: DistLattice) -> list:
     """Join of every subset, built by dynamic programming over masks."""
     table = [lat.bot] * (1 << lat.n)
@@ -78,16 +93,10 @@ def _join_table(lat: DistLattice) -> list:
     return table
 
 
-@lru_cache(maxsize=None)
-def way_below(lat: DistLattice) -> WayBelowRelation:
-    """a way below b: every set joining above b has a finite subset
-    already joining above a. Quantifies over all subsets literally, so
+def way_below_bruteforce(lat: DistLattice) -> WayBelowRelation:
+    """way_below from its definition, quantifying over all subsets, so
     lattices above WAY_BELOW_MAX_ELEMENTS raise BudgetExceeded."""
-    if lat.n > WAY_BELOW_MAX_ELEMENTS:
-        raise BudgetExceeded(
-            f"way-below over all 2^{lat.n} subsets exceeds the cap of "
-            f"{WAY_BELOW_MAX_ELEMENTS} elements"
-        )
+    check_subset_budget(lat, "way-below")
     joins = _join_table(lat)
     n = lat.n
     below = [(1 << n) - 1] * n
@@ -206,7 +215,7 @@ class CenterView:
     inclusion: LatticeHom
 
 
-@lru_cache(maxsize=None)
+@cached
 def center_view(lat: DistLattice) -> CenterView:
     """Sublattice of complemented elements (the regular coreflection)."""
     cmask = complemented_mask(lat)
@@ -303,7 +312,7 @@ class SpectrumView:
         return index_in(self.point_of, members, "a prime filter of the lattice")
 
 
-@lru_cache(maxsize=None)
+@cached
 def spectrum_view(lat: DistLattice) -> SpectrumView:
     filters = tuple(f.members for f in prime_filters(lat))
     space, sigma = filter_space_of(lat.elements, filters)

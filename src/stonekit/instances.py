@@ -20,7 +20,6 @@ is the registry the command line runs and `run_suite` builds the pools.
 """
 
 import random
-from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .catengine import (
@@ -84,8 +83,9 @@ from .frame import (
     spatiality_hom,
     spectrum,
     spectrum_map,
-    way_below,
+    way_below_bruteforce,
 )
+from .memo import cached
 from .order import preorder_closure
 from .spaces import (
     ContinuousMap,
@@ -151,7 +151,7 @@ def _invert_hom(h: LatticeHom):
     return LatticeHom(h.target, h.source, tuple(back))
 
 
-@lru_cache(maxsize=None)
+@cached
 def space_universe() -> Universe:
     return Universe(
         name="finite spaces",
@@ -164,7 +164,7 @@ def space_universe() -> Universe:
     )
 
 
-@lru_cache(maxsize=None)
+@cached
 def frame_universe() -> Universe:
     return Universe(
         name="finite frames",
@@ -177,7 +177,7 @@ def frame_universe() -> Universe:
     )
 
 
-@lru_cache(maxsize=None)
+@cached
 def locale_universe() -> Universe:
     """Frames with every arrow read backwards."""
     return Universe(
@@ -195,7 +195,7 @@ def locale_universe() -> Universe:
 # morphism pools for the enumerating checks
 
 
-@lru_cache(maxsize=None)
+@cached
 def frame_morphisms(max_poset: int = 2) -> Tuple[LatticeHom, ...]:
     """Every lattice map between universe lattices of the given size."""
     lats = lattice_universe(max_poset)
@@ -206,7 +206,7 @@ def frame_morphisms(max_poset: int = 2) -> Tuple[LatticeHom, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@cached
 def space_morphisms(max_points: int = 2) -> Tuple[ContinuousMap, ...]:
     """Every continuous map between spaces of the given size."""
     spaces = all_spaces_upto(max_points)
@@ -221,13 +221,13 @@ def space_morphisms(max_points: int = 2) -> Tuple[ContinuousMap, ...]:
 # the instances
 
 
-@lru_cache(maxsize=None)
+@cached
 def ideal_functor_on_frames() -> FunctorInstance:
     u = frame_universe()
     return FunctorInstance("ideals", u, u, ideal_lattice, ideal_functor_hom)
 
 
-@lru_cache(maxsize=None)
+@cached
 def ideal_monad_on_frames() -> MonadInstance:
     """Ideals with the principal-ideal unit and the union multiplication."""
     return make_monad(
@@ -235,7 +235,7 @@ def ideal_monad_on_frames() -> MonadInstance:
     )
 
 
-@lru_cache(maxsize=None)
+@cached
 def ideal_comonad_on_frames() -> ComonadInstance:
     """Ideals with the join counit and the membership comultiplication."""
     return make_comonad(
@@ -246,13 +246,13 @@ def ideal_comonad_on_frames() -> ComonadInstance:
     )
 
 
-@lru_cache(maxsize=None)
+@cached
 def ideal_functor_on_locales() -> FunctorInstance:
     u = locale_universe()
     return FunctorInstance("ideals", u, u, ideal_lattice, ideal_functor_hom)
 
 
-@lru_cache(maxsize=None)
+@cached
 def ideal_monad_on_locales() -> MonadInstance:
     """The comonad read backwards: unit is the join map, multiplication
     the comultiplication."""
@@ -264,7 +264,7 @@ def ideal_monad_on_locales() -> MonadInstance:
     )
 
 
-@lru_cache(maxsize=None)
+@cached
 def identity_monad_on_locales() -> MonadInstance:
     u = locale_universe()
     return make_monad(
@@ -272,7 +272,7 @@ def identity_monad_on_locales() -> MonadInstance:
     )
 
 
-@lru_cache(maxsize=None)
+@cached
 def open_functor() -> FunctorInstance:
     return FunctorInstance(
         "open sets",
@@ -283,14 +283,14 @@ def open_functor() -> FunctorInstance:
     )
 
 
-@lru_cache(maxsize=None)
+@cached
 def spectrum_functor() -> FunctorInstance:
     return FunctorInstance(
         "spectrum", locale_universe(), space_universe(), spectrum, spectrum_map
     )
 
 
-@lru_cache(maxsize=None)
+@cached
 def open_spectrum_adjunction() -> AdjunctionInstance:
     """Open sets below spectrum, with the sobrification unit and the
     spatial comparison counit."""
@@ -310,14 +310,14 @@ def open_spectrum_adjunction() -> AdjunctionInstance:
     return AdjunctionInstance("open sets below spectrum", left, right, unit, counit)
 
 
-@lru_cache(maxsize=None)
+@cached
 def filter_monad_on_spaces() -> MonadInstance:
     u = space_universe()
     functor = FunctorInstance("prime open filters", u, u, filter_space, filter_map)
     return make_monad("filter monad", functor, unit_map, mult_map)
 
 
-@lru_cache(maxsize=None)
+@cached
 def lifted_ideal_monad() -> MonadInstance:
     """The locale ideal monad pushed across the adjunction: the spectrum
     of the ideals of the opens."""
@@ -326,7 +326,7 @@ def lifted_ideal_monad() -> MonadInstance:
     )
 
 
-@lru_cache(maxsize=None)
+@cached
 def sobrification_monad() -> MonadInstance:
     """The lifted identity monad; its functor is the sobrification."""
     return lift_monad(
@@ -336,7 +336,7 @@ def sobrification_monad() -> MonadInstance:
     )
 
 
-@lru_cache(maxsize=None)
+@cached
 def sobrification_to_filters() -> NatTransInstance:
     """The lifted join unit, a morphism of monads from sobrification to
     the spectral ideal monad."""
@@ -356,7 +356,7 @@ def _into_center(hom: LatticeHom, fact: str) -> LatticeHom:
     return cor
 
 
-@lru_cache(maxsize=None)
+@cached
 def center_functor_on_locales() -> FunctorInstance:
     u = locale_universe()
 
@@ -367,7 +367,7 @@ def center_functor_on_locales() -> FunctorInstance:
     return FunctorInstance("center", u, u, center_lattice, on_morphism)
 
 
-@lru_cache(maxsize=None)
+@cached
 def center_monad_on_locales() -> MonadInstance:
     """The Boolean center as a monad on locales; its unit is the
     inclusion read backwards."""
@@ -383,7 +383,7 @@ def center_monad_on_locales() -> MonadInstance:
     return make_monad("center monad", center_functor_on_locales(), unit_at, mult_at)
 
 
-@lru_cache(maxsize=None)
+@cached
 def center_ideal_monad_on_locales() -> MonadInstance:
     """Complemented ideals in one step: the composite of the center and
     ideal monads, with the join-of-the-inclusion unit and the principal
@@ -406,7 +406,7 @@ def center_ideal_monad_on_locales() -> MonadInstance:
     return make_monad("complemented ideal monad", functor, unit_at, mult_at)
 
 
-@lru_cache(maxsize=None)
+@cached
 def compact_reflection_monad() -> MonadInstance:
     """The lifted complemented-ideal monad: the spectrum of the Boolean
     center of the ideals of the opens."""
@@ -417,7 +417,7 @@ def compact_reflection_monad() -> MonadInstance:
     )
 
 
-@lru_cache(maxsize=None)
+@cached
 def compactification_collapse() -> NatTransInstance:
     """Collapse of lift(center) after lift(ideals) onto the lifted composite."""
     return lift_composite_iso(
@@ -434,8 +434,9 @@ MAX_LATTICE = 16
 DEFAULT_SEED = 271828
 SAMPLES_PER_SIZE = 20
 
-# suites that compute way-below on every pool lattice; --force raises the
-# pool guard rails, not the cap of that oracle
+# suites that compute way-below on every pool lattice (degeneracy by its
+# definitional route, the others off the order); the way-below cap stays
+# their budget, and --force raises the pool guard rails, not that cap
 WAY_BELOW_SUITES = ("comonad-k", "degeneracy", "lifting")
 
 Row = Tuple[str, str, bool, object]
@@ -793,7 +794,7 @@ def _suite_ultrafilter(spaces, lats, maps, homs) -> Iterator[Row]:
 def _suite_degeneracy(spaces, lats, maps, homs) -> Iterator[Row]:
     """Finite-scale collapses, each against an independent route."""
     for iid, lat in zip(_lattice_ids(lats), lats):
-        below = way_below(lat).below == lat.poset.down
+        below = way_below_bruteforce(lat).below == lat.poset.down
         yield iid, "degeneracy.way-below-is-order", below, None
         regular = is_regular(lat) == is_boolean(lat)
         yield iid, "degeneracy.regular-iff-boolean", regular, None
@@ -804,6 +805,8 @@ def _suite_degeneracy(spaces, lats, maps, homs) -> Iterator[Row]:
             == prime_filters_bruteforce(lat)
         )
         yield iid, "degeneracy.prime-filter-routes", routes, None
+        # is_stably_compact reads way-below off the order; the first row
+        # shows the definitional relation is that order on this lattice
         yield iid, "degeneracy.stably-compact", is_stably_compact(lat), None
     for iid, x in zip(_space_ids(spaces), spaces):
         yield iid, "degeneracy.sober-iff-t0", is_sober(x) == is_t0(x), None

@@ -1,4 +1,5 @@
-"""Memo tables for name-free work, and the one place that empties every cache.
+"""Memo tables for name-free work, cached views, and the one place that
+empties every cache.
 
 The derived lattices and spaces of a law run (O X, I O X, spt I O X, ...)
 differ from one another mostly in their element names, and the checks and
@@ -8,13 +9,18 @@ equal key return the stored result. The key must hold every input the
 function reads except names, so that it determines the result. A call that
 raises stores nothing: a failed check runs again on the next call, and its
 message names that caller's own elements.
+
+A function decorated with ``cached`` is an unbounded ``lru_cache`` on its
+arguments, for the views and pools of the package.
 """
 
-import sys
-from functools import wraps
+from functools import lru_cache, wraps
 
 # every function decorated with name_free, in definition order
 MEMOS = []
+
+# every function decorated with cached, in definition order
+CACHES = []
 
 # marks a key with no stored result; None is a stored verdict
 _MISS = object()
@@ -42,15 +48,17 @@ def name_free(key):
     return decorate
 
 
+def cached(fn):
+    """lru_cache(maxsize=None), registered so that clear_caches empties it."""
+    view = lru_cache(maxsize=None)(fn)
+    CACHES.append(view)
+    return view
+
+
 def clear_caches() -> None:
-    """Empty every name_free table and the lru_cache of every function of
-    the package, as in a fresh process."""
+    """Empty every name_free table and every cached view, as in a fresh
+    process."""
     for memo in MEMOS:
         memo.table.clear()
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] != "stonekit":
-            continue
-        for obj in vars(module).values():
-            clear = getattr(obj, "cache_clear", None)
-            if callable(clear):
-                clear()
+    for view in CACHES:
+        view.cache_clear()

@@ -11,13 +11,12 @@ run once per distinct (opens, assignment) value, whatever the point names
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional, Tuple
 
 from .bitsets import bits, format_subset, mask_of
 from .dlat import DistLattice, LatticeHom, SetLatticeView, inclusion_view
 from .errors import CycleError, InvalidValue, NotATopology, UniverseMismatch
-from .memo import name_free
+from .memo import cached, name_free
 from .order import FinPoset, _unvalidated, make_poset, transpose
 
 
@@ -271,7 +270,7 @@ def clopen_masks(x: FinSpace) -> Tuple[int, ...]:
 # the open-set frame
 
 
-@lru_cache(maxsize=None)
+@cached
 def open_frame_view(x: FinSpace) -> SetLatticeView:
     """Open-set lattice of a space; masks[i] is the point-set of element i."""
     return inclusion_view(x.points, x.opens)

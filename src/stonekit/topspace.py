@@ -10,7 +10,7 @@ compactification square. All of that is checked by the tests, not assumed.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from typing import Dict, Optional, Tuple
 
@@ -23,6 +23,7 @@ from .errors import (
     NoCanonicalAlgebra,
 )
 from .frame import center_view, filter_space_of, spectrum_view
+from .memo import cached
 from .spaces import (
     ContinuousMap,
     FinSpace,
@@ -123,7 +124,7 @@ class FilterSpaceView:
         return index_in(self.point_of, members, "an open prime filter")
 
 
-@lru_cache(maxsize=None)
+@cached
 def filter_space_view(x: FinSpace) -> FilterSpaceView:
     frame = open_frame_view(x)
     pos = {o: i for i, o in enumerate(x.opens)}

@@ -7,13 +7,13 @@ match the standard sequences (posets 1, 1, 3, 19, 219; topologies 1, 1, 4,
 29, 355) and the tests assert them.
 """
 
-from functools import lru_cache
 from itertools import product
 from typing import Tuple
 
 from .bitsets import bits
 from .dlat import DistLattice, _downclosed_masks, downset_lattice
 from .errors import BudgetExceeded
+from .memo import cached
 from .order import FinPoset, make_poset, transpose
 from .spaces import ContinuousMap, FinSpace, is_continuous_assignment
 
@@ -56,7 +56,7 @@ def _guard(n: int, cap: int, what: str, force: bool) -> None:
         raise BudgetExceeded(f"{what} on {n} elements exceeds the cap {cap}")
 
 
-@lru_cache(maxsize=None)
+@cached
 def all_posets(n: int, force: bool = False) -> Tuple[FinPoset, ...]:
     """All labeled posets on n elements, elements named a, b, c, ..."""
     _guard(n, MAX_POSET, "poset enumeration", force)
@@ -74,7 +74,7 @@ def all_posets_upto(n: int, force: bool = False) -> Tuple[FinPoset, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@cached
 def all_spaces(n: int, force: bool = False) -> Tuple[FinSpace, ...]:
     """All labeled topologies on n points, via their specialization preorders.
 
@@ -111,7 +111,7 @@ def all_topology_families_bruteforce(n: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(sorted(set(out)))
 
 
-@lru_cache(maxsize=None)
+@cached
 def lattice_universe(max_poset: int = 4, force: bool = False) -> Tuple[DistLattice, ...]:
     """Downset lattices of all posets on <= max_poset elements (243 at 4)."""
     return tuple(downset_lattice(p) for p in all_posets_upto(max_poset, force))

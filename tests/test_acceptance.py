@@ -28,7 +28,7 @@ from stonekit.frame import (
     coalgebra_structures,
     gamma_coalgebra,
     is_spatial,
-    way_below,
+    way_below_bruteforce,
 )
 from stonekit.instances import (
     compactification_collapse,
@@ -209,7 +209,7 @@ def test_criterion_08_compactification_square():
 def test_criterion_09_degeneracy_oracles_bit_identical():
     with _Budget("criterion 9: way-below and ideal oracles, bit-identical", 30):
         for lat in lattice_universe(4):
-            assert way_below(lat).below == lat.poset.down
+            assert way_below_bruteforce(lat).below == lat.poset.down
             assert ideals_bruteforce(lat) == principal_masks(lat)
 
 

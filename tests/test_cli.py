@@ -1,5 +1,6 @@
 """End-to-end command tests: documents in, reports out, exit codes."""
 
+import hashlib
 import json
 import os
 import resource
@@ -104,6 +105,40 @@ def test_waybelow_report(capsys):
     lines = out.splitlines()
     assert lines[0] == '# waybelow of "chain3": 6 pairs; stably compact: yes; regular: no'
     assert "0 << m" in lines and "m << 1" in lines
+
+
+def divisor_lattice_document(n: int) -> str:
+    """The divisors of n under divisibility, listed in string order (not a
+    linear extension) and ordered by their covers."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    names = sorted(f"d{d}" for d in divisors)
+    covers = [
+        [f"d{d}", f"d{d * p}"] for d in divisors for p in (2, 3, 5, 7) if n % (d * p) == 0
+    ]
+    return (
+        f'type: "lattice"\nname: "divisors of {n}"\n'
+        f"elements: {json.dumps(names)}\nleq: {json.dumps(covers)}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "n, lines, digest",
+    [
+        # 18 elements, not Boolean
+        (180, 109, "6b818c8ee1ad9f4948284b5bde4ba32531a351298eec175993aa047242e60fc3"),
+        # 16 elements, Boolean
+        (210, 82, "0b875d1db85a773f081d579d246247fd8efc7738c37958bbed055df1b403b9ee"),
+    ],
+)
+def test_waybelow_report_is_pinned(tmp_path, capsys, n, lines, digest):
+    # the relation, the order of its pairs and the report flags, as the
+    # subset enumeration printed them
+    path = tmp_path / f"divisors{n}.lattice"
+    path.write_text(divisor_lattice_document(n))
+    code, out, err = run(capsys, "waybelow", str(path))
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cechstone_of_sierpinski_collapses_to_a_point(capsys):

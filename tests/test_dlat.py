@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from stonekit import dlat
 from stonekit.dlat import (
+    SUBSET_ORACLE_MAX_ELEMENTS,
     _set_operation_lattice,
     DistLattice,
     Ideal,
@@ -62,7 +63,10 @@ from stonekit.errors import (
     NotDistributive,
     UniverseMismatch,
 )
+from stonekit.frame import WAY_BELOW_MAX_ELEMENTS, way_below_bruteforce
 from stonekit.order import (
+    FinPoset,
+    _unvalidated,
     antichain,
     chain,
     make_poset,
@@ -153,6 +157,32 @@ def test_diamond_ideals_brute_force_frozen():
 def test_every_ideal_is_principal_on_samples():
     for lat in (diamond(), chain3(), two_lattice()):
         assert ideals_bruteforce(lat) == principal_masks(lat)
+
+
+def test_subset_oracles_refuse_a_23_element_chain_before_any_subset():
+    lat = lattice_from_poset(chain([f"c{i:02d}" for i in range(23)]))
+    # the same chain with its order and tables withheld: an oracle that
+    # reads a single subset fails on them instead of refusing
+    hollow = _unvalidated(
+        DistLattice,
+        _unvalidated(FinPoset, lat.elements, None),
+        None,
+        None,
+        lat.bot,
+        lat.top,
+    )
+    assert SUBSET_ORACLE_MAX_ELEMENTS == WAY_BELOW_MAX_ELEMENTS == 22
+    for oracle, what in (
+        (ideals_bruteforce, "ideals"),
+        (prime_filters_bruteforce, "prime filters"),
+        (way_below_bruteforce, "way-below"),
+    ):
+        for target in (hollow, lat):
+            with pytest.raises(BudgetExceeded) as err:
+                oracle(target)
+            assert str(err.value) == (
+                f"{what} over all 2^23 subsets exceeds the cap of 22 elements"
+            )
 
 
 def test_ideal_rejects_non_join_closed():
@@ -837,18 +867,12 @@ def tricky_families():
 def test_memoised_inclusion_views_equal_fresh_and_plain_ones():
     cases = list(tricky_families())
     table = dlat._inclusion_lattice.table
-    # each fresh view is a miss: a call that found an entry is made again
-    # after clear_caches()
+    # each fresh view is a miss, built from cleared caches
     fresh = []
-    clear_caches()
     for case in cases:
-        size = len(table)
-        view = inclusion_view(*case)
-        if len(table) == size:
-            clear_caches()
-            view = inclusion_view(*case)
-            assert len(table) == 1
-        fresh.append(view)
+        clear_caches()
+        fresh.append(inclusion_view(*case))
+        assert len(table) == 1
     clear_caches()
     first = [inclusion_view(*case) for case in cases]
     warm = [inclusion_view(*case) for case in cases]

@@ -5,10 +5,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from stonekit import frame, instances
 from stonekit.bitsets import mask_of
 from stonekit.memo import MEMOS, clear_caches
 from stonekit.cli import main
 from stonekit.dlat import (
+    DistLattice,
     Ideal,
     LatticeHom,
     all_lattice_homs,
@@ -50,11 +52,13 @@ from stonekit.frame import (
     spectrum_map,
     spectrum_view,
     stably_compact_report,
+    WayBelowRelation,
     way_below,
+    way_below_bruteforce,
     well_inside_masks,
 )
 from stonekit.instances import frame_morphisms, run_suite
-from stonekit.order import antichain, chain, make_poset, order_closure
+from stonekit.order import _unvalidated, antichain, chain, make_poset, order_closure
 from stonekit.spaces import (
     discrete_space,
     homeomorphic,
@@ -84,7 +88,70 @@ def six():
 
 def test_way_below_collapses_to_order_on_samples():
     for lat in (two_lattice(), chain3(), diamond(), six()):
-        assert way_below(lat).below == lat.poset.down
+        assert way_below_bruteforce(lat).below == lat.poset.down
+
+
+def test_way_below_reads_the_order_and_nothing_else():
+    lat = downset_lattice(order_closure(list("abcde"), [("a", "b"), ("c", "d")]))
+    assert lat.n == 18
+    # meet and join tables withheld: the definitional route fails on them
+    tableless = _unvalidated(DistLattice, lat.poset, None, None, lat.bot, lat.top)
+    assert way_below(tableless).below == lat.poset.down
+    with pytest.raises(TypeError):
+        way_below_bruteforce(tableless)
+
+
+def test_way_below_keeps_the_cap_of_its_oracle():
+    lat = lattice_from_poset(chain([f"c{i:02d}" for i in range(23)]))
+    for route in (way_below, way_below_bruteforce):
+        with pytest.raises(BudgetExceeded, match=r"^way-below over all 2\^23 subsets"):
+            route(lat)
+
+
+def way_below_calls(monkeypatch, run):
+    """The lattices `run` passes to frame.way_below, one per shape."""
+    seen = {}
+
+    def recording(lat):
+        seen.setdefault(lat.shape, lat)
+        return way_below(lat)
+
+    clear_caches()
+    monkeypatch.setattr(frame, "way_below", recording)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    return list(seen.values())
+
+
+def test_way_below_equals_its_definitional_twin(monkeypatch):
+    lats = list(lattice_universe(4))
+    for name, max_points in (("comonad-k", 3), ("lifting", 4)):
+        reached = way_below_calls(
+            monkeypatch, lambda: list(run_suite(name, max_points=max_points))
+        )
+        assert reached, name
+        lats += reached
+    for lat in lats:
+        assert way_below(lat) == way_below_bruteforce(lat), lat.elements
+
+
+def test_a_way_below_oracle_that_drops_a_pair_fails_the_degeneracy_suite(
+    monkeypatch,
+):
+    def dropped(lat):
+        wb = way_below_bruteforce(lat)
+        # bottom is no longer way below top
+        below = list(wb.below)
+        below[lat.top] &= ~(1 << lat.bot)
+        return WayBelowRelation(lat, tuple(below))
+
+    monkeypatch.setattr(instances, "way_below_bruteforce", dropped)
+    rows = list(run_suite("degeneracy"))
+    failed = {law for _, law, ok, _ in rows if not ok}
+    assert failed == {"degeneracy.way-below-is-order"}
 
 
 def test_way_below_pairs_readable():
@@ -433,7 +500,7 @@ def test_all_finite_homs_are_proper():
 
 @given(st.sampled_from(lattice_universe(3)))
 def test_way_below_matches_order_universewide(lat):
-    assert way_below(lat).below == lat.poset.down
+    assert way_below_bruteforce(lat).below == lat.poset.down
 
 
 # ---------------------------------------------------------------------------

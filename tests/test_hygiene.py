@@ -10,6 +10,7 @@ there.
 """
 
 import ast
+import importlib
 import sys
 import types
 from collections import Counter
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from stonekit.instances import run_suite
-from stonekit.memo import clear_caches
+from stonekit.memo import CACHES, MEMOS, clear_caches
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "stonekit").glob("*.py"))
@@ -191,3 +192,19 @@ def test_clear_caches_empties_every_view_and_memo_table():
     for memo in ("dlat._check_hom", "spaces._check_continuous", "frame._filter_opens"):
         assert f"stonekit.{memo}" in filled
     assert left == []
+
+
+def test_every_cache_of_the_package_is_registered():
+    # clear_caches empties the registered caches only, so a view cached
+    # with a bare lru_cache would outlive it
+    registered = {id(f) for f in CACHES + MEMOS}
+    unregistered = []
+    for path in SOURCES:
+        module = importlib.import_module(f"stonekit.{path.stem}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            cache = callable(getattr(obj, "cache_clear", None))
+            if (cache or hasattr(obj, "table")) and id(obj) not in registered:
+                unregistered.append(f"{module.__name__}.{name}")
+    assert unregistered == []
