@@ -63,7 +63,7 @@ from stonekit.errors import (
     NotDistributive,
     UniverseMismatch,
 )
-from stonekit.frame import WAY_BELOW_MAX_ELEMENTS, way_below_bruteforce
+from stonekit.frame import WAY_BELOW_MAX_ELEMENTS, way_below, way_below_bruteforce
 from stonekit.order import (
     FinPoset,
     _unvalidated,
@@ -176,6 +176,8 @@ def test_subset_oracles_refuse_a_23_element_chain_before_any_subset():
         (ideals_bruteforce, "ideals"),
         (prime_filters_bruteforce, "prime filters"),
         (way_below_bruteforce, "way-below"),
+        # visits no subset, but keeps the cap of its oracle
+        (way_below, "way-below"),
     ):
         for target in (hollow, lat):
             with pytest.raises(BudgetExceeded) as err:
