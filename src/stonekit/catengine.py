@@ -25,16 +25,15 @@ of the concrete universes validate maps where they are built from raw
 data, and a composite of valid maps is valid.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 from .errors import CounitNotIso, HypothesisFailed
+from .order import Value
 from .spaces import ContinuousMap, closure_of, preimage_mask
 
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(Value):
     """Composition data for one finite category."""
 
     name: str
@@ -43,11 +42,10 @@ class Universe:
     source: Callable
     target: Callable
     invert: Callable
-    label: Callable = repr
+    label: Callable
 
 
-@dataclass(frozen=True)
-class FunctorInstance:
+class FunctorInstance(Value):
     name: str
     source: Universe
     target: Universe
@@ -55,8 +53,7 @@ class FunctorInstance:
     on_morphism: Callable
 
 
-@dataclass(frozen=True)
-class NatTransInstance:
+class NatTransInstance(Value):
     """Componentwise morphism between two parallel functors; each
     component is computed once per object and then reused."""
 
@@ -70,8 +67,7 @@ class NatTransInstance:
         object.__setattr__(self, "component", memo)
 
 
-@dataclass(frozen=True)
-class MonadInstance:
+class MonadInstance(Value):
     name: str
     functor: FunctorInstance
     unit: NatTransInstance
@@ -82,16 +78,14 @@ class MonadInstance:
         return self.functor.source
 
 
-@dataclass(frozen=True)
-class ComonadInstance:
+class ComonadInstance(Value):
     name: str
     functor: FunctorInstance
     counit: NatTransInstance
     comult: NatTransInstance
 
 
-@dataclass(frozen=True)
-class AdjunctionInstance:
+class AdjunctionInstance(Value):
     """left -| right, with unit into right(left(-)) and counit out of
     left(right(-))."""
 
@@ -110,18 +104,16 @@ class AdjunctionInstance:
         return self.left.target
 
 
-@dataclass(frozen=True)
-class AlgebraInstance:
+class AlgebraInstance(Value):
     monad: MonadInstance
     carrier: object
     structure: object
 
 
-@dataclass(frozen=True)
-class LawCheck:
+class LawCheck(Value):
     name: str
     ok: bool
-    witness: Optional[str] = None
+    witness: Optional[str]
 
     def __str__(self) -> str:
         mark = "ok" if self.ok else "FAIL"
@@ -173,7 +165,7 @@ def _all(name, universe, cases) -> LawCheck:
     for ok, at in cases:
         if not ok:
             return LawCheck(name, False, universe.label(at))
-    return LawCheck(name, True)
+    return LawCheck(name, True, None)
 
 
 def require_laws(checks) -> None:
@@ -350,10 +342,12 @@ def check_algebra(alg: AlgebraInstance) -> Tuple[LawCheck, ...]:
     unit = LawCheck(
         f"{t.name}-algebra on {u.label(x)}: unit",
         u.compose(a, t.unit.component(x)) == u.identity(x),
+        None,
     )
     assoc = LawCheck(
         f"{t.name}-algebra on {u.label(x)}: associativity",
         u.compose(a, t.functor.on_morphism(a)) == u.compose(a, t.mult.component(x)),
+        None,
     )
     return unit, assoc
 

@@ -47,7 +47,6 @@ not memoised: prime_filters builds its filters from checked masks, so
 only character_filter runs it.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, product
 from typing import Dict, Iterable, Optional, Sequence, Tuple
@@ -62,11 +61,10 @@ from .errors import (
     UniverseMismatch,
 )
 from .memo import cached, name_free
-from .order import FinPoset, _unvalidated, make_poset, poset_isomorphism
+from .order import FinPoset, Value, _unvalidated, make_poset, poset_isomorphism
 
 
-@dataclass(frozen=True)
-class DistLattice:
+class DistLattice(Value):
     """Bounded lattice on a FinPoset carrier with full meet/join tables."""
 
     poset: FinPoset
@@ -225,8 +223,7 @@ def is_distributive(lat: DistLattice) -> bool:
     return distributivity_witness(lat) is None
 
 
-@dataclass(frozen=True)
-class LatticeHom:
+class LatticeHom(Value):
     """Bounded-lattice homomorphism; assignment maps source to target indices."""
 
     source: DistLattice
@@ -309,8 +306,7 @@ def two_lattice() -> DistLattice:
 # lattices of sets: downsets, ideals and (in spaces) opens
 
 
-@dataclass(frozen=True)
-class SetLatticeView:
+class SetLatticeView(Value):
     """Lattice of a family of subsets under inclusion; masks[i] is the
     subset that element i denotes."""
 
@@ -421,8 +417,7 @@ def join_irreducibles(lat: DistLattice) -> FinPoset:
 # ideals
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(Value):
     """Nonempty down-closed join-closed subset of its home lattice."""
 
     home: DistLattice
@@ -679,8 +674,7 @@ def frame_join_algebra(lat: DistLattice) -> LatticeHom:
 # prime filters and characters
 
 
-@dataclass(frozen=True)
-class PrimeFilter:
+class PrimeFilter(Value):
     """Proper, up-closed, meet-closed subset with prime joins."""
 
     home: DistLattice

@@ -15,7 +15,6 @@ for the other. The names of each call's own lattices and spaces are
 attached afterwards.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Dict, Optional, Sequence, Tuple
@@ -39,7 +38,7 @@ from .dlat import (
 )
 from .errors import BudgetExceeded, NotDistributive
 from .memo import cached, name_free
-from .order import _unvalidated
+from .order import Value, _unvalidated
 from .spaces import ContinuousMap, FinSpace, open_frame_view
 
 
@@ -53,8 +52,7 @@ from .spaces import ContinuousMap, FinSpace, open_frame_view
 WAY_BELOW_MAX_ELEMENTS = SUBSET_ORACLE_MAX_ELEMENTS
 
 
-@dataclass(frozen=True)
-class WayBelowRelation:
+class WayBelowRelation(Value):
     """below[b] is the bitmask of elements way below element b."""
 
     home: DistLattice
@@ -116,12 +114,11 @@ def is_compact(lat: DistLattice) -> bool:
     return bool((wb.below[lat.top] >> lat.top) & 1)
 
 
-@dataclass(frozen=True)
-class StablyCompactReport:
+class StablyCompactReport(Value):
     compact: bool
     sublattice: bool
     approximating: bool
-    witness: Optional[tuple] = None
+    witness: Optional[tuple]
 
     @property
     def ok(self) -> bool:
@@ -207,8 +204,7 @@ def is_boolean(lat: DistLattice) -> bool:
     return complemented_mask(lat) == (1 << lat.n) - 1
 
 
-@dataclass(frozen=True)
-class CenterView:
+class CenterView(Value):
     """Boolean center of a lattice with its inclusion hom."""
 
     lattice: DistLattice
@@ -291,8 +287,7 @@ def _filter_opens(
     return tuple(sorted(set(sigma))), sigma
 
 
-@dataclass(frozen=True)
-class SpectrumView:
+class SpectrumView(Value):
     """Prime spectrum of a lattice.
 
     Point k of the space is the k-th prime filter (ascending member mask);
@@ -424,8 +419,7 @@ def counit_hom(lat: DistLattice) -> LatticeHom:
     return frame_join_algebra(lat)
 
 
-@dataclass(frozen=True)
-class CoalgebraCandidate:
+class CoalgebraCandidate(Value):
     """A would-be coalgebra structure for the ideal comonad."""
 
     carrier: DistLattice
@@ -440,11 +434,10 @@ def gamma_coalgebra(lat: DistLattice) -> CoalgebraCandidate:
     return CoalgebraCandidate(lat, LatticeHom(lat, view.lattice, assignment))
 
 
-@dataclass(frozen=True)
-class CoalgebraReport:
+class CoalgebraReport(Value):
     counit_law: bool
     comultiplication_law: bool
-    witness: Optional[str] = None
+    witness: Optional[str]
 
     @property
     def ok(self) -> bool:

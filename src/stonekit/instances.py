@@ -154,26 +154,26 @@ def _invert_hom(h: LatticeHom):
 @cached
 def space_universe() -> Universe:
     return Universe(
-        name="finite spaces",
-        identity=identity_map,
-        compose=compose_maps,
-        source=lambda f: f.source,
-        target=lambda f: f.target,
-        invert=_invert_map,
-        label=_space_label,
+        "finite spaces",
+        identity_map,
+        compose_maps,
+        lambda f: f.source,
+        lambda f: f.target,
+        _invert_map,
+        _space_label,
     )
 
 
 @cached
 def frame_universe() -> Universe:
     return Universe(
-        name="finite frames",
-        identity=identity_hom,
-        compose=compose_homs,
-        source=lambda h: h.source,
-        target=lambda h: h.target,
-        invert=_invert_hom,
-        label=_lattice_label,
+        "finite frames",
+        identity_hom,
+        compose_homs,
+        lambda h: h.source,
+        lambda h: h.target,
+        _invert_hom,
+        _lattice_label,
     )
 
 
@@ -181,13 +181,13 @@ def frame_universe() -> Universe:
 def locale_universe() -> Universe:
     """Frames with every arrow read backwards."""
     return Universe(
-        name="finite locales",
-        identity=identity_hom,
-        compose=lambda after, m: compose_homs(m, after),
-        source=lambda h: h.target,
-        target=lambda h: h.source,
-        invert=_invert_hom,
-        label=_lattice_label,
+        "finite locales",
+        identity_hom,
+        lambda after, m: compose_homs(m, after),
+        lambda h: h.target,
+        lambda h: h.source,
+        _invert_hom,
+        _lattice_label,
     )
 
 

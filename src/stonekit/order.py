@@ -6,16 +6,58 @@ Two structurally equal posets therefore compare equal as values, and
 all derived subset bitmasks are reproducible across runs.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .bitsets import bits, mask_of
 from .errors import CycleError, InvalidValue
 
 
-@dataclass(frozen=True)
-class FinPoset:
+class Value:
+    """Base of the frozen record classes. The fields are the class's own
+    annotations, in order, all passed positionally; an instance compares,
+    hashes and prints as the tuple of its fields, as a frozen dataclass
+    does, and runs the class's __post_init__ check once they are set."""
+
+    def __init_subclass__(cls):
+        cls._fields = fields = tuple(vars(cls).get("__annotations__", ()))
+        get = attrgetter(*fields)
+        key = get if len(fields) > 1 else lambda v: (get(v),)
+        cls._check = getattr(cls, "__post_init__", None)
+
+        # closures, not methods reading a class attribute: as fast as a
+        # dataclass's generated methods on the law suites' hottest calls
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return key(self) == key(other)
+
+        cls.__eq__ = __eq__
+        cls.__hash__ = lambda self: hash(key(self))
+
+    def __init__(self, *values):
+        fields = self._fields
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} values")
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+        check = self._check
+        if check is not None:
+            check()
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FinPoset(Value):
     """Poset on named elements; down[i] is the bitmask of {j | e_j <= e_i}."""
 
     elements: Tuple[str, ...]
@@ -182,8 +224,7 @@ def antichain(names: Sequence[str]) -> FinPoset:
     return order_closure(names, [])
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
+class MonotoneMap(Value):
     """Order-preserving map; assignment[i] is the target index of source e_i."""
 
     source: FinPoset
@@ -206,11 +247,11 @@ class MonotoneMap:
 
 
 def _unvalidated(cls, *values):
-    """cls(*values) for a frozen dataclass, without its __post_init__
-    check; only for values valid by construction, such as the composite
-    of two maps that were validated when they were built."""
+    """cls(*values) for a Value class, without its __post_init__ check;
+    only for values valid by construction, such as the composite of two
+    maps that were validated when they were built."""
     obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    obj.__dict__.update(zip(cls._fields, values))
     return obj
 
 

@@ -10,18 +10,16 @@ run once per distinct (opens, assignment) value, whatever the point names
 (memo.name_free); only passing verdicts are stored.
 """
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from .bitsets import bits, format_subset, mask_of
 from .dlat import DistLattice, LatticeHom, SetLatticeView, inclusion_view
 from .errors import CycleError, InvalidValue, NotATopology, UniverseMismatch
 from .memo import cached, name_free
-from .order import FinPoset, _unvalidated, make_poset, transpose
+from .order import FinPoset, Value, _unvalidated, make_poset, transpose
 
 
-@dataclass(frozen=True)
-class FinSpace:
+class FinSpace(Value):
     points: Tuple[str, ...]
     opens: Tuple[int, ...]
 
@@ -154,8 +152,7 @@ def subspace(x: FinSpace, mask: int) -> "Tuple[FinSpace, ContinuousMap]":
     return sub, incl
 
 
-@dataclass(frozen=True)
-class ContinuousMap:
+class ContinuousMap(Value):
     """Point assignment whose preimages of opens are open."""
 
     source: FinSpace

@@ -9,7 +9,6 @@ T0 spaces, and the Hausdorff reflection through clopen classes closes the
 compactification square. All of that is checked by the tests, not assumed.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Dict, Optional, Tuple
@@ -24,6 +23,7 @@ from .errors import (
 )
 from .frame import center_view, filter_space_of, spectrum_view
 from .memo import cached
+from .order import Value
 from .spaces import (
     ContinuousMap,
     FinSpace,
@@ -38,8 +38,7 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True)
-class OpenPrimeFilter:
+class OpenPrimeFilter(Value):
     """Prime filter of opens; members is a mask over the opens tuple."""
 
     space: FinSpace
@@ -101,8 +100,7 @@ def _filter_violation(x: FinSpace, members: int) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class FilterSpaceView:
+class FilterSpaceView(Value):
     """F X with its bookkeeping.
 
     filters[k] is the k-th prime filter as a mask over the opens of X;
@@ -213,8 +211,7 @@ def canonical_algebra(x: FinSpace) -> ContinuousMap:
     return ContinuousMap(fx, x, assignment)
 
 
-@dataclass(frozen=True)
-class AlgebraReport:
+class AlgebraReport(Value):
     unit_law: bool
     assoc_law: bool
 
@@ -377,8 +374,7 @@ def open_frame_of_filters_iso(x: FinSpace) -> LatticeHom:
 # compactification square and ultrafilters
 
 
-@dataclass(frozen=True)
-class CompactificationReport:
+class CompactificationReport(Value):
     spectral_side: FinSpace
     reflection_side: FinSpace
     comparison: Optional[ContinuousMap]

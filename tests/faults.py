@@ -47,13 +47,13 @@ def finset_universe() -> Universe:
         return (tgt, src, tuple(inv))
 
     return Universe(
-        name="finite sets",
-        identity=lambda n: (n, n, tuple(range(n))),
-        compose=compose,
-        source=lambda m: m[0],
-        target=lambda m: m[1],
-        invert=invert,
-        label=str,
+        "finite sets",
+        lambda n: (n, n, tuple(range(n))),
+        compose,
+        lambda m: m[0],
+        lambda m: m[1],
+        invert,
+        str,
     )
 
 
@@ -209,13 +209,13 @@ def powerset_universe(n: int, names: Optional[Tuple[str, ...]] = None) -> Univer
         return repr(a)
 
     return Universe(
-        name=f"subsets of a {n}-point set",
-        identity=lambda a: (a, a),
-        compose=compose,
-        source=lambda m: m[0],
-        target=lambda m: m[1],
-        invert=lambda m: (m[1], m[0]) if m[0] == m[1] else None,
-        label=label,
+        f"subsets of a {n}-point set",
+        lambda a: (a, a),
+        compose,
+        lambda m: m[0],
+        lambda m: m[1],
+        lambda m: (m[1], m[0]) if m[0] == m[1] else None,
+        label,
     )
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from stonekit import dlat
 from stonekit.cli import main
+from stonekit.instances import LAW_SUITES
 from stonekit.memo import clear_caches
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -178,6 +179,36 @@ def test_law_suites_pass_at_small_sizes(capsys, suite):
     body = lines[:-1]
     assert body and all("\tPASS" in line for line in body)
     assert all(len(line.split("\t")) == 3 for line in body)
+
+
+# rows and SHA-256 of the sorted rows of each suite at default sizes; the
+# rows do not depend on the hash seed or on what the caches already hold
+SUITE_PINS = {
+    "adjunction-os": (986, "a6216e3226289904168a5af9a648ae3014436fba4654285bc475020b98f1e129"),
+    "cechstone": (2149, "a490fd2967aa9be5b37e922f238fd9706e383f9a0205a8f0de1a943d371c4eb2"),
+    "comonad-k": (1016, "7ff678cef04b2b33f7607f5a782b61835867a1af21ac87d11c0fc074ec2251c0"),
+    "degeneracy": (965, "19e1529982bbad5d882fdb1cad4837f0486c5239b665e2637054656988eddd66"),
+    "lifting": (897, "d2e5354d656fb2fcaffc633120cef2e695974fda492d2256135e279246d6b0f4"),
+    "monad-f": (314, "d2d998a4083e18150790b64f98107aa8ca21ad5cc1b5ce3471793ea3294039b2"),
+    "monad-i": (1662, "7f124c9a2106d73b4baefcd99cc614156a463625e81ac52793929acb636940e2"),
+    "pairing": (209, "9e011aa499f489925c0caa3b8bf8bc139c943cb56b788b94d99a6ee8715fa05b"),
+    "ultrafilter": (70, "95a0ccb03ad5c3e9af3a22dfd29a108154588e5e2ec67b3ce362a3657d495704"),
+}
+
+
+def test_every_suite_is_pinned():
+    assert sorted(SUITE_PINS) == sorted(LAW_SUITES)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_PINS))
+def test_law_suite_rows_are_pinned(capsys, suite):
+    code, out, err = run(capsys, "laws", "--suite", suite)
+    assert code == 0 and err == ""
+    rows = [line for line in out.splitlines() if not line.startswith("#")]
+    count, digest = SUITE_PINS[suite]
+    assert out.splitlines()[-1] == f"# {suite}: {count} checks, 0 failures"
+    assert len(rows) == count
+    assert hashlib.sha256("\n".join(sorted(rows)).encode()).hexdigest() == digest
 
 
 def test_monad_f_covers_all_29_three_point_topologies(capsys):

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports at top level is used in it,
 every top-level function and class of the package is used somewhere, the
-package states no check as an `assert`, and `clear_caches` empties every
-cache the package fills.
+package states no check as an `assert`, `clear_caches` empties every cache
+the package fills, and the package leaves `dataclasses` and `inspect`
+unimported, since every CLI process would pay for them.
 
 The package's `__init__.py` is exempt from the import rule, since its
 imports are re-exports, and its re-exports do not count as uses. `python -O`
@@ -11,6 +12,8 @@ there.
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 import types
 from collections import Counter
@@ -68,6 +71,47 @@ def test_assert_is_reported():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_assert_statements_in_the_package(path):
     assert assert_lines(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set:
+    """Top-level package of every module that an import anywhere in the
+    source names."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_imported_modules_are_reported():
+    source = "import os.path\ndef f():\n    from a.b import c\n    from . import d\n"
+    assert imported_modules(source) == {"os", "a"}
+
+
+def test_the_package_does_not_import_dataclasses():
+    # the record classes derive from order.Value; dataclasses would pull
+    # inspect, ast and tokenize into every CLI process
+    importers = [
+        p.name for p in PACKAGE if "dataclasses" in imported_modules(p.read_text("utf-8"))
+    ]
+    assert importers == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    probe = (
+        "import sys, stonekit.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert loaded.stdout.strip() == "[]"
 
 
 def names_used(node: ast.AST) -> set:

@@ -1,0 +1,228 @@
+"""The `Value` base of the record classes, against frozen dataclasses.
+
+Every record class of the package derives from `order.Value`. Each one is
+compared here with a twin that `dataclasses.make_dataclass` builds frozen
+from the same field values: equality, hash and repr must agree, the
+fields stay frozen, the arity is exact, and `__post_init__` still rejects
+bad input.
+"""
+
+import dataclasses
+from itertools import product
+
+import pytest
+
+from stonekit.catengine import (
+    AdjunctionInstance,
+    AlgebraInstance,
+    ComonadInstance,
+    LawCheck,
+)
+from stonekit.dlat import (
+    Ideal,
+    LatticeHom,
+    PrimeFilter,
+    downset_view,
+    identity_hom,
+    prime_filters,
+    principal_ideal,
+    two_lattice,
+)
+from stonekit.errors import InvalidValue, NotATopology
+from stonekit.frame import (
+    CoalgebraReport,
+    StablyCompactReport,
+    center_view,
+    check_coalgebra,
+    gamma_coalgebra,
+    spectrum_view,
+    stably_compact_report,
+    way_below,
+)
+from stonekit.instances import (
+    filter_monad_on_spaces,
+    frame_universe,
+    ideal_comonad_on_frames,
+    ideal_monad_on_frames,
+    open_spectrum_adjunction,
+    space_universe,
+)
+from stonekit.order import (
+    FinPoset,
+    MonotoneMap,
+    Value,
+    _unvalidated,
+    antichain,
+    chain,
+    identity_monotone,
+)
+from stonekit.spaces import (
+    ContinuousMap,
+    FinSpace,
+    discrete_space,
+    identity_map,
+    open_frame_view,
+    open_set_frame,
+    sierpinski,
+)
+from stonekit.topspace import (
+    AlgebraReport,
+    OpenPrimeFilter,
+    canonical_algebra,
+    check_filter_algebra,
+    compactification_square,
+    filter_space_view,
+    neighborhood_filter,
+)
+
+
+def samples() -> list:
+    """At least two unequal instances of every record class."""
+    s, d = sierpinski(), discrete_space(["a", "b"])
+    two, three = two_lattice(), open_set_frame(s)
+    f, i = filter_monad_on_spaces(), ideal_monad_on_frames()
+    k = ideal_comonad_on_frames()
+    adj = open_spectrum_adjunction()
+    return [
+        chain(["a", "b"]),
+        antichain(["a", "b"]),
+        identity_monotone(chain(["a"])),
+        identity_monotone(chain(["a", "b"])),
+        space_universe(),
+        frame_universe(),
+        f.functor,
+        i.functor,
+        f.unit,
+        f.mult,
+        f,
+        i,
+        k,
+        ComonadInstance("K'", k.functor, k.counit, k.comult),
+        adj,
+        AdjunctionInstance("O -| pt'", adj.left, adj.right, adj.unit, adj.counit),
+        AlgebraInstance(f, s, canonical_algebra(s)),
+        AlgebraInstance(f, d, canonical_algebra(d)),
+        LawCheck("unit", True, None),
+        LawCheck("unit", False, "at x"),
+        two,
+        three,
+        identity_hom(two),
+        identity_hom(three),
+        downset_view(chain(["a", "b"])),
+        open_frame_view(d),
+        principal_ideal(two, two.elements[0]),
+        principal_ideal(two, two.elements[1]),
+        *prime_filters(three),
+        s,
+        d,
+        identity_map(s),
+        identity_map(d),
+        way_below(two),
+        way_below(three),
+        stably_compact_report(two),
+        StablyCompactReport(True, True, False, ("a", "b")),
+        center_view(two),
+        center_view(three),
+        spectrum_view(two),
+        spectrum_view(three),
+        gamma_coalgebra(two),
+        gamma_coalgebra(three),
+        check_coalgebra(gamma_coalgebra(three)),
+        CoalgebraReport(True, False, "at a"),
+        neighborhood_filter(s, s.points[0]),
+        neighborhood_filter(s, s.points[1]),
+        filter_space_view(s),
+        filter_space_view(d),
+        check_filter_algebra(canonical_algebra(s)),
+        AlgebraReport(True, False),
+        compactification_square(s),
+        compactification_square(d),
+    ]
+
+
+def record_classes() -> list:
+    return sorted(Value.__subclasses__(), key=lambda cls: cls.__name__)
+
+
+def by_class() -> dict:
+    out = {}
+    for value in samples():
+        out.setdefault(type(value), []).append(value)
+    return out
+
+
+def field_values(value) -> list:
+    return [getattr(value, name) for name in type(value)._fields]
+
+
+def test_every_record_class_has_unequal_samples():
+    assert len(record_classes()) == 27
+    groups = by_class()
+    assert sorted(groups, key=lambda cls: cls.__name__) == record_classes()
+    for cls, values in groups.items():
+        assert any(a != b for a, b in product(values, repeat=2)), cls.__name__
+
+
+@pytest.mark.parametrize("cls", record_classes(), ids=lambda cls: cls.__name__)
+def test_equality_hash_and_repr_agree_with_a_frozen_dataclass(cls):
+    values = by_class()[cls]
+    # a copy from the same field values is equal but not the same object
+    values += [_unvalidated(cls, *field_values(v)) for v in values]
+    twin = dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)
+    twins = [twin(*field_values(v)) for v in values]
+    for v, t in zip(values, twins):
+        assert hash(v) == hash(t)
+        assert repr(v) == repr(t)
+        assert v.__eq__(t) is NotImplemented and v != t
+    for (a, ta), (b, tb) in product(zip(values, twins), repeat=2):
+        assert (a == b) == (ta == tb)
+        assert (a != b) == (ta != tb)
+    assert sum(a == b for a, b in product(values, repeat=2)) > len(values)
+
+
+@pytest.mark.parametrize("cls", record_classes(), ids=lambda cls: cls.__name__)
+def test_fields_are_frozen_and_the_arity_is_exact(cls):
+    value = by_class()[cls][0]
+    fields = field_values(value)
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = None
+    assert field_values(value) == fields
+    with pytest.raises(TypeError):
+        cls(*fields[:-1])
+    with pytest.raises(TypeError):
+        cls(*fields, None)
+    with pytest.raises(TypeError):
+        cls(**dict(zip(cls._fields, fields)))
+
+
+def bad_inputs():
+    s, d = sierpinski(), discrete_space(["a", "b"])
+    two, p = two_lattice(), chain(["a", "b"])
+    return {
+        FinPoset: (lambda: FinPoset(("a", "a"), (1, 2)), "duplicate element names"),
+        MonotoneMap: (lambda: MonotoneMap(p, p, (1, 0)), "not monotone"),
+        LatticeHom: (lambda: LatticeHom(two, two, (1, 1)), "fails bottom"),
+        Ideal: (lambda: Ideal(two, 0), "not an ideal"),
+        PrimeFilter: (lambda: PrimeFilter(two, 0b11), "contains bottom"),
+        FinSpace: (lambda: FinSpace(("a",), (1,)), "missing empty set"),
+        ContinuousMap: (lambda: ContinuousMap(s, d, (0, 1)), "is not open"),
+        OpenPrimeFilter: (lambda: OpenPrimeFilter(s, 0b111), "contains the empty set"),
+    }
+
+
+def test_post_init_still_rejects_bad_input():
+    cases = bad_inputs()
+    # NatTransInstance's __post_init__ memoises its component, it checks nothing
+    checking = [c for c in record_classes() if "__post_init__" in vars(c)]
+    assert sorted(cases, key=lambda c: c.__name__) == [
+        c for c in checking if c.__name__ != "NatTransInstance"
+    ]
+    for cls, (build, message) in cases.items():
+        with pytest.raises((InvalidValue, NotATopology), match=message):
+            build()
+    assert callable(filter_monad_on_spaces().unit.component.cache_info)
