@@ -126,20 +126,20 @@ from .catengine import (
     lift_monad_morphism,
 )
 from .instances import (
+    FRAME_UNIVERSE,
+    LOCALE_UNIVERSE,
+    SPACE_UNIVERSE,
     compact_reflection_monad,
     compactification_collapse,
     filter_monad_on_spaces,
-    frame_universe,
     ideal_comonad_on_frames,
     ideal_monad_on_frames,
     ideal_monad_on_locales,
     lifted_ideal_monad,
-    locale_universe,
     open_spectrum_adjunction,
     run_suite,
     sobrification_monad,
     sobrification_to_filters,
-    space_universe,
 )
 from .documents import dumps, load_lattice, load_space, loads
 from .universes import (

@@ -8,7 +8,7 @@ Conventions:
 
 Fast routes exploit finiteness and the canonical element order; each has a
 definitional twin that the tests use as its oracle:
-  - lattice_from_poset reads each meet and join off one bitmask (a linear
+  - DistLattice reads each meet and join off one bitmask (a linear
     extension puts a greatest lower bound at the highest index); twin: a
     search over all common bounds, in the tests;
   - distributivity_witness tests Birkhoff's criterion (every
@@ -31,20 +31,27 @@ prime_filters_bruteforce and frame.way_below_bruteforce) share one guard,
 check_subset_budget: past SUBSET_ORACLE_MAX_ELEMENTS elements they raise
 BudgetExceeded before visiting any subset.
 
+A lattice is its order. DistLattice(p) is the unchecked lattice: it
+derives the meet and join tables of p, or raises NotALattice, and checks
+nothing about distributivity. lattice_from_poset(p) is the checked one.
+The tables are derived, never given: the routes that already hold them
+(the set-operation tables of inclusion_view and the relabelled ideal
+lattice) attach them through _with_tables instead of deriving them again.
+
 Memo contract (see memo.name_free): the hom, ideal and distributivity
 checks, the prime-filter masks, the assignments of ideal_functor_hom and
 the lattices of inclusion_view run once per distinct name-free value. A
 lattice's `shape` is an int shared by exactly the lattices with equal
-down-sets, tables, bottom and top, whatever their names; the results are
-stored under keys built from shapes and masks, and the names are attached
-per call. inclusion_view's key is (masks, the argsort of the names): the
-names only break ties in make_poset, so their ranking fixes the element
-order, and a hit shares the stored down-sets, tables and shape under the
-caller's names (the duplicate-name check runs on every call). Only
-passing verdicts are stored, so a failure is checked again each time and
-its message names the caller's own elements. The PrimeFilter check is
-not memoised: prime_filters builds its filters from checked masks, so
-only character_filter runs it.
+down-sets, whatever their names: the down-sets fix the tables, bottom and
+top. The results are stored under keys built from shapes and masks, and
+the names are attached per call. inclusion_view's key is (masks, the
+argsort of the names): the names only break ties in make_poset, so their
+ranking fixes the element order, and a hit shares the stored down-sets and
+tables under the caller's names (the duplicate-name check runs on every
+call). Only passing verdicts are stored, so a failure is checked again
+each time and its message names the caller's own elements. The
+PrimeFilter check is not memoised: prime_filters builds its filters from
+checked masks, so only character_filter runs it.
 """
 
 from functools import cached_property
@@ -65,13 +72,41 @@ from .order import FinPoset, Value, _unvalidated, make_poset, poset_isomorphism
 
 
 class DistLattice(Value):
-    """Bounded lattice on a FinPoset carrier with full meet/join tables."""
+    """Bounded lattice on its FinPoset carrier, the only field; the meet and
+    join tables are attributes that __post_init__ derives."""
 
     poset: FinPoset
-    meet: Tuple[Tuple[int, ...], ...]
-    join: Tuple[Tuple[int, ...], ...]
-    bot: int
-    top: int
+
+    # the canonical linear extension puts bottom first and top last
+    bot = 0
+
+    def __post_init__(self):
+        p = self.poset
+        n = p.n
+        if n == 0:
+            raise NotALattice("carrier", "empty")
+        down, ups = p.down, p.up_masks
+        meet = [[0] * n for _ in range(n)]
+        join = [[0] * n for _ in range(n)]
+        for i in range(n):
+            meet_i, join_i = meet[i], join[i]
+            for j in range(i, n):
+                # the element order is a linear extension, so a greatest lower
+                # bound can only be the highest-index common lower bound and a
+                # least upper bound only the lowest-index common upper bound
+                lower = down[i] & down[j]
+                g = lower.bit_length() - 1
+                if not lower or lower & ~down[g]:
+                    raise NotALattice("meet", (p.elements[i], p.elements[j]))
+                meet_i[j] = meet[j][i] = g
+                upper = ups[i] & ups[j]
+                u = (upper & -upper).bit_length() - 1
+                if not upper or upper & ~ups[u]:
+                    raise NotALattice("join", (p.elements[i], p.elements[j]))
+                join_i[j] = join[j][i] = u
+        self.__dict__.update(
+            meet=tuple(map(tuple, meet)), join=tuple(map(tuple, join))
+        )
 
     @property
     def elements(self) -> Tuple[str, ...]:
@@ -81,14 +116,15 @@ class DistLattice(Value):
     def n(self) -> int:
         return self.poset.n
 
+    @cached_property
+    def top(self) -> int:
+        return self.n - 1
+
     def index(self, name: str) -> int:
         return self.poset.index(name)
 
     def leq_index(self, i: int, j: int) -> bool:
         return self.poset.leq_index(i, j)
-
-    def down_mask(self, i: int) -> int:
-        return self.poset.down[i]
 
     def join_mask(self, mask: int) -> int:
         """Join of a subset given as a bitmask; empty mask yields bottom."""
@@ -109,8 +145,8 @@ class DistLattice(Value):
     @cached_property
     def shape(self) -> int:
         """The lattice without its names, as an int: equal exactly for
-        lattices with equal down-sets, meet and join tables, bottom and top."""
-        return _shape_id((self.poset.down, self.meet, self.join, self.bot, self.top))
+        lattices with equal down-sets, which fix the tables."""
+        return _shape_id(self.poset.down)
 
     @cached_property
     def join_irreducible_mask(self) -> int:
@@ -123,45 +159,19 @@ class DistLattice(Value):
         )
 
 
-def lattice_from_poset(p: FinPoset, check: bool = True) -> DistLattice:
-    """Compute meet/join tables for a poset that is a bounded lattice.
+def lattice_from_poset(p: FinPoset) -> DistLattice:
+    """The poset as a checked distributive lattice: NotALattice when some
+    pair lacks a meet or join, NotDistributive with a witness triple."""
+    return _checked(DistLattice(p))
 
-    Raises NotALattice when some pair lacks a meet or join, and (when
-    check=True) NotDistributive with a witness triple.
-    """
-    n = p.n
-    if n == 0:
-        raise NotALattice("carrier", "empty")
-    down, ups = p.down, p.up_masks
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for i in range(n):
-        meet_i, join_i = meet[i], join[i]
-        for j in range(i, n):
-            # the element order is a linear extension, so a greatest lower
-            # bound can only be the highest-index common lower bound and a
-            # least upper bound only the lowest-index common upper bound
-            lower = down[i] & down[j]
-            g = lower.bit_length() - 1
-            if not lower or lower & ~down[g]:
-                raise NotALattice("meet", (p.elements[i], p.elements[j]))
-            meet_i[j] = meet[j][i] = g
-            upper = ups[i] & ups[j]
-            u = (upper & -upper).bit_length() - 1
-            if not upper or upper & ~ups[u]:
-                raise NotALattice("join", (p.elements[i], p.elements[j]))
-            join_i[j] = join[j][i] = u
-    full = (1 << n) - 1
-    bot = next(i for i in range(n) if ups[i] == full)
-    top = next(i for i in range(n) if down[i] == full)
-    lat = DistLattice(
-        p,
-        tuple(tuple(row) for row in meet),
-        tuple(tuple(row) for row in join),
-        bot,
-        top,
-    )
-    return _checked(lat) if check else lat
+
+def _with_tables(poset: FinPoset, meet, join) -> DistLattice:
+    """DistLattice(poset) with the meet and join tables the caller already
+    holds for that order, without deriving them again; the caller vouches
+    that they are the tables of the order."""
+    lat = _unvalidated(DistLattice, poset)
+    lat.__dict__.update(meet=meet, join=join)
+    return lat
 
 
 # shape ids are never reused, so a lattice that outlives clear_caches
@@ -232,9 +242,6 @@ class LatticeHom(Value):
 
     def __post_init__(self):
         _check_hom(self.source, self.target, tuple(self.assignment))
-
-    def apply_index(self, i: int) -> int:
-        return self.assignment[i]
 
     def apply(self, name: str) -> str:
         return self.target.elements[self.assignment[self.source.index(name)]]
@@ -337,12 +344,10 @@ def inclusion_view(
     order, sets, built = _inclusion_lattice(tuple(masks), names)
     if len(set(names)) != len(names):
         raise InvalidValue("duplicate element names")
-    # the stored lattice was checked when it was built: share its down-sets,
-    # tables and shape under this call's names
+    # the stored lattice was checked when it was built: share its down-sets
+    # and tables under this call's names
     poset = _unvalidated(FinPoset, tuple(names[i] for i in order), built.poset.down)
-    lat = DistLattice(poset, built.meet, built.join, built.bot, built.top)
-    lat.__dict__["shape"] = built.shape
-    return SetLatticeView(lat, sets)
+    return SetLatticeView(_with_tables(poset, built.meet, built.join), sets)
 
 
 def _name_rank(names: Tuple[str, ...]) -> Tuple[int, ...]:
@@ -367,7 +372,7 @@ def _inclusion_lattice(
     sets = tuple(masks[i] for i in order)
     lat = _set_operation_lattice(poset, sets)
     if lat is None:
-        return order, sets, lattice_from_poset(poset, check=True)
+        return order, sets, lattice_from_poset(poset)
     return order, sets, _checked(lat)
 
 
@@ -375,9 +380,8 @@ def _set_operation_lattice(
     poset: FinPoset, sets: Tuple[int, ...]
 ) -> Optional[DistLattice]:
     """The lattice of a nonempty family closed under & and |, ordered by
-    inclusion: its meets are intersections and its joins unions, and a
-    linear extension puts the least set first and the greatest last. None
-    when the family is empty or some intersection or union falls outside it."""
+    inclusion: its meets are intersections and its joins unions. None when
+    the family is empty or some intersection or union falls outside it."""
     if not sets:
         return None
     index = {m: i for i, m in enumerate(sets)}
@@ -386,7 +390,7 @@ def _set_operation_lattice(
         join = tuple(tuple(index[a | b] for b in sets) for a in sets)
     except KeyError:
         return None
-    return DistLattice(poset, meet, join, 0, len(sets) - 1)
+    return _with_tables(poset, meet, join)
 
 
 def _downclosed_masks(down: Tuple[int, ...]) -> list:
@@ -425,9 +429,6 @@ class Ideal(Value):
 
     def __post_init__(self):
         _check_ideal(self.home, self.members)
-
-    def member_names(self) -> Tuple[str, ...]:
-        return tuple(self.home.elements[i] for i in bits(self.members))
 
     @property
     def name(self) -> str:
@@ -576,7 +577,7 @@ def ideal_view(lat: DistLattice) -> SetLatticeView:
     names = tuple(f"down({e})" for e in lat.elements)
     if _sorts_alike(lat.elements, names):
         poset = _unvalidated(FinPoset, names, lat.poset.down)
-        ideals = DistLattice(poset, lat.meet, lat.join, lat.bot, lat.top)
+        ideals = _with_tables(poset, lat.meet, lat.join)
         return SetLatticeView(_checked(ideals), lat.poset.down)
     masks = principal_masks(lat)
     return inclusion_view(

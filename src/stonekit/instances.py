@@ -151,44 +151,38 @@ def _invert_hom(h: LatticeHom):
     return LatticeHom(h.target, h.source, tuple(back))
 
 
-@cached
-def space_universe() -> Universe:
-    return Universe(
-        "finite spaces",
-        identity_map,
-        compose_maps,
-        lambda f: f.source,
-        lambda f: f.target,
-        _invert_map,
-        _space_label,
-    )
+# the universes are built once: the category engine composes functors only
+# over the same universe object
+SPACE_UNIVERSE = Universe(
+    "finite spaces",
+    identity_map,
+    compose_maps,
+    lambda f: f.source,
+    lambda f: f.target,
+    _invert_map,
+    _space_label,
+)
 
+FRAME_UNIVERSE = Universe(
+    "finite frames",
+    identity_hom,
+    compose_homs,
+    lambda h: h.source,
+    lambda h: h.target,
+    _invert_hom,
+    _lattice_label,
+)
 
-@cached
-def frame_universe() -> Universe:
-    return Universe(
-        "finite frames",
-        identity_hom,
-        compose_homs,
-        lambda h: h.source,
-        lambda h: h.target,
-        _invert_hom,
-        _lattice_label,
-    )
-
-
-@cached
-def locale_universe() -> Universe:
-    """Frames with every arrow read backwards."""
-    return Universe(
-        "finite locales",
-        identity_hom,
-        lambda after, m: compose_homs(m, after),
-        lambda h: h.target,
-        lambda h: h.source,
-        _invert_hom,
-        _lattice_label,
-    )
+# frames with every arrow read backwards
+LOCALE_UNIVERSE = Universe(
+    "finite locales",
+    identity_hom,
+    lambda after, m: compose_homs(m, after),
+    lambda h: h.target,
+    lambda h: h.source,
+    _invert_hom,
+    _lattice_label,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +217,7 @@ def space_morphisms(max_points: int = 2) -> Tuple[ContinuousMap, ...]:
 
 @cached
 def ideal_functor_on_frames() -> FunctorInstance:
-    u = frame_universe()
+    u = FRAME_UNIVERSE
     return FunctorInstance("ideals", u, u, ideal_lattice, ideal_functor_hom)
 
 
@@ -248,7 +242,7 @@ def ideal_comonad_on_frames() -> ComonadInstance:
 
 @cached
 def ideal_functor_on_locales() -> FunctorInstance:
-    u = locale_universe()
+    u = LOCALE_UNIVERSE
     return FunctorInstance("ideals", u, u, ideal_lattice, ideal_functor_hom)
 
 
@@ -266,7 +260,7 @@ def ideal_monad_on_locales() -> MonadInstance:
 
 @cached
 def identity_monad_on_locales() -> MonadInstance:
-    u = locale_universe()
+    u = LOCALE_UNIVERSE
     return make_monad(
         "locale identity monad", identity_functor(u), identity_hom, identity_hom
     )
@@ -276,8 +270,8 @@ def identity_monad_on_locales() -> MonadInstance:
 def open_functor() -> FunctorInstance:
     return FunctorInstance(
         "open sets",
-        space_universe(),
-        locale_universe(),
+        SPACE_UNIVERSE,
+        LOCALE_UNIVERSE,
         open_set_frame,
         open_preimage_hom,
     )
@@ -286,7 +280,7 @@ def open_functor() -> FunctorInstance:
 @cached
 def spectrum_functor() -> FunctorInstance:
     return FunctorInstance(
-        "spectrum", locale_universe(), space_universe(), spectrum, spectrum_map
+        "spectrum", LOCALE_UNIVERSE, SPACE_UNIVERSE, spectrum, spectrum_map
     )
 
 
@@ -297,14 +291,14 @@ def open_spectrum_adjunction() -> AdjunctionInstance:
     left, right = open_functor(), spectrum_functor()
     unit = NatTransInstance(
         "sobrification unit",
-        identity_functor(space_universe()),
+        identity_functor(SPACE_UNIVERSE),
         compose_functors(right, left),
         lambda x: sobrification(x)[1],
     )
     counit = NatTransInstance(
         "spatial comparison",
         compose_functors(left, right),
-        identity_functor(locale_universe()),
+        identity_functor(LOCALE_UNIVERSE),
         spatiality_hom,
     )
     return AdjunctionInstance("open sets below spectrum", left, right, unit, counit)
@@ -312,7 +306,7 @@ def open_spectrum_adjunction() -> AdjunctionInstance:
 
 @cached
 def filter_monad_on_spaces() -> MonadInstance:
-    u = space_universe()
+    u = SPACE_UNIVERSE
     functor = FunctorInstance("prime open filters", u, u, filter_space, filter_map)
     return make_monad("filter monad", functor, unit_map, mult_map)
 
@@ -358,7 +352,7 @@ def _into_center(hom: LatticeHom, fact: str) -> LatticeHom:
 
 @cached
 def center_functor_on_locales() -> FunctorInstance:
-    u = locale_universe()
+    u = LOCALE_UNIVERSE
 
     def on_morphism(h: LatticeHom) -> LatticeHom:
         restricted = compose_homs(h, center_view(h.source).inclusion)

@@ -190,6 +190,16 @@ def preorder_closure(up: Sequence[int]) -> Tuple[int, ...]:
     return tuple(up)
 
 
+def cycle_pair(up: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """The first pair i < j that lie above each other in the relation given
+    by up-masks, or None when the relation is antisymmetric."""
+    for i, m in enumerate(up):
+        for j in bits(m >> (i + 1) << (i + 1)):
+            if (up[j] >> i) & 1:
+                return i, j
+    return None
+
+
 def order_closure(
     elements: Sequence[str], pairs: Iterable[Tuple[str, str]]
 ) -> FinPoset:
@@ -208,10 +218,9 @@ def order_closure(
             raise ValueError(f"pair ({x!r}, {y!r}) mentions unknown element")
         up[idx[x]] |= 1 << idx[y]
     up = preorder_closure(up)
-    for i in range(n):
-        for j in bits(up[i]):
-            if j != i and (up[j] >> i) & 1:
-                raise CycleError((names[i], names[j]))
+    pair = cycle_pair(up)
+    if pair is not None:
+        raise CycleError(tuple(names[i] for i in pair))
     return make_poset(names, transpose(up))
 
 

@@ -16,7 +16,7 @@ from .bitsets import bits, format_subset, mask_of
 from .dlat import DistLattice, LatticeHom, SetLatticeView, inclusion_view
 from .errors import CycleError, InvalidValue, NotATopology, UniverseMismatch
 from .memo import cached, name_free
-from .order import FinPoset, Value, _unvalidated, make_poset, transpose
+from .order import FinPoset, Value, _unvalidated, cycle_pair, make_poset, transpose
 
 
 class FinSpace(Value):
@@ -52,9 +52,6 @@ class FinSpace(Value):
 
     def set_name(self, mask: int) -> str:
         return format_subset(self.points, mask)
-
-    def is_open(self, mask: int) -> bool:
-        return mask in set(self.opens)
 
     def min_nbhd(self, i: int) -> int:
         """Smallest open around point i (meet of all opens containing it)."""
@@ -223,21 +220,15 @@ def specialization_preorder(x: FinSpace) -> Tuple[int, ...]:
 
 
 def is_t0(x: FinSpace) -> bool:
-    up = specialization_preorder(x)
-    return all(
-        not ((up[i] >> j) & 1 and (up[j] >> i) & 1)
-        for i in range(x.n)
-        for j in range(i + 1, x.n)
-    )
+    return cycle_pair(specialization_preorder(x)) is None
 
 
 def specialization_order(x: FinSpace) -> FinPoset:
     """Specialization order as a poset; CycleError on a non-T0 space."""
     up = specialization_preorder(x)
-    for i in range(x.n):
-        for j in range(i + 1, x.n):
-            if (up[i] >> j) & 1 and (up[j] >> i) & 1:
-                raise CycleError((x.points[i], x.points[j]))
+    pair = cycle_pair(up)
+    if pair is not None:
+        raise CycleError(tuple(x.points[i] for i in pair))
     return make_poset(list(x.points), transpose(up))
 
 

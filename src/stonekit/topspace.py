@@ -49,9 +49,6 @@ class OpenPrimeFilter(Value):
         if reason is not None:
             raise InvalidValue(f"not an open prime filter: {reason}")
 
-    def open_masks(self) -> Tuple[int, ...]:
-        return tuple(self.space.opens[i] for i in bits(self.members))
-
     @property
     def name(self) -> str:
         names = tuple(self.space.set_name(o) for o in self.space.opens)

@@ -14,7 +14,7 @@ from .bitsets import bits
 from .dlat import DistLattice, _downclosed_masks, downset_lattice
 from .errors import BudgetExceeded
 from .memo import cached
-from .order import FinPoset, make_poset, transpose
+from .order import FinPoset, cycle_pair, make_poset, transpose
 from .spaces import ContinuousMap, FinSpace, is_continuous_assignment
 
 POSET_NAMES = "abcde"
@@ -42,11 +42,7 @@ def _relation_candidates(n: int, antisymmetric: bool):
                 break
         if not ok:
             continue
-        if antisymmetric and any(
-            (up[i] >> j) & 1 and (up[j] >> i) & 1
-            for i in range(n)
-            for j in range(i + 1, n)
-        ):
+        if antisymmetric and cycle_pair(up) is not None:
             continue
         yield tuple(up)
 

@@ -31,6 +31,7 @@ from stonekit.frame import (
     way_below_bruteforce,
 )
 from stonekit.instances import (
+    SPACE_UNIVERSE,
     compactification_collapse,
     filter_monad_on_spaces,
     ideal_comonad_on_frames,
@@ -43,7 +44,6 @@ from stonekit.instances import (
     sobrification_to_filters,
     space_morphisms,
     space_round_trip,
-    space_universe,
 )
 from stonekit.frame import comultiplication_hom, comultiplication_via_functor
 from stonekit.spaces import (
@@ -125,7 +125,7 @@ def test_criterion_02_ideal_monad_and_comonad_laws():
 def test_criterion_03_pairing_identifies_the_lifted_monad():
     with _Budget("criterion 3: pairing homeomorphism, natural and structural", 60):
         m = lifted_ideal_monad()
-        top = space_universe()
+        top = SPACE_UNIVERSE
         spaces = all_spaces_upto(3)
         for x in spaces:
             p = pairing_map(x)
@@ -188,7 +188,7 @@ def test_criterion_07_lifting_suite():
                 assert again is not None, x
                 assert all(c.ok for c in check_algebra(again)), x
         collapse = compactification_collapse()
-        top = space_universe()
+        top = SPACE_UNIVERSE
         for x in spaces:
             assert top.invert(collapse.component(x)) is not None
         assert check_naturality(collapse, space_morphisms(2)).ok

@@ -369,7 +369,10 @@ def test_cechstone_on_eight_discrete_points_fits_in_one_gib(tmp_path):
 
 
 # a child that swaps meet and join in the ideal lattices that ideal_view
-# builds by relabelling, then runs the CLI on its own arguments
+# builds by relabelling, then runs the CLI on its own arguments. The memo
+# keys read the order alone, so a check that one lattice of the same order
+# passed hides the mutant; monad-i first meets it in a hom check that no
+# true lattice ran, while lifting first meets it in a topology check
 SWAPPED_IDEAL_TABLES = """
 import sys
 from functools import lru_cache
@@ -386,7 +389,7 @@ def swapped(lat):
         return view
     i = view.lattice
     return dlat.SetLatticeView(
-        dlat.DistLattice(i.poset, i.join, i.meet, i.bot, i.top), view.masks
+        dlat._with_tables(i.poset, i.join, i.meet), view.masks
     )
 
 
@@ -402,7 +405,7 @@ def test_a_suite_map_failing_its_check_ends_in_one_invalid_line():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     child = subprocess.Popen(
         [sys.executable, "-c", SWAPPED_IDEAL_TABLES]
-        + ["laws", "--suite", "lifting", "--max-points", "2"],
+        + ["laws", "--suite", "monad-i", "--max-points", "2"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,

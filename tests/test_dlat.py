@@ -4,6 +4,7 @@ Derived values asserted here (ideal masks, hom counts, witnesses) were
 computed by the definitional brute-force routes first and then frozen.
 """
 
+import sys
 from itertools import product
 
 import pytest
@@ -72,8 +73,9 @@ from stonekit.order import (
     order_closure,
     poset_isomorphic,
 )
-from stonekit.instances import frame_morphisms
+from stonekit.instances import frame_morphisms, run_suite
 from stonekit.memo import clear_caches
+from stonekit.spaces import open_frame_view
 from stonekit.universes import (
     all_posets,
     all_posets_upto,
@@ -96,7 +98,11 @@ def m3_candidate():
         ["0", "a", "b", "c", "1"],
         [("0", x) for x in "abc"] + [(x, "1") for x in "abc"],
     )
-    return lattice_from_poset(p, check=False)
+    return DistLattice(p)
+
+
+def tables(lat):
+    return lat.meet, lat.join
 
 
 def test_two_lattice_shape():
@@ -131,7 +137,7 @@ def test_missing_join_is_reported():
 
 def test_m3_rejected_with_witness():
     with pytest.raises(NotDistributive) as exc:
-        lattice_from_poset(m3_candidate().poset, check=True)
+        lattice_from_poset(m3_candidate().poset)
     assert exc.value.witness == ("a", "b", "c")
 
 
@@ -162,14 +168,7 @@ def test_subset_oracles_refuse_a_23_element_chain_before_any_subset():
     lat = lattice_from_poset(chain([f"c{i:02d}" for i in range(23)]))
     # the same chain with its order and tables withheld: an oracle that
     # reads a single subset fails on them instead of refusing
-    hollow = _unvalidated(
-        DistLattice,
-        _unvalidated(FinPoset, lat.elements, None),
-        None,
-        None,
-        lat.bot,
-        lat.top,
-    )
+    hollow = _unvalidated(DistLattice, _unvalidated(FinPoset, lat.elements, None))
     assert SUBSET_ORACLE_MAX_ELEMENTS == WAY_BELOW_MAX_ELEMENTS == 22
     for oracle, what in (
         (ideals_bruteforce, "ideals"),
@@ -277,16 +276,16 @@ def _ideals_by_inclusion(lat):
 
 def test_relabelled_ideal_lattice_equals_the_inclusion_route():
     for lat in lattice_universe(4):
-        view = ideal_view(lat)
-        assert view == _ideals_by_inclusion(lat)
+        view, twin = ideal_view(lat), _ideals_by_inclusion(lat)
+        assert view == twin and tables(view.lattice) == tables(twin.lattice)
         # built afresh, the relabelled lattice shares the tables of lat
         fresh = ideal_view.__wrapped__(lat).lattice
         assert fresh.meet is lat.meet and fresh.join is lat.join
     # ideal lattices of ideal lattices, three levels deep
     for lat in lattice_universe(3):
         for _ in range(3):
-            view = ideal_view(lat)
-            assert view == _ideals_by_inclusion(lat)
+            view, twin = ideal_view(lat), _ideals_by_inclusion(lat)
+            assert view == twin and tables(view.lattice) == tables(twin.lattice)
             lat = view.lattice
 
 
@@ -303,8 +302,8 @@ def renaming_diamond():
 def test_ideal_lattice_whose_names_reorder_takes_the_inclusion_route():
     lat = renaming_diamond()
     assert lat.elements == ("0", "a", "a(1)", "1")
-    view = ideal_view(lat)
-    assert view == _ideals_by_inclusion(lat)
+    view, twin = ideal_view(lat), _ideals_by_inclusion(lat)
+    assert view == twin and tables(view.lattice) == tables(twin.lattice)
     assert view.lattice.elements == ("down(0)", "down(a(1))", "down(a)", "down(1)")
     # the element order is the canonical one for the new names
     assert view.lattice.poset == make_poset(
@@ -329,7 +328,7 @@ def test_set_operation_route_equals_lattice_from_poset_on_downsets():
         poset = view.lattice.poset
         fast = _set_operation_lattice(poset, view.masks)
         assert fast is not None
-        assert fast == lattice_from_poset(poset) == view.lattice
+        assert tables(fast) == tables(lattice_from_poset(poset)) == tables(view.lattice)
 
 
 def test_set_operation_route_declines_a_family_not_closed_under_union():
@@ -337,7 +336,7 @@ def test_set_operation_route_declines_a_family_not_closed_under_union():
     d = diamond()
     view = inclusion_view(d.elements, principal_masks(d))
     assert _set_operation_lattice(view.lattice.poset, view.masks) is None
-    assert view.lattice == lattice_from_poset(view.lattice.poset)
+    assert tables(view.lattice) == tables(lattice_from_poset(view.lattice.poset))
 
 
 def test_a_subset_outside_the_family_is_an_invariant_violation():
@@ -537,7 +536,7 @@ def test_meet_and_join_tables_match_plain_search():
     for p in posets:
         expected = _plain_tables(p)
         try:
-            lat = lattice_from_poset(p, check=False)
+            lat = DistLattice(p)
         except NotALattice as exc:
             rejected += 1
             assert (exc.kind, exc.witness) == expected, p
@@ -546,12 +545,62 @@ def test_meet_and_join_tables_match_plain_search():
     assert 0 < rejected < len(posets)
 
 
+def lattices_of_a_lifting_run(monkeypatch):
+    """The open frames and ideal lattices that run_suite("lifting",
+    max_points=2) builds from cleared caches, one entry per object, and the
+    ids of those whose tables _with_tables attached."""
+    built, attached = {}, set()
+    with_tables = dlat._with_tables
+
+    def attaching(*args):
+        lat = with_tables(*args)
+        attached.add(id(lat))
+        return lat
+
+    monkeypatch.setattr(dlat, "_with_tables", attaching)
+    for original in (ideal_view, open_frame_view):
+
+        def recording(arg, original=original):
+            view = original(arg)
+            built[id(view.lattice)] = view.lattice
+            return view
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "stonekit":
+                if getattr(module, original.__name__, None) is original:
+                    monkeypatch.setattr(module, original.__name__, recording)
+    clear_caches()
+    try:
+        rows = list(run_suite("lifting", max_points=2))
+    finally:
+        clear_caches()
+    assert len(rows) == 733 and all(ok for _, _, ok, _ in rows)
+    return list(built.values()), attached
+
+
+def test_tables_derived_or_attached_equal_the_derived_and_plain_ones(monkeypatch):
+    run, attached = lattices_of_a_lifting_run(monkeypatch)
+    # every view attaches its tables (the set family's, the relabelled
+    # lattice's, or the stored ones under new names); DistLattice(p) derives
+    assert run and all(id(lat) in attached for lat in run)
+    plain = {}
+    for lat in list(lattice_universe(4)) + run:
+        assert lat.bot == 0 and lat.top == lat.n - 1
+        # and they are the least and the greatest element of the order
+        full = (1 << lat.n) - 1
+        assert lat.poset.up_masks[lat.bot] == full == lat.poset.down[lat.top]
+        down = lat.poset.down
+        if down not in plain:
+            plain[down] = _plain_tables(lat.poset)
+        assert tables(lat) == tables(DistLattice(lat.poset)) == plain[down], lat
+
+
 def n5_candidate():
     p = order_closure(
         ["0", "a", "b", "c", "1"],
         [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")],
     )
-    return lattice_from_poset(p, check=False)
+    return DistLattice(p)
 
 
 def test_birkhoff_distributivity_matches_triple_loop():
@@ -559,7 +608,7 @@ def test_birkhoff_distributivity_matches_triple_loop():
     for n in range(1, 6):
         for p in all_posets(n):
             try:
-                lattices.append(lattice_from_poset(p, check=False))
+                lattices.append(DistLattice(p))
             except NotALattice:
                 pass
     for lat in lattices:
@@ -673,12 +722,15 @@ def test_hom_violation_matches_its_plain_twin():
 # name-free value, and a failure is never stored
 
 
-def relabelled(lat, prefix, check=True):
-    """lat with each element e renamed prefix + e: the names sort as
-    before, so the element order, the tables and the shape stay."""
-    return lattice_from_poset(
-        make_poset([prefix + e for e in lat.elements], lat.poset.down), check=check
-    )
+def renamed(lat, prefix):
+    """The order of lat with each element e renamed prefix + e: the names
+    sort as before, so the element order stays."""
+    return make_poset([prefix + e for e in lat.elements], lat.poset.down)
+
+
+def relabelled(lat, prefix):
+    """lat renamed by prefix, checked: the tables and the shape stay."""
+    return lattice_from_poset(renamed(lat, prefix))
 
 
 def renested(lat):
@@ -690,12 +742,13 @@ def renested(lat):
     )
 
 
-def test_relabelled_copies_share_a_shape_and_swapped_tables_do_not():
+def test_relabelled_copies_share_a_shape_and_other_orders_do_not():
     lat = diamond()
     copy = relabelled(lat, "p")
     assert copy.elements != lat.elements and copy.shape == lat.shape
-    swapped = DistLattice(lat.poset, lat.join, lat.meet, lat.bot, lat.top)
-    assert swapped.shape != lat.shape
+    # the same names in a chain
+    other = lattice_from_poset(chain(lat.elements))
+    assert other.elements == lat.elements and other.shape != lat.shape
 
 
 def test_failed_hom_check_is_not_stored():
@@ -738,37 +791,11 @@ def test_failed_check_is_not_raised_inside_the_memo_lookup():
 def test_failed_distributivity_check_is_not_stored():
     m3 = m3_candidate()
     for prefix in ("p", "q", "p"):
-        lat = relabelled(m3, prefix, check=False)
+        lat = DistLattice(renamed(m3, prefix))
         with pytest.raises(NotDistributive) as err:
             dlat._checked(lat)
         assert err.value.witness == (prefix + "a", prefix + "b", prefix + "c")
     assert m3.shape not in dlat._check_distributive.table
-
-
-def test_memo_keys_cover_the_tables_not_only_the_order():
-    # two check=False lattices on one poset: the diamond, and the diamond
-    # with meet and join swapped; a verdict on one must not answer the other
-    lat = diamond()
-    swapped = DistLattice(lat.poset, lat.join, lat.meet, lat.bot, lat.top)
-    two = two_lattice()
-    character = (0, 1, 0, 1)  # the prime filter up({a})
-    LatticeHom(lat, two, character)
-    with pytest.raises(InvalidValue, match="fails meet"):
-        LatticeHom(swapped, two, character)
-    with pytest.raises(InvalidValue, match="not join-closed"):
-        Ideal(lat, 0b0111)
-    Ideal(swapped, 0b0111)
-    PrimeFilter(swapped, 0b1110)
-    with pytest.raises(InvalidValue, match="not meet-closed"):
-        PrimeFilter(lat, 0b1110)
-    # M3 with each join replaced by the later element of the pair passes
-    # Birkhoff's test; the true M3 on the same poset must still fail it
-    m3 = m3_candidate()
-    later = tuple(tuple(max(a, b) for b in range(m3.n)) for a in range(m3.n))
-    fake = DistLattice(m3.poset, m3.meet, later, m3.bot, m3.top)
-    assert dlat._checked(fake) is fake
-    with pytest.raises(NotDistributive):
-        dlat._checked(m3)
 
 
 def fresh_prime_filter_masks(lat):
@@ -880,13 +907,11 @@ def test_memoised_inclusion_views_equal_fresh_and_plain_ones():
     # every case shares its entry with its upper-case twin at least
     assert len(table) <= len(cases) // 2
     for case, f, a, b in zip(cases, fresh, first, warm):
-        assert f == a == b == plain_inclusion_view(*case), case
-        # a hit shares the stored tables, and the shape it is given is the
-        # one its own structure interns to
+        plain = plain_inclusion_view(*case)
+        assert f == a == b == plain, case
+        assert tables(f.lattice) == tables(b.lattice) == tables(plain.lattice), case
+        # a hit shares the stored tables
         assert b.lattice.meet is a.lattice.meet and b.lattice.join is a.lattice.join
-        lat = b.lattice
-        fresh_copy = DistLattice(lat.poset, lat.meet, lat.join, lat.bot, lat.top)
-        assert lat.shape == fresh_copy.shape
 
 
 def test_duplicate_names_are_refused_on_a_hit_and_on_a_miss():

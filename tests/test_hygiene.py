@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports at top level is used in it,
-every top-level function and class of the package is used somewhere, the
-package states no check as an `assert`, `clear_caches` empties every cache
-the package fills, and the package leaves `dataclasses` and `inspect`
-unimported, since every CLI process would pay for them.
+every top-level function and class of the package and every non-dunder
+method of its classes is used somewhere, the package states no check as
+an `assert`, `clear_caches` empties every cache the package fills, and
+the package leaves `dataclasses` and `inspect` unimported, since every
+CLI process would pay for them.
 
 The package's `__init__.py` is exempt from the import rule, since its
 imports are re-exports, and its re-exports do not count as uses. `python -O`
@@ -114,22 +115,44 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert loaded.stdout.strip() == "[]"
 
 
-def names_used(node: ast.AST) -> set:
-    """Every name and attribute that code under `node` refers to."""
+def names_used(node: ast.AST, skip: ast.AST = None) -> set:
+    """Every name and attribute that code under `node` refers to, outside
+    the subtree `skip`."""
     out = set()
-    for n in ast.walk(node):
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n is skip:
+            continue
         if isinstance(n, ast.Name):
             out.add(n.id)
         elif isinstance(n, ast.Attribute):
             out.add(n.attr)
+        stack.extend(ast.iter_child_nodes(n))
     return out
+
+
+def _definitions(statement: ast.AST) -> list:
+    """A top-level function or class, and the non-dunder methods of a class."""
+    if isinstance(statement, ast.FunctionDef):
+        return [statement]
+    if not isinstance(statement, ast.ClassDef):
+        return []
+    return [statement] + [
+        node
+        for node in statement.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
 
 
 def unreferenced_definitions(package: dict, others: list) -> list:
     """Top-level functions and classes of the `package` modules (name ->
-    source) that no code refers to outside their own definition, neither in
-    another top-level statement of the package nor in the `others` sources,
-    as `module.name`."""
+    source), and the non-dunder methods of those classes, that no code
+    refers to outside their own definition, neither in a top-level
+    statement of the package nor in the `others` sources, as `module.name`
+    or `module.Class.method`. A method counts as used by the rest of its
+    own class."""
     outside = set()
     for source in others:
         outside |= names_used(ast.parse(source))
@@ -142,12 +165,14 @@ def unreferenced_definitions(package: dict, others: list) -> list:
             statements_using.update(used_by[node])
     out = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            elsewhere = statements_using[node.name] - (node.name in used_by[node])
-            if not elsewhere and node.name not in outside:
-                out.append(f"{module}.{node.name}")
+        for statement in tree.body:
+            for node in _definitions(statement):
+                name = node.name
+                elsewhere = statements_using[name] - (name in used_by[statement])
+                in_class = node is not statement and name in names_used(statement, node)
+                if not elsewhere and not in_class and name not in outside:
+                    prefix = "" if node is statement else f"{statement.name}."
+                    out.append(f"{module}.{prefix}{name}")
     return out
 
 
@@ -159,6 +184,33 @@ def test_unreferenced_definition_is_reported():
     assert unreferenced_definitions(package, ["from a import used\nused()\n"]) == [
         "a.lonely",
         "b.build",
+    ]
+
+
+def test_unreferenced_method_is_reported():
+    package = {
+        "a": (
+            "class Box:\n"
+            "    def __init__(self):\n"
+            "        self.helper()\n"
+            "    def helper(self):\n"
+            "        pass\n"
+            "    def called(self):\n"
+            "        pass\n"
+            "    def lonely(self, n):\n"
+            "        return self.lonely(n - 1)\n"
+            "    @property\n"
+            "    def read(self):\n"
+            "        return 1\n"
+            "    def __repr__(self):\n"
+            "        return 'Box'\n"
+            "\n"
+            "def make():\n"
+            "    return Box().called()\n"
+        ),
+    }
+    assert unreferenced_definitions(package, ["from a import make\nmake().read\n"]) == [
+        "a.Box.lonely",
     ]
 
 

@@ -12,26 +12,28 @@ from stonekit.catengine import check_naturality
 from stonekit.cli import _build_parser
 from stonekit.dlat import LatticeHom, compose_homs, identity_hom, two_lattice
 from stonekit.errors import BudgetExceeded
+from stonekit.memo import CACHES
 from stonekit.frame import WAY_BELOW_MAX_ELEMENTS, counit_hom, spectrum_map
+from stonekit import instances
 from stonekit.instances import (
     DEFAULT_SEED,
+    FRAME_UNIVERSE,
     LAW_SUITES,
+    LOCALE_UNIVERSE,
+    SPACE_UNIVERSE,
     WAY_BELOW_SUITES,
     _sampled_spaces,
     compact_reflection_monad,
     compactification_collapse,
     filter_monad_on_spaces,
     frame_morphisms,
-    frame_universe,
     ideal_monad_on_frames,
     ideal_monad_on_locales,
     lifted_ideal_monad,
-    locale_universe,
     open_spectrum_adjunction,
     run_suite,
     sobrification_to_filters,
     space_morphisms,
-    space_universe,
 )
 from stonekit.spaces import (
     ContinuousMap,
@@ -45,11 +47,28 @@ from stonekit.universes import all_spaces_upto, lattice_universe
 
 
 def test_universes_are_singletons():
-    assert space_universe() is space_universe()
-    assert frame_universe() is frame_universe()
-    assert locale_universe() is locale_universe()
+    adjunction = open_spectrum_adjunction()
+    assert adjunction.left.source is SPACE_UNIVERSE
+    assert adjunction.left.target is LOCALE_UNIVERSE
+    assert ideal_monad_on_frames().functor.source is FRAME_UNIVERSE
     assert lifted_ideal_monad() is lifted_ideal_monad()
     assert open_spectrum_adjunction() is open_spectrum_adjunction()
+
+
+def test_every_zero_argument_constructor_builds_uncached(monkeypatch):
+    # identity is not caching: with every cached constructor of the module
+    # replaced by its uncached body, each still builds, since the functors
+    # meet over the same universe objects
+    constructors = {
+        name: fn.__wrapped__
+        for name, fn in vars(instances).items()
+        if fn in CACHES and fn.__wrapped__.__code__.co_argcount == 0
+    }
+    assert "open_spectrum_adjunction" in constructors and len(constructors) == 18
+    for name, build in constructors.items():
+        monkeypatch.setattr(instances, name, build)
+    for build in constructors.values():
+        build()
 
 
 @pytest.mark.parametrize(
@@ -100,7 +119,7 @@ def test_locale_universe_reads_backwards():
     h = next(
         g for g in frame_morphisms(2) if g.source == two and g.target == chain
     )
-    frm, loc = frame_universe(), locale_universe()
+    frm, loc = FRAME_UNIVERSE, LOCALE_UNIVERSE
     assert frm.source(h) == two and frm.target(h) == chain
     assert loc.source(h) == chain and loc.target(h) == two
     g = next(
@@ -110,7 +129,7 @@ def test_locale_universe_reads_backwards():
 
 
 def test_space_universe_inverts_only_homeomorphisms():
-    u = space_universe()
+    u = SPACE_UNIVERSE
     x = next(
         y for y in all_spaces_upto(2) if y.n == 2 and len(y.opens) == 4
     )
@@ -125,7 +144,7 @@ def test_space_universe_inverts_only_homeomorphisms():
 
 
 def test_frame_universe_inverts_only_bijections():
-    u = frame_universe()
+    u = FRAME_UNIVERSE
     two = next(l for l in lattice_universe(2) if l.n == 2)
     assert u.invert(identity_hom(two)) == identity_hom(two)
     assert u.invert(identity_hom(two_lattice())) == identity_hom(two_lattice())
@@ -163,7 +182,7 @@ def test_monad_morphism_component_is_the_lifted_join():
 
 
 def test_collapse_components_are_homeomorphisms():
-    u = space_universe()
+    u = SPACE_UNIVERSE
     collapse = compactification_collapse()
     for x in all_spaces_upto(2):
         comp = collapse.component(x)
@@ -228,7 +247,7 @@ def test_filter_and_lifted_units_are_natural_on_sampled_maps(data):
 @settings(max_examples=24, deadline=None)
 def test_triangle_identity_holds_on_sampled_lattices(lat):
     adj = open_spectrum_adjunction()
-    top = space_universe()
+    top = SPACE_UNIVERSE
     spec = adj.right.on_object(lat)
     lhs = top.compose(
         adj.right.on_morphism(adj.counit.component(lat)),
@@ -241,7 +260,7 @@ def test_triangle_identity_holds_on_sampled_lattices(lat):
 @settings(max_examples=35, deadline=None)
 def test_lifted_monad_unit_laws_hold_on_sampled_spaces(x):
     m = lifted_ideal_monad()
-    u = space_universe()
+    u = SPACE_UNIVERSE
     mx = m.functor.on_object(x)
     left = u.compose(m.mult.component(x), m.unit.component(mx))
     right = u.compose(m.mult.component(x), m.functor.on_morphism(m.unit.component(x)))

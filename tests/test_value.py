@@ -19,6 +19,7 @@ from stonekit.catengine import (
     LawCheck,
 )
 from stonekit.dlat import (
+    DistLattice,
     Ideal,
     LatticeHom,
     PrimeFilter,
@@ -28,7 +29,7 @@ from stonekit.dlat import (
     principal_ideal,
     two_lattice,
 )
-from stonekit.errors import InvalidValue, NotATopology
+from stonekit.errors import InvalidValue, NotALattice, NotATopology
 from stonekit.frame import (
     CoalgebraReport,
     StablyCompactReport,
@@ -40,12 +41,12 @@ from stonekit.frame import (
     way_below,
 )
 from stonekit.instances import (
+    FRAME_UNIVERSE,
+    SPACE_UNIVERSE,
     filter_monad_on_spaces,
-    frame_universe,
     ideal_comonad_on_frames,
     ideal_monad_on_frames,
     open_spectrum_adjunction,
-    space_universe,
 )
 from stonekit.order import (
     FinPoset,
@@ -88,8 +89,8 @@ def samples() -> list:
         antichain(["a", "b"]),
         identity_monotone(chain(["a"])),
         identity_monotone(chain(["a", "b"])),
-        space_universe(),
-        frame_universe(),
+        SPACE_UNIVERSE,
+        FRAME_UNIVERSE,
         f.functor,
         i.functor,
         f.unit,
@@ -205,6 +206,7 @@ def bad_inputs():
     two, p = two_lattice(), chain(["a", "b"])
     return {
         FinPoset: (lambda: FinPoset(("a", "a"), (1, 2)), "duplicate element names"),
+        DistLattice: (lambda: DistLattice(antichain(["a", "b"])), "no meet"),
         MonotoneMap: (lambda: MonotoneMap(p, p, (1, 0)), "not monotone"),
         LatticeHom: (lambda: LatticeHom(two, two, (1, 1)), "fails bottom"),
         Ideal: (lambda: Ideal(two, 0), "not an ideal"),
@@ -223,6 +225,6 @@ def test_post_init_still_rejects_bad_input():
         c for c in checking if c.__name__ != "NatTransInstance"
     ]
     for cls, (build, message) in cases.items():
-        with pytest.raises((InvalidValue, NotATopology), match=message):
+        with pytest.raises((InvalidValue, NotALattice, NotATopology), match=message):
             build()
     assert callable(filter_monad_on_spaces().unit.component.cache_info)
