@@ -8,19 +8,13 @@ Conventions:
 
 Fast routes exploit finiteness and the canonical element order; each has a
 definitional twin that the tests use as its oracle:
-  - DistLattice reads each meet and join off one bitmask (a linear
-    extension puts a greatest lower bound at the highest index); twin: a
-    search over all common bounds, in the tests;
+  - DistLattice looks each meet and join up among the down-sets and
+    up-sets of its order (down(a ^ b) = down(a) & down(b), up(a v b) =
+    up(a) & up(b)); twin: a search over all common bounds, in the tests;
   - distributivity_witness tests Birkhoff's criterion (every
     join-irreducible is join-prime); twin: distributivity_witness_bruteforce;
   - ideal_view lists the principal ideals (principal_masks); twin:
     ideals_bruteforce, over every subset;
-  - ideal_view builds the ideal lattice by relabelling: down(a) <= down(b)
-    iff a <= b, so it is the lattice itself with a renamed down(a), sharing
-    its meet and join tables; twin: inclusion_view on principal_masks;
-  - inclusion_view reads the meets and joins of a family closed under &
-    and | off the family (intersection and union), as for opens and
-    down-sets; twin: lattice_from_poset on the inclusion order;
   - is_ideal_mask and is_prime_filter_mask test closure under joins and
     meets by one aggregate join or meet; twin: ideals_bruteforce and the
     characters of homs_to_2_bruteforce;
@@ -34,24 +28,26 @@ BudgetExceeded before visiting any subset.
 A lattice is its order. DistLattice(p) is the unchecked lattice: it
 derives the meet and join tables of p, or raises NotALattice, and checks
 nothing about distributivity. lattice_from_poset(p) is the checked one.
-The tables are derived, never given: the routes that already hold them
-(the set-operation tables of inclusion_view and the relabelled ideal
-lattice) attach them through _with_tables instead of deriving them again.
+The tables are derived, never given, and once per order: _order_tables
+stores them under the down-sets, so every lattice with the same order
+shares one pair of tables. inclusion_view is the one builder of derived
+lattices (lattices of sets, ideal lattices, open frames).
 
-Memo contract (see memo.name_free): the hom, ideal and distributivity
-checks, the prime-filter masks, the assignments of ideal_functor_hom and
-the lattices of inclusion_view run once per distinct name-free value. A
-lattice's `shape` is an int shared by exactly the lattices with equal
-down-sets, whatever their names: the down-sets fix the tables, bottom and
-top. The results are stored under keys built from shapes and masks, and
-the names are attached per call. inclusion_view's key is (masks, the
-argsort of the names): the names only break ties in make_poset, so their
-ranking fixes the element order, and a hit shares the stored down-sets and
-tables under the caller's names (the duplicate-name check runs on every
-call). Only passing verdicts are stored, so a failure is checked again
-each time and its message names the caller's own elements. The
-PrimeFilter check is not memoised: prime_filters builds its filters from
-checked masks, so only character_filter runs it.
+Memo contract (see memo.name_free): the tables of an order, the hom,
+ideal and distributivity checks, the prime-filter masks, the assignments
+of ideal_functor_hom and the orders of inclusion_view run once per
+distinct name-free value. A lattice's `shape` is an int shared by exactly
+the lattices with equal down-sets, whatever their names: the down-sets fix
+the tables, bottom and top. The results are stored under keys built from
+down-sets, shapes and masks, and the names are attached per call.
+inclusion_view's key is (masks, the argsort of the names): the names only
+break ties in make_poset, so their ranking fixes the element order, and a
+hit shares the stored down-sets under the caller's names (the
+duplicate-name check runs on every call). Only passing verdicts are
+stored, so a failure is checked again each time and its message names the
+caller's own elements. The PrimeFilter check is not memoised:
+prime_filters builds its filters from checked masks, so only
+character_filter runs it.
 """
 
 from functools import cached_property
@@ -73,7 +69,8 @@ from .order import FinPoset, Value, _unvalidated, make_poset, poset_isomorphism
 
 class DistLattice(Value):
     """Bounded lattice on its FinPoset carrier, the only field; the meet and
-    join tables are attributes that __post_init__ derives."""
+    join tables and the shape are attributes that __post_init__ reads off
+    _order_tables."""
 
     poset: FinPoset
 
@@ -81,32 +78,8 @@ class DistLattice(Value):
     bot = 0
 
     def __post_init__(self):
-        p = self.poset
-        n = p.n
-        if n == 0:
-            raise NotALattice("carrier", "empty")
-        down, ups = p.down, p.up_masks
-        meet = [[0] * n for _ in range(n)]
-        join = [[0] * n for _ in range(n)]
-        for i in range(n):
-            meet_i, join_i = meet[i], join[i]
-            for j in range(i, n):
-                # the element order is a linear extension, so a greatest lower
-                # bound can only be the highest-index common lower bound and a
-                # least upper bound only the lowest-index common upper bound
-                lower = down[i] & down[j]
-                g = lower.bit_length() - 1
-                if not lower or lower & ~down[g]:
-                    raise NotALattice("meet", (p.elements[i], p.elements[j]))
-                meet_i[j] = meet[j][i] = g
-                upper = ups[i] & ups[j]
-                u = (upper & -upper).bit_length() - 1
-                if not upper or upper & ~ups[u]:
-                    raise NotALattice("join", (p.elements[i], p.elements[j]))
-                join_i[j] = join[j][i] = u
-        self.__dict__.update(
-            meet=tuple(map(tuple, meet)), join=tuple(map(tuple, join))
-        )
+        meet, join, shape = _order_tables(self.poset)
+        self.__dict__.update(meet=meet, join=join, shape=shape)
 
     @property
     def elements(self) -> Tuple[str, ...]:
@@ -143,12 +116,6 @@ class DistLattice(Value):
         return format_subset(self.elements, mask)
 
     @cached_property
-    def shape(self) -> int:
-        """The lattice without its names, as an int: equal exactly for
-        lattices with equal down-sets, which fix the tables."""
-        return _shape_id(self.poset.down)
-
-    @cached_property
     def join_irreducible_mask(self) -> int:
         """Bitmask of the elements that are not bottom and not the join of
         the elements strictly below them (exactly one lower cover); built once."""
@@ -165,23 +132,36 @@ def lattice_from_poset(p: FinPoset) -> DistLattice:
     return _checked(DistLattice(p))
 
 
-def _with_tables(poset: FinPoset, meet, join) -> DistLattice:
-    """DistLattice(poset) with the meet and join tables the caller already
-    holds for that order, without deriving them again; the caller vouches
-    that they are the tables of the order."""
-    lat = _unvalidated(DistLattice, poset)
-    lat.__dict__.update(meet=meet, join=join)
-    return lat
-
-
 # shape ids are never reused, so a lattice that outlives clear_caches
 # cannot share an id with a different one built afterwards
 _SHAPE_IDS = count()
 
 
-@name_free(lambda structure: structure)
-def _shape_id(structure) -> int:
-    return next(_SHAPE_IDS)
+@name_free(lambda p: p.down)
+def _order_tables(p: FinPoset):
+    """The meet and join tables of p and its shape id, or NotALattice.
+
+    In a lattice, down(a ^ b) = down(a) & down(b) and up(a v b) = up(a) &
+    up(b), so each meet and join is one lookup of a mask among the
+    down-sets or up-sets; a pair whose mask is missing has no meet or join.
+    The pair loop runs only then, to name the first failing pair."""
+    down, up = p.down, p.up_masks
+    if not down:
+        raise InvalidValue("the lattice has no elements")
+    below = {d: k for k, d in enumerate(down)}
+    above = {u: k for k, u in enumerate(up)}
+    try:
+        meet = tuple(tuple(below[a & b] for b in down) for a in down)
+        join = tuple(tuple(above[a & b] for b in up) for a in up)
+    except KeyError:
+        for i in range(p.n):
+            for j in range(i, p.n):
+                if down[i] & down[j] not in below:
+                    raise NotALattice("meet", (p.elements[i], p.elements[j]))
+                if up[i] & up[j] not in above:
+                    raise NotALattice("join", (p.elements[i], p.elements[j]))
+        raise
+    return meet, join, next(_SHAPE_IDS)
 
 
 def _checked(lat: DistLattice) -> DistLattice:
@@ -334,20 +314,18 @@ def inclusion_view(
 ) -> SetLatticeView:
     """The subsets `masks` of `carrier`, ordered by inclusion, as a checked
     distributive lattice. Element k is named names[k], which must be
-    distinct; by default, the subset's members by format_subset. A family
-    closed under & and | takes its meets and joins from them; any other
-    goes through lattice_from_poset. The lattice is built once per
-    name-free family (_inclusion_lattice) and named per call."""
+    distinct; by default, the subset's members by format_subset. The order
+    is built and checked once per name-free family (_inclusion_lattice) and
+    named per call."""
     if names is None:
         names = [format_subset(carrier, m) for m in masks]
     names = tuple(names)
-    order, sets, built = _inclusion_lattice(tuple(masks), names)
+    order, sets, down = _inclusion_lattice(tuple(masks), names)
     if len(set(names)) != len(names):
         raise InvalidValue("duplicate element names")
-    # the stored lattice was checked when it was built: share its down-sets
-    # and tables under this call's names
-    poset = _unvalidated(FinPoset, tuple(names[i] for i in order), built.poset.down)
-    return SetLatticeView(_with_tables(poset, built.meet, built.join), sets)
+    # the stored order was checked when it was built
+    poset = _unvalidated(FinPoset, tuple(names[i] for i in order), down)
+    return SetLatticeView(DistLattice(poset), sets)
 
 
 def _name_rank(names: Tuple[str, ...]) -> Tuple[int, ...]:
@@ -356,41 +334,19 @@ def _name_rank(names: Tuple[str, ...]) -> Tuple[int, ...]:
 
 
 # make_poset reads the names only to break ties by comparing them, so the
-# masks and the ranking of the names fix the element order, the down-sets,
-# the tables and the shape
+# masks and the ranking of the names fix the element order and the down-sets
 @name_free(lambda masks, names: (masks, _name_rank(names)))
 def _inclusion_lattice(
     masks: Tuple[int, ...], names: Tuple[str, ...]
-) -> Tuple[Tuple[int, ...], Tuple[int, ...], DistLattice]:
-    """The family ordered by inclusion as a checked lattice named by
-    names, with the position in masks of each of its elements and the
-    mask of each."""
+) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
+    """The family ordered by inclusion, once lattice_from_poset has passed
+    it: the position in masks of each element, the mask of each, and the
+    down-sets."""
     down = [mask_of(j for j, mj in enumerate(masks) if mj & ~mi == 0) for mi in masks]
-    poset = make_poset(names, down)
+    poset = lattice_from_poset(make_poset(names, down)).poset
     position = {name: i for i, name in enumerate(names)}
     order = tuple(position[e] for e in poset.elements)
-    sets = tuple(masks[i] for i in order)
-    lat = _set_operation_lattice(poset, sets)
-    if lat is None:
-        return order, sets, lattice_from_poset(poset)
-    return order, sets, _checked(lat)
-
-
-def _set_operation_lattice(
-    poset: FinPoset, sets: Tuple[int, ...]
-) -> Optional[DistLattice]:
-    """The lattice of a nonempty family closed under & and |, ordered by
-    inclusion: its meets are intersections and its joins unions. None when
-    the family is empty or some intersection or union falls outside it."""
-    if not sets:
-        return None
-    index = {m: i for i, m in enumerate(sets)}
-    try:
-        meet = tuple(tuple(index[a & b] for b in sets) for a in sets)
-        join = tuple(tuple(index[a | b] for b in sets) for a in sets)
-    except KeyError:
-        return None
-    return _with_tables(poset, meet, join)
+    return order, tuple(masks[i] for i in order), poset.down
 
 
 def _downclosed_masks(down: Tuple[int, ...]) -> list:
@@ -566,32 +522,12 @@ def ideal_image(f: LatticeHom, ideal: Ideal) -> Ideal:
 @cached
 def ideal_view(lat: DistLattice) -> SetLatticeView:
     """Every ideal of a finite lattice is principal, so the ideals are the
-    down-sets of the elements (ideals_bruteforce is the test oracle). Ideal
-    m is named down(a) after its generator a, the top bit of m.
-
-    down(a) <= down(b) iff a <= b, so the ideal lattice is lat with each a
-    renamed down(a): it shares lat's tables and takes lat.poset.down as its
-    masks. The canonical element order stays the same only when the new
-    names sort as the old ones do (`a` and `a(1)` do not); otherwise the
-    ideals go through inclusion_view."""
-    names = tuple(f"down({e})" for e in lat.elements)
-    if _sorts_alike(lat.elements, names):
-        poset = _unvalidated(FinPoset, names, lat.poset.down)
-        ideals = _with_tables(poset, lat.meet, lat.join)
-        return SetLatticeView(_checked(ideals), lat.poset.down)
+    down-sets of the elements (ideals_bruteforce is the test oracle),
+    ordered by inclusion. Ideal m is named down(a) after its generator a,
+    the top bit of m."""
     masks = principal_masks(lat)
-    return inclusion_view(
-        lat.elements, masks, [names[m.bit_length() - 1] for m in masks]
-    )
-
-
-def _sorts_alike(old: Sequence[str], new: Sequence[str]) -> bool:
-    """Whether sorting by the new names orders the positions as sorting
-    by the old names does."""
-    positions = range(len(old))
-    return sorted(positions, key=old.__getitem__) == sorted(
-        positions, key=new.__getitem__
-    )
+    names = [f"down({lat.elements[m.bit_length() - 1]})" for m in masks]
+    return inclusion_view(lat.elements, masks, names)
 
 
 def ideal_lattice(lat: DistLattice) -> DistLattice:
@@ -642,8 +578,8 @@ def ideal_functor_hom(f: LatticeHom) -> LatticeHom:
     return LatticeHom(src.lattice, tgt.lattice, assignment)
 
 
-# keyed by the masks of both views, not by shapes: the inclusion_view
-# route of ideal_view orders the ideals by their names
+# keyed by the masks of both views, not by shapes: ideal_view orders the
+# ideals by their names
 @name_free(lambda *args: args)
 def _ideal_image_assignment(
     src_masks: Tuple[int, ...],

@@ -1,14 +1,17 @@
 """End-to-end command tests: documents in, reports out, exit codes."""
 
 import hashlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stonekit import dlat
 from stonekit.cli import main
@@ -257,6 +260,88 @@ def test_validate_round_trips_its_own_output(tmp_path, capsys):
     assert code2 == 0 and out2 == out
 
 
+def test_an_empty_lattice_document_ends_in_one_invalid_line(tmp_path, capsys):
+    doc = tmp_path / "empty.lattice"
+    doc.write_text('type: "lattice"\nname: "empty"\nelements: []\nleq: []\n')
+    code, out, err = run(capsys, "validate", str(doc))
+    assert code == 1 and out == ""
+    assert err == "invalid: the lattice has no elements\n"
+
+
+# a few names that collide, sort in unlike ways or are not ASCII, and any
+# short text besides
+NAMES = st.sampled_from(["a", "b", "a(1)", "\u00e4", "\u540d", "", " "]) | st.text(
+    st.characters(blacklist_categories=("Cs",)), max_size=3
+)
+JUNK = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.text(max_size=3)
+    | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+    | st.lists(st.integers(), max_size=2)
+)
+
+
+@st.composite
+def documents(draw):
+    """The text of a lattice or space document on at most six names: well
+    formed or not, with cycles, empty lists, values of the wrong type,
+    keys missing or unknown and lines that are no `key: value`. Each fault
+    is drawn for part of the documents only, so that many reach the lattice
+    and topology checks."""
+
+    def sometimes():
+        # a middle value: hypothesis draws the ends of a range more often
+        return draw(st.integers(0, 3)) == 2
+
+    kind = draw(st.sampled_from(["lattice", "space"]))
+    names = draw(st.lists(NAMES, max_size=6, unique=not sometimes()))
+    known = names or ["a"]
+    pick = st.sampled_from(known) | NAMES if sometimes() else st.sampled_from(known)
+    # pairs drawn upward along the list give an order, any pairs a cycle
+    pairs = draw(st.lists(st.tuples(pick, pick), max_size=6))
+    if not sometimes():
+        pairs = [sorted(p, key=known.index) for p in pairs if set(p) <= set(known)]
+    entries = {"type": kind, "name": draw(NAMES)}
+    if kind == "lattice":
+        entries.update(elements=names, leq=[list(p) for p in pairs])
+    else:
+        opens = draw(st.lists(st.lists(pick, max_size=3), max_size=6))
+        entries.update(points=names, opens=opens)
+    if sometimes():
+        key = draw(st.sampled_from(sorted(entries)))
+        if draw(st.booleans()):
+            entries[key] = draw(JUNK)
+        else:
+            del entries[key]
+    if sometimes():
+        entries[draw(st.sampled_from(["opens", "leq", "colour"]))] = draw(JUNK)
+    lines = [f"{k}: {json.dumps(v, ensure_ascii=False)}" for k, v in entries.items()]
+    if sometimes():
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=4)))
+    return "\n".join(lines) + "\n"
+
+
+@given(documents())
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_validate_ends_every_document_in_a_documented_exit(tmp_path, text):
+    path = tmp_path / "doc.txt"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["validate", str(path)])
+    assert code in (0, 1, 2), text
+    if code:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1, text
+    else:
+        assert err.getvalue() == "" and out.getvalue().startswith("# "), text
+
+
 def _duplicate_names(tmp_path):
     path = tmp_path / "twice.lattice"
     path.write_text('type: "lattice"\nname: "x"\nelements: ["a", "a"]\nleq: []\n')
@@ -368,29 +453,32 @@ def test_cechstone_on_eight_discrete_points_fits_in_one_gib(tmp_path):
     assert len(out) < 100_000
 
 
-# a child that swaps meet and join in the ideal lattices that ideal_view
-# builds by relabelling, then runs the CLI on its own arguments. The memo
-# keys read the order alone, so a check that one lattice of the same order
-# passed hides the mutant; monad-i first meets it in a hom check that no
-# true lattice ran, while lifting first meets it in a topology check
+# a child that swaps meet and join in every ideal lattice that ideal_view
+# builds, then runs the CLI on its own arguments. The package derives the
+# tables of every lattice from its order, so the child builds the mutant
+# itself, and gives it a shape of its own (a negative id, which the package
+# never hands out): under the shape of its order, every check that a true
+# lattice passed first would hide the swap
 SWAPPED_IDEAL_TABLES = """
 import sys
 from functools import lru_cache
+from itertools import count
 
 from stonekit import cli, dlat
 
 original = dlat.ideal_view
+shapes = count(-1, -1)
 
 
 @lru_cache(maxsize=None)
 def swapped(lat):
     view = original(lat)
-    if view.masks != lat.poset.down:
-        return view
     i = view.lattice
-    return dlat.SetLatticeView(
-        dlat._with_tables(i.poset, i.join, i.meet), view.masks
+    mutant = object.__new__(dlat.DistLattice)
+    mutant.__dict__.update(
+        poset=i.poset, meet=i.join, join=i.meet, shape=next(shapes)
     )
+    return dlat.SetLatticeView(mutant, view.masks)
 
 
 for module in list(sys.modules.values()):

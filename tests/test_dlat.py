@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 from stonekit import dlat
 from stonekit.dlat import (
     SUBSET_ORACLE_MAX_ELEMENTS,
-    _set_operation_lattice,
     DistLattice,
     Ideal,
     LatticeHom,
@@ -266,27 +265,38 @@ def test_ideals_are_named_by_their_generators():
                 )
 
 
-def _ideals_by_inclusion(lat):
-    """The ideal lattice the definitional way: the principal ideals as a
-    family of sets under inclusion, each named after its generator."""
-    masks = principal_masks(lat)
-    names = [f"down({lat.elements[m.bit_length() - 1]})" for m in masks]
-    return inclusion_view(lat.elements, masks, names)
+def _plain_ideal_lattice(lat):
+    """The ideal lattice the definitional way: every ideal that
+    ideals_bruteforce finds, named down(g) after the member g whose
+    down-set it is, ordered by inclusion through make_poset. Returns the
+    poset, the ideal of each element and the tables by _plain_tables."""
+    masks = ideals_bruteforce(lat)
+    down = lat.poset.down
+    names = [f"down({lat.elements[down.index(m)]})" for m in masks]
+    poset = make_poset(
+        names, [mask_of(j for j, b in enumerate(masks) if b & ~a == 0) for a in masks]
+    )
+    by_name = dict(zip(names, masks))
+    return poset, tuple(by_name[e] for e in poset.elements), _plain_tables(poset)
 
 
-def test_relabelled_ideal_lattice_equals_the_inclusion_route():
+def assert_plain_ideal_lattice(lat):
+    view = ideal_view(lat)
+    poset, masks, plain = _plain_ideal_lattice(lat)
+    assert view.lattice.poset == poset, lat
+    assert view.lattice.elements == poset.elements
+    assert view.masks == masks
+    assert tables(view.lattice) == plain
+    return view
+
+
+def test_ideal_lattice_equals_the_plain_ideal_lattice():
     for lat in lattice_universe(4):
-        view, twin = ideal_view(lat), _ideals_by_inclusion(lat)
-        assert view == twin and tables(view.lattice) == tables(twin.lattice)
-        # built afresh, the relabelled lattice shares the tables of lat
-        fresh = ideal_view.__wrapped__(lat).lattice
-        assert fresh.meet is lat.meet and fresh.join is lat.join
+        assert_plain_ideal_lattice(lat)
     # ideal lattices of ideal lattices, three levels deep
     for lat in lattice_universe(3):
         for _ in range(3):
-            view, twin = ideal_view(lat), _ideals_by_inclusion(lat)
-            assert view == twin and tables(view.lattice) == tables(twin.lattice)
-            lat = view.lattice
+            lat = assert_plain_ideal_lattice(lat).lattice
 
 
 def renaming_diamond():
@@ -302,8 +312,7 @@ def renaming_diamond():
 def test_ideal_lattice_whose_names_reorder_takes_the_inclusion_route():
     lat = renaming_diamond()
     assert lat.elements == ("0", "a", "a(1)", "1")
-    view, twin = ideal_view(lat), _ideals_by_inclusion(lat)
-    assert view == twin and tables(view.lattice) == tables(twin.lattice)
+    view = assert_plain_ideal_lattice(lat)
     assert view.lattice.elements == ("down(0)", "down(a(1))", "down(a)", "down(1)")
     # the element order is the canonical one for the new names
     assert view.lattice.poset == make_poset(
@@ -316,27 +325,34 @@ def test_ideal_lattice_of_m3_is_refused_with_the_inclusion_witness():
     m3 = m3_candidate()
     with pytest.raises(NotDistributive) as fast:
         ideal_view(m3)
-    with pytest.raises(NotDistributive) as slow:
-        _ideals_by_inclusion(m3)
-    assert fast.value.witness == slow.value.witness
-    assert str(fast.value) == str(slow.value)
+    # the ideals of M3 ordered by inclusion are M3 again, named down(.)
+    poset, _, plain = _plain_ideal_lattice(m3)
+    slow = DistLattice(poset)
+    assert tables(slow) == plain
+    assert fast.value.witness == distributivity_witness_bruteforce(slow)
 
 
-def test_set_operation_route_equals_lattice_from_poset_on_downsets():
-    for p in all_posets_upto(4):
-        view = downset_view(p)
-        poset = view.lattice.poset
-        fast = _set_operation_lattice(poset, view.masks)
-        assert fast is not None
-        assert tables(fast) == tables(lattice_from_poset(poset)) == tables(view.lattice)
-
-
-def test_set_operation_route_declines_a_family_not_closed_under_union():
-    # the principal ideals of the diamond: down(a) | down(b) is no ideal
+def test_set_family_tables_equal_the_plain_tables():
+    # opens and down-sets are closed under & and |, so their meets and
+    # joins are intersections and unions; the twin searches the order
+    views = []
+    for x in all_spaces_upto(4):
+        views.append(open_frame_view(x))
+        assert sorted(views[-1].masks) == list(x.opens)
+    views += [downset_view(p) for p in all_posets_upto(4)]
+    for view in views:
+        lat, masks = view.lattice, view.masks
+        assert tables(lat) == _plain_tables(lat.poset)
+        for i in range(lat.n):
+            for j in range(lat.n):
+                assert masks[lat.meet[i][j]] == masks[i] & masks[j]
+                assert masks[lat.join[i][j]] == masks[i] | masks[j]
+    # the principal ideals of the diamond: down(a) | down(b) is no ideal,
+    # and the join is the least ideal above both
     d = diamond()
     view = inclusion_view(d.elements, principal_masks(d))
-    assert _set_operation_lattice(view.lattice.poset, view.masks) is None
-    assert tables(view.lattice) == tables(lattice_from_poset(view.lattice.poset))
+    assert tables(view.lattice) == _plain_tables(view.lattice.poset)
+    assert view.masks[view.lattice.join[1][2]] == 0b1111
 
 
 def test_a_subset_outside_the_family_is_an_invariant_violation():
@@ -547,17 +563,8 @@ def test_meet_and_join_tables_match_plain_search():
 
 def lattices_of_a_lifting_run(monkeypatch):
     """The open frames and ideal lattices that run_suite("lifting",
-    max_points=2) builds from cleared caches, one entry per object, and the
-    ids of those whose tables _with_tables attached."""
-    built, attached = {}, set()
-    with_tables = dlat._with_tables
-
-    def attaching(*args):
-        lat = with_tables(*args)
-        attached.add(id(lat))
-        return lat
-
-    monkeypatch.setattr(dlat, "_with_tables", attaching)
+    max_points=2) builds from cleared caches, one entry per object."""
+    built = {}
     for original in (ideal_view, open_frame_view):
 
         def recording(arg, original=original):
@@ -575,14 +582,12 @@ def lattices_of_a_lifting_run(monkeypatch):
     finally:
         clear_caches()
     assert len(rows) == 733 and all(ok for _, _, ok, _ in rows)
-    return list(built.values()), attached
+    return list(built.values())
 
 
-def test_tables_derived_or_attached_equal_the_derived_and_plain_ones(monkeypatch):
-    run, attached = lattices_of_a_lifting_run(monkeypatch)
-    # every view attaches its tables (the set family's, the relabelled
-    # lattice's, or the stored ones under new names); DistLattice(p) derives
-    assert run and all(id(lat) in attached for lat in run)
+def test_every_lattice_has_the_plain_tables_shared_per_order(monkeypatch):
+    run = lattices_of_a_lifting_run(monkeypatch)
+    assert run
     plain = {}
     for lat in list(lattice_universe(4)) + run:
         assert lat.bot == 0 and lat.top == lat.n - 1
@@ -592,7 +597,15 @@ def test_tables_derived_or_attached_equal_the_derived_and_plain_ones(monkeypatch
         down = lat.poset.down
         if down not in plain:
             plain[down] = _plain_tables(lat.poset)
-        assert tables(lat) == tables(DistLattice(lat.poset)) == plain[down], lat
+        assert tables(lat) == plain[down], lat
+    # the lattices of one order share one pair of tables and one shape
+    for pool in (run, lattice_universe(4)):
+        first = {}
+        for lat in pool:
+            other = first.setdefault(lat.poset.down, lat)
+            assert lat.meet is other.meet and lat.join is other.join
+            assert lat.shape == other.shape
+        assert len(first) < len(pool)
 
 
 def n5_candidate():
@@ -865,8 +878,7 @@ TRICKY = ("a", "a1", "a(1)", "b", "\u00e4")
 
 def plain_inclusion_view(carrier, masks, names=None):
     """The lattice of sets the definitional way: the inclusion order
-    through make_poset, and every meet and join searched for by
-    lattice_from_poset."""
+    through make_poset, checked by lattice_from_poset."""
     if names is None:
         names = [format_subset(carrier, m) for m in masks]
     down = [mask_of(j for j, b in enumerate(masks) if b & ~a == 0) for a in masks]
@@ -906,10 +918,14 @@ def test_memoised_inclusion_views_equal_fresh_and_plain_ones():
     warm = [inclusion_view(*case) for case in cases]
     # every case shares its entry with its upper-case twin at least
     assert len(table) <= len(cases) // 2
+    plain_tables = {}
     for case, f, a, b in zip(cases, fresh, first, warm):
         plain = plain_inclusion_view(*case)
         assert f == a == b == plain, case
-        assert tables(f.lattice) == tables(b.lattice) == tables(plain.lattice), case
+        down = plain.lattice.poset.down
+        if down not in plain_tables:
+            plain_tables[down] = _plain_tables(plain.lattice.poset)
+        assert tables(f.lattice) == tables(b.lattice) == plain_tables[down], case
         # a hit shares the stored tables
         assert b.lattice.meet is a.lattice.meet and b.lattice.join is a.lattice.join
 
@@ -923,6 +939,10 @@ def test_duplicate_names_are_refused_on_a_hit_and_on_a_miss():
     # distinct names ranked as ["x", "x", "y"] is: the next call is a hit
     inclusion_view(carrier, masks, ["x", "y", "z"])
     assert list(dlat._inclusion_lattice.table) == [(masks, (0, 1, 2))]
+    # the entry is the element order, the sets and the down-sets; no tables
+    assert list(dlat._inclusion_lattice.table.values()) == [
+        ((0, 1, 2), masks, (0b001, 0b011, 0b111))
+    ]
     with pytest.raises(InvalidValue, match="duplicate element names"):
         inclusion_view(carrier, masks, ["x", "x", "y"])
 

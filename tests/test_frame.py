@@ -561,7 +561,7 @@ def _structure(lat):
 # without shapes, so that a shape given to two equal lattices apart would
 # show up as one value checked twice
 NAME_FREE_VALUE = {
-    "_shape_id": lambda down: down,
+    "_order_tables": lambda p: p.down,
     "_check_distributive": _structure,
     "_check_hom": lambda s, t, f: (_structure(s), _structure(t), f),
     "_check_ideal": lambda lat, m: (_structure(lat), m),

@@ -6,10 +6,8 @@ from itertools import combinations, product
 import pytest
 
 from stonekit.dlat import (
-    _set_operation_lattice,
     compose_homs,
     downset_lattice,
-    lattice_from_poset,
     lattice_isomorphic,
 )
 from stonekit import spaces
@@ -29,7 +27,6 @@ from stonekit.spaces import (
     indiscrete_space,
     interior_of,
     is_t0,
-    open_frame_view,
     open_preimage_hom,
     open_set_frame,
     sierpinski,
@@ -181,20 +178,6 @@ def test_homeomorphism_distinguishes_topologies():
 def test_preorder_of_indiscrete_is_total():
     up = specialization_preorder(indiscrete_space(["a", "b"]))
     assert up == (0b11, 0b11)
-
-
-def test_open_frame_tables_equal_lattice_from_poset():
-    # the opens are closed under & and |, so the frame reads its meets and
-    # joins off intersections and unions; the twin searches the order
-    for x in all_spaces_upto(4):
-        view = open_frame_view(x)
-        assert sorted(view.masks) == list(x.opens)
-        poset = view.lattice.poset
-        fast = _set_operation_lattice(poset, view.masks)
-        assert fast is not None
-        plain = lattice_from_poset(poset)
-        assert (fast.meet, fast.join) == (plain.meet, plain.join)
-        assert (view.lattice.meet, view.lattice.join) == (plain.meet, plain.join)
 
 
 def _continuity_violation_plain(x, y, assignment):
