@@ -332,27 +332,30 @@ def test_ideal_lattice_of_m3_is_refused_with_the_inclusion_witness():
     assert fast.value.witness == distributivity_witness_bruteforce(slow)
 
 
-def test_set_family_tables_equal_the_plain_tables():
-    # opens and down-sets are closed under & and |, so their meets and
-    # joins are intersections and unions; the twin searches the order
-    views = []
-    for x in all_spaces_upto(4):
-        views.append(open_frame_view(x))
-        assert sorted(views[-1].masks) == list(x.opens)
-    views += [downset_view(p) for p in all_posets_upto(4)]
-    for view in views:
+def test_set_operation_route_equals_lattice_from_poset_on_downsets():
+    # down-sets are closed under & and |, so their meets and joins are
+    # intersections and unions; the twin searches the order
+    for p in all_posets_upto(4):
+        view = downset_view(p)
         lat, masks = view.lattice, view.masks
         assert tables(lat) == _plain_tables(lat.poset)
+        assert tables(lat) == tables(lattice_from_poset(lat.poset))
         for i in range(lat.n):
             for j in range(lat.n):
                 assert masks[lat.meet[i][j]] == masks[i] & masks[j]
                 assert masks[lat.join[i][j]] == masks[i] | masks[j]
+
+
+def test_set_operation_route_declines_a_family_not_closed_under_union():
     # the principal ideals of the diamond: down(a) | down(b) is no ideal,
     # and the join is the least ideal above both
     d = diamond()
     view = inclusion_view(d.elements, principal_masks(d))
-    assert tables(view.lattice) == _plain_tables(view.lattice.poset)
-    assert view.masks[view.lattice.join[1][2]] == 0b1111
+    lat = view.lattice
+    assert view.masks[1] | view.masks[2] not in view.masks
+    assert tables(lat) == _plain_tables(lat.poset)
+    assert tables(lat) == tables(lattice_from_poset(lat.poset))
+    assert view.masks[lat.join[1][2]] == 0b1111
 
 
 def test_a_subset_outside_the_family_is_an_invariant_violation():

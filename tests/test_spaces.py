@@ -8,6 +8,7 @@ import pytest
 from stonekit.dlat import (
     compose_homs,
     downset_lattice,
+    lattice_from_poset,
     lattice_isomorphic,
 )
 from stonekit import spaces
@@ -28,6 +29,7 @@ from stonekit.spaces import (
     interior_of,
     is_t0,
     open_preimage_hom,
+    open_frame_view,
     open_set_frame,
     sierpinski,
     space_from_basis,
@@ -178,6 +180,21 @@ def test_homeomorphism_distinguishes_topologies():
 def test_preorder_of_indiscrete_is_total():
     up = specialization_preorder(indiscrete_space(["a", "b"]))
     assert up == (0b11, 0b11)
+
+
+def test_open_frame_tables_equal_lattice_from_poset():
+    # the opens are closed under & and |, so the frame's meets and joins
+    # are intersections and unions; the twin searches the order
+    for x in all_spaces_upto(4):
+        view = open_frame_view(x)
+        assert sorted(view.masks) == list(x.opens)
+        lat, masks = view.lattice, view.masks
+        plain = lattice_from_poset(lat.poset)
+        assert (lat.meet, lat.join) == (plain.meet, plain.join)
+        for i in range(lat.n):
+            for j in range(lat.n):
+                assert masks[lat.meet[i][j]] == masks[i] & masks[j]
+                assert masks[lat.join[i][j]] == masks[i] | masks[j]
 
 
 def _continuity_violation_plain(x, y, assignment):
