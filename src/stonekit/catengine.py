@@ -5,7 +5,9 @@ natural transformations, monads, comonads, adjunctions and algebras are
 bundles of callables over them. Every law here is checked by running the
 relevant diagram at every supplied object or morphism, so a green check is
 a finite proof over the chosen enumeration, and a red one carries a
-witness naming where the diagram broke.
+witness naming where the diagram broke. A comonad is a monad on the
+opposite universe (`opposite`), so check_comonad_laws is check_monad_laws
+run there.
 
 The lifting machinery moves a monad across an adjunction L -| R: the
 lifted functor is R T L, the unit is R(e at LX) after the adjunction unit,
@@ -119,6 +121,20 @@ class LawCheck(Value):
         mark = "ok" if self.ok else "FAIL"
         tail = "" if self.witness is None else f" [{self.witness}]"
         return f"{mark:4} {self.name}{tail}"
+
+
+def opposite(u: Universe, name: str) -> Universe:
+    """The universe u with every arrow read backwards: an arrow from x to y
+    is an arrow of u from y to x, and composites compose the other way."""
+    return Universe(
+        name,
+        u.identity,
+        lambda after, m: u.compose(m, after),
+        u.target,
+        u.source,
+        u.invert,
+        u.label,
+    )
 
 
 def identity_functor(u: Universe) -> FunctorInstance:
@@ -259,46 +275,22 @@ def check_monad_laws(t: MonadInstance, objects) -> Tuple[LawCheck, ...]:
 
 
 def check_comonad_laws(c: ComonadInstance, objects) -> Tuple[LawCheck, ...]:
-    u = c.functor.source
-    G, eps, delta = c.functor, c.counit.component, c.comult.component
-
-    def law(name, cases):
-        return _all(f"{c.name}: {name}", u, cases)
-
-    left = law(
-        "counit after comult",
-        (
-            (
-                u.compose(eps(G.on_object(x)), delta(x))
-                == u.identity(G.on_object(x)),
-                x,
-            )
-            for x in objects
-        ),
+    """The monad laws on the opposite universe, with the counit as unit and
+    the comultiplication as multiplication: counit after comult, mapped
+    counit after comult and coassociativity, in that order."""
+    G = c.functor
+    op = opposite(G.source, f"{G.source.name} reversed")
+    t = make_monad(
+        c.name,
+        FunctorInstance(G.name, op, op, G.on_object, G.on_morphism),
+        c.counit.component,
+        c.comult.component,
     )
-    right = law(
-        "mapped counit after comult",
-        (
-            (
-                u.compose(G.on_morphism(eps(x)), delta(x))
-                == u.identity(G.on_object(x)),
-                x,
-            )
-            for x in objects
-        ),
+    names = ("counit after comult", "mapped counit after comult", "coassociativity")
+    return tuple(
+        LawCheck(f"{c.name}: {name}", law.ok, law.witness)
+        for name, law in zip(names, check_monad_laws(t, objects))
     )
-    coassoc = law(
-        "coassociativity",
-        (
-            (
-                u.compose(delta(G.on_object(x)), delta(x))
-                == u.compose(G.on_morphism(delta(x)), delta(x)),
-                x,
-            )
-            for x in objects
-        ),
-    )
-    return left, right, coassoc
 
 
 def check_adjunction(

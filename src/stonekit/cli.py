@@ -147,12 +147,7 @@ def _cmd_center(args) -> int:
 
 def _cmd_waybelow(args) -> int:
     name, lat = load_lattice(_read_text(args.file))
-    below = way_below(lat).below
-    pairs = [
-        (lat.elements[a], lat.elements[b])
-        for b in range(lat.n)
-        for a in bits(below[b])
-    ]
+    pairs = way_below(lat).pairs()
     stable = "yes" if is_stably_compact(lat) else "no"
     regular = "yes" if is_regular(lat) else "no"
     sys.stdout.write(

@@ -64,7 +64,7 @@ from .errors import (
     UniverseMismatch,
 )
 from .memo import cached, name_free
-from .order import FinPoset, Value, _unvalidated, make_poset, poset_isomorphism
+from .order import FinPoset, Value, _unvalidated, isomorphism, make_poset, up_sets
 
 
 class DistLattice(Value):
@@ -275,7 +275,7 @@ def lattice_isomorphism(a: DistLattice, b: DistLattice) -> Optional[LatticeHom]:
     An order isomorphism of the carriers suffices: meets and joins are
     order-determined.
     """
-    assign = poset_isomorphism(a.poset, b.poset)
+    assign = isomorphism(a.poset.down, b.poset.down)
     return None if assign is None else LatticeHom(a, b, assign)
 
 
@@ -349,18 +349,9 @@ def _inclusion_lattice(
     return order, tuple(masks[i] for i in order), poset.down
 
 
-def _downclosed_masks(down: Tuple[int, ...]) -> list:
-    n = len(down)
-    out = []
-    for m in range(1 << n):
-        if all(down[i] & ~m == 0 for i in bits(m)):
-            out.append(m)
-    return out
-
-
 @cached
 def downset_view(p: FinPoset) -> SetLatticeView:
-    return inclusion_view(p.elements, _downclosed_masks(p.down))
+    return inclusion_view(p.elements, up_sets(p.down))
 
 
 def downset_lattice(p: FinPoset) -> DistLattice:

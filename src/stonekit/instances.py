@@ -48,10 +48,10 @@ from .catengine import (
     lift_monad_morphism,
     make_comonad,
     make_monad,
+    opposite,
 )
 from .dlat import (
     DistLattice,
-    _downclosed_masks,
     LatticeHom,
     all_lattice_homs,
     compose_homs,
@@ -86,7 +86,7 @@ from .frame import (
     way_below_bruteforce,
 )
 from .memo import cached
-from .order import preorder_closure
+from .order import preorder_closure, up_sets
 from .spaces import (
     ContinuousMap,
     FinSpace,
@@ -173,16 +173,7 @@ FRAME_UNIVERSE = Universe(
     _lattice_label,
 )
 
-# frames with every arrow read backwards
-LOCALE_UNIVERSE = Universe(
-    "finite locales",
-    identity_hom,
-    lambda after, m: compose_homs(m, after),
-    lambda h: h.target,
-    lambda h: h.source,
-    _invert_hom,
-    _lattice_label,
-)
+LOCALE_UNIVERSE = opposite(FRAME_UNIVERSE, "finite locales")
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +451,7 @@ def _sampled_spaces(size: int, seed: int) -> List[FinSpace]:
             for j in range(size):
                 if i != j and rng.random() < 0.3:
                     up[i] |= 1 << j
-        # the opens are the up-closed sets of the preorder
-        opens = tuple(_downclosed_masks(preorder_closure(up)))
+        opens = up_sets(preorder_closure(up))
         if opens in seen:
             continue
         seen.add(opens)
@@ -476,9 +466,7 @@ def _lattice_pool(max_lattice: int, force: bool) -> Tuple[DistLattice, ...]:
             "pass --force to raise it"
         )
     bound = 4 if max_lattice <= MAX_LATTICE else 5
-    return tuple(
-        l for l in lattice_universe(bound, force=True) if l.n <= max_lattice
-    )
+    return tuple(l for l in lattice_universe(bound) if l.n <= max_lattice)
 
 
 def _space_ids(spaces) -> List[str]:

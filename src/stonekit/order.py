@@ -4,6 +4,12 @@ Every FinPoset stores its elements in a canonical linear extension:
 a topological order of the relation with ties broken by element name.
 Two structurally equal posets therefore compare equal as values, and
 all derived subset bitmasks are reproducible across runs.
+
+Relations are tuples of masks, and each routine on them is the one the
+package uses: is_transitive, up_sets (every union of the masks: the
+up-sets of a preorder, the opens of its topology), transpose, the
+closures and cycle_pair, and isomorphism, the search behind poset,
+lattice and space isomorphisms.
 """
 
 from functools import cached_property
@@ -78,10 +84,8 @@ class FinPoset(Value):
             # canonical order is a linear extension: predecessors sit at lower indices
             if d >> (i + 1):
                 raise InvalidValue("element order is not a linear extension")
-        for i in range(n):
-            for j in bits(self.down[i]):
-                if self.down[j] & ~self.down[i]:
-                    raise InvalidValue("relation not transitive")
+        if not is_transitive(self.down):
+            raise InvalidValue("relation not transitive")
 
     @cached_property
     def n(self) -> int:
@@ -136,6 +140,26 @@ class FinPoset(Value):
             mask_of(pos[j] for j in bits(self.down[i] & mask)) for i in keep
         ]
         return make_poset(names, down)
+
+
+def is_transitive(masks: Sequence[int]) -> bool:
+    """Whether the relation given by down-masks, or by up-masks, is
+    transitive: masks[j] lies inside masks[i] for every j in masks[i]."""
+    for m in masks:
+        for j in bits(m):
+            if masks[j] & ~m:
+                return False
+    return True
+
+
+def up_sets(masks: Iterable[int]) -> Tuple[int, ...]:
+    """Every union of the masks, the empty one included, in ascending order.
+    Given the up-masks of a preorder, these are its up-sets, the opens of
+    its topology (Alexandroff); given its down-masks, its down-sets."""
+    out = {0}
+    for m in masks:
+        out |= {s | m for s in out}
+    return tuple(sorted(out))
 
 
 def transpose(masks: Sequence[int]) -> Tuple[int, ...]:
@@ -276,47 +300,53 @@ def compose_monotone(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
     )
 
 
-def poset_isomorphism(p: FinPoset, q: FinPoset) -> Optional[Tuple[int, ...]]:
-    """An order isomorphism p -> q as an index assignment, or None."""
-    if p.n != q.n:
-        return None
-    p_up = p.up_masks
-    q_up = q.up_masks
-
-    def sig(down, up, i):
-        return (bin(down[i]).count("1"), bin(up[i]).count("1"))
-
-    p_sigs = [sig(p.down, p_up, i) for i in range(p.n)]
-    q_sigs = [sig(q.down, q_up, i) for i in range(q.n)]
-    if sorted(p_sigs) != sorted(q_sigs):
+def isomorphism(a: Sequence[int], b: Sequence[int]) -> Optional[Tuple[int, ...]]:
+    """A bijection f with i below k in a exactly when f[i] is below f[k] in
+    b, for two relations given by down-masks (bit i of a[k]: i below k), or
+    None. Backtracking assigns the elements of a in index order, each to an
+    unused element of b with as many elements below and above it, and
+    keeps a choice only while it agrees with every earlier one."""
+    n = len(a)
+    if len(b) != n:
         return None
 
-    assign: list[Optional[int]] = [None] * p.n
-    used = [False] * q.n
+    def signatures(down):
+        up = transpose(down)
+        return [(bin(down[i]).count("1"), bin(up[i]).count("1")) for i in range(n)]
+
+    a_sigs = signatures(a)
+    b_sigs = signatures(b)
+    if sorted(a_sigs) != sorted(b_sigs):
+        return None
+
+    assign = [0] * n
+    used = [False] * n
 
     def extend(i: int) -> bool:
-        if i == p.n:
+        if i == n:
             return True
-        for j in range(q.n):
-            if used[j] or p_sigs[i] != q_sigs[j]:
+        for j in range(n):
+            if used[j] or a_sigs[i] != b_sigs[j]:
                 continue
-            ok = True
             for k in range(i):
-                if p.leq_index(k, i) != q.leq_index(assign[k], j) or p.leq_index(
-                    i, k
-                ) != q.leq_index(j, assign[k]):
-                    ok = False
+                f = assign[k]
+                # k below i in a exactly when f below j in b, and the same upwards
+                if (a[i] >> k ^ b[j] >> f) & 1 or (a[k] >> i ^ b[f] >> j) & 1:
                     break
-            if ok:
+            else:
                 assign[i] = j
                 used[j] = True
                 if extend(i + 1):
                     return True
-                assign[i] = None
                 used[j] = False
         return False
 
     return tuple(assign) if extend(0) else None
+
+
+def poset_isomorphism(p: FinPoset, q: FinPoset) -> Optional[Tuple[int, ...]]:
+    """An order isomorphism p -> q as an index assignment, or None."""
+    return isomorphism(p.down, q.down)
 
 
 def poset_isomorphic(p: FinPoset, q: FinPoset) -> bool:

@@ -3,7 +3,9 @@
 Opens are bitmasks over the point tuple, stored sorted ascending, and the
 constructor enforces the closure axioms, so two equal-looking spaces are
 equal as values. All finite topologies are Alexandrov: arbitrary meets of
-opens are again open, which the rest of the package leans on freely.
+opens are again open, which the rest of the package leans on freely. The
+opens are the up-sets of the specialization preorder, so a homeomorphism
+is an isomorphism of the two preorders (order.isomorphism).
 
 The closure check of a family of opens and the continuity check of a map
 run once per distinct (opens, assignment) value, whatever the point names
@@ -16,7 +18,16 @@ from .bitsets import bits, format_subset, mask_of
 from .dlat import DistLattice, LatticeHom, SetLatticeView, inclusion_view
 from .errors import CycleError, InvalidValue, NotATopology, UniverseMismatch
 from .memo import cached, name_free
-from .order import FinPoset, Value, _unvalidated, cycle_pair, make_poset, transpose
+from .order import (
+    FinPoset,
+    Value,
+    _unvalidated,
+    cycle_pair,
+    isomorphism,
+    make_poset,
+    transpose,
+    up_sets,
+)
 
 
 class FinSpace(Value):
@@ -102,8 +113,7 @@ def space_from_basis(names: Iterable[str], basis: Iterable[int]) -> FinSpace:
     The closure is the family of unions of the minimal neighbourhoods U_x,
     the meet of the given sets that hold x: each U_x is such a meet, each
     given set is the union of the U_x of its points, and U_x & U_y is the
-    union of the U_z inside it. So it grows from {} by s -> s | U_x, in
-    O(opens x points) steps."""
+    union of the U_z inside it."""
     names = tuple(names)
     full = (1 << len(names)) - 1
     basis = list(basis)
@@ -117,16 +127,7 @@ def space_from_basis(names: Iterable[str], basis: Iterable[int]) -> FinSpace:
             if (m >> x) & 1:
                 u &= m
         nbhds.add(u)
-    have = {0}
-    todo = [0]
-    while todo:
-        s = todo.pop()
-        for u in nbhds:
-            t = s | u
-            if t not in have:
-                have.add(t)
-                todo.append(t)
-    return FinSpace(names, tuple(sorted(have)))
+    return FinSpace(names, up_sets(nbhds))
 
 
 def disjoint_union(x: FinSpace, y: FinSpace) -> FinSpace:
@@ -284,7 +285,7 @@ def open_preimage_hom(f: ContinuousMap) -> LatticeHom:
 
 
 # ---------------------------------------------------------------------------
-# homeomorphism search
+# homeomorphism
 
 
 def is_homeomorphism(f: ContinuousMap) -> bool:
@@ -295,45 +296,11 @@ def is_homeomorphism(f: ContinuousMap) -> bool:
 
 
 def homeomorphism(x: FinSpace, y: FinSpace) -> Optional[ContinuousMap]:
-    """A homeomorphism x -> y found by backtracking, or None."""
-    if x.n != y.n or len(x.opens) != len(y.opens):
-        return None
-
-    def profile(space: FinSpace, i: int):
-        sizes = sorted(
-            bin(o).count("1") for o in space.opens if (o >> i) & 1
-        )
-        return (bin(space.min_nbhd(i)).count("1"), tuple(sizes))
-
-    x_prof = [profile(x, i) for i in range(x.n)]
-    y_prof = [profile(y, j) for j in range(y.n)]
-    if sorted(x_prof) != sorted(y_prof):
-        return None
-
-    assign: list[Optional[int]] = [None] * x.n
-    used = [False] * y.n
-    y_opens = set(y.opens)
-
-    def extend(i: int) -> bool:
-        if i == x.n:
-            image = [assign[k] for k in range(x.n)]
-            return all(
-                mask_of(image[k] for k in bits(o)) in y_opens for o in x.opens
-            )
-        for j in range(y.n):
-            if used[j] or x_prof[i] != y_prof[j]:
-                continue
-            assign[i] = j
-            used[j] = True
-            if extend(i + 1):
-                return True
-            assign[i] = None
-            used[j] = False
-        return False
-
-    if not extend(0):
-        return None
-    return ContinuousMap(x, y, tuple(assign))
+    """A homeomorphism x -> y, or None. The opens are the up-sets of the
+    specialization preorder, so a bijection is a homeomorphism exactly when
+    it is an isomorphism of the two preorders."""
+    assign = isomorphism(specialization_preorder(x), specialization_preorder(y))
+    return None if assign is None else ContinuousMap(x, y, assign)
 
 
 def homeomorphic(x: FinSpace, y: FinSpace) -> bool:

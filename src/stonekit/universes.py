@@ -11,10 +11,10 @@ from itertools import product
 from typing import Tuple
 
 from .bitsets import bits
-from .dlat import DistLattice, _downclosed_masks, downset_lattice
+from .dlat import DistLattice, downset_lattice
 from .errors import BudgetExceeded
 from .memo import cached
-from .order import FinPoset, cycle_pair, make_poset, transpose
+from .order import FinPoset, cycle_pair, is_transitive, make_poset, transpose, up_sets
 from .spaces import ContinuousMap, FinSpace, is_continuous_assignment
 
 POSET_NAMES = "abcde"
@@ -32,30 +32,22 @@ def _relation_candidates(n: int, antisymmetric: bool):
         for b, (i, j) in enumerate(offdiag):
             if (pick >> b) & 1:
                 up[i] |= 1 << j
-        ok = True
-        for i in range(n):
-            for j in bits(up[i]):
-                if up[j] & ~up[i]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        if not is_transitive(up):
             continue
         if antisymmetric and cycle_pair(up) is not None:
             continue
         yield tuple(up)
 
 
-def _guard(n: int, cap: int, what: str, force: bool) -> None:
-    if n > cap and not force:
+def _guard(n: int, cap: int, what: str) -> None:
+    if n > cap:
         raise BudgetExceeded(f"{what} on {n} elements exceeds the cap {cap}")
 
 
 @cached
-def all_posets(n: int, force: bool = False) -> Tuple[FinPoset, ...]:
+def all_posets(n: int) -> Tuple[FinPoset, ...]:
     """All labeled posets on n elements, elements named a, b, c, ..."""
-    _guard(n, MAX_POSET, "poset enumeration", force)
+    _guard(n, MAX_POSET, "poset enumeration")
     names = list(POSET_NAMES[:n])
     out = []
     for up in _relation_candidates(n, antisymmetric=True):
@@ -63,33 +55,32 @@ def all_posets(n: int, force: bool = False) -> Tuple[FinPoset, ...]:
     return tuple(out)
 
 
-def all_posets_upto(n: int, force: bool = False) -> Tuple[FinPoset, ...]:
+def all_posets_upto(n: int) -> Tuple[FinPoset, ...]:
     out: list[FinPoset] = []
     for k in range(n + 1):
-        out.extend(all_posets(k, force))
+        out.extend(all_posets(k))
     return tuple(out)
 
 
 @cached
-def all_spaces(n: int, force: bool = False) -> Tuple[FinSpace, ...]:
+def all_spaces(n: int) -> Tuple[FinSpace, ...]:
     """All labeled topologies on n points, via their specialization preorders.
 
     Finite topologies are exactly the up-set families of preorders, so
     enumerating preorders gives each topology once.
     """
-    _guard(n, MAX_POINTS, "topology enumeration", force)
+    _guard(n, MAX_POINTS, "topology enumeration")
     names = tuple(POINT_NAMES[:n])
     out = []
     for up in _relation_candidates(n, antisymmetric=False):
-        # the opens are the up-closed sets of the preorder
-        out.append(FinSpace(names, tuple(_downclosed_masks(up))))
+        out.append(FinSpace(names, up_sets(up)))
     return tuple(out)
 
 
-def all_spaces_upto(n: int, force: bool = False) -> Tuple[FinSpace, ...]:
+def all_spaces_upto(n: int) -> Tuple[FinSpace, ...]:
     out: list[FinSpace] = []
     for k in range(n + 1):
-        out.extend(all_spaces(k, force))
+        out.extend(all_spaces(k))
     return tuple(out)
 
 
@@ -108,9 +99,9 @@ def all_topology_families_bruteforce(n: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 @cached
-def lattice_universe(max_poset: int = 4, force: bool = False) -> Tuple[DistLattice, ...]:
+def lattice_universe(max_poset: int = 4) -> Tuple[DistLattice, ...]:
     """Downset lattices of all posets on <= max_poset elements (243 at 4)."""
-    return tuple(downset_lattice(p) for p in all_posets_upto(max_poset, force))
+    return tuple(downset_lattice(p) for p in all_posets_upto(max_poset))
 
 
 def all_continuous_maps(x: FinSpace, y: FinSpace, limit: int = 200_000):

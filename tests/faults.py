@@ -18,6 +18,7 @@ from stonekit.bitsets import bits, format_subset, mask_of
 from stonekit.catengine import (
     AdjunctionInstance,
     AlgebraInstance,
+    ComonadInstance,
     FunctorInstance,
     MonadInstance,
     NatTransInstance,
@@ -25,6 +26,7 @@ from stonekit.catengine import (
     compose_functors,
     identity_functor,
     lift_monad,
+    make_comonad,
     make_monad,
 )
 from stonekit.spaces import FinSpace, closure_of, preimage_mask
@@ -96,6 +98,40 @@ def fresh_point_algebra(n: int, default: int) -> AlgebraInstance:
     return AlgebraInstance(fresh_point_monad(), n, structure)
 
 
+def _tagging(name: str, outer) -> ComonadInstance:
+    """Each point paired with a tag 0 or 1: G n = 2n, with (t, x) at index
+    t * n + x. The counit forgets the tag; the comultiplication sends
+    (t, x) to (outer(t), (t, x))."""
+    u = finset_universe()
+    functor = FunctorInstance(
+        "tag with 0 or 1",
+        u,
+        u,
+        lambda n: 2 * n,
+        lambda m: (
+            2 * m[0],
+            2 * m[1],
+            tuple(t * m[1] + v for t in (0, 1) for v in m[2]),
+        ),
+    )
+    return make_comonad(
+        name,
+        functor,
+        lambda n: (2 * n, n, tuple(i % n for i in range(2 * n))),
+        lambda n: (
+            2 * n,
+            4 * n,
+            tuple(outer(t) * 2 * n + t * n + x for t in (0, 1) for x in range(n)),
+        ),
+    )
+
+
+def tagging_comonad() -> ComonadInstance:
+    """The comonad of pairs with a two-element set: the comultiplication
+    copies the tag, (t, x) to (t, (t, x))."""
+    return _tagging("tagging", lambda t: t)
+
+
 # ---------------------------------------------------------------------------
 # broken finite-set instances
 
@@ -129,6 +165,18 @@ def misrouted_mult_monad() -> MonadInstance:
         lambda n: (n, n + 1, tuple(range(n))),
         lambda n: (n + 2, n + 1, tuple(range(n)) + (n, 0 if n else n)),
     )
+
+
+def flipped_tagging_comonad() -> ComonadInstance:
+    """Tagging whose comultiplication flips the outer tag: (t, x) goes to
+    (1 - t, (t, x)).
+
+    check_comonad_laws rejects it: the counit after the comultiplication
+    still gives back (t, x), but the mapped counit gives (1 - t, x) and
+    the two routes of coassociativity put 1 - t and t in the middle; both
+    fail at the first object with a point, witness "1".
+    """
+    return _tagging("flipped tagging", lambda t: 1 - t)
 
 
 def collapsing_transformation() -> NatTransInstance:

@@ -9,6 +9,7 @@ from stonekit.catengine import (
     check_adjunction,
     check_algebra,
     check_algebra_morphism,
+    check_comonad_laws,
     check_functor_laws,
     check_lift_law,
     check_monad_laws,
@@ -50,6 +51,7 @@ from faults import (
     fresh_point_algebra,
     fresh_point_functor,
     fresh_point_monad,
+    flipped_tagging_comonad,
     fresh_swap_transformation,
     inclusions,
     misfolded_algebra,
@@ -57,6 +59,7 @@ from faults import (
     powerset_universe,
     reversing_endofunctor,
     swap_counit_adjunction,
+    tagging_comonad,
     topological_closure_monad,
 )
 
@@ -105,6 +108,30 @@ def test_misrouted_mult_is_rejected():
     assert left.ok
     assert not right.ok
     assert right.witness == "1"
+
+
+def verdicts(checks):
+    return [(c.name, c.ok, c.witness) for c in checks]
+
+
+def test_tagging_comonad_laws():
+    k = tagging_comonad()
+    assert all(c.ok for c in check_functor_laws(k.functor, SIZES, finset_morphisms()))
+    assert check_naturality(k.counit, finset_morphisms()).ok
+    assert check_naturality(k.comult, finset_morphisms()).ok
+    assert verdicts(check_comonad_laws(k, SIZES)) == [
+        ("tagging: counit after comult", True, None),
+        ("tagging: mapped counit after comult", True, None),
+        ("tagging: coassociativity", True, None),
+    ]
+
+
+def test_flipped_tagging_is_rejected():
+    assert verdicts(check_comonad_laws(flipped_tagging_comonad(), SIZES)) == [
+        ("flipped tagging: counit after comult", True, None),
+        ("flipped tagging: mapped counit after comult", False, "1"),
+        ("flipped tagging: coassociativity", False, "1"),
+    ]
 
 
 def test_collapsing_transformation_is_rejected():

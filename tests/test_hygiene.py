@@ -91,6 +91,35 @@ def test_imported_modules_are_reported():
     assert imported_modules(source) == {"os", "a"}
 
 
+def private_sibling_imports(source: str) -> list:
+    """`module.name` for each `_`-prefixed name that a relative import
+    anywhere in the source takes from a sibling module."""
+    return [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_private_sibling_import_is_reported():
+    source = "from .a import _b, c\ndef f():\n    from .d import _e\nfrom os import _exit\n"
+    assert private_sibling_imports(source) == ["a._b", "d._e"]
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # order._unvalidated builds a value without its check, for values valid
+    # by construction; every other private name stays inside its module
+    found = [
+        f"{path.stem}: {name}"
+        for path in SOURCES
+        for name in private_sibling_imports(path.read_text(encoding="utf-8"))
+        if name != "order._unvalidated"
+    ]
+    assert found == []
+
+
 def test_the_package_does_not_import_dataclasses():
     # the record classes derive from order.Value; dataclasses would pull
     # inspect, ast and tokenize into every CLI process
@@ -113,6 +142,29 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         check=True,
     )
     assert loaded.stdout.strip() == "[]"
+
+
+def readme_tour() -> str:
+    """The Python block of the README's library tour."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = text.index("```python\n", text.index("## Library tour")) + 10
+    return text[start : text.index("```", start)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["demos/duality_tour.py"], ["demos/lifting_walkthrough.py"], ["-c", readme_tour()]],
+    ids=["duality_tour", "lifting_walkthrough", "readme_tour"],
+)
+def test_the_demos_and_the_readme_tour_run(argv):
+    done = subprocess.run(
+        [sys.executable, *argv],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def names_used(node: ast.AST, skip: ast.AST = None) -> set:

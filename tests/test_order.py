@@ -11,12 +11,15 @@ from stonekit.order import (
     antichain,
     chain,
     compose_monotone,
+    cycle_pair,
     identity_monotone,
+    is_transitive,
     make_poset,
     order_closure,
     poset_isomorphic,
     preorder_closure,
     poset_isomorphism,
+    up_sets,
 )
 
 NAMES = ["a", "b", "c", "d"]
@@ -154,6 +157,44 @@ def test_isomorphism_rejects_different_shapes():
     assert not poset_isomorphic(chain(["a", "b"]), antichain(["a", "b"]))
     v = order_closure(["a", "b", "c"], [("a", "b"), ("a", "c")])
     assert not poset_isomorphic(chain(["a", "b", "c"]), v)
+
+
+def relations(n):
+    """Every relation on n elements as up-masks (bit j of masks[i]: i R j)."""
+    for code in range(1 << (n * n)):
+        yield tuple((code >> (i * n)) & ((1 << n) - 1) for i in range(n))
+
+
+def test_transitivity_test_matches_its_definition():
+    for n in range(4):
+        for masks in relations(n):
+            expected = all(
+                (masks[i] >> k) & 1
+                for i in range(n)
+                for j in bits(masks[i])
+                for k in bits(masks[j])
+            )
+            assert is_transitive(masks) == expected, masks
+
+
+def closed_sets_scan(masks):
+    """Twin of up_sets on a reflexive transitive relation: every subset that
+    holds masks[i] for each of its members i, by a scan of all 2^n."""
+    return tuple(
+        m for m in range(1 << len(masks)) if all(masks[i] & ~m == 0 for i in bits(m))
+    )
+
+
+def test_up_sets_match_the_closed_set_scan():
+    # every preorder on at most 4 points is the closure of a relation; the
+    # converse of each is among them, so down-masks are covered as well as
+    # up-masks, and the posets are the antisymmetric ones
+    preorders = {preorder_closure(masks) for n in range(5) for masks in relations(n)}
+    assert len(preorders) == 1 + 1 + 4 + 29 + 355
+    assert sum(cycle_pair(up) is None for up in preorders) == 1 + 1 + 3 + 19 + 219
+    for up in preorders:
+        assert up_sets(up) == closed_sets_scan(up), up
+    assert up_sets([0b011, 0b110]) == (0b000, 0b011, 0b110, 0b111)
 
 
 def test_empty_poset():

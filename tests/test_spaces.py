@@ -1,7 +1,7 @@
 """Finite spaces: validation, specialization, open-set frames, homeomorphism."""
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -12,6 +12,7 @@ from stonekit.dlat import (
     lattice_isomorphic,
 )
 from stonekit import spaces
+from stonekit.bitsets import bits, mask_of
 from stonekit.errors import CycleError, InvalidValue, NotATopology, UniverseMismatch
 from stonekit.order import antichain, chain
 from stonekit.spaces import (
@@ -27,6 +28,8 @@ from stonekit.spaces import (
     identity_map,
     indiscrete_space,
     interior_of,
+    is_continuous_assignment,
+    is_homeomorphism,
     is_t0,
     open_preimage_hom,
     open_frame_view,
@@ -37,7 +40,7 @@ from stonekit.spaces import (
     specialization_preorder,
     subspace,
 )
-from stonekit.universes import all_spaces_upto
+from stonekit.universes import all_spaces, all_spaces_upto
 
 
 def test_union_axiom_enforced():
@@ -175,6 +178,52 @@ def test_homeomorphism_finds_relabeling():
 def test_homeomorphism_distinguishes_topologies():
     assert not homeomorphic(sierpinski(), discrete_space(["a", "b"]))
     assert not homeomorphic(sierpinski(), indiscrete_space(["a", "b"]))
+
+
+def homeomorphic_by_bijections(x, y):
+    """Twin of homeomorphic: tries every bijection with is_homeomorphism."""
+    return x.n == y.n and any(
+        is_continuous_assignment(x, y, a) and is_homeomorphism(ContinuousMap(x, y, a))
+        for a in permutations(range(x.n))
+    )
+
+
+def relabelled(x, rng):
+    """x with its points moved by a random permutation, under the same names."""
+    move = list(range(x.n))
+    rng.shuffle(move)
+    return FinSpace(
+        x.points, tuple(sorted(mask_of(move[i] for i in bits(o)) for o in x.opens))
+    )
+
+
+def test_homeomorphic_matches_the_twin_on_every_pair_of_small_spaces():
+    small = all_spaces_upto(3)
+    found = 0
+    for x in small:
+        for y in small:
+            assert homeomorphic(x, y) == homeomorphic_by_bijections(x, y), (x, y)
+            found += homeomorphic(x, y)
+    # the sum of the squares of the homeomorphism class sizes
+    assert found == 127
+
+
+def test_homeomorphic_matches_the_twin_on_four_points():
+    rng = random.Random(20261019)
+    four = all_spaces(4)
+    moved = neighbours = 0
+    for i, x in enumerate(four):
+        y = relabelled(x, rng)
+        h = homeomorphism(x, y)
+        assert h is not None and is_homeomorphism(h), (x, y)
+        assert homeomorphic_by_bijections(x, y)
+        moved += y != x
+        nxt = four[(i + 1) % len(four)]
+        h = homeomorphism(x, nxt)
+        assert (h is not None) == homeomorphic_by_bijections(x, nxt), (x, nxt)
+        assert h is None or is_homeomorphism(h)
+        neighbours += h is not None
+    assert (moved, neighbours) == (319, 17)
 
 
 def test_preorder_of_indiscrete_is_total():
