@@ -33,10 +33,10 @@ stores them under the down-sets, so every lattice with the same order
 shares one pair of tables. inclusion_view is the one builder of derived
 lattices (lattices of sets, ideal lattices, open frames).
 
-Memo contract (see memo.name_free): the tables of an order, the hom,
-ideal and distributivity checks, the prime-filter masks, the assignments
-of ideal_functor_hom and the orders of inclusion_view run once per
-distinct name-free value. A lattice's `shape` is an int shared by exactly
+Memo contract (see memo.name_free): the tables of an order, the hom and
+distributivity checks, the prime filters, the assignments of
+ideal_functor_hom and the orders of inclusion_view run once per distinct
+name-free value. A lattice's `shape` is an int shared by exactly
 the lattices with equal down-sets, whatever their names: the down-sets fix
 the tables, bottom and top. The results are stored under keys built from
 down-sets, shapes and masks, and the names are attached per call.
@@ -45,9 +45,10 @@ break ties in make_poset, so their ranking fixes the element order, and a
 hit shares the stored down-sets under the caller's names (the
 duplicate-name check runs on every call). Only passing verdicts are
 stored, so a failure is checked again each time and its message names the
-caller's own elements. The PrimeFilter check is not memoised:
-prime_filters builds its filters from checked masks, so only
-character_filter runs it.
+caller's own elements. The Ideal and PrimeFilter checks are not
+memoised: the views hold masks that were checked where they were made, so
+only an Ideal or PrimeFilter built from outside data (a character, an
+ideal of the API) runs its check.
 """
 
 from functools import cached_property
@@ -349,7 +350,6 @@ def _inclusion_lattice(
     return order, tuple(masks[i] for i in order), poset.down
 
 
-@cached
 def downset_view(p: FinPoset) -> SetLatticeView:
     return inclusion_view(p.elements, up_sets(p.down))
 
@@ -375,18 +375,13 @@ class Ideal(Value):
     members: int
 
     def __post_init__(self):
-        _check_ideal(self.home, self.members)
+        reason = _ideal_violation(self.home, self.members)
+        if reason is not None:
+            raise InvalidValue(f"not an ideal: {reason}")
 
     @property
     def name(self) -> str:
         return self.home.subset_name(self.members)
-
-
-@name_free(lambda lat, mask: (lat.shape, mask))
-def _check_ideal(lat: DistLattice, mask: int) -> None:
-    reason = _ideal_violation(lat, mask)
-    if reason is not None:
-        raise InvalidValue(f"not an ideal: {reason}")
 
 
 def _ideal_violation(lat: DistLattice, mask: int) -> Optional[str]:
@@ -588,16 +583,6 @@ def _ideal_image_assignment(
     return tuple(out)
 
 
-def frame_join_algebra(lat: DistLattice) -> LatticeHom:
-    """Structure map sending each ideal to its join."""
-    view = ideal_view(lat)
-    return LatticeHom(
-        view.lattice,
-        lat,
-        tuple(lat.join_mask(m) for m in view.masks),
-    )
-
-
 # ---------------------------------------------------------------------------
 # prime filters and characters
 
@@ -660,38 +645,21 @@ def prime_filters_bruteforce(lat: DistLattice) -> Tuple[int, ...]:
     )
 
 
-@cached
-def prime_filters(lat: DistLattice) -> Tuple[PrimeFilter, ...]:
-    """Prime filters via join-irreducibles, each verified definitionally.
+@name_free(lambda lat: lat.shape)
+def prime_filters(lat: DistLattice) -> Tuple[int, ...]:
+    """The prime filter masks, ascending, via join-irreducibles.
 
     In a finite distributive lattice the prime filters are exactly the
     up-sets of join-irreducible elements; candidates are still checked
     against the definition, once per shape, rather than trusted.
     """
-    return tuple(_unvalidated(PrimeFilter, lat, m) for m in _prime_filter_masks(lat))
-
-
-@name_free(lambda lat: lat.shape)
-def _prime_filter_masks(lat: DistLattice) -> Tuple[int, ...]:
     ups = lat.poset.up_masks
     candidates = sorted(ups[j] for j in bits(lat.join_irreducible_mask))
-    out = []
     for m in candidates:
         reason = _prime_filter_violation(lat, m)
         if reason is not None:
             raise NotDistributive((lat.subset_name(m), "irreducible up-set", reason))
-        out.append(m)
-    return tuple(out)
-
-
-def filter_character(f: PrimeFilter) -> LatticeHom:
-    """Characteristic hom to the two-element lattice."""
-    two = two_lattice()
-    return LatticeHom(
-        f.home,
-        two,
-        tuple(1 if (f.members >> i) & 1 else 0 for i in range(f.home.n)),
-    )
+    return tuple(candidates)
 
 
 def character_filter(h: LatticeHom) -> PrimeFilter:
@@ -702,8 +670,13 @@ def character_filter(h: LatticeHom) -> PrimeFilter:
 
 
 def homs_to_2(lat: DistLattice) -> Tuple[LatticeHom, ...]:
-    """All homs into the two-element lattice, by ascending filter mask."""
-    return tuple(filter_character(f) for f in prime_filters(lat))
+    """All homs into the two-element lattice, by ascending filter mask: the
+    character of each prime filter."""
+    two = two_lattice()
+    return tuple(
+        LatticeHom(lat, two, tuple((m >> i) & 1 for i in range(lat.n)))
+        for m in prime_filters(lat)
+    )
 
 
 def homs_to_2_bruteforce(lat: DistLattice) -> Tuple[LatticeHom, ...]:

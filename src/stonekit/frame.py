@@ -8,11 +8,13 @@ with its coalgebras. Finite degeneracies (way-below collapsing to the
 order, every ideal being principal) are theorems the degeneracy suite and
 the tests prove by running the definitional routes over their pools.
 
-The opens of a space of filters and the point assignment of spectrum_map
-are computed once per distinct name-free input (memo.name_free): filter
-masks for the one, the shapes of both lattices and the hom's assignment
-for the other. The names of each call's own lattices and spaces are
-attached afterwards.
+The spectrum reads the checked prime filter masks of dlat.prime_filters,
+and the comultiplication reads ideals as masks, so neither checks them
+again. The opens of a space of filters and the point assignment of
+spectrum_map are computed once per distinct name-free input
+(memo.name_free): filter masks for the one, the shapes of both lattices
+and the hom's assignment for the other. The names of each call's own
+lattices and spaces are attached afterwards.
 """
 
 from functools import cached_property
@@ -27,7 +29,6 @@ from .dlat import (
     LatticeHom,
     check_subset_budget,
     compose_homs,
-    frame_join_algebra,
     homs_to_2,
     hom_violation,
     ideal_functor_hom,
@@ -309,7 +310,7 @@ class SpectrumView(Value):
 
 @cached
 def spectrum_view(lat: DistLattice) -> SpectrumView:
-    filters = tuple(f.members for f in prime_filters(lat))
+    filters = prime_filters(lat)
     space, sigma = filter_space_of(lat.elements, filters)
     return SpectrumView(space, filters, sigma)
 
@@ -383,19 +384,21 @@ def is_spatial(lat: DistLattice) -> bool:
 # the ideal comonad
 
 
+def _comultiplication_mask(masks: Tuple[int, ...], ideal: int) -> int:
+    """c(I) as a mask over the ideals `masks`: those whose join lands in I.
+    Each ideal is the down-set of its join, which the linear-extension
+    order puts at the mask's highest bit."""
+    return mask_of(
+        k for k, m in enumerate(masks) if (ideal >> (m.bit_length() - 1)) & 1
+    )
+
+
 def comultiplication_ideal(lat: DistLattice, ideal: Ideal) -> Ideal:
     """c(I): the ideals whose join lands in I, as an ideal one level up."""
     if ideal.home != lat:
         raise ValueError("comultiplication expects an ideal of the base lattice")
     view = ideal_view(lat)
-    # each ideal is the down-set of its join, which the linear-extension
-    # order puts at the mask's highest bit
-    members = mask_of(
-        k
-        for k, m in enumerate(view.masks)
-        if (ideal.members >> (m.bit_length() - 1)) & 1
-    )
-    return Ideal(view.lattice, members)
+    return Ideal(view.lattice, _comultiplication_mask(view.masks, ideal.members))
 
 
 def comultiplication_hom(lat: DistLattice) -> LatticeHom:
@@ -403,8 +406,7 @@ def comultiplication_hom(lat: DistLattice) -> LatticeHom:
     view = ideal_view(lat)
     double = ideal_view(view.lattice)
     assignment = tuple(
-        double.index_of(comultiplication_ideal(lat, Ideal(lat, m)).members)
-        for m in view.masks
+        double.index_of(_comultiplication_mask(view.masks, m)) for m in view.masks
     )
     return LatticeHom(view.lattice, double.lattice, assignment)
 
@@ -415,8 +417,10 @@ def comultiplication_via_functor(lat: DistLattice) -> LatticeHom:
 
 
 def counit_hom(lat: DistLattice) -> LatticeHom:
-    """Counit: an ideal goes to its join."""
-    return frame_join_algebra(lat)
+    """Counit: an ideal goes to its join (the frame-join algebra of the
+    ideal monad)."""
+    view = ideal_view(lat)
+    return LatticeHom(view.lattice, lat, tuple(lat.join_mask(m) for m in view.masks))
 
 
 class CoalgebraCandidate(Value):

@@ -167,13 +167,15 @@ class ContinuousMap(Value):
         return mask_of(self.assignment[i] for i in bits(mask))
 
 
-@name_free(lambda x, y, assignment: (tuple(x.opens), tuple(y.opens), assignment))
-def _check_continuous(x: FinSpace, y: FinSpace, assignment: Tuple[int, ...]) -> None:
+def continuity_violation(
+    x: FinSpace, y: FinSpace, assignment: Tuple[int, ...]
+) -> Optional[str]:
+    """Why assignment is not a continuous map x -> y, or None if it is."""
     if len(assignment) != x.n:
-        raise InvalidValue("assignment length mismatch")
+        return "assignment length mismatch"
     for v in assignment:
         if not 0 <= v < y.n:
-            raise InvalidValue("assignment value out of range")
+            return "assignment value out of range"
     # fibres[v] is the point-set sent to target point v, and the
     # preimage of an open the union of the fibres of its points
     fibres = [0] * y.n
@@ -185,7 +187,15 @@ def _check_continuous(x: FinSpace, y: FinSpace, assignment: Tuple[int, ...]) -> 
         for v in bits(o):
             pre |= fibres[v]
         if pre not in src_opens:
-            raise InvalidValue(f"preimage of {y.set_name(o)} is not open")
+            return f"preimage of {y.set_name(o)} is not open"
+    return None
+
+
+@name_free(lambda x, y, assignment: (tuple(x.opens), tuple(y.opens), assignment))
+def _check_continuous(x: FinSpace, y: FinSpace, assignment: Tuple[int, ...]) -> None:
+    bad = continuity_violation(x, y, assignment)
+    if bad is not None:
+        raise InvalidValue(bad)
 
 
 def preimage_mask(assignment: Tuple[int, ...], target_mask: int) -> int:
@@ -204,11 +214,6 @@ def compose_maps(g: ContinuousMap, f: ContinuousMap) -> ContinuousMap:
     return _unvalidated(
         ContinuousMap, f.source, g.target, tuple(g.assignment[v] for v in f.assignment)
     )
-
-
-def is_continuous_assignment(x: FinSpace, y: FinSpace, assignment) -> bool:
-    src_opens = set(x.opens)
-    return all(preimage_mask(assignment, o) in src_opens for o in y.opens)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,11 @@ mu(BigF) = {O | O* in BigF}. At finite scale F X is homeomorphic to the
 sobrification of the T0 quotient, the canonical algebra exists exactly on
 T0 spaces, and the Hausdorff reflection through clopen classes closes the
 compactification square. All of that is checked by the tests, not assumed.
+
+A filter of opens is a mask over x.opens. The points of F X are the prime
+filters of the open frame (dlat.prime_filters), checked there once and
+converted here without a second check; a mask that is none of them, a
+neighborhood filter included, is an invariant violation at index_of.
 """
 
 from functools import cached_property
@@ -17,7 +22,6 @@ from .bitsets import bits, format_subset, index_in, mask_of
 from .dlat import LatticeHom, ideal_view, prime_filters
 from .errors import (
     BudgetExceeded,
-    InvalidValue,
     InvariantViolated,
     NoCanonicalAlgebra,
 )
@@ -29,72 +33,13 @@ from .spaces import (
     FinSpace,
     clopen_masks,
     compose_maps,
+    continuity_violation,
     homeomorphic,
     identity_map,
     is_homeomorphism,
-    is_continuous_assignment,
     open_frame_view,
     preimage_mask,
 )
-
-
-class OpenPrimeFilter(Value):
-    """Prime filter of opens; members is a mask over the opens tuple."""
-
-    space: FinSpace
-    members: int
-
-    def __post_init__(self):
-        reason = _filter_violation(self.space, self.members)
-        if reason is not None:
-            raise InvalidValue(f"not an open prime filter: {reason}")
-
-    @property
-    def name(self) -> str:
-        names = tuple(self.space.set_name(o) for o in self.space.opens)
-        return format_subset(names, self.members)
-
-
-def _filter_violation(x: FinSpace, members: int) -> Optional[str]:
-    opens = x.opens
-    if members == 0:
-        return "empty"
-    if members >> len(opens):
-        return "members out of range"
-    if members & 1:
-        return "contains the empty set"  # opens[0] is always the empty set
-    chosen = [opens[i] for i in bits(members)]
-    # a family of opens without the empty set is a prime filter iff it is
-    # exactly the opens above the meet of its members (that meet is open,
-    # so this puts it in the family) and the union of the opens outside it
-    # is not in it; the pairwise searches only name the first failure
-    meet = x.full
-    for a in chosen:
-        meet &= a
-    above = outside = 0
-    for i, o in enumerate(opens):
-        if meet & ~o == 0:
-            above |= 1 << i
-        if not (members >> i) & 1:
-            outside |= o
-    if members == above and meet & ~outside:
-        return None
-    pos = {o: i for i, o in enumerate(opens)}
-    for a in chosen:
-        for b in opens:
-            if a & ~b == 0 and not (members >> pos[b]) & 1:
-                return f"not up-closed at {x.set_name(b)}"
-    for a in chosen:
-        for b in chosen:
-            if not (members >> pos[a & b]) & 1:
-                return f"not meet-closed at {x.set_name(a & b)}"
-    for a in opens:
-        for b in opens:
-            if (members >> pos[a | b]) & 1 and not (
-                (members >> pos[a]) & 1 or (members >> pos[b]) & 1
-            ):
-                return f"union {x.set_name(a | b)} in filter but no side is"
-    return None
 
 
 class FilterSpaceView(Value):
@@ -123,16 +68,12 @@ class FilterSpaceView(Value):
 def filter_space_view(x: FinSpace) -> FilterSpaceView:
     frame = open_frame_view(x)
     pos = {o: i for i, o in enumerate(x.opens)}
-    converted = []
-    for pf in prime_filters(frame.lattice):
-        converted.append(
-            mask_of(pos[frame.masks[p]] for p in bits(pf.members))
+    filters = tuple(
+        sorted(
+            mask_of(pos[frame.masks[p]] for p in bits(members))
+            for members in prime_filters(frame.lattice)
         )
-    filters = tuple(sorted(converted))
-    for members in filters:
-        reason = _filter_violation(x, members)
-        if reason is not None:
-            raise InvariantViolated(f"prime filter of the open frame: {reason}")
+    )
     space, star = filter_space_of(tuple(x.set_name(o) for o in x.opens), filters)
     star_open_pos = tuple(space.opens.index(s) for s in star)
     return FilterSpaceView(space, filters, star, star_open_pos)
@@ -142,18 +83,18 @@ def filter_space(x: FinSpace) -> FinSpace:
     return filter_space_view(x).space
 
 
-def neighborhood_filter(x: FinSpace, point: str) -> OpenPrimeFilter:
+def neighborhood_filter(x: FinSpace, point: str) -> int:
+    """The opens around the point, as a mask over x.opens."""
     i = x.index(point)
-    return OpenPrimeFilter(
-        x, mask_of(p for p, o in enumerate(x.opens) if (o >> i) & 1)
-    )
+    return mask_of(p for p, o in enumerate(x.opens) if (o >> i) & 1)
 
 
 def unit_map(x: FinSpace) -> ContinuousMap:
-    """eta: a point goes to its neighborhood filter."""
+    """eta: a point goes to its neighborhood filter, which index_of finds
+    among the prime filters or reports as an invariant violation."""
     view = filter_space_view(x)
     assignment = tuple(
-        view.index_of(neighborhood_filter(x, name).members) for name in x.points
+        view.index_of(neighborhood_filter(x, name)) for name in x.points
     )
     return ContinuousMap(x, view.space, assignment)
 
@@ -243,7 +184,7 @@ def filter_algebra_structures(
                 out.append(alpha)
         return tuple(out)
     for assignment in product(range(x.n), repeat=fx.n):
-        if not is_continuous_assignment(fx, x, assignment):
+        if continuity_violation(fx, x, assignment) is not None:
             continue
         alpha = ContinuousMap(fx, x, assignment)
         if check_filter_algebra(alpha).ok:

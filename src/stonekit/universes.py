@@ -15,7 +15,7 @@ from .dlat import DistLattice, downset_lattice
 from .errors import BudgetExceeded
 from .memo import cached
 from .order import FinPoset, cycle_pair, is_transitive, make_poset, transpose, up_sets
-from .spaces import ContinuousMap, FinSpace, is_continuous_assignment
+from .spaces import ContinuousMap, FinSpace, continuity_violation
 
 POSET_NAMES = "abcde"
 POINT_NAMES = "vwxyz"
@@ -115,5 +115,5 @@ def all_continuous_maps(x: FinSpace, y: FinSpace, limit: int = 200_000):
     if y.n == 0:
         return
     for assignment in product(range(y.n), repeat=x.n):
-        if is_continuous_assignment(x, y, assignment):
+        if continuity_violation(x, y, assignment) is None:
             yield ContinuousMap(x, y, assignment)

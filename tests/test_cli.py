@@ -512,9 +512,10 @@ def test_a_suite_map_failing_its_check_ends_in_one_invalid_line():
 def test_a_missing_prime_filter_ends_laws_in_one_invalid_line(capsys, monkeypatch):
     # every lattice loses its last prime filter, so a construction that
     # looks one up misses it
-    masks = dlat._prime_filter_masks
+    masks = dlat.prime_filters.__wrapped__
     clear_caches()
-    monkeypatch.setattr(dlat, "_prime_filter_masks", lambda lat: masks(lat)[:-1])
+    # the memo calls __wrapped__ on a miss, so every importer sees the fault
+    monkeypatch.setattr(dlat.prime_filters, "__wrapped__", lambda lat: masks(lat)[:-1])
     try:
         code, out, err = run(capsys, "laws", "--suite", "lifting")
     finally:

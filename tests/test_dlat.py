@@ -24,8 +24,6 @@ from stonekit.dlat import (
     distributivity_witness_bruteforce,
     downset_lattice,
     downset_view,
-    filter_character,
-    frame_join_algebra,
     homs_to_2,
     homs_to_2_bruteforce,
     hom_violation,
@@ -62,7 +60,12 @@ from stonekit.errors import (
     NotDistributive,
     UniverseMismatch,
 )
-from stonekit.frame import WAY_BELOW_MAX_ELEMENTS, way_below, way_below_bruteforce
+from stonekit.frame import (
+    WAY_BELOW_MAX_ELEMENTS,
+    counit_hom,
+    way_below,
+    way_below_bruteforce,
+)
 from stonekit.order import (
     FinPoset,
     _unvalidated,
@@ -73,7 +76,7 @@ from stonekit.order import (
     poset_isomorphic,
 )
 from stonekit.instances import frame_morphisms, run_suite
-from stonekit.memo import clear_caches
+from stonekit.memo import MEMOS, clear_caches
 from stonekit.spaces import open_frame_view
 from stonekit.universes import (
     all_posets,
@@ -394,7 +397,7 @@ def test_union_hom_against_pointwise_union():
 
 def test_frame_join_algebra_unit_law():
     for lat in (two_lattice(), chain3(), diamond()):
-        alg = frame_join_algebra(lat)
+        alg = counit_hom(lat)
         emb = principal_embedding(lat)
         assert compose_homs(alg, emb).assignment == tuple(range(lat.n))
 
@@ -420,13 +423,13 @@ def test_prime_filter_counts_frozen():
 
 
 def test_diamond_prime_filter_masks():
-    masks = tuple(f.members for f in prime_filters(diamond()))
+    masks = prime_filters(diamond())
     assert masks == (0b1010, 0b1100)  # up-sets of {a} and {b}
 
 
 def test_fast_route_matches_brute_force():
     for lat in lattice_universe(4):
-        fast = tuple(f.members for f in prime_filters(lat))
+        fast = prime_filters(lat)
         assert fast == prime_filters_bruteforce(lat)
         # the characters pass hom_violation, which shares no code with the
         # prime-filter check behind both routes above
@@ -443,8 +446,10 @@ def test_characters_match_brute_force():
 
 
 def test_character_filter_round_trip():
-    for f in prime_filters(diamond()):
-        assert character_filter(filter_character(f)) == f
+    lat = diamond()
+    filters = [character_filter(h) for h in homs_to_2(lat)]
+    assert [f.members for f in filters] == list(prime_filters(lat))
+    assert all(f.home is lat for f in filters)
 
 
 def test_character_must_land_in_two():
@@ -785,11 +790,12 @@ def test_failed_hom_check_is_not_stored():
 def test_failed_ideal_and_prime_filter_checks_are_not_stored():
     for prefix in ("p", "q", "p"):
         lat = relabelled(chain3(), prefix)
+        stored = [len(memo.table) for memo in MEMOS]
         with pytest.raises(InvalidValue, match=f"not down-closed at '{prefix}{{a}}'"):
             Ideal(lat, 0b010)
         with pytest.raises(InvalidValue, match=f"not up-closed at '{prefix}{{a}}'"):
             PrimeFilter(lat, 0b010)
-        assert (lat.shape, 0b010) not in dlat._check_ideal.table
+        assert [len(memo.table) for memo in MEMOS] == stored
 
 
 def test_failed_check_is_not_raised_inside_the_memo_lookup():
@@ -824,14 +830,10 @@ def fresh_prime_filter_masks(lat):
 def test_memoised_prime_filter_masks_equal_fresh_ones():
     lats = lattice_universe(4)
     for lat in lats + tuple(relabelled(lat, "p") for lat in lats):
-        filters = prime_filters(lat)
-        assert [f.members for f in filters] == fresh_prime_filter_masks(lat)
-        assert all(f.home is lat for f in filters)
+        assert list(prime_filters(lat)) == fresh_prime_filter_masks(lat)
     for lat in lattice_universe(3):
         copy = renested(lat)
-        assert [f.members for f in prime_filters(copy)] == list(
-            prime_filters_bruteforce(copy)
-        )
+        assert prime_filters(copy) == prime_filters_bruteforce(copy)
 
 
 def fresh_ideal_functor_assignment(f):

@@ -564,8 +564,7 @@ NAME_FREE_VALUE = {
     "_order_tables": lambda p: p.down,
     "_check_distributive": _structure,
     "_check_hom": lambda s, t, f: (_structure(s), _structure(t), f),
-    "_check_ideal": lambda lat, m: (_structure(lat), m),
-    "_prime_filter_masks": _structure,
+    "prime_filters": _structure,
     "_ideal_image_assignment": lambda *masks: masks,
     # each name replaced by its place among the sorted names
     "_inclusion_lattice": lambda masks, names: (

@@ -335,9 +335,15 @@ def test_clear_caches_empties_every_view_and_memo_table():
     filled, left = uncleared(
         modules, lambda: list(run_suite("lifting", max_points=2))
     )
-    for view in ("dlat.ideal_view", "dlat.prime_filters", "frame.spectrum_view"):
+    views = ("dlat.ideal_view", "frame.spectrum_view", "topspace.filter_space_view")
+    for view in views:
         assert f"stonekit.{view}" in filled
-    for memo in ("dlat._check_hom", "spaces._check_continuous", "frame._filter_opens"):
+    for memo in (
+        "dlat._check_hom",
+        "dlat.prime_filters",
+        "spaces._check_continuous",
+        "frame._filter_opens",
+    ):
         assert f"stonekit.{memo}" in filled
     assert left == []
 

@@ -21,6 +21,7 @@ from stonekit.spaces import (
     clopen_masks,
     closure_of,
     compose_maps,
+    continuity_violation,
     discrete_space,
     disjoint_union,
     homeomorphic,
@@ -28,7 +29,6 @@ from stonekit.spaces import (
     identity_map,
     indiscrete_space,
     interior_of,
-    is_continuous_assignment,
     is_homeomorphism,
     is_t0,
     open_preimage_hom,
@@ -183,7 +183,8 @@ def test_homeomorphism_distinguishes_topologies():
 def homeomorphic_by_bijections(x, y):
     """Twin of homeomorphic: tries every bijection with is_homeomorphism."""
     return x.n == y.n and any(
-        is_continuous_assignment(x, y, a) and is_homeomorphism(ContinuousMap(x, y, a))
+        continuity_violation(x, y, a) is None
+        and is_homeomorphism(ContinuousMap(x, y, a))
         for a in permutations(range(x.n))
     )
 
@@ -279,6 +280,7 @@ def test_continuous_map_errors_match_their_plain_twin():
         candidates = list(product(values, repeat=x.n)) + [(0,) * (x.n - 1)]
         for assignment in candidates:
             expected = _continuity_violation_plain(x, y, assignment)
+            assert continuity_violation(x, y, assignment) == expected
             try:
                 ContinuousMap(x, y, assignment)
                 got = None

@@ -20,8 +20,6 @@ from stonekit.spaces import (
     sierpinski,
 )
 from stonekit.topspace import (
-    OpenPrimeFilter,
-    _filter_violation,
     canonical_algebra,
     check_filter_algebra,
     compactification_square,
@@ -68,8 +66,8 @@ def test_filter_points_name_their_contents():
 
 def test_neighborhood_filters_frozen():
     s = sierpinski()
-    assert neighborhood_filter(s, "0").members == 0b100
-    assert neighborhood_filter(s, "1").members == 0b110
+    assert neighborhood_filter(s, "0") == 0b100
+    assert neighborhood_filter(s, "1") == 0b110
 
 
 def test_indiscrete_points_share_their_filter():
@@ -78,13 +76,14 @@ def test_indiscrete_points_share_their_filter():
 
 
 def test_filter_validation_messages():
-    s = sierpinski()
-    with pytest.raises(ValueError, match="empty set"):
-        OpenPrimeFilter(s, 0b111)
-    with pytest.raises(ValueError, match="up-closed"):
-        OpenPrimeFilter(s, 0b010)
-    with pytest.raises(ValueError, match="empty"):
-        OpenPrimeFilter(s, 0)
+    # a mask over the opens that is no prime filter is no point of F X: one
+    # holding the empty set, one not up-closed, and the empty one
+    view = filter_space_view(sierpinski())
+    for members in (0b111, 0b010, 0):
+        with pytest.raises(
+            InvariantViolated, match=f"mask {members:#b} is not an open prime filter"
+        ):
+            view.index_of(members)
 
 
 def test_unit_is_continuous_and_injective_on_t0():
@@ -387,7 +386,7 @@ def test_unit_laws_on_random_three_point_spaces(x):
 
 def _filter_violation_pairwise(x, members):
     """The open prime filter check by pairwise loops over the opens: the
-    twin of topspace._filter_violation, which decides by one aggregate."""
+    twin of the prime filters of the open frame behind F X."""
     opens = x.opens
     pos = {o: i for i, o in enumerate(opens)}
     if members == 0:
@@ -414,12 +413,16 @@ def _filter_violation_pairwise(x, members):
     return None
 
 
-def test_filter_violation_matches_the_pairwise_twin():
+def test_filter_space_holds_exactly_the_masks_the_pairwise_twin_accepts():
+    # F X has a point for each prime filter, none missing and none extra
     verdicts = set()
-    for x in all_spaces(3):
+    for x in all_spaces_upto(3):
         # every member mask over the opens, and as many reaching past them
+        accepted = []
         for members in range(1 << (len(x.opens) + 1)):
             expected = _filter_violation_pairwise(x, members)
-            assert _filter_violation(x, members) == expected, (x, members)
+            if expected is None:
+                accepted.append(members)
             verdicts.add(expected if expected is None else expected.split()[0])
+        assert filter_space_view(x).filters == tuple(accepted), x
     assert verdicts == {None, "empty", "members", "contains", "not", "union"}

@@ -23,9 +23,10 @@ from stonekit.dlat import (
     Ideal,
     LatticeHom,
     PrimeFilter,
+    character_filter,
     downset_view,
+    homs_to_2,
     identity_hom,
-    prime_filters,
     principal_ideal,
     two_lattice,
 )
@@ -68,12 +69,10 @@ from stonekit.spaces import (
 )
 from stonekit.topspace import (
     AlgebraReport,
-    OpenPrimeFilter,
     canonical_algebra,
     check_filter_algebra,
     compactification_square,
     filter_space_view,
-    neighborhood_filter,
 )
 
 
@@ -113,7 +112,7 @@ def samples() -> list:
         open_frame_view(d),
         principal_ideal(two, two.elements[0]),
         principal_ideal(two, two.elements[1]),
-        *prime_filters(three),
+        *(character_filter(h) for h in homs_to_2(three)),
         s,
         d,
         identity_map(s),
@@ -130,8 +129,6 @@ def samples() -> list:
         gamma_coalgebra(three),
         check_coalgebra(gamma_coalgebra(three)),
         CoalgebraReport(True, False, "at a"),
-        neighborhood_filter(s, s.points[0]),
-        neighborhood_filter(s, s.points[1]),
         filter_space_view(s),
         filter_space_view(d),
         check_filter_algebra(canonical_algebra(s)),
@@ -157,7 +154,7 @@ def field_values(value) -> list:
 
 
 def test_every_record_class_has_unequal_samples():
-    assert len(record_classes()) == 27
+    assert len(record_classes()) == 26
     groups = by_class()
     assert sorted(groups, key=lambda cls: cls.__name__) == record_classes()
     for cls, values in groups.items():
@@ -213,7 +210,6 @@ def bad_inputs():
         PrimeFilter: (lambda: PrimeFilter(two, 0b11), "contains bottom"),
         FinSpace: (lambda: FinSpace(("a",), (1,)), "missing empty set"),
         ContinuousMap: (lambda: ContinuousMap(s, d, (0, 1)), "is not open"),
-        OpenPrimeFilter: (lambda: OpenPrimeFilter(s, 0b111), "contains the empty set"),
     }
 
 
