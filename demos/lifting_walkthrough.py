@@ -10,12 +10,12 @@ Run with: python3 demos/lifting_walkthrough.py
 """
 
 from stonekit import (
+    COMPACT_REFLECTION_MONAD,
+    FILTER_MONAD_ON_SPACES,
+    LIFTED_IDEAL_MONAD,
     all_spaces,
     check_monad_laws,
-    compact_reflection_monad,
     discrete_space,
-    filter_monad_on_spaces,
-    lifted_ideal_monad,
     pairing_map,
     sierpinski,
 )
@@ -24,8 +24,8 @@ from stonekit.topspace import unit_map
 
 
 def main() -> None:
-    m = lifted_ideal_monad()
-    f = filter_monad_on_spaces()
+    m = LIFTED_IDEAL_MONAD
+    f = FILTER_MONAD_ON_SPACES
 
     x = sierpinski()
     print(f"Lifted ideal monad on the Sierpinski space: {m.functor.on_object(x).n} points")
@@ -44,7 +44,7 @@ def main() -> None:
         print(f"  {check}")
     print()
 
-    beta = compact_reflection_monad()
+    beta = COMPACT_REFLECTION_MONAD
     two = discrete_space(("a", "b"))
     print("The compact reflection keeps finite discrete spaces fixed:")
     print(f"  beta of a 2-point discrete space has "

@@ -35,9 +35,9 @@ from .frame import spectrum
 from .topspace import filter_space, is_sober, pairing_map, sobrification, t0_quotient
 from .catengine import check_monad_laws
 from .instances import (
-    compact_reflection_monad,
-    filter_monad_on_spaces,
-    lifted_ideal_monad,
+    COMPACT_REFLECTION_MONAD,
+    FILTER_MONAD_ON_SPACES,
+    LIFTED_IDEAL_MONAD,
 )
 from .documents import dumps
 from .universes import all_spaces

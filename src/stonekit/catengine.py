@@ -22,14 +22,17 @@ function of its object. A natural transformation therefore computes its
 component at an object once and returns the stored morphism on every
 later call, so a diagram that asks for the same component many times, or
 a monad shared by several checks, builds each structure map once. The
+store is `memo.component`: it lives as long as its transformation, and
+`clear_caches` empties it, so the monads built once at import hold no
+component across a clear. The
 composites the checks form are not re-validated either: the constructors
 of the concrete universes validate maps where they are built from raw
 data, and a composite of valid maps is valid.
 """
 
-from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
+from . import memo
 from .errors import CounitNotIso, HypothesisFailed
 from .order import Value
 from .spaces import ContinuousMap, closure_of, preimage_mask
@@ -65,8 +68,7 @@ class NatTransInstance(Value):
     component: Callable
 
     def __post_init__(self):
-        memo = lru_cache(maxsize=None)(self.component)
-        object.__setattr__(self, "component", memo)
+        object.__setattr__(self, "component", memo.component(self.component))
 
 
 class MonadInstance(Value):

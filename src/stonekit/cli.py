@@ -9,7 +9,8 @@ failure; it exits 0 exactly when nothing failed. ``export dot`` renders
 a structure as a graph description.
 
 Exit codes: 0 success, 1 law or validation failure, 2 usage or parse
-errors, budget guards hit without --force, or a closed standard output.
+errors, a pool bound that leaves a pool empty, budget guards hit without
+--force, or a closed standard output.
 """
 
 import argparse
@@ -235,6 +236,14 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_laws(args) -> int:
+    # an empty pool would pass every row of its kind vacuously
+    for flag, bound, least, pool in (
+        ("--max-points", args.max_points, 0, "space"),
+        ("--max-lattice", args.max_lattice, 1, "lattice"),
+    ):
+        if bound < least:
+            print(f"error: {flag} {bound} leaves the {pool} pool empty", file=sys.stderr)
+            return 2
     rows = run_suite(
         args.suite, args.max_points, args.max_lattice, args.seed, args.force
     )

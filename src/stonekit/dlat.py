@@ -284,10 +284,8 @@ def lattice_isomorphic(a: DistLattice, b: DistLattice) -> bool:
     return lattice_isomorphism(a, b) is not None
 
 
-@cached
-def two_lattice() -> DistLattice:
-    """The two-element lattice 0 < 1."""
-    return lattice_from_poset(make_poset(["0", "1"], [0b01, 0b11]))
+# the two-element lattice 0 < 1
+TWO = lattice_from_poset(make_poset(["0", "1"], [0b01, 0b11]))
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +662,7 @@ def prime_filters(lat: DistLattice) -> Tuple[int, ...]:
 
 def character_filter(h: LatticeHom) -> PrimeFilter:
     """Prime filter of everything a character sends to 1."""
-    if h.target != two_lattice():
+    if h.target != TWO:
         raise UniverseMismatch("character must land in the two-element lattice")
     return PrimeFilter(h.source, mask_of(i for i, v in enumerate(h.assignment) if v))
 
@@ -672,21 +670,19 @@ def character_filter(h: LatticeHom) -> PrimeFilter:
 def homs_to_2(lat: DistLattice) -> Tuple[LatticeHom, ...]:
     """All homs into the two-element lattice, by ascending filter mask: the
     character of each prime filter."""
-    two = two_lattice()
     return tuple(
-        LatticeHom(lat, two, tuple((m >> i) & 1 for i in range(lat.n)))
+        LatticeHom(lat, TWO, tuple((m >> i) & 1 for i in range(lat.n)))
         for m in prime_filters(lat)
     )
 
 
 def homs_to_2_bruteforce(lat: DistLattice) -> Tuple[LatticeHom, ...]:
     """Characters by checking every 0/1 assignment against the hom equations."""
-    two = two_lattice()
     out = []
     for m in range(1 << lat.n):
         assignment = tuple((m >> i) & 1 for i in range(lat.n))
-        if hom_violation(lat, two, assignment) is None:
-            out.append(LatticeHom(lat, two, assignment))
+        if hom_violation(lat, TWO, assignment) is None:
+            out.append(LatticeHom(lat, TWO, assignment))
     return tuple(out)
 
 

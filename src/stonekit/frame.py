@@ -249,15 +249,12 @@ def center_lattice(lat: DistLattice) -> DistLattice:
 def corestrict_to_center(hom: LatticeHom) -> Optional[LatticeHom]:
     """Factor a hom through the target's center if its image lies there."""
     view = center_view(hom.target)
-    cmask = complemented_mask(hom.target)
-    if any(not (cmask >> v) & 1 for v in hom.assignment):
+    # the center index of each complemented element of the target
+    position = {v: i for i, v in enumerate(view.inclusion.assignment)}
+    if any(v not in position for v in hom.assignment):
         return None
     return LatticeHom(
-        hom.source,
-        view.lattice,
-        tuple(
-            view.lattice.index(hom.target.elements[v]) for v in hom.assignment
-        ),
+        hom.source, view.lattice, tuple(position[v] for v in hom.assignment)
     )
 
 

@@ -25,9 +25,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from .catengine import (
     AdjunctionInstance,
     AlgebraInstance,
-    ComonadInstance,
     FunctorInstance,
-    MonadInstance,
     NatTransInstance,
     Universe,
     check_adjunction,
@@ -203,134 +201,101 @@ def space_morphisms(max_points: int = 2) -> Tuple[ContinuousMap, ...]:
 
 
 # ---------------------------------------------------------------------------
-# the instances
+# the instances, each built once
 
 
-@cached
-def ideal_functor_on_frames() -> FunctorInstance:
-    u = FRAME_UNIVERSE
-    return FunctorInstance("ideals", u, u, ideal_lattice, ideal_functor_hom)
+IDEAL_FUNCTOR_ON_FRAMES = FunctorInstance(
+    "ideals", FRAME_UNIVERSE, FRAME_UNIVERSE, ideal_lattice, ideal_functor_hom
+)
+
+# ideals with the principal-ideal unit and the union multiplication
+IDEAL_MONAD_ON_FRAMES = make_monad(
+    "ideal monad", IDEAL_FUNCTOR_ON_FRAMES, principal_embedding, union_hom
+)
+
+# ideals with the join counit and the membership comultiplication
+IDEAL_COMONAD_ON_FRAMES = make_comonad(
+    "ideal comonad", IDEAL_FUNCTOR_ON_FRAMES, counit_hom, comultiplication_hom
+)
+
+IDEAL_FUNCTOR_ON_LOCALES = FunctorInstance(
+    "ideals", LOCALE_UNIVERSE, LOCALE_UNIVERSE, ideal_lattice, ideal_functor_hom
+)
+
+# the comonad read backwards: unit is the join map, multiplication the
+# comultiplication
+IDEAL_MONAD_ON_LOCALES = make_monad(
+    "locale ideal monad", IDEAL_FUNCTOR_ON_LOCALES, counit_hom, comultiplication_hom
+)
+
+IDENTITY_MONAD_ON_LOCALES = make_monad(
+    "locale identity monad",
+    identity_functor(LOCALE_UNIVERSE),
+    identity_hom,
+    identity_hom,
+)
+
+OPEN_FUNCTOR = FunctorInstance(
+    "open sets", SPACE_UNIVERSE, LOCALE_UNIVERSE, open_set_frame, open_preimage_hom
+)
+
+SPECTRUM_FUNCTOR = FunctorInstance(
+    "spectrum", LOCALE_UNIVERSE, SPACE_UNIVERSE, spectrum, spectrum_map
+)
 
 
-@cached
-def ideal_monad_on_frames() -> MonadInstance:
-    """Ideals with the principal-ideal unit and the union multiplication."""
-    return make_monad(
-        "ideal monad", ideal_functor_on_frames(), principal_embedding, union_hom
-    )
+def _sobrification_unit(x: FinSpace) -> ContinuousMap:
+    return sobrification(x)[1]
 
 
-@cached
-def ideal_comonad_on_frames() -> ComonadInstance:
-    """Ideals with the join counit and the membership comultiplication."""
-    return make_comonad(
-        "ideal comonad",
-        ideal_functor_on_frames(),
-        counit_hom,
-        comultiplication_hom,
-    )
-
-
-@cached
-def ideal_functor_on_locales() -> FunctorInstance:
-    u = LOCALE_UNIVERSE
-    return FunctorInstance("ideals", u, u, ideal_lattice, ideal_functor_hom)
-
-
-@cached
-def ideal_monad_on_locales() -> MonadInstance:
-    """The comonad read backwards: unit is the join map, multiplication
-    the comultiplication."""
-    return make_monad(
-        "locale ideal monad",
-        ideal_functor_on_locales(),
-        counit_hom,
-        comultiplication_hom,
-    )
-
-
-@cached
-def identity_monad_on_locales() -> MonadInstance:
-    u = LOCALE_UNIVERSE
-    return make_monad(
-        "locale identity monad", identity_functor(u), identity_hom, identity_hom
-    )
-
-
-@cached
-def open_functor() -> FunctorInstance:
-    return FunctorInstance(
-        "open sets",
-        SPACE_UNIVERSE,
-        LOCALE_UNIVERSE,
-        open_set_frame,
-        open_preimage_hom,
-    )
-
-
-@cached
-def spectrum_functor() -> FunctorInstance:
-    return FunctorInstance(
-        "spectrum", LOCALE_UNIVERSE, SPACE_UNIVERSE, spectrum, spectrum_map
-    )
-
-
-@cached
-def open_spectrum_adjunction() -> AdjunctionInstance:
-    """Open sets below spectrum, with the sobrification unit and the
-    spatial comparison counit."""
-    left, right = open_functor(), spectrum_functor()
-    unit = NatTransInstance(
+# open sets below spectrum, with the sobrification unit and the spatial
+# comparison counit
+OPEN_SPECTRUM_ADJUNCTION = AdjunctionInstance(
+    "open sets below spectrum",
+    OPEN_FUNCTOR,
+    SPECTRUM_FUNCTOR,
+    NatTransInstance(
         "sobrification unit",
         identity_functor(SPACE_UNIVERSE),
-        compose_functors(right, left),
-        lambda x: sobrification(x)[1],
-    )
-    counit = NatTransInstance(
+        compose_functors(SPECTRUM_FUNCTOR, OPEN_FUNCTOR),
+        _sobrification_unit,
+    ),
+    NatTransInstance(
         "spatial comparison",
-        compose_functors(left, right),
+        compose_functors(OPEN_FUNCTOR, SPECTRUM_FUNCTOR),
         identity_functor(LOCALE_UNIVERSE),
         spatiality_hom,
-    )
-    return AdjunctionInstance("open sets below spectrum", left, right, unit, counit)
+    ),
+)
 
+FILTER_MONAD_ON_SPACES = make_monad(
+    "filter monad",
+    FunctorInstance(
+        "prime open filters", SPACE_UNIVERSE, SPACE_UNIVERSE, filter_space, filter_map
+    ),
+    unit_map,
+    mult_map,
+)
 
-@cached
-def filter_monad_on_spaces() -> MonadInstance:
-    u = SPACE_UNIVERSE
-    functor = FunctorInstance("prime open filters", u, u, filter_space, filter_map)
-    return make_monad("filter monad", functor, unit_map, mult_map)
+# the locale ideal monad pushed across the adjunction: the spectrum of the
+# ideals of the opens
+LIFTED_IDEAL_MONAD = lift_monad(
+    OPEN_SPECTRUM_ADJUNCTION, IDEAL_MONAD_ON_LOCALES, "spectral ideal monad"
+)
 
+# the lifted identity monad; its functor is the sobrification
+SOBRIFICATION_MONAD = lift_monad(
+    OPEN_SPECTRUM_ADJUNCTION, IDENTITY_MONAD_ON_LOCALES, "sobrification monad"
+)
 
-@cached
-def lifted_ideal_monad() -> MonadInstance:
-    """The locale ideal monad pushed across the adjunction: the spectrum
-    of the ideals of the opens."""
-    return lift_monad(
-        open_spectrum_adjunction(), ideal_monad_on_locales(), "spectral ideal monad"
-    )
-
-
-@cached
-def sobrification_monad() -> MonadInstance:
-    """The lifted identity monad; its functor is the sobrification."""
-    return lift_monad(
-        open_spectrum_adjunction(),
-        identity_monad_on_locales(),
-        "sobrification monad",
-    )
-
-
-@cached
-def sobrification_to_filters() -> NatTransInstance:
-    """The lifted join unit, a morphism of monads from sobrification to
-    the spectral ideal monad."""
-    return lift_monad_morphism(
-        open_spectrum_adjunction(),
-        ideal_monad_on_locales().unit,
-        sobrification_monad(),
-        lifted_ideal_monad(),
-    )
+# the lifted join unit, a morphism of monads from sobrification to the
+# spectral ideal monad
+SOBRIFICATION_TO_FILTERS = lift_monad_morphism(
+    OPEN_SPECTRUM_ADJUNCTION,
+    IDEAL_MONAD_ON_LOCALES.unit,
+    SOBRIFICATION_MONAD,
+    LIFTED_IDEAL_MONAD,
+)
 
 
 def _into_center(hom: LatticeHom, fact: str) -> LatticeHom:
@@ -341,75 +306,67 @@ def _into_center(hom: LatticeHom, fact: str) -> LatticeHom:
     return cor
 
 
-@cached
-def center_functor_on_locales() -> FunctorInstance:
-    u = LOCALE_UNIVERSE
-
-    def on_morphism(h: LatticeHom) -> LatticeHom:
-        restricted = compose_homs(h, center_view(h.source).inclusion)
-        return _into_center(restricted, "lattice maps preserve complements")
-
-    return FunctorInstance("center", u, u, center_lattice, on_morphism)
+def _center_on_morphism(h: LatticeHom) -> LatticeHom:
+    restricted = compose_homs(h, center_view(h.source).inclusion)
+    return _into_center(restricted, "lattice maps preserve complements")
 
 
-@cached
-def center_monad_on_locales() -> MonadInstance:
-    """The Boolean center as a monad on locales; its unit is the
-    inclusion read backwards."""
-
-    def unit_at(lat: DistLattice) -> LatticeHom:
-        return center_view(lat).inclusion
-
-    def mult_at(lat: DistLattice) -> LatticeHom:
-        return _into_center(
-            identity_hom(center_lattice(lat)), "a center is its own center"
-        )
-
-    return make_monad("center monad", center_functor_on_locales(), unit_at, mult_at)
+def _center_unit(lat: DistLattice) -> LatticeHom:
+    return center_view(lat).inclusion
 
 
-@cached
-def center_ideal_monad_on_locales() -> MonadInstance:
-    """Complemented ideals in one step: the composite of the center and
-    ideal monads, with the join-of-the-inclusion unit and the principal
-    multiplication."""
-    functor = compose_functors(
-        center_functor_on_locales(), ideal_functor_on_locales()
-    )
-
-    def unit_at(lat: DistLattice) -> LatticeHom:
-        inclusion = center_view(ideal_lattice(lat)).inclusion
-        return compose_homs(counit_hom(lat), inclusion)
-
-    def mult_at(lat: DistLattice) -> LatticeHom:
-        carrier = functor.on_object(lat)
-        return _into_center(
-            principal_embedding(carrier),
-            "principal ideals of complemented elements are complemented",
-        )
-
-    return make_monad("complemented ideal monad", functor, unit_at, mult_at)
+def _center_mult(lat: DistLattice) -> LatticeHom:
+    return _into_center(identity_hom(center_lattice(lat)), "a center is its own center")
 
 
-@cached
-def compact_reflection_monad() -> MonadInstance:
-    """The lifted complemented-ideal monad: the spectrum of the Boolean
-    center of the ideals of the opens."""
-    return lift_monad(
-        open_spectrum_adjunction(),
-        center_ideal_monad_on_locales(),
-        "compact reflection monad",
+CENTER_FUNCTOR_ON_LOCALES = FunctorInstance(
+    "center", LOCALE_UNIVERSE, LOCALE_UNIVERSE, center_lattice, _center_on_morphism
+)
+
+# the Boolean center as a monad on locales; its unit is the inclusion read
+# backwards
+CENTER_MONAD_ON_LOCALES = make_monad(
+    "center monad", CENTER_FUNCTOR_ON_LOCALES, _center_unit, _center_mult
+)
+
+# the lifted center monad: the spectrum of the Boolean center of the opens
+LIFTED_CENTER_MONAD = lift_monad(
+    OPEN_SPECTRUM_ADJUNCTION, CENTER_MONAD_ON_LOCALES, "spectral center monad"
+)
+
+
+def _center_ideal_unit(lat: DistLattice) -> LatticeHom:
+    inclusion = center_view(ideal_lattice(lat)).inclusion
+    return compose_homs(counit_hom(lat), inclusion)
+
+
+def _center_ideal_mult(lat: DistLattice) -> LatticeHom:
+    return _into_center(
+        principal_embedding(center_lattice(ideal_lattice(lat))),
+        "principal ideals of complemented elements are complemented",
     )
 
 
-@cached
-def compactification_collapse() -> NatTransInstance:
-    """Collapse of lift(center) after lift(ideals) onto the lifted composite."""
-    return lift_composite_iso(
-        open_spectrum_adjunction(),
-        center_functor_on_locales(),
-        ideal_functor_on_locales(),
-    )
+# complemented ideals in one step: the composite of the center and ideal
+# monads, with the join-of-the-inclusion unit and the principal
+# multiplication
+CENTER_IDEAL_MONAD_ON_LOCALES = make_monad(
+    "complemented ideal monad",
+    compose_functors(CENTER_FUNCTOR_ON_LOCALES, IDEAL_FUNCTOR_ON_LOCALES),
+    _center_ideal_unit,
+    _center_ideal_mult,
+)
+
+# the lifted complemented-ideal monad: the spectrum of the Boolean center of
+# the ideals of the opens
+COMPACT_REFLECTION_MONAD = lift_monad(
+    OPEN_SPECTRUM_ADJUNCTION, CENTER_IDEAL_MONAD_ON_LOCALES, "compact reflection monad"
+)
+
+# collapse of lift(center) after lift(ideals) onto the lifted composite
+COMPACTIFICATION_COLLAPSE = lift_composite_iso(
+    OPEN_SPECTRUM_ADJUNCTION, CENTER_FUNCTOR_ON_LOCALES, IDEAL_FUNCTOR_ON_LOCALES
+)
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +458,9 @@ def locale_round_trip(lat: DistLattice) -> bool:
     """Downset coalgebra of `lat`, read as an algebra of the locale ideal
     monad, to a lifted-monad algebra and back: every algebra on the way
     satisfies its laws and the counit is an invertible algebra morphism."""
-    adj = open_spectrum_adjunction()
-    t = ideal_monad_on_locales()
-    m = lifted_ideal_monad()
+    adj = OPEN_SPECTRUM_ADJUNCTION
+    t = IDEAL_MONAD_ON_LOCALES
+    m = LIFTED_IDEAL_MONAD
     t_alg = AlgebraInstance(t, lat, gamma_coalgebra(lat).structure)
     m_alg = comparison_algebra(adj, t, m, t_alg)
     back = inverse_comparison(adj, t, m_alg)
@@ -522,9 +479,9 @@ def space_round_trip(x: FinSpace) -> Optional[AlgebraInstance]:
     Returns the algebra reached again when the first two satisfy their
     laws and the unit is an invertible algebra morphism onto it, else
     None. The laws of the returned algebra are left to the caller."""
-    adj = open_spectrum_adjunction()
-    t = ideal_monad_on_locales()
-    m = lifted_ideal_monad()
+    adj = OPEN_SPECTRUM_ADJUNCTION
+    t = IDEAL_MONAD_ON_LOCALES
+    m = LIFTED_IDEAL_MONAD
     alpha = compose_maps(canonical_algebra(x), _invert_map(pairing_map(x)))
     m_alg = AlgebraInstance(m, x, alpha)
     ok = _holds(check_algebra(m_alg))
@@ -593,7 +550,7 @@ def _full_monad_rows(prefix, monad, objects, ids, morphisms, morphism_ids):
 def _suite_monad_f(spaces, lats, maps, homs) -> Iterator[Row]:
     ids, map_ids = _space_ids(spaces), _numbered("map", maps)
     yield from _full_monad_rows(
-        "monad-f", filter_monad_on_spaces(), spaces, ids, maps, map_ids
+        "monad-f", FILTER_MONAD_ON_SPACES, spaces, ids, maps, map_ids
     )
     for iid, x in zip(ids, spaces):
         # the canonical algebra exists exactly when the unit is injective
@@ -604,15 +561,15 @@ def _suite_monad_f(spaces, lats, maps, homs) -> Iterator[Row]:
 def _suite_monad_i(spaces, lats, maps, homs) -> Iterator[Row]:
     ids, hom_ids = _lattice_ids(lats), _numbered("hom", homs)
     yield from _full_monad_rows(
-        "monad-i", ideal_monad_on_frames(), lats, ids, homs, hom_ids
+        "monad-i", IDEAL_MONAD_ON_FRAMES, lats, ids, homs, hom_ids
     )
     yield from _full_monad_rows(
-        "monad-i.locale", ideal_monad_on_locales(), lats, ids, homs, hom_ids
+        "monad-i.locale", IDEAL_MONAD_ON_LOCALES, lats, ids, homs, hom_ids
     )
 
 
 def _suite_comonad_k(spaces, lats, maps, homs) -> Iterator[Row]:
-    k = ideal_comonad_on_frames()
+    k = IDEAL_COMONAD_ON_FRAMES
     for iid, lat in zip(_lattice_ids(lats), lats):
         laws = check_comonad_laws(k, [lat])
         for law_name, check in zip(
@@ -632,7 +589,7 @@ def _suite_comonad_k(spaces, lats, maps, homs) -> Iterator[Row]:
 
 
 def _suite_adjunction_os(spaces, lats, maps, homs) -> Iterator[Row]:
-    adj = open_spectrum_adjunction()
+    adj = OPEN_SPECTRUM_ADJUNCTION
     space_ids, map_ids = _space_ids(spaces), _numbered("map", maps)
     for iid, x in zip(space_ids, spaces):
         triangle, _ = check_adjunction(adj, [x], [])
@@ -647,7 +604,7 @@ def _suite_adjunction_os(spaces, lats, maps, homs) -> Iterator[Row]:
         yield _identity_row(
             iid, "adjunction-os.spectrum.functor-identity", adj.right, lat
         )
-    sigma = sobrification_to_filters()
+    sigma = SOBRIFICATION_TO_FILTERS
     yield from _naturality_rows(
         "adjunction-os",
         ((adj.unit, "unit-naturality"), (sigma, "sigma-naturality")),
@@ -663,15 +620,15 @@ def _suite_adjunction_os(spaces, lats, maps, homs) -> Iterator[Row]:
     yield _composition_row("adjunction-os.open", adj.left, maps)
     yield _composition_row("adjunction-os.spectrum", adj.right, homs)
     yield from _monad_rows(
-        "adjunction-os.sobrification", sobrification_monad(), spaces, space_ids
+        "adjunction-os.sobrification", SOBRIFICATION_MONAD, spaces, space_ids
     )
 
 
 def _suite_lifting(spaces, lats, maps, homs) -> Iterator[Row]:
-    adj = open_spectrum_adjunction()
-    t = ideal_monad_on_locales()
-    m = lifted_ideal_monad()
-    h = sobrification_monad()
+    adj = OPEN_SPECTRUM_ADJUNCTION
+    t = IDEAL_MONAD_ON_LOCALES
+    m = LIFTED_IDEAL_MONAD
+    h = SOBRIFICATION_MONAD
     space_ids = _space_ids(spaces)
     yield from _monad_rows("lifting", m, spaces, space_ids)
     for iid, x in zip(space_ids, spaces):
@@ -686,7 +643,7 @@ def _suite_lifting(spaces, lats, maps, homs) -> Iterator[Row]:
         yield iid, "lifting.law-unit-square", unit_sq.ok, unit_sq.witness
         yield iid, "lifting.law-mult-square", mult_sq.ok, mult_sq.witness
         yield iid, "lifting.inverse-round-trip", locale_round_trip(lat), None
-    sigma = sobrification_to_filters()
+    sigma = SOBRIFICATION_TO_FILTERS
     for law_name, check in zip(
         ("morphism-unit", "morphism-mult"), check_monad_morphism(sigma, h, m, spaces)
     ):
@@ -700,7 +657,7 @@ def _suite_lifting(spaces, lats, maps, homs) -> Iterator[Row]:
 
 
 def _suite_pairing(spaces, lats, maps, homs) -> Iterator[Row]:
-    m = lifted_ideal_monad()
+    m = LIFTED_IDEAL_MONAD
     for iid, x in zip(_space_ids(spaces), spaces):
         p = pairing_map(x)
         yield iid, "pairing.homeomorphism", is_homeomorphism(p), None
@@ -722,12 +679,9 @@ def _suite_pairing(spaces, lats, maps, homs) -> Iterator[Row]:
 
 
 def _suite_cechstone(spaces, lats, maps, homs) -> Iterator[Row]:
-    beta = compact_reflection_monad()
-    m = lifted_ideal_monad()
-    collapse = compactification_collapse()
-    lifted_center = lift_monad(
-        open_spectrum_adjunction(), center_monad_on_locales(), "spectral center monad"
-    )
+    beta = COMPACT_REFLECTION_MONAD
+    m = LIFTED_IDEAL_MONAD
+    collapse = COMPACTIFICATION_COLLAPSE
     space_ids = _space_ids(spaces)
     yield from _monad_rows("cechstone", beta, spaces, space_ids)
     for iid, x in zip(space_ids, spaces):
@@ -742,7 +696,7 @@ def _suite_cechstone(spaces, lats, maps, homs) -> Iterator[Row]:
         route = compose_maps(
             collapse.component(x),
             compose_maps(
-                lifted_center.unit.component(m.functor.on_object(x)),
+                LIFTED_CENTER_MONAD.unit.component(m.functor.on_object(x)),
                 m.unit.component(x),
             ),
         )
@@ -759,8 +713,8 @@ def _suite_cechstone(spaces, lats, maps, homs) -> Iterator[Row]:
     )
     lattice_ids, hom_ids = _lattice_ids(lats), _numbered("hom", homs)
     for prefix, monad in (
-        ("cechstone.center", center_monad_on_locales()),
-        ("cechstone.center-ideal", center_ideal_monad_on_locales()),
+        ("cechstone.center", CENTER_MONAD_ON_LOCALES),
+        ("cechstone.center-ideal", CENTER_IDEAL_MONAD_ON_LOCALES),
     ):
         yield from _full_monad_rows(prefix, monad, lats, lattice_ids, homs, hom_ids)
 

@@ -11,16 +11,28 @@ raises stores nothing: a failed check runs again on the next call, and its
 message names that caller's own elements.
 
 A function decorated with ``cached`` is an unbounded ``lru_cache`` on its
-arguments, for the views and pools of the package.
+arguments, for the views and pools of the package. Every such function
+takes an argument: an object built once, such as a monad of
+``instances``, is a module constant, not a cache.
+
+``component(fn)`` is the memo of one component of a natural
+transformation (``catengine.NatTransInstance``). The transformations are
+values, many of them throwaway, so the registry holds each memo weakly:
+it lives as long as its transformation, and clear_caches empties it while
+it lives.
 """
 
 from functools import lru_cache, wraps
+from weakref import WeakSet
 
 # every function decorated with name_free, in definition order
 MEMOS = []
 
 # every function decorated with cached, in definition order
 CACHES = []
+
+# the component memo of every live natural transformation
+COMPONENTS = WeakSet()
 
 # marks a key with no stored result; None is a stored verdict
 _MISS = object()
@@ -55,10 +67,20 @@ def cached(fn):
     return view
 
 
+def component(fn):
+    """lru_cache(maxsize=None), held weakly so that clear_caches empties it
+    while it lives."""
+    memo = lru_cache(maxsize=None)(fn)
+    COMPONENTS.add(memo)
+    return memo
+
+
 def clear_caches() -> None:
-    """Empty every name_free table and every cached view, as in a fresh
-    process."""
+    """Empty every name_free table, every cached view and every live
+    component memo, as in a fresh process."""
     for memo in MEMOS:
         memo.table.clear()
     for view in CACHES:
         view.cache_clear()
+    for memo in list(COMPONENTS):
+        memo.cache_clear()

@@ -31,17 +31,17 @@ from stonekit.frame import (
     way_below_bruteforce,
 )
 from stonekit.instances import (
+    COMPACTIFICATION_COLLAPSE,
+    FILTER_MONAD_ON_SPACES,
+    IDEAL_COMONAD_ON_FRAMES,
+    IDEAL_MONAD_ON_FRAMES,
+    IDEAL_MONAD_ON_LOCALES,
+    LIFTED_IDEAL_MONAD,
+    OPEN_SPECTRUM_ADJUNCTION,
+    SOBRIFICATION_MONAD,
+    SOBRIFICATION_TO_FILTERS,
     SPACE_UNIVERSE,
-    compactification_collapse,
-    filter_monad_on_spaces,
-    ideal_comonad_on_frames,
-    ideal_monad_on_frames,
-    ideal_monad_on_locales,
-    lifted_ideal_monad,
     locale_round_trip,
-    open_spectrum_adjunction,
-    sobrification_monad,
-    sobrification_to_filters,
     space_morphisms,
     space_round_trip,
 )
@@ -96,7 +96,7 @@ class _Budget:
 
 def test_criterion_01_filter_monad_laws_exhaustive():
     with _Budget("criterion 1: filter monad laws over all small topologies", 60):
-        m = filter_monad_on_spaces()
+        m = FILTER_MONAD_ON_SPACES
         three = all_spaces(3)
         assert len(three) == 29
         four = all_spaces(4)
@@ -113,8 +113,8 @@ def test_criterion_02_ideal_monad_and_comonad_laws():
     with _Budget("criterion 2: ideal monad and comonad laws over 243 lattices", 30):
         lats = lattice_universe(4)
         assert len(lats) == 243
-        t = ideal_monad_on_frames()
-        k = ideal_comonad_on_frames()
+        t = IDEAL_MONAD_ON_FRAMES
+        k = IDEAL_COMONAD_ON_FRAMES
         checks = list(check_monad_laws(t, lats)) + list(check_comonad_laws(k, lats))
         for check in checks:
             assert check.ok, str(check)
@@ -124,7 +124,7 @@ def test_criterion_02_ideal_monad_and_comonad_laws():
 
 def test_criterion_03_pairing_identifies_the_lifted_monad():
     with _Budget("criterion 3: pairing homeomorphism, natural and structural", 60):
-        m = lifted_ideal_monad()
+        m = LIFTED_IDEAL_MONAD
         top = SPACE_UNIVERSE
         spaces = all_spaces_upto(3)
         for x in spaces:
@@ -174,9 +174,9 @@ def test_criterion_06_downset_coalgebra_laws_and_uniqueness():
 
 def test_criterion_07_lifting_suite():
     with _Budget("criterion 7: lift-law squares, round trips, collapse", 120):
-        adj = open_spectrum_adjunction()
-        t = ideal_monad_on_locales()
-        m = lifted_ideal_monad()
+        adj = OPEN_SPECTRUM_ADJUNCTION
+        t = IDEAL_MONAD_ON_LOCALES
+        m = LIFTED_IDEAL_MONAD
         lats = lattice_universe(4)
         for check in check_lift_law(adj, t, m, lats):
             assert check.ok, str(check)
@@ -187,13 +187,13 @@ def test_criterion_07_lifting_suite():
                 again = space_round_trip(x)
                 assert again is not None, x
                 assert all(c.ok for c in check_algebra(again)), x
-        collapse = compactification_collapse()
+        collapse = COMPACTIFICATION_COLLAPSE
         top = SPACE_UNIVERSE
         for x in spaces:
             assert top.invert(collapse.component(x)) is not None
         assert check_naturality(collapse, space_morphisms(2)).ok
-        sigma = sobrification_to_filters()
-        h = sobrification_monad()
+        sigma = SOBRIFICATION_TO_FILTERS
+        h = SOBRIFICATION_MONAD
         for check in check_monad_morphism(sigma, h, m, spaces):
             assert check.ok, str(check)
         assert check_naturality(sigma, space_morphisms(2)).ok

@@ -236,6 +236,30 @@ def test_budget_guard_exits_2(capsys):
     assert "guard rail" in err
 
 
+@pytest.mark.parametrize(
+    "suite, flag, value",
+    [
+        ("monad-f", "--max-points", "-1"),
+        ("monad-i", "--max-lattice", "0"),
+        ("comonad-k", "--max-lattice", "0"),
+        ("degeneracy", "--max-lattice", "-3"),
+    ],
+)
+def test_a_bound_that_empties_a_pool_exits_2_before_any_row(capsys, suite, flag, value):
+    # an empty pool would pass every row of its kind vacuously
+    code, out, err = run(capsys, "laws", "--suite", suite, flag, value)
+    assert code == 2 and out == ""
+    pool = "space" if flag == "--max-points" else "lattice"
+    assert err == f"error: {flag} {value} leaves the {pool} pool empty\n"
+
+
+def test_the_smallest_pools_still_check_something(capsys):
+    code, out, err = run(capsys, "laws", "--suite", "monad-f", "--max-points", "0")
+    assert code == 0 and out.splitlines()[-1] == "# monad-f: 8 checks, 0 failures"
+    code, out, err = run(capsys, "laws", "--suite", "monad-i", "--max-lattice", "1")
+    assert code == 0 and "lattice 1/1 (1 elements)" in out
+
+
 def test_sampling_at_five_points_is_seeded(capsys):
     code1, out1, _ = run(
         capsys, "laws", "--suite", "ultrafilter", "--max-points", "5", "--seed", "3"

@@ -13,20 +13,21 @@ from hypothesis import given, strategies as st
 from stonekit import dlat
 from stonekit.dlat import (
     SUBSET_ORACLE_MAX_ELEMENTS,
+    TWO,
     DistLattice,
     Ideal,
     LatticeHom,
+    PrimeFilter,
     all_lattice_homs,
     character_filter,
     compose_homs,
-    PrimeFilter,
     distributivity_witness,
     distributivity_witness_bruteforce,
     downset_lattice,
     downset_view,
+    hom_violation,
     homs_to_2,
     homs_to_2_bruteforce,
-    hom_violation,
     ideal_functor_hom,
     ideal_image,
     ideal_join,
@@ -47,7 +48,6 @@ from stonekit.dlat import (
     principal_embedding,
     principal_ideal,
     principal_masks,
-    two_lattice,
     union_hom,
 )
 from stonekit.bitsets import format_subset, mask_of
@@ -108,7 +108,7 @@ def tables(lat):
 
 
 def test_two_lattice_shape():
-    two = two_lattice()
+    two = TWO
     assert two.elements == ("0", "1")
     assert two.bot == 0 and two.top == 1
 
@@ -162,7 +162,7 @@ def test_diamond_ideals_brute_force_frozen():
 
 
 def test_every_ideal_is_principal_on_samples():
-    for lat in (diamond(), chain3(), two_lattice()):
+    for lat in (diamond(), chain3(), TWO):
         assert ideals_bruteforce(lat) == principal_masks(lat)
 
 
@@ -224,13 +224,13 @@ def test_directed_join_is_plain_union():
 
 
 def test_ideal_image_of_embedding():
-    two, d = two_lattice(), diamond()
+    two, d = TWO, diamond()
     f = LatticeHom(two, d, (0, 3))
     assert ideal_image(f, principal_ideal(two, "1")).members == 0b1111
 
 
 def test_ideal_image_of_collapse():
-    c, two = chain3(), two_lattice()
+    c, two = chain3(), TWO
     f = LatticeHom(c, two, (0, 1, 1))  # send both nonzero levels to 1
     assert ideal_image(f, principal_ideal(c, "{a}")).members == 0b11
 
@@ -370,7 +370,7 @@ def test_a_subset_outside_the_family_is_an_invariant_violation():
 
 
 def test_principal_embedding_is_iso_on_universe_samples():
-    for lat in (two_lattice(), chain3(), diamond()):
+    for lat in (TWO, chain3(), diamond()):
         emb = principal_embedding(lat)
         assert sorted(emb.assignment) == list(range(lat.n))
 
@@ -396,7 +396,7 @@ def test_union_hom_against_pointwise_union():
 
 
 def test_frame_join_algebra_unit_law():
-    for lat in (two_lattice(), chain3(), diamond()):
+    for lat in (TWO, chain3(), diamond()):
         alg = counit_hom(lat)
         emb = principal_embedding(lat)
         assert compose_homs(alg, emb).assignment == tuple(range(lat.n))
@@ -405,7 +405,7 @@ def test_frame_join_algebra_unit_law():
 def test_ideal_functor_respects_identity_and_composition():
     c, d = chain3(), diamond()
     f = LatticeHom(c, d, (0, 1, 3))
-    g = LatticeHom(d, two_lattice(), (0, 0, 1, 1))
+    g = LatticeHom(d, TWO, (0, 0, 1, 1))
     assert ideal_functor_hom(identity_hom(c)) == identity_hom(ideal_lattice(c))
     assert ideal_functor_hom(compose_homs(g, f)) == compose_homs(
         ideal_functor_hom(g), ideal_functor_hom(f)
@@ -417,7 +417,7 @@ def test_ideal_functor_respects_identity_and_composition():
 
 
 def test_prime_filter_counts_frozen():
-    assert len(prime_filters(two_lattice())) == 1
+    assert len(prime_filters(TWO)) == 1
     assert len(prime_filters(chain3())) == 2
     assert len(prime_filters(diamond())) == 2
 
@@ -441,7 +441,7 @@ def test_fast_route_matches_brute_force():
 
 
 def test_characters_match_brute_force():
-    for lat in (two_lattice(), chain3(), diamond()):
+    for lat in (TWO, chain3(), diamond()):
         assert homs_to_2(lat) == homs_to_2_bruteforce(lat)
 
 
@@ -485,12 +485,12 @@ def test_birkhoff_round_trip_lattices():
 
 
 def test_unique_hom_from_two():
-    assert len(all_lattice_homs(two_lattice(), diamond())) == 1
+    assert len(all_lattice_homs(TWO, diamond())) == 1
 
 
 def test_hom_counts_match_characters():
     for lat in (chain3(), diamond()):
-        assert len(all_lattice_homs(lat, two_lattice())) == len(homs_to_2(lat))
+        assert len(all_lattice_homs(lat, TWO)) == len(homs_to_2(lat))
 
 
 def test_chain_to_diamond_hom_count_frozen():
@@ -504,7 +504,7 @@ def test_hom_budget_guard():
 
 
 def test_hom_violation_reports_bounds():
-    two = two_lattice()
+    two = TWO
     assert hom_violation(two, two, (1, 1)) is not None
     assert hom_violation(two, two, (0, 1)) is None
 
@@ -773,7 +773,7 @@ def test_relabelled_copies_share_a_shape_and_other_orders_do_not():
 
 
 def test_failed_hom_check_is_not_stored():
-    two = two_lattice()
+    two = TWO
     # the character of neither atom: it fails the join of the two atoms
     bad = (0, 0, 0, 1)
     for prefix in ("p", "q", "p"):
@@ -803,7 +803,7 @@ def test_failed_check_is_not_raised_inside_the_memo_lookup():
     # implicit context (no "During handling of ..." with the memo key)
     lat = relabelled(diamond(), "p")
     with pytest.raises(InvalidValue) as err:
-        LatticeHom(lat, two_lattice(), (0, 0, 0, 1))
+        LatticeHom(lat, TWO, (0, 0, 0, 1))
     assert err.value.__context__ is None
     with pytest.raises(NotDistributive) as err:
         dlat._checked(m3_candidate())

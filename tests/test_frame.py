@@ -10,6 +10,7 @@ from stonekit.bitsets import mask_of
 from stonekit.memo import MEMOS, clear_caches
 from stonekit.cli import main
 from stonekit.dlat import (
+    TWO,
     DistLattice,
     Ideal,
     LatticeHom,
@@ -21,7 +22,6 @@ from stonekit.dlat import (
     lattice_from_poset,
     lattice_isomorphic,
     principal_embedding,
-    two_lattice,
 )
 from stonekit.documents import loads
 from stonekit.errors import BudgetExceeded, InvariantViolated
@@ -87,7 +87,7 @@ def six():
 
 
 def test_way_below_collapses_to_order_on_samples():
-    for lat in (two_lattice(), chain3(), diamond(), six()):
+    for lat in (TWO, chain3(), diamond(), six()):
         assert way_below_bruteforce(lat).below == lat.poset.down
 
 
@@ -190,7 +190,7 @@ def test_well_inside_chain_frozen():
 def test_regularity_examples():
     assert not is_regular(chain3())
     assert is_regular(diamond())
-    assert is_regular(two_lattice())
+    assert is_regular(TWO)
 
 
 def test_regular_iff_boolean_on_universe():
@@ -199,7 +199,7 @@ def test_regular_iff_boolean_on_universe():
 
 
 def test_center_of_chain_is_two():
-    assert lattice_isomorphic(center_lattice(chain3()), two_lattice())
+    assert lattice_isomorphic(center_lattice(chain3()), TWO)
 
 
 def test_center_of_six_frozen():
@@ -244,7 +244,7 @@ def test_center_of_every_universe_lattice_equals_the_rebuilt_route():
 def test_center_couniversality_by_enumeration():
     target = six()
     incl = center_view(target).inclusion
-    for source in (two_lattice(), diamond(), downset_lattice(antichain(list("abc")))):
+    for source in (TWO, diamond(), downset_lattice(antichain(list("abc")))):
         assert is_boolean(source)
         for hom in all_lattice_homs(source, target):
             through = corestrict_to_center(hom)
@@ -268,7 +268,7 @@ def test_corestriction_fails_outside_center():
 
 
 def test_spectrum_of_two_is_a_point():
-    assert spectrum(two_lattice()).n == 1
+    assert spectrum(TWO).n == 1
 
 
 def test_spectrum_of_trivial_lattice_is_empty():
@@ -442,7 +442,7 @@ def test_comultiplication_reads_joins_off_the_top_bit():
 
 
 def test_comultiplication_routes_agree():
-    for lat in (two_lattice(), chain3(), diamond(), six()):
+    for lat in (TWO, chain3(), diamond(), six()):
         assert comultiplication_hom(lat) == comultiplication_via_functor(lat)
 
 
@@ -456,7 +456,7 @@ def test_counit_after_comultiplication_is_identity():
 
 
 def test_gamma_equals_principal_embedding_at_finite_scale():
-    for lat in (two_lattice(), chain3(), diamond(), six()):
+    for lat in (TWO, chain3(), diamond(), six()):
         assert gamma_coalgebra(lat).structure == principal_embedding(lat)
 
 
@@ -480,7 +480,7 @@ def test_broken_coalgebra_reported():
 
 
 def test_gamma_unique_by_exhaustive_search():
-    for lat in (two_lattice(), chain3(), diamond()):
+    for lat in (TWO, chain3(), diamond()):
         found = coalgebra_structures(lat)
         assert found == (gamma_coalgebra(lat).structure,)
 
@@ -492,7 +492,7 @@ def test_coalgebra_search_budget():
 
 
 def test_all_finite_homs_are_proper():
-    lats = [two_lattice(), chain3(), diamond()]
+    lats = [TWO, chain3(), diamond()]
     for src in lats:
         for tgt in lats:
             for hom in all_lattice_homs(src, tgt):

@@ -1,7 +1,9 @@
 """Source hygiene: every name a module imports at top level is used in it,
 every top-level function and class of the package and every non-dunder
 method of its classes is used somewhere, the package states no check as
-an `assert`, `clear_caches` empties every cache the package fills, and
+an `assert`, `clear_caches` empties every cache the package fills (the
+component memos of the natural transformations too), no cache wraps a
+function without arguments, and
 the package leaves `dataclasses` and `inspect` unimported, since every
 CLI process would pay for them.
 
@@ -23,8 +25,11 @@ from pathlib import Path
 
 import pytest
 
+from stonekit import instances
+from stonekit.catengine import NatTransInstance
 from stonekit.instances import run_suite
 from stonekit.memo import CACHES, MEMOS, clear_caches
+from stonekit.order import Value
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "stonekit").glob("*.py"))
@@ -362,3 +367,42 @@ def test_every_cache_of_the_package_is_registered():
             if (cache or hasattr(obj, "table")) and id(obj) not in registered:
                 unregistered.append(f"{module.__name__}.{name}")
     assert unregistered == []
+
+
+def test_no_cache_wraps_a_function_without_arguments():
+    # an object built once is a module constant, not a cache
+    nullary = [
+        f"{view.__module__}.{view.__name__}"
+        for view in CACHES
+        if view.__wrapped__.__code__.co_argcount == 0
+    ]
+    assert nullary == []
+
+
+def natural_transformations(values) -> list:
+    """Every NatTransInstance reachable from `values` through the fields
+    of records, each once."""
+    seen, out, stack = set(), [], list(values)
+    while stack:
+        value = stack.pop()
+        if not isinstance(value, Value) or id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, NatTransInstance):
+            out.append(value)
+        stack.extend(getattr(value, name) for name in value._fields)
+    return out
+
+
+def test_clear_caches_empties_the_component_memos_of_the_instances():
+    # the instances are built once, so their component memos outlive every
+    # run unless clear_caches empties them
+    transformations = natural_transformations(vars(instances).values())
+    clear_caches()
+    list(run_suite("lifting", max_points=2))
+    filled = [nt.name for nt in transformations if nt.component.cache_info().currsize]
+    clear_caches()
+    left = [nt.name for nt in transformations if nt.component.cache_info().currsize]
+    assert "spectral ideal monad.unit" in filled
+    assert "sobrification unit" in filled
+    assert left == []

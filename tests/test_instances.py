@@ -10,29 +10,31 @@ import pytest
 
 from stonekit.catengine import check_naturality
 from stonekit.cli import _build_parser
-from stonekit.dlat import LatticeHom, compose_homs, identity_hom, two_lattice
+from stonekit.dlat import TWO, LatticeHom, compose_homs, identity_hom
 from stonekit.errors import BudgetExceeded
-from stonekit.memo import CACHES
 from stonekit.frame import WAY_BELOW_MAX_ELEMENTS, counit_hom, spectrum_map
-from stonekit import instances
 from stonekit.instances import (
+    COMPACT_REFLECTION_MONAD,
+    COMPACTIFICATION_COLLAPSE,
     DEFAULT_SEED,
+    FILTER_MONAD_ON_SPACES,
     FRAME_UNIVERSE,
+    IDEAL_COMONAD_ON_FRAMES,
+    IDEAL_MONAD_ON_FRAMES,
+    IDEAL_MONAD_ON_LOCALES,
     LAW_SUITES,
+    LIFTED_IDEAL_MONAD,
     LOCALE_UNIVERSE,
+    OPEN_FUNCTOR,
+    OPEN_SPECTRUM_ADJUNCTION,
+    SOBRIFICATION_MONAD,
+    SOBRIFICATION_TO_FILTERS,
     SPACE_UNIVERSE,
+    SPECTRUM_FUNCTOR,
     WAY_BELOW_SUITES,
     _sampled_spaces,
-    compact_reflection_monad,
-    compactification_collapse,
-    filter_monad_on_spaces,
     frame_morphisms,
-    ideal_monad_on_frames,
-    ideal_monad_on_locales,
-    lifted_ideal_monad,
-    open_spectrum_adjunction,
     run_suite,
-    sobrification_to_filters,
     space_morphisms,
 )
 from stonekit.spaces import (
@@ -47,28 +49,21 @@ from stonekit.universes import all_spaces_upto, lattice_universe
 
 
 def test_universes_are_singletons():
-    adjunction = open_spectrum_adjunction()
-    assert adjunction.left.source is SPACE_UNIVERSE
-    assert adjunction.left.target is LOCALE_UNIVERSE
-    assert ideal_monad_on_frames().functor.source is FRAME_UNIVERSE
-    assert lifted_ideal_monad() is lifted_ideal_monad()
-    assert open_spectrum_adjunction() is open_spectrum_adjunction()
+    assert OPEN_SPECTRUM_ADJUNCTION.left.source is SPACE_UNIVERSE
+    assert OPEN_SPECTRUM_ADJUNCTION.left.target is LOCALE_UNIVERSE
+    assert IDEAL_MONAD_ON_FRAMES.functor.source is FRAME_UNIVERSE
+    assert LIFTED_IDEAL_MONAD.functor.source is SPACE_UNIVERSE
+    assert COMPACT_REFLECTION_MONAD.functor.target is SPACE_UNIVERSE
 
 
-def test_every_zero_argument_constructor_builds_uncached(monkeypatch):
-    # identity is not caching: with every cached constructor of the module
-    # replaced by its uncached body, each still builds, since the functors
-    # meet over the same universe objects
-    constructors = {
-        name: fn.__wrapped__
-        for name, fn in vars(instances).items()
-        if fn in CACHES and fn.__wrapped__.__code__.co_argcount == 0
-    }
-    assert "open_spectrum_adjunction" in constructors and len(constructors) == 18
-    for name, build in constructors.items():
-        monkeypatch.setattr(instances, name, build)
-    for build in constructors.values():
-        build()
+def test_the_instances_are_built_from_one_another():
+    # each instance is built once, from the constants it names, so the
+    # monad morphism runs between the functors of the lifted constants
+    assert SOBRIFICATION_TO_FILTERS.source is SOBRIFICATION_MONAD.functor
+    assert SOBRIFICATION_TO_FILTERS.target is LIFTED_IDEAL_MONAD.functor
+    assert IDEAL_COMONAD_ON_FRAMES.functor is IDEAL_MONAD_ON_FRAMES.functor
+    assert OPEN_SPECTRUM_ADJUNCTION.left is OPEN_FUNCTOR
+    assert OPEN_SPECTRUM_ADJUNCTION.right is SPECTRUM_FUNCTOR
 
 
 @pytest.mark.parametrize(
@@ -147,7 +142,7 @@ def test_frame_universe_inverts_only_bijections():
     u = FRAME_UNIVERSE
     two = next(l for l in lattice_universe(2) if l.n == 2)
     assert u.invert(identity_hom(two)) == identity_hom(two)
-    assert u.invert(identity_hom(two_lattice())) == identity_hom(two_lattice())
+    assert u.invert(identity_hom(TWO)) == identity_hom(TWO)
     squash = next(
         h
         for h in frame_morphisms(2)
@@ -157,17 +152,17 @@ def test_frame_universe_inverts_only_bijections():
 
 
 def test_lifted_monad_object_sizes_are_frozen():
-    m = lifted_ideal_monad()
+    m = LIFTED_IDEAL_MONAD
     s = sierpinski()
     assert m.functor.on_object(s).n == 2
     assert m.functor.on_object(s).n == filter_space(s).n
-    beta = compact_reflection_monad()
+    beta = COMPACT_REFLECTION_MONAD
     assert beta.functor.on_object(s).n == 1
     assert beta.functor.on_object(discrete_space(("a", "b"))).n == 2
 
 
 def test_lifted_unit_mirrors_the_filter_unit_profile():
-    m = lifted_ideal_monad()
+    m = LIFTED_IDEAL_MONAD
     s = sierpinski()
     lifted = m.unit.component(s)
     plain = unit_map(s)
@@ -175,7 +170,7 @@ def test_lifted_unit_mirrors_the_filter_unit_profile():
 
 
 def test_monad_morphism_component_is_the_lifted_join():
-    sigma = sobrification_to_filters()
+    sigma = SOBRIFICATION_TO_FILTERS
     s = sierpinski()
     expected = spectrum_map(counit_hom(open_set_frame(s)))
     assert sigma.component(s) == expected
@@ -183,7 +178,7 @@ def test_monad_morphism_component_is_the_lifted_join():
 
 def test_collapse_components_are_homeomorphisms():
     u = SPACE_UNIVERSE
-    collapse = compactification_collapse()
+    collapse = COMPACTIFICATION_COLLAPSE
     for x in all_spaces_upto(2):
         comp = collapse.component(x)
         assert u.invert(comp) is not None
@@ -238,7 +233,7 @@ def test_law_ids_belong_to_one_suite():
 def test_filter_and_lifted_units_are_natural_on_sampled_maps(data):
     maps = space_morphisms(2)
     f = data.draw(st.sampled_from(maps))
-    for monad in (filter_monad_on_spaces(), lifted_ideal_monad()):
+    for monad in (FILTER_MONAD_ON_SPACES, LIFTED_IDEAL_MONAD):
         check = check_naturality(monad.unit, [f])
         assert check.ok, str(check)
 
@@ -246,7 +241,7 @@ def test_filter_and_lifted_units_are_natural_on_sampled_maps(data):
 @given(st.sampled_from(lattice_universe(3)))
 @settings(max_examples=24, deadline=None)
 def test_triangle_identity_holds_on_sampled_lattices(lat):
-    adj = open_spectrum_adjunction()
+    adj = OPEN_SPECTRUM_ADJUNCTION
     top = SPACE_UNIVERSE
     spec = adj.right.on_object(lat)
     lhs = top.compose(
@@ -259,7 +254,7 @@ def test_triangle_identity_holds_on_sampled_lattices(lat):
 @given(st.sampled_from(all_spaces_upto(3)))
 @settings(max_examples=35, deadline=None)
 def test_lifted_monad_unit_laws_hold_on_sampled_spaces(x):
-    m = lifted_ideal_monad()
+    m = LIFTED_IDEAL_MONAD
     u = SPACE_UNIVERSE
     mx = m.functor.on_object(x)
     left = u.compose(m.mult.component(x), m.unit.component(mx))
@@ -269,7 +264,7 @@ def test_lifted_monad_unit_laws_hold_on_sampled_spaces(x):
 
 
 def test_ideal_monads_share_their_functor_object_map():
-    frm = ideal_monad_on_frames()
-    loc = ideal_monad_on_locales()
+    frm = IDEAL_MONAD_ON_FRAMES
+    loc = IDEAL_MONAD_ON_LOCALES
     for lat in lattice_universe(2):
         assert frm.functor.on_object(lat) == loc.functor.on_object(lat)

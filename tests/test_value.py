@@ -19,6 +19,7 @@ from stonekit.catengine import (
     LawCheck,
 )
 from stonekit.dlat import (
+    TWO,
     DistLattice,
     Ideal,
     LatticeHom,
@@ -28,7 +29,6 @@ from stonekit.dlat import (
     homs_to_2,
     identity_hom,
     principal_ideal,
-    two_lattice,
 )
 from stonekit.errors import InvalidValue, NotALattice, NotATopology
 from stonekit.frame import (
@@ -42,12 +42,12 @@ from stonekit.frame import (
     way_below,
 )
 from stonekit.instances import (
+    FILTER_MONAD_ON_SPACES,
     FRAME_UNIVERSE,
+    IDEAL_COMONAD_ON_FRAMES,
+    IDEAL_MONAD_ON_FRAMES,
+    OPEN_SPECTRUM_ADJUNCTION,
     SPACE_UNIVERSE,
-    filter_monad_on_spaces,
-    ideal_comonad_on_frames,
-    ideal_monad_on_frames,
-    open_spectrum_adjunction,
 )
 from stonekit.order import (
     FinPoset,
@@ -79,10 +79,10 @@ from stonekit.topspace import (
 def samples() -> list:
     """At least two unequal instances of every record class."""
     s, d = sierpinski(), discrete_space(["a", "b"])
-    two, three = two_lattice(), open_set_frame(s)
-    f, i = filter_monad_on_spaces(), ideal_monad_on_frames()
-    k = ideal_comonad_on_frames()
-    adj = open_spectrum_adjunction()
+    two, three = TWO, open_set_frame(s)
+    f, i = FILTER_MONAD_ON_SPACES, IDEAL_MONAD_ON_FRAMES
+    k = IDEAL_COMONAD_ON_FRAMES
+    adj = OPEN_SPECTRUM_ADJUNCTION
     return [
         chain(["a", "b"]),
         antichain(["a", "b"]),
@@ -200,7 +200,7 @@ def test_fields_are_frozen_and_the_arity_is_exact(cls):
 
 def bad_inputs():
     s, d = sierpinski(), discrete_space(["a", "b"])
-    two, p = two_lattice(), chain(["a", "b"])
+    two, p = TWO, chain(["a", "b"])
     return {
         FinPoset: (lambda: FinPoset(("a", "a"), (1, 2)), "duplicate element names"),
         DistLattice: (lambda: DistLattice(antichain(["a", "b"])), "no meet"),
@@ -223,4 +223,4 @@ def test_post_init_still_rejects_bad_input():
     for cls, (build, message) in cases.items():
         with pytest.raises((InvalidValue, NotALattice, NotATopology), match=message):
             build()
-    assert callable(filter_monad_on_spaces().unit.component.cache_info)
+    assert callable(FILTER_MONAD_ON_SPACES.unit.component.cache_info)
