@@ -3,8 +3,15 @@
 These drive the law-checking suites: every claim quantified over "all
 posets on <= 4 elements" or "all topologies on <= 3 points" runs over the
 tuples produced here. Enumeration is by labeled structure, so the counts
-match the standard sequences (posets 1, 1, 3, 19, 219; topologies 1, 1, 4,
-29, 355) and the tests assert them.
+match the standard sequences (posets 1, 1, 3, 19, 219, 4231; topologies 1,
+1, 4, 29, 355, 6942) and the tests assert them.
+
+Each reflexive transitive relation on points 0..k extends one on 0..k-1
+by the strict down-set D and strict up-set U of the new point k: D is
+down-closed, U up-closed, every point of D lies below every point of U,
+and for posets D and U are disjoint. The relations come out in ascending
+pick code (bit b set when the b-th off-diagonal pair (i, j), i major, is
+related), so a structure's position in a pool, its instance id, is fixed.
 """
 
 from itertools import product
@@ -14,7 +21,7 @@ from .bitsets import bits
 from .dlat import DistLattice, downset_lattice
 from .errors import BudgetExceeded
 from .memo import cached
-from .order import FinPoset, cycle_pair, is_transitive, make_poset, transpose, up_sets
+from .order import FinPoset, make_poset, transpose, up_sets
 from .spaces import ContinuousMap, FinSpace, continuity_violation
 
 POSET_NAMES = "abcde"
@@ -25,18 +32,25 @@ MAX_POINTS = 5
 
 
 def _relation_candidates(n: int, antisymmetric: bool):
-    """Reflexive transitive up-masks over n elements, optionally antisymmetric."""
-    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for pick in range(1 << len(offdiag)):
-        up = [1 << i for i in range(n)]
-        for b, (i, j) in enumerate(offdiag):
-            if (pick >> b) & 1:
-                up[i] |= 1 << j
-        if not is_transitive(up):
-            continue
-        if antisymmetric and cycle_pair(up) is not None:
-            continue
-        yield tuple(up)
+    """Reflexive transitive up-masks over n elements, optionally
+    antisymmetric, by one-point extension, in ascending pick code: each row
+    holds its own bit, so comparing rows from the last gives that order."""
+    rels = [()]
+    for k in range(n):
+        top = 1 << k
+        grown = []
+        for up in rels:
+            above = up_sets(up)
+            for down in up_sets(transpose(up)):
+                allowed = top - 1
+                for d in bits(down):
+                    allowed &= up[d]
+                if antisymmetric:
+                    allowed &= ~down
+                lower = tuple(m | top if down >> i & 1 else m for i, m in enumerate(up))
+                grown += [lower + (u | top,) for u in above if not u & ~allowed]
+        rels = grown
+    return sorted(rels, key=lambda up: up[::-1])
 
 
 def _guard(n: int, cap: int, what: str) -> None:
@@ -46,7 +60,8 @@ def _guard(n: int, cap: int, what: str) -> None:
 
 @cached
 def all_posets(n: int) -> Tuple[FinPoset, ...]:
-    """All labeled posets on n elements, elements named a, b, c, ..."""
+    """All labeled posets on n elements (1, 1, 3, 19, 219, 4231), elements
+    named a, b, c, ..., by one-point extension in ascending pick code."""
     _guard(n, MAX_POSET, "poset enumeration")
     names = list(POSET_NAMES[:n])
     out = []
@@ -64,7 +79,9 @@ def all_posets_upto(n: int) -> Tuple[FinPoset, ...]:
 
 @cached
 def all_spaces(n: int) -> Tuple[FinSpace, ...]:
-    """All labeled topologies on n points, via their specialization preorders.
+    """All labeled topologies on n points (1, 1, 4, 29, 355, 6942), via
+    their specialization preorders, by one-point extension in ascending
+    pick code.
 
     Finite topologies are exactly the up-set families of preorders, so
     enumerating preorders gives each topology once.
