@@ -30,6 +30,7 @@ from .frame import (
     way_below,
 )
 from .instances import DEFAULT_SEED, LAW_SUITES, run_suite
+from .order import covers, transpose
 from .spaces import FinSpace, is_homeomorphism, is_t0, specialization_preorder
 from .topspace import (
     compactification_square,
@@ -194,26 +195,16 @@ def _lattice_dot(name: str, lat: DistLattice) -> str:
 
 def _space_dot(name: str, x: FinSpace) -> str:
     up = specialization_preorder(x)
+    down = transpose(up)
     lines = [f"digraph {_quote(name)} {{", "  rankdir=BT;"]
     for point in x.points:
         lines.append(f"  {_quote(point)};")
+    # two-way edges join equivalent points, arrows the covers; in (i, j) order
+    edges = [(i, j, "") for i, j in covers(down)]
     for i in range(x.n):
-        for j in range(x.n):
-            if i == j or not (up[i] >> j) & 1:
-                continue
-            if (up[j] >> i) & 1:
-                if i < j:
-                    lines.append(
-                        f"  {_quote(x.points[i])} -> {_quote(x.points[j])} [dir=both];"
-                    )
-                continue
-            strict = any(
-                k != i and k != j and (up[i] >> k) & 1 and (up[k] >> j) & 1
-                and not (up[k] >> i) & 1 and not (up[j] >> k) & 1
-                for k in range(x.n)
-            )
-            if not strict:
-                lines.append(f"  {_quote(x.points[i])} -> {_quote(x.points[j])};")
+        edges += [(i, j, " [dir=both]") for j in bits(up[i] & down[i]) if i < j]
+    for i, j, style in sorted(edges):
+        lines.append(f"  {_quote(x.points[i])} -> {_quote(x.points[j])}{style};")
     legend = ", ".join(
         "{" + ",".join(x.points[i] for i in bits(m)) + "}" for m in x.opens
     )

@@ -466,20 +466,6 @@ def _check_home(lat: DistLattice, ideal: Ideal) -> None:
         )
 
 
-def _join_closure(lat: DistLattice, mask: int) -> int:
-    grown = True
-    while grown:
-        grown = False
-        members = list(bits(mask))
-        for x in range(len(members)):
-            for y in range(x + 1, len(members)):
-                j = lat.join[members[x]][members[y]]
-                if not (mask >> j) & 1:
-                    mask |= 1 << j
-                    grown = True
-    return mask
-
-
 def ideal_join(lat: DistLattice, family: Iterable[Ideal]) -> Ideal:
     """Join of a nonempty family of ideals: union closed under finite joins."""
     masks = []
@@ -491,7 +477,9 @@ def ideal_join(lat: DistLattice, family: Iterable[Ideal]) -> Ideal:
     union = 0
     for m in masks:
         union |= m
-    return Ideal(lat, _join_closure(lat, union))
+    # distributive: x below a join b is the join of x meet a and x meet b,
+    # so the union's join-closure is the principal ideal of its join
+    return Ideal(lat, lat.poset.down[lat.join_mask(union)])
 
 
 def ideal_image(f: LatticeHom, ideal: Ideal) -> Ideal:

@@ -7,9 +7,10 @@ all derived subset bitmasks are reproducible across runs.
 
 Relations are tuples of masks, and each routine on them is the one the
 package uses: is_transitive, up_sets (every union of the masks: the
-up-sets of a preorder, the opens of its topology), transpose, the
-closures and cycle_pair, and isomorphism, the search behind poset,
-lattice and space isomorphisms.
+up-sets of a preorder, the opens of its topology), transpose, covers,
+preorder_closure (Warshall's loop on masks), cycle_pair,
+poset_of_preorder (behind order_closure and the specialization order),
+and isomorphism, the search behind poset, lattice and space isomorphisms.
 """
 
 from functools import cached_property
@@ -113,22 +114,9 @@ class FinPoset(Value):
                 out.append((self.elements[i], self.elements[j]))
         return tuple(out)
 
-    def covers(self) -> Tuple[Tuple[int, int], ...]:
-        """Pairs (i, j) where e_j covers e_i: i < j with nothing between."""
-        out = []
-        for j in range(self.n):
-            strict = self.down[j] ^ (1 << j)
-            for i in bits(strict):
-                between = strict & ~self.down[i]
-                # e_i < e_k < e_j for some k iff some bit of `between` other
-                # than i itself sits strictly above e_i
-                if not any(k != i and self.leq_index(i, k) for k in bits(between)):
-                    out.append((i, j))
-        return tuple(out)
-
     def cover_pairs(self) -> Tuple[Tuple[str, str], ...]:
         return tuple(
-            (self.elements[i], self.elements[j]) for i, j in self.covers()
+            (self.elements[i], self.elements[j]) for i, j in covers(self.down)
         )
 
     def restrict(self, mask: int) -> "FinPoset":
@@ -172,6 +160,20 @@ def transpose(masks: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def covers(down: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
+    """The covering pairs (i, j) of a preorder given by down-masks, by j and
+    then i: i is strictly below j, and nothing strictly below j (`below`)
+    is strictly above i, one mask test per comparable pair."""
+    up = transpose(down)
+    out = []
+    for j, d in enumerate(down):
+        below = d & ~up[j]
+        for i in bits(below):
+            if not below & up[i] & ~down[i]:
+                out.append((i, j))
+    return tuple(out)
+
+
 def make_poset(elements: Sequence[str], down: Sequence[int]) -> FinPoset:
     """Build a FinPoset from down-masks in any order, canonicalizing.
 
@@ -198,19 +200,15 @@ def make_poset(elements: Sequence[str], down: Sequence[int]) -> FinPoset:
 
 
 def preorder_closure(up: Sequence[int]) -> Tuple[int, ...]:
-    """Reflexive-transitive closure of a relation given by up-masks
-    (bit j of up[i] means i <= j). Cycles are kept, not rejected."""
+    """Reflexive-transitive closure of a relation given by up-masks (bit j
+    of up[i] means i <= j), in one pass of Warshall's loop on whole masks.
+    Cycles are kept, not rejected."""
     up = [m | 1 << i for i, m in enumerate(up)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(up)):
-            acc = up[i]
-            for j in bits(up[i]):
-                acc |= up[j]
-            if acc != up[i]:
-                up[i] = acc
-                changed = True
+    for k in range(len(up)):
+        bit, reach = 1 << k, up[k]
+        for i, m in enumerate(up):
+            if m & bit:
+                up[i] = m | reach
     return tuple(up)
 
 
@@ -222,6 +220,15 @@ def cycle_pair(up: Sequence[int]) -> Optional[Tuple[int, int]]:
             if (up[j] >> i) & 1:
                 return i, j
     return None
+
+
+def poset_of_preorder(names: Sequence[str], up: Sequence[int]) -> FinPoset:
+    """The poset of an antisymmetric preorder given by up-masks, in canonical
+    order; CycleError naming the first pair on a cycle otherwise."""
+    pair = cycle_pair(up)
+    if pair is not None:
+        raise CycleError(tuple(names[i] for i in pair))
+    return make_poset(names, transpose(up))
 
 
 def order_closure(
@@ -241,11 +248,7 @@ def order_closure(
         if x not in idx or y not in idx:
             raise ValueError(f"pair ({x!r}, {y!r}) mentions unknown element")
         up[idx[x]] |= 1 << idx[y]
-    up = preorder_closure(up)
-    pair = cycle_pair(up)
-    if pair is not None:
-        raise CycleError(tuple(names[i] for i in pair))
-    return make_poset(names, transpose(up))
+    return poset_of_preorder(names, preorder_closure(up))
 
 
 def chain(names: Sequence[str]) -> FinPoset:

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Tuple
 
 from .bitsets import bits, format_subset, mask_of
 from .dlat import DistLattice, LatticeHom, SetLatticeView, inclusion_view
-from .errors import CycleError, InvalidValue, NotATopology, UniverseMismatch
+from .errors import InvalidValue, NotATopology, UniverseMismatch
 from .memo import cached, name_free
 from .order import (
     FinPoset,
@@ -24,8 +24,7 @@ from .order import (
     _unvalidated,
     cycle_pair,
     isomorphism,
-    make_poset,
-    transpose,
+    poset_of_preorder,
     up_sets,
 )
 
@@ -231,11 +230,7 @@ def is_t0(x: FinSpace) -> bool:
 
 def specialization_order(x: FinSpace) -> FinPoset:
     """Specialization order as a poset; CycleError on a non-T0 space."""
-    up = specialization_preorder(x)
-    pair = cycle_pair(up)
-    if pair is not None:
-        raise CycleError(tuple(x.points[i] for i in pair))
-    return make_poset(list(x.points), transpose(up))
+    return poset_of_preorder(list(x.points), specialization_preorder(x))
 
 
 def closure_of(x: FinSpace, mask: int) -> int:

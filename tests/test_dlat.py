@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from stonekit import dlat
+from stonekit import dlat, order
 from stonekit.dlat import (
     SUBSET_ORACLE_MAX_ELEMENTS,
     TWO,
@@ -50,7 +50,7 @@ from stonekit.dlat import (
     principal_masks,
     union_hom,
 )
-from stonekit.bitsets import format_subset, mask_of
+from stonekit.bitsets import bits, format_subset, mask_of
 from stonekit.errors import (
     BudgetExceeded,
     ForeignIdeal,
@@ -221,6 +221,36 @@ def test_directed_join_is_plain_union():
     fam = [principal_ideal(c, "{}"), principal_ideal(c, "{a}")]
     union = fam[0].members | fam[1].members
     assert ideal_join(c, fam).members == union
+
+
+def join_closure_pairwise(lat, mask):
+    """Twin of ideal_join's principal route: close the mask under the joins
+    of its pairs until nothing is added."""
+    grown = True
+    while grown:
+        grown = False
+        members = list(bits(mask))
+        for x in range(len(members)):
+            for y in range(x + 1, len(members)):
+                j = lat.join[members[x]][members[y]]
+                if not (mask >> j) & 1:
+                    mask |= 1 << j
+                    grown = True
+    return mask
+
+
+def test_ideal_join_is_the_pairwise_join_closure():
+    pairs = 0
+    for lat in lattice_universe(4):
+        ideals = [Ideal(lat, m) for m in lat.poset.down]
+        for a in ideals:
+            for b in ideals:
+                union = a.members | b.members
+                assert ideal_join(lat, [a, b]).members == join_closure_pairwise(
+                    lat, union
+                ), (lat, a, b)
+                pairs += 1
+    assert pairs == 14183
 
 
 def test_ideal_image_of_embedding():
@@ -822,7 +852,7 @@ def test_failed_distributivity_check_is_not_stored():
 
 def fresh_prime_filter_masks(lat):
     """The up-sets of the elements with exactly one lower cover, sorted."""
-    covers = lat.poset.covers()
+    covers = order.covers(lat.poset.down)
     irreducible = [j for j in range(lat.n) if sum(1 for _, k in covers if k == j) == 1]
     return sorted(lat.poset.up_masks[j] for j in irreducible)
 

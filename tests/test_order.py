@@ -1,8 +1,11 @@
 """Posets: closure, canonical order, covers, isomorphism search."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from stonekit import order
 from stonekit.bitsets import bits, mask_of
 from stonekit.errors import CycleError
 from stonekit.order import (
@@ -11,6 +14,7 @@ from stonekit.order import (
     antichain,
     chain,
     compose_monotone,
+    covers,
     cycle_pair,
     identity_monotone,
     is_transitive,
@@ -19,8 +23,11 @@ from stonekit.order import (
     poset_isomorphic,
     preorder_closure,
     poset_isomorphism,
+    transpose,
     up_sets,
 )
+from stonekit.spaces import specialization_preorder
+from stonekit.universes import all_posets_upto, all_spaces_upto
 
 NAMES = ["a", "b", "c", "d"]
 
@@ -75,6 +82,52 @@ def test_preorder_closure_keeps_cycles():
     assert preorder_closure([]) == ()
 
 
+def preorder_closure_fixpoint(up):
+    """Twin of preorder_closure: extend every mask by the masks of its
+    members, and rerun until no mask grows."""
+    up = [m | 1 << i for i, m in enumerate(up)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(up)):
+            acc = up[i]
+            for j in bits(up[i]):
+                acc |= up[j]
+            if acc != up[i]:
+                up[i] = acc
+                changed = True
+    return tuple(up)
+
+
+def test_preorder_closure_matches_the_fixed_point_loop(monkeypatch):
+    # every relation on at most 3 elements, then sparse seeded relations on
+    # 4 to 8, whose closures follow paths of several steps
+    rng = random.Random(18)
+    samples = [masks for n in range(4) for masks in relations(n)]
+    for _ in range(2000):
+        n = rng.randint(4, 8)
+        density = rng.random() * 2 / n
+        samples.append(
+            tuple(
+                mask_of(j for j in range(n) if rng.random() < density)
+                for _ in range(n)
+            )
+        )
+
+    def refuse(*args):
+        raise AssertionError("called by the twin")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(order, "preorder_closure", refuse)
+        expected = [preorder_closure_fixpoint(masks) for masks in samples]
+    # the sample is not degenerate: many distinct 8-point closures other
+    # than the complete relation
+    eight = {c for c in expected if len(c) == 8 and len(set(c)) > 1}
+    assert len(eight) > 300
+    for masks, closed in zip(samples, expected):
+        assert preorder_closure(masks) == closed, masks
+
+
 def test_canonical_order_ignores_input_order():
     p = order_closure(["c", "a", "b"], [("a", "b"), ("b", "c")])
     q = order_closure(["b", "c", "a"], [("a", "b"), ("b", "c")])
@@ -117,6 +170,61 @@ def test_covers_of_diamond():
 
 def test_covers_skip_transitive_edges():
     assert chain(["x", "y", "z"]).cover_pairs() == (("x", "y"), ("y", "z"))
+
+
+def covers_by_search(down):
+    """Twin of covers by its definition: i strictly below j, and no k with
+    i strictly below k strictly below j, searched over every k."""
+    n = len(down)
+
+    def strictly_below(a, b):
+        return (down[b] >> a) & 1 and not (down[a] >> b) & 1
+
+    return tuple(
+        (i, j)
+        for j in range(n)
+        for i in range(n)
+        if strictly_below(i, j)
+        and not any(strictly_below(i, k) and strictly_below(k, j) for k in range(n))
+    )
+
+
+def covers_of_poset_loop(p):
+    """Second twin of covers, on posets only: for each strict lower bound i
+    of j, a search of the points between them for one strictly above i."""
+    out = []
+    for j in range(p.n):
+        strict = p.down[j] ^ (1 << j)
+        for i in bits(strict):
+            between = strict & ~p.down[i]
+            # e_i < e_k < e_j for some k iff some bit of `between` other
+            # than i itself sits strictly above e_i
+            if not any(k != i and p.leq_index(i, k) for k in bits(between)):
+                out.append((i, j))
+    return tuple(out)
+
+
+def test_covers_match_the_definitional_search_on_posets():
+    posets = all_posets_upto(5)
+    assert len(posets) == 1 + 1 + 3 + 19 + 219 + 4231
+    for p in posets:
+        assert covers(p.down) == covers_by_search(p.down) == covers_of_poset_loop(p), p
+
+
+def test_covers_match_the_definitional_search_on_preorders():
+    # the specialization preorders of the spaces on at most 4 points are all
+    # the preorders there are; 147 of them relate two points both ways
+    spaces = all_spaces_upto(4)
+    assert len(spaces) == 1 + 1 + 4 + 29 + 355
+    cyclic = 0
+    for x in spaces:
+        up = specialization_preorder(x)
+        cyclic += cycle_pair(up) is not None
+        down = transpose(up)
+        assert covers(down) == covers_by_search(down), x
+    assert cyclic == 390 - (1 + 1 + 3 + 19 + 219)
+    # 0 ~ 1 both below 2: each of them is covered by 2, and not by the other
+    assert covers((0b011, 0b011, 0b111)) == ((0, 2), (1, 2))
 
 
 def test_restrict_induced_order():
