@@ -11,7 +11,6 @@ from .errors import (
     BudgetExceeded,
     CounitNotIso,
     CycleError,
-    ForeignIdeal,
     HypothesisFailed,
     InvalidValue,
     InvariantViolated,

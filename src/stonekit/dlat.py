@@ -15,9 +15,9 @@ definitional twin that the tests use as its oracle:
     join-irreducible is join-prime); twin: distributivity_witness_bruteforce;
   - ideal_view lists the principal ideals (principal_masks); twin:
     ideals_bruteforce, over every subset;
-  - is_ideal_mask and is_prime_filter_mask test closure under joins and
-    meets by one aggregate join or meet; twin: ideals_bruteforce and the
-    characters of homs_to_2_bruteforce;
+  - is_prime_filter_mask tests closure under meets and primeness by one
+    aggregate meet and one aggregate join; twin: the characters of
+    homs_to_2_bruteforce;
   - prime_filters takes the up-sets of join-irreducibles; twins:
     prime_filters_bruteforce and homs_to_2_bruteforce.
 The twins that visit every subset (ideals_bruteforce,
@@ -45,20 +45,20 @@ break ties in make_poset, so their ranking fixes the element order, and a
 hit shares the stored down-sets under the caller's names (the
 duplicate-name check runs on every call). Only passing verdicts are
 stored, so a failure is checked again each time and its message names the
-caller's own elements. The Ideal and PrimeFilter checks are not
-memoised: the views hold masks that were checked where they were made, so
-only an Ideal or PrimeFilter built from outside data (a character, an
-ideal of the API) runs its check.
+caller's own elements.
+
+Ideals and prime filters are masks, never records: ideal_view holds the
+principal masks and prime_filters the up-sets it checked, so no mask is
+checked twice.
 """
 
 from functools import cached_property
 from itertools import count, product
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .bitsets import bits, format_subset, index_in, mask_of
 from .errors import (
     BudgetExceeded,
-    ForeignIdeal,
     InvalidValue,
     NotALattice,
     NotDistributive,
@@ -366,46 +366,6 @@ def join_irreducibles(lat: DistLattice) -> FinPoset:
 # ideals
 
 
-class Ideal(Value):
-    """Nonempty down-closed join-closed subset of its home lattice."""
-
-    home: DistLattice
-    members: int
-
-    def __post_init__(self):
-        reason = _ideal_violation(self.home, self.members)
-        if reason is not None:
-            raise InvalidValue(f"not an ideal: {reason}")
-
-    @property
-    def name(self) -> str:
-        return self.home.subset_name(self.members)
-
-
-def _ideal_violation(lat: DistLattice, mask: int) -> Optional[str]:
-    if mask == 0:
-        return "empty"
-    if mask >> lat.n:
-        return "members out of range"
-    for i in bits(mask):
-        if lat.poset.down[i] & ~mask:
-            return f"not down-closed at {lat.elements[i]!r}"
-    # a nonempty down-set is join-closed iff it holds the join of all of it;
-    # the pairwise search only names the first failing pair
-    if not (mask >> lat.join_mask(mask)) & 1:
-        for i in bits(mask):
-            for j in bits(mask >> i << i):
-                if not (mask >> lat.join[i][j]) & 1:
-                    return (
-                        f"not join-closed at ({lat.elements[i]!r}, {lat.elements[j]!r})"
-                    )
-    return None
-
-
-def is_ideal_mask(lat: DistLattice, mask: int) -> bool:
-    return _ideal_violation(lat, mask) is None
-
-
 # the twins that visit all 2^n subsets grow about 4x per two more elements:
 # way_below_bruteforce takes 0.24 s at 16 and 4.2 s at 20, and its subset
 # join table holds 2^n entries, past 2 GB from 28 elements on
@@ -454,43 +414,6 @@ def principal_masks(lat: DistLattice) -> Tuple[int, ...]:
     return tuple(sorted(lat.poset.down))
 
 
-def principal_ideal(lat: DistLattice, name: str) -> Ideal:
-    """The ideal of everything below the named element (the monad unit)."""
-    return Ideal(lat, lat.poset.down[lat.index(name)])
-
-
-def _check_home(lat: DistLattice, ideal: Ideal) -> None:
-    if ideal.home != lat:
-        raise ForeignIdeal(
-            f"ideal {ideal.name} lives in a different lattice"
-        )
-
-
-def ideal_join(lat: DistLattice, family: Iterable[Ideal]) -> Ideal:
-    """Join of a nonempty family of ideals: union closed under finite joins."""
-    masks = []
-    for ideal in family:
-        _check_home(lat, ideal)
-        masks.append(ideal.members)
-    if not masks:
-        raise ValueError("ideal join of an empty family is undefined")
-    union = 0
-    for m in masks:
-        union |= m
-    # distributive: x below a join b is the join of x meet a and x meet b,
-    # so the union's join-closure is the principal ideal of its join
-    return Ideal(lat, lat.poset.down[lat.join_mask(union)])
-
-
-def ideal_image(f: LatticeHom, ideal: Ideal) -> Ideal:
-    """Functor action on ideals: everything under the image of a member."""
-    _check_home(f.source, ideal)
-    out = 0
-    for a in bits(ideal.members):
-        out |= f.target.poset.down[f.assignment[a]]
-    return Ideal(f.target, out)
-
-
 @cached
 def ideal_view(lat: DistLattice) -> SetLatticeView:
     """Every ideal of a finite lattice is principal, so the ideals are the
@@ -505,16 +428,6 @@ def ideal_view(lat: DistLattice) -> SetLatticeView:
 def ideal_lattice(lat: DistLattice) -> DistLattice:
     """Lattice of all ideals ordered by inclusion."""
     return ideal_view(lat).lattice
-
-
-def ideal_union(lat: DistLattice, big: Ideal) -> Ideal:
-    """Monad multiplication: union of an ideal of ideals of lat."""
-    view = ideal_view(lat)
-    _check_home(view.lattice, big)
-    out = 0
-    for i in bits(big.members):
-        out |= view.masks[i]
-    return Ideal(lat, out)
 
 
 def principal_embedding(lat: DistLattice) -> LatticeHom:
@@ -541,7 +454,8 @@ def union_hom(lat: DistLattice) -> LatticeHom:
 
 
 def ideal_functor_hom(f: LatticeHom) -> LatticeHom:
-    """Hom between ideal lattices induced elementwise by ideal_image."""
+    """Hom between ideal lattices: an ideal goes to everything below the
+    image of one of its members."""
     src = ideal_view(f.source)
     tgt = ideal_view(f.target)
     assignment = _ideal_image_assignment(
@@ -571,22 +485,6 @@ def _ideal_image_assignment(
 
 # ---------------------------------------------------------------------------
 # prime filters and characters
-
-
-class PrimeFilter(Value):
-    """Proper, up-closed, meet-closed subset with prime joins."""
-
-    home: DistLattice
-    members: int
-
-    def __post_init__(self):
-        reason = _prime_filter_violation(self.home, self.members)
-        if reason is not None:
-            raise InvalidValue(f"not a prime filter: {reason}")
-
-    @property
-    def name(self) -> str:
-        return self.home.subset_name(self.members)
 
 
 def _prime_filter_violation(lat: DistLattice, mask: int) -> Optional[str]:
@@ -646,13 +544,6 @@ def prime_filters(lat: DistLattice) -> Tuple[int, ...]:
         if reason is not None:
             raise NotDistributive((lat.subset_name(m), "irreducible up-set", reason))
     return tuple(candidates)
-
-
-def character_filter(h: LatticeHom) -> PrimeFilter:
-    """Prime filter of everything a character sends to 1."""
-    if h.target != TWO:
-        raise UniverseMismatch("character must land in the two-element lattice")
-    return PrimeFilter(h.source, mask_of(i for i, v in enumerate(h.assignment) if v))
 
 
 def homs_to_2(lat: DistLattice) -> Tuple[LatticeHom, ...]:

@@ -59,6 +59,12 @@ def _parse_lines(text: str) -> Dict[str, Tuple[object, int]]:
             value = json.loads(rest.strip())
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON value for {key!r}: {exc.msg}", line=lineno)
+        except RecursionError:
+            raise ParseError(f"bad JSON value for {key!r}: nested too deeply", line=lineno)
+        except ValueError:
+            # the one other ValueError of json.loads: an integer longer than
+            # the interpreter converts from text (4,300 digits by default)
+            raise ParseError(f"bad JSON value for {key!r}: integer too long", line=lineno)
         entries[key] = (value, lineno)
     return entries
 

@@ -11,8 +11,8 @@ class StonekitError(Exception):
 
 class InvalidValue(StonekitError, ValueError):
     """A constructor's check failed: the values given do not form the
-    structure (poset, lattice map, ideal, filter, space, continuous map)
-    asked for. Also a ValueError, as these checks raised before."""
+    structure (poset, lattice, lattice map, space, continuous map) asked
+    for. Also a ValueError, as these checks raised before."""
 
 
 class CycleError(StonekitError):
@@ -41,10 +41,6 @@ class NotDistributive(StonekitError):
     def __init__(self, witness):
         self.witness = witness
         super().__init__(f"distributivity fails at triple {witness!r}")
-
-
-class ForeignIdeal(StonekitError):
-    """An ideal was used with a lattice other than its home lattice."""
 
 
 class NotATopology(StonekitError):

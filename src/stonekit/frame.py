@@ -8,10 +8,11 @@ with its coalgebras. Finite degeneracies (way-below collapsing to the
 order, every ideal being principal) are theorems the degeneracy suite and
 the tests prove by running the definitional routes over their pools.
 
-The spectrum reads the checked prime filter masks of dlat.prime_filters,
-and the comultiplication reads ideals as masks, so neither checks them
-again. The opens of a space of filters and the point assignment of
-spectrum_map are computed once per distinct name-free input
+Ideals and prime filters are masks here as in dlat: the points of the
+spectrum are the checked masks of dlat.prime_filters, and
+comultiplication_hom maps the ideal masks of dlat.ideal_view, so neither
+checks a mask again. The opens of a space of filters and the point
+assignment of spectrum_map are computed once per distinct name-free input
 (memo.name_free): filter masks for the one, the shapes of both lattices
 and the hom's assignment for the other. The names of each call's own
 lattices and spaces are attached afterwards.
@@ -25,11 +26,9 @@ from .bitsets import bits, index_in, mask_of
 from .dlat import (
     SUBSET_ORACLE_MAX_ELEMENTS,
     DistLattice,
-    Ideal,
     LatticeHom,
     check_subset_budget,
     compose_homs,
-    homs_to_2,
     hom_violation,
     ideal_functor_hom,
     ideal_view,
@@ -351,12 +350,6 @@ def _spectrum_assignment(
     return tuple(assignment)
 
 
-def point_character(lat: DistLattice, point: str) -> LatticeHom:
-    """The character a point of the spectrum denotes."""
-    view = spectrum_view(lat)
-    return homs_to_2(lat)[view.space.index(point)]
-
-
 def spatiality_hom(lat: DistLattice) -> LatticeHom:
     """The comparison a -> sigma_a into the spectrum's open-set lattice.
 
@@ -388,14 +381,6 @@ def _comultiplication_mask(masks: Tuple[int, ...], ideal: int) -> int:
     return mask_of(
         k for k, m in enumerate(masks) if (ideal >> (m.bit_length() - 1)) & 1
     )
-
-
-def comultiplication_ideal(lat: DistLattice, ideal: Ideal) -> Ideal:
-    """c(I): the ideals whose join lands in I, as an ideal one level up."""
-    if ideal.home != lat:
-        raise ValueError("comultiplication expects an ideal of the base lattice")
-    view = ideal_view(lat)
-    return Ideal(view.lattice, _comultiplication_mask(view.masks, ideal.members))
 
 
 def comultiplication_hom(lat: DistLattice) -> LatticeHom:

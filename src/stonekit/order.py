@@ -8,9 +8,9 @@ all derived subset bitmasks are reproducible across runs.
 Relations are tuples of masks, and each routine on them is the one the
 package uses: is_transitive, up_sets (every union of the masks: the
 up-sets of a preorder, the opens of its topology), transpose, covers,
-preorder_closure (Warshall's loop on masks), cycle_pair,
-poset_of_preorder (behind order_closure and the specialization order),
-and isomorphism, the search behind poset, lattice and space isomorphisms.
+preorder_closure (Warshall's loop on masks), cycle_pair, poset_of_preorder
+(behind order_closure), and isomorphism, the search behind poset, lattice
+and space isomorphisms.
 """
 
 from functools import cached_property
@@ -260,28 +260,6 @@ def antichain(names: Sequence[str]) -> FinPoset:
     return order_closure(names, [])
 
 
-class MonotoneMap(Value):
-    """Order-preserving map; assignment[i] is the target index of source e_i."""
-
-    source: FinPoset
-    target: FinPoset
-    assignment: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.assignment) != self.source.n:
-            raise InvalidValue("assignment length mismatch")
-        for j in range(self.source.n):
-            for i in bits(self.source.down[j]):
-                if not self.target.leq_index(self.assignment[i], self.assignment[j]):
-                    raise InvalidValue(
-                        "map is not monotone at "
-                        f"({self.source.elements[i]!r}, {self.source.elements[j]!r})"
-                    )
-
-    def apply(self, name: str) -> str:
-        return self.target.elements[self.assignment[self.source.index(name)]]
-
-
 def _unvalidated(cls, *values):
     """cls(*values) for a Value class, without its __post_init__ check;
     only for values valid by construction, such as the composite of two
@@ -289,18 +267,6 @@ def _unvalidated(cls, *values):
     obj = object.__new__(cls)
     obj.__dict__.update(zip(cls._fields, values))
     return obj
-
-
-def identity_monotone(p: FinPoset) -> MonotoneMap:
-    return MonotoneMap(p, p, tuple(range(p.n)))
-
-
-def compose_monotone(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
-    if f.target != g.source:
-        raise ValueError("composite endpoints do not match")
-    return _unvalidated(
-        MonotoneMap, f.source, g.target, tuple(g.assignment[a] for a in f.assignment)
-    )
 
 
 def isomorphism(a: Sequence[int], b: Sequence[int]) -> Optional[Tuple[int, ...]]:

@@ -19,12 +19,10 @@ from .dlat import DistLattice, LatticeHom, SetLatticeView, inclusion_view
 from .errors import InvalidValue, NotATopology, UniverseMismatch
 from .memo import cached, name_free
 from .order import (
-    FinPoset,
     Value,
     _unvalidated,
     cycle_pair,
     isomorphism,
-    poset_of_preorder,
     up_sets,
 )
 
@@ -226,11 +224,6 @@ def specialization_preorder(x: FinSpace) -> Tuple[int, ...]:
 
 def is_t0(x: FinSpace) -> bool:
     return cycle_pair(specialization_preorder(x)) is None
-
-
-def specialization_order(x: FinSpace) -> FinPoset:
-    """Specialization order as a poset; CycleError on a non-T0 space."""
-    return poset_of_preorder(list(x.points), specialization_preorder(x))
 
 
 def closure_of(x: FinSpace, mask: int) -> int:

@@ -64,6 +64,28 @@ def test_parse_error_reports_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "value, reason",
+    [
+        ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+        ("[" + "7" * 5_000 + "]", "integer too long"),
+    ],
+    ids=["nested-100000-deep", "integer-of-5000-digits"],
+)
+def test_json_past_the_interpreter_limits_ends_in_one_error_line(tmp_path, value, reason):
+    # json.loads raises RecursionError and ValueError here, not JSONDecodeError
+    bad = tmp_path / "bad.space"
+    bad.write_text(f'type: "space"\nname: "x"\npoints: ["p"]\nopens: {value}\n')
+    done = subprocess.run(
+        [sys.executable, "-m", "stonekit.cli", "validate", str(bad)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: line 4: bad JSON value for 'opens': {reason}\n"
+
+
 def test_spectrum_of_diamond_is_two_point_discrete(capsys):
     code, out, err = run(capsys, "spectrum", str(DATA / "diamond.lattice"))
     assert code == 0

@@ -15,11 +15,8 @@ from stonekit.dlat import (
     SUBSET_ORACLE_MAX_ELEMENTS,
     TWO,
     DistLattice,
-    Ideal,
     LatticeHom,
-    PrimeFilter,
     all_lattice_homs,
-    character_filter,
     compose_homs,
     distributivity_witness,
     distributivity_witness_bruteforce,
@@ -29,16 +26,12 @@ from stonekit.dlat import (
     homs_to_2,
     homs_to_2_bruteforce,
     ideal_functor_hom,
-    ideal_image,
-    ideal_join,
     ideal_lattice,
-    ideal_union,
     ideal_view,
     ideals_bruteforce,
     identity_hom,
     inclusion_view,
     is_distributive,
-    is_ideal_mask,
     join_irreducibles,
     lattice_from_poset,
     lattice_isomorphic,
@@ -46,19 +39,16 @@ from stonekit.dlat import (
     prime_filters,
     prime_filters_bruteforce,
     principal_embedding,
-    principal_ideal,
     principal_masks,
     union_hom,
 )
 from stonekit.bitsets import bits, format_subset, mask_of
 from stonekit.errors import (
     BudgetExceeded,
-    ForeignIdeal,
     InvalidValue,
     InvariantViolated,
     NotALattice,
     NotDistributive,
-    UniverseMismatch,
 )
 from stonekit.frame import (
     WAY_BELOW_MAX_ELEMENTS,
@@ -189,43 +179,41 @@ def test_subset_oracles_refuse_a_23_element_chain_before_any_subset():
 
 def test_ideal_rejects_non_join_closed():
     d = diamond()
-    assert not is_ideal_mask(d, 0b0111)  # {}, {a}, {b} missing the join
-    with pytest.raises(ValueError):
-        Ideal(d, 0b0111)
+    # {}, {a}, {b} is down-closed but misses the join of {a} and {b}
+    assert 0b0111 not in ideals_bruteforce(d)
+    assert 0b0111 not in ideal_view(d).masks
 
 
 def test_ideal_rejects_empty_and_non_down_closed():
     d = diamond()
-    assert not is_ideal_mask(d, 0)
-    assert not is_ideal_mask(d, 0b1000)
+    for mask in (0, 0b1000):
+        assert mask not in ideals_bruteforce(d)
+        assert mask not in ideal_view(d).masks
+
+
+def ideal_join(view, a, b):
+    """The join of ideals a and b (masks) in the ideal lattice of the view."""
+    return view.masks[view.lattice.join[view.index_of(a)][view.index_of(b)]]
 
 
 def test_ideal_join_of_two_principals():
     d = diamond()
-    joined = ideal_join(d, [principal_ideal(d, "{a}"), principal_ideal(d, "{b}")])
-    assert joined.members == 0b1111
-
-
-def test_ideal_join_rejects_empty_family():
-    with pytest.raises(ValueError):
-        ideal_join(diamond(), [])
-
-
-def test_foreign_ideal_rejected():
-    with pytest.raises(ForeignIdeal):
-        ideal_join(chain3(), [principal_ideal(diamond(), "{a}")])
+    view = ideal_view(d)
+    down = d.poset.down
+    assert ideal_join(view, down[d.index("{a}")], down[d.index("{b}")]) == 0b1111
 
 
 def test_directed_join_is_plain_union():
     c = chain3()
-    fam = [principal_ideal(c, "{}"), principal_ideal(c, "{a}")]
-    union = fam[0].members | fam[1].members
-    assert ideal_join(c, fam).members == union
+    view = ideal_view(c)
+    for a in view.masks:
+        for b in view.masks:
+            assert ideal_join(view, a, b) == a | b
 
 
 def join_closure_pairwise(lat, mask):
-    """Twin of ideal_join's principal route: close the mask under the joins
-    of its pairs until nothing is added."""
+    """The join-closure of a mask by its definition: add the joins of its
+    pairs until nothing is added."""
     grown = True
     while grown:
         grown = False
@@ -240,29 +228,35 @@ def join_closure_pairwise(lat, mask):
 
 
 def test_ideal_join_is_the_pairwise_join_closure():
+    # the ideal lattice takes its joins from its order (_order_tables); by
+    # the definition, the join of two ideals is the join-closure of their union
     pairs = 0
     for lat in lattice_universe(4):
-        ideals = [Ideal(lat, m) for m in lat.poset.down]
-        for a in ideals:
-            for b in ideals:
-                union = a.members | b.members
-                assert ideal_join(lat, [a, b]).members == join_closure_pairwise(
-                    lat, union
-                ), (lat, a, b)
+        view = ideal_view(lat)
+        for a in view.masks:
+            for b in view.masks:
+                closure = join_closure_pairwise(lat, a | b)
+                assert ideal_join(view, a, b) == closure, (lat, a, b)
                 pairs += 1
     assert pairs == 14183
+
+
+def ideal_image(f, mask):
+    """The image of an ideal (a mask) under the ideal functor's hom of f."""
+    src, tgt = ideal_view(f.source), ideal_view(f.target)
+    return tgt.masks[ideal_functor_hom(f).assignment[src.index_of(mask)]]
 
 
 def test_ideal_image_of_embedding():
     two, d = TWO, diamond()
     f = LatticeHom(two, d, (0, 3))
-    assert ideal_image(f, principal_ideal(two, "1")).members == 0b1111
+    assert ideal_image(f, 0b11) == 0b1111
 
 
 def test_ideal_image_of_collapse():
     c, two = chain3(), TWO
     f = LatticeHom(c, two, (0, 1, 1))  # send both nonzero levels to 1
-    assert ideal_image(f, principal_ideal(c, "{a}")).members == 0b11
+    assert ideal_image(f, c.poset.down[c.index("{a}")]) == 0b11
 
 
 def test_ideal_lattice_of_chain_is_a_chain():
@@ -408,21 +402,24 @@ def test_principal_embedding_is_iso_on_universe_samples():
 def test_ideal_union_inverts_unit():
     d = diamond()
     view = ideal_view(d)
+    double = ideal_view(view.lattice)
+    mult = union_hom(d)
     for i in range(view.lattice.n):
-        ideal = Ideal(d, view.masks[i])
-        # wrap the ideal as the principal ideal it generates one level up
-        big = Ideal(view.lattice, view.lattice.poset.down[i])
-        assert ideal_union(d, big) == ideal
+        # the principal ideal that ideal i generates one level up
+        big = double.index_of(view.lattice.poset.down[i])
+        assert mult.assignment[big] == i
 
 
 def test_union_hom_against_pointwise_union():
-    d = chain3()
-    mult = union_hom(d)
-    view = ideal_view(d)
-    double = ideal_view(view.lattice)
-    for i in range(double.lattice.n):
-        big = Ideal(view.lattice, double.masks[i])
-        assert view.masks[mult.assignment[i]] == ideal_union(d, big).members
+    for lat in lattice_universe(4):
+        mult = union_hom(lat)
+        view = ideal_view(lat)
+        double = ideal_view(view.lattice)
+        for i, big in enumerate(double.masks):
+            union = 0
+            for k in bits(big):
+                union |= view.masks[k]
+            assert view.masks[mult.assignment[i]] == union
 
 
 def test_frame_join_algebra_unit_law():
@@ -476,15 +473,12 @@ def test_characters_match_brute_force():
 
 
 def test_character_filter_round_trip():
-    lat = diamond()
-    filters = [character_filter(h) for h in homs_to_2(lat)]
-    assert [f.members for f in filters] == list(prime_filters(lat))
-    assert all(f.home is lat for f in filters)
-
-
-def test_character_must_land_in_two():
-    with pytest.raises(UniverseMismatch):
-        character_filter(identity_hom(diamond()))
+    # the ones of each character are the members of its prime filter
+    for lat in lattice_universe(4):
+        ones = tuple(
+            mask_of(i for i, v in enumerate(h.assignment) if v) for h in homs_to_2(lat)
+        )
+        assert ones == prime_filters(lat)
 
 
 # ---------------------------------------------------------------------------
@@ -548,13 +542,14 @@ def test_ideal_masks_are_exactly_principal_masks(lat):
     st.sampled_from([l for l in lattice_universe(3) if l.n > 1]), st.data()
 )
 def test_principal_ideal_naturality(lat, data):
-    # the unit square: image of a principal ideal is the principal ideal
+    # the unit square: the image of a principal ideal is the principal ideal
     # of the image, for every hom into the two-element lattice
     hom = data.draw(st.sampled_from(homs_to_2(lat)))
-    for name in lat.elements:
-        left = ideal_image(hom, principal_ideal(lat, name))
-        right = principal_ideal(hom.target, hom.apply(name))
-        assert left == right
+    image = ideal_functor_hom(hom)
+    src, tgt = ideal_view(lat), ideal_view(hom.target)
+    for a in range(lat.n):
+        left = tgt.masks[image.assignment[src.index_of(lat.poset.down[a])]]
+        assert left == hom.target.poset.down[hom.assignment[a]]
 
 
 # ---------------------------------------------------------------------------
@@ -672,9 +667,7 @@ def test_birkhoff_distributivity_matches_triple_loop():
 
 def test_ideal_routes_match_brute_force():
     for lat in lattice_universe(4):
-        oracle = set(ideals_bruteforce(lat))
-        assert {m for m in range(1 << lat.n) if is_ideal_mask(lat, m)} == oracle
-        assert set(ideal_view(lat).masks) == oracle
+        assert set(ideal_view(lat).masks) == set(ideals_bruteforce(lat))
 
 
 def boolean8():
@@ -682,29 +675,22 @@ def boolean8():
 
 
 @pytest.mark.parametrize(
-    "make, kind, mask, message",
+    "make, mask, message",
     [
-        (diamond, Ideal, 0, "empty"),
-        (diamond, Ideal, 0b10000, "members out of range"),
-        (diamond, Ideal, 0b0010, "not down-closed at '{a}'"),
-        (boolean8, Ideal, 0b111, "not join-closed at ('{a}', '{b}')"),
-        (boolean8, Ideal, 0b10011, "not join-closed at ('{a}', '{c}')"),
-        (boolean8, Ideal, 0b10101, "not join-closed at ('{b}', '{c}')"),
-        (m3_candidate, Ideal, 0b111, "not join-closed at ('a', 'b')"),
-        (diamond, PrimeFilter, 0b1111, "contains bottom"),
-        (diamond, PrimeFilter, 0b0010, "not up-closed at '{a}'"),
-        (diamond, PrimeFilter, 0b1110, "not meet-closed at ('{a}', '{b}')"),
-        (diamond, PrimeFilter, 0b1000, "join ('{a}', '{b}') not prime"),
-        (boolean8, PrimeFilter, 0b11100000, "not meet-closed at ('{a,c}', '{b,c}')"),
-        (boolean8, PrimeFilter, 0b10000000, "join ('{a}', '{b,c}') not prime"),
-        (m3_candidate, PrimeFilter, 0b11010, "not meet-closed at ('a', 'c')"),
-        (m3_candidate, PrimeFilter, 0b10010, "join ('b', 'c') not prime"),
+        (diamond, 0, "empty"),
+        (diamond, 0b10000, "members out of range"),
+        (diamond, 0b1111, "contains bottom"),
+        (diamond, 0b0010, "not up-closed at '{a}'"),
+        (diamond, 0b1110, "not meet-closed at ('{a}', '{b}')"),
+        (diamond, 0b1000, "join ('{a}', '{b}') not prime"),
+        (boolean8, 0b11100000, "not meet-closed at ('{a,c}', '{b,c}')"),
+        (boolean8, 0b10000000, "join ('{a}', '{b,c}') not prime"),
+        (m3_candidate, 0b11010, "not meet-closed at ('a', 'c')"),
+        (m3_candidate, 0b10010, "join ('b', 'c') not prime"),
     ],
 )
-def test_violation_messages_name_the_first_failing_pair(make, kind, mask, message):
-    with pytest.raises(ValueError) as exc:
-        kind(make(), mask)
-    assert str(exc.value).endswith(f": {message}")
+def test_violation_messages_name_the_first_failing_pair(make, mask, message):
+    assert dlat._prime_filter_violation(make(), mask) == message
 
 
 def _plain_structure(lat):
@@ -818,13 +804,15 @@ def test_failed_hom_check_is_not_stored():
 
 
 def test_failed_ideal_and_prime_filter_checks_are_not_stored():
+    # M3 has no ideal lattice, and its atoms' up-sets are no prime filters
     for prefix in ("p", "q", "p"):
-        lat = relabelled(chain3(), prefix)
+        lat = DistLattice(renamed(m3_candidate(), prefix))
         stored = [len(memo.table) for memo in MEMOS]
-        with pytest.raises(InvalidValue, match=f"not down-closed at '{prefix}{{a}}'"):
-            Ideal(lat, 0b010)
-        with pytest.raises(InvalidValue, match=f"not up-closed at '{prefix}{{a}}'"):
-            PrimeFilter(lat, 0b010)
+        with pytest.raises(NotDistributive):
+            ideal_view(lat)
+        with pytest.raises(NotDistributive) as err:
+            prime_filters(lat)
+        assert err.value.witness[2] == f"join ('{prefix}b', '{prefix}c') not prime"
         assert [len(memo.table) for memo in MEMOS] == stored
 
 

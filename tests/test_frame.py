@@ -12,7 +12,6 @@ from stonekit.cli import main
 from stonekit.dlat import (
     TWO,
     DistLattice,
-    Ideal,
     LatticeHom,
     all_lattice_homs,
     compose_homs,
@@ -33,7 +32,6 @@ from stonekit.frame import (
     check_coalgebra,
     coalgebra_structures,
     comultiplication_hom,
-    comultiplication_ideal,
     comultiplication_via_functor,
     complemented_mask,
     corestrict_to_center,
@@ -46,7 +44,6 @@ from stonekit.frame import (
     is_spatial,
     is_stably_compact,
     pseudocomplement,
-    point_character,
     spatiality_hom,
     spectrum,
     spectrum_map,
@@ -395,9 +392,15 @@ def test_derived_documents_differ_only_by_relabelling(capsys, command, document)
 
 
 def test_point_characters_enumerate_homs():
-    lat = diamond()
-    chars = [point_character(lat, p) for p in spectrum(lat).points]
-    assert tuple(chars) == homs_to_2(lat)
+    # the character of point k sends a to 1 exactly when the basic open of
+    # a holds k, and these characters are the homs into 2, in point order
+    for lat in lattice_universe(4):
+        view = spectrum_view(lat)
+        characters = tuple(
+            tuple((view.sigma[a] >> k) & 1 for a in range(lat.n))
+            for k in range(len(view.space.points))
+        )
+        assert characters == tuple(h.assignment for h in homs_to_2(lat))
 
 
 def test_spatiality_on_universe_samples():
@@ -419,26 +422,30 @@ def test_spatiality_hom_sends_elements_to_basic_opens():
 def test_comultiplication_pointwise_frozen():
     d = diamond()
     view = ideal_view(d)
-    c_of_a = comultiplication_ideal(d, Ideal(d, 0b0011))
+    double = ideal_view(view.lattice)
+    c = comultiplication_hom(d)
+    c_of_a = double.masks[c.assignment[view.index_of(0b0011)]]
     # ideals whose join lands under {a}: just bottom and the principal of {a}
-    member_masks = {view.masks[k] for k in range(view.lattice.n) if (c_of_a.members >> k) & 1}
+    member_masks = {view.masks[k] for k in range(view.lattice.n) if (c_of_a >> k) & 1}
     assert member_masks == {0b0001, 0b0011}
 
 
 def test_comultiplication_reads_joins_off_the_top_bit():
     """Twin of the fast route: c(I) by its definition, the ideals whose
     join (computed with join_mask) lands in I."""
+    lattices = 0
     for lat in lattice_universe(4):
         view = ideal_view(lat)
+        double = ideal_view(view.lattice)
+        c = comultiplication_hom(lat)
         assert all(m.bit_length() - 1 == lat.join_mask(m) for m in view.masks)
-        for k in range(view.lattice.n):
-            ideal = Ideal(lat, view.masks[k])
+        for k, ideal in enumerate(view.masks):
             definitional = mask_of(
-                j
-                for j, m in enumerate(view.masks)
-                if (ideal.members >> lat.join_mask(m)) & 1
+                j for j, m in enumerate(view.masks) if (ideal >> lat.join_mask(m)) & 1
             )
-            assert comultiplication_ideal(lat, ideal).members == definitional
+            assert double.masks[c.assignment[k]] == definitional
+        lattices += 1
+    assert lattices == 243
 
 
 def test_comultiplication_routes_agree():

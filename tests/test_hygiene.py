@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports at top level is used in it,
 every top-level function and class of the package and every non-dunder
-method of its classes is used somewhere, the package states no check as
+method of its classes is used somewhere, those that only the tests use are
+the listed TEST_ONLY ones, the package states no check as
 an `assert`, `clear_caches` empties every cache the package fills (the
 component memos of the natural transformations too), no cache wraps a
 function without arguments, and
@@ -275,6 +276,41 @@ def test_every_package_definition_is_used():
     package = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     others = [p.read_text(encoding="utf-8") for p in TESTS + DEMOS]
     assert unreferenced_definitions(package, others) == []
+
+
+# the definitions that no demo, README tour step or code of the package
+# uses, so only the tests reach them, each with the reason it stays; a new
+# one is either listed here on purpose, used, or deleted
+TEST_ONLY = {
+    "catengine.require_laws": "public API: stop at the first failed law check",
+    "catengine.is_closure_initial": "acceptance-criterion helper: closure-initial maps",
+    "dlat.is_distributive": "public API: the verdict of distributivity_witness",
+    "dlat.LatticeHom.apply": "public API: a hom applied to an element name",
+    "dlat.lattice_isomorphic": "public API: the verdict of lattice_isomorphism",
+    "dlat.join_irreducibles": "public API: the Birkhoff dual poset of a lattice",
+    "dlat.homs_to_2": "twin: the characters read off prime_filters",
+    "dlat.homs_to_2_bruteforce": "twin: the characters by the hom equations",
+    "frame.WayBelowRelation.holds": "public API: way-below on element names",
+    "frame.coalgebra_structures": "acceptance-criterion helper: every coalgebra",
+    "frame.is_proper_hom": "public API: properness as a coalgebra-morphism square",
+    "memo.clear_caches": "public API: empty every cache and memo",
+    "order.FinPoset.leq": "public API: the order on element names",
+    "order.chain": "public API: the total order on a list of names",
+    "order.antichain": "public API: the discrete order on a list of names",
+    "order.poset_isomorphic": "public API: the verdict of poset_isomorphism",
+    "spaces.disjoint_union": "public API: the coproduct of two spaces",
+    "spaces.subspace": "public API: the induced topology with its inclusion",
+    "spaces.ContinuousMap.apply": "public API: a map applied to a point name",
+    "spaces.interior_of": "public API: the dual of closure_of",
+    "topspace.filter_algebra_structures": "acceptance-criterion helper: every F-algebra",
+    "universes.all_topology_families_bruteforce": "twin: the topologies by their axioms",
+}
+
+
+def test_only_the_listed_definitions_are_reached_by_the_tests_alone():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    users = [p.read_text(encoding="utf-8") for p in DEMOS] + [readme_tour()]
+    assert sorted(unreferenced_definitions(package, users)) == sorted(TEST_ONLY)
 
 
 def cache_sizes(modules) -> dict:

@@ -10,13 +10,10 @@ from stonekit.bitsets import bits, mask_of
 from stonekit.errors import CycleError
 from stonekit.order import (
     FinPoset,
-    MonotoneMap,
     antichain,
     chain,
-    compose_monotone,
     covers,
     cycle_pair,
-    identity_monotone,
     is_transitive,
     make_poset,
     order_closure,
@@ -232,25 +229,6 @@ def test_restrict_induced_order():
     q = p.restrict(0b101)  # x and z
     assert q.elements == ("x", "z")
     assert q.leq("x", "z")
-
-
-def test_monotone_map_validation():
-    two = chain(["0", "1"])
-    with pytest.raises(ValueError):
-        MonotoneMap(two, two, (1, 0))
-    f = MonotoneMap(two, two, (0, 0))
-    assert f.apply("1") == "0"
-
-
-def test_monotone_composition():
-    p = chain(["x", "y"])
-    q = chain(["0", "1", "2"])
-    f = MonotoneMap(p, q, (0, 2))
-    g = MonotoneMap(q, p, (0, 0, 1))
-    assert compose_monotone(g, f).assignment == (0, 1)
-    assert compose_monotone(f, identity_monotone(p)) == f
-    # the composite skips validation; the validating constructor agrees
-    assert compose_monotone(g, f) == MonotoneMap(p, p, (0, 1))
 
 
 def test_isomorphism_found_for_relabeled_poset():
