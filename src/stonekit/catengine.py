@@ -35,7 +35,6 @@ from typing import Callable, Optional, Tuple
 from . import memo
 from .errors import CounitNotIso, HypothesisFailed
 from .order import Value
-from .spaces import ContinuousMap, closure_of, preimage_mask
 
 
 class Universe(Value):
@@ -174,6 +173,19 @@ def make_comonad(name, functor, counit_at, comult_at) -> ComonadInstance:
     return ComonadInstance(name, functor, counit, comult)
 
 
+def opposite_monad(c: ComonadInstance, op: Universe, name: str) -> MonadInstance:
+    """The comonad c read as a monad on op, the opposite of its universe:
+    the counit is the unit and the comultiplication the multiplication.
+    Its algebras are the coalgebras of c (Mac Lane, VI.2)."""
+    G = c.functor
+    return make_monad(
+        name,
+        FunctorInstance(G.name, op, op, G.on_object, G.on_morphism),
+        c.counit.component,
+        c.comult.component,
+    )
+
+
 # ---------------------------------------------------------------------------
 # law checks
 
@@ -280,14 +292,8 @@ def check_comonad_laws(c: ComonadInstance, objects) -> Tuple[LawCheck, ...]:
     """The monad laws on the opposite universe, with the counit as unit and
     the comultiplication as multiplication: counit after comult, mapped
     counit after comult and coassociativity, in that order."""
-    G = c.functor
-    op = opposite(G.source, f"{G.source.name} reversed")
-    t = make_monad(
-        c.name,
-        FunctorInstance(G.name, op, op, G.on_object, G.on_morphism),
-        c.counit.component,
-        c.comult.component,
-    )
+    u = c.functor.source
+    t = opposite_monad(c, opposite(u, f"{u.name} reversed"), c.name)
     names = ("counit after comult", "mapped counit after comult", "coassociativity")
     return tuple(
         LawCheck(f"{c.name}: {name}", law.ok, law.witness)
@@ -548,26 +554,3 @@ def lift_composite_iso(
             N.on_morphism(adj.counit.component(T.on_object(L.on_object(x))))
         ),
     )
-
-
-# ---------------------------------------------------------------------------
-# closure-initial maps
-
-
-def closure_initiality_witness(f: ContinuousMap) -> Optional[int]:
-    """A set whose closure is not pulled back from the codomain, if any.
-
-    A map is closure-initial when closing upstream agrees with closing the
-    image downstream and pulling back.
-    """
-    for a in range(1 << f.source.n):
-        induced = preimage_mask(
-            f.assignment, closure_of(f.target, f.image_mask(a))
-        )
-        if closure_of(f.source, a) != induced:
-            return a
-    return None
-
-
-def is_closure_initial(f: ContinuousMap) -> bool:
-    return closure_initiality_witness(f) is None

@@ -200,7 +200,7 @@ def _space_dot(name: str, x: FinSpace) -> str:
     for point in x.points:
         lines.append(f"  {_quote(point)};")
     # two-way edges join equivalent points, arrows the covers; in (i, j) order
-    edges = [(i, j, "") for i, j in covers(down)]
+    edges = [(i, j, "") for i, j in covers(down, up)]
     for i in range(x.n):
         edges += [(i, j, " [dir=both]") for j in bits(up[i] & down[i]) if i < j]
     for i, j, style in sorted(edges):

@@ -4,22 +4,23 @@ Covers the way-below relation (read off the order, since on a finite
 lattice the two coincide; twin: way_below_bruteforce, over every subset),
 stable compactness, pseudocomplements and regularity, the Boolean center
 as the regular coreflection, the prime spectrum, and the ideal comonad
-with its coalgebras. Finite degeneracies (way-below collapsing to the
-order, every ideal being principal) are theorems the degeneracy suite and
-the tests prove by running the definitional routes over their pools.
+with its canonical coalgebra. Finite degeneracies (way-below collapsing
+to the order, every ideal being principal) are theorems the degeneracy
+suite and the tests prove by running the definitional routes over their
+pools.
 
 Ideals and prime filters are masks here as in dlat: the points of the
 spectrum are the checked masks of dlat.prime_filters, and
 comultiplication_hom maps the ideal masks of dlat.ideal_view, so neither
-checks a mask again. The opens of a space of filters and the point
-assignment of spectrum_map are computed once per distinct name-free input
-(memo.name_free): filter masks for the one, the shapes of both lattices
-and the hom's assignment for the other. The names of each call's own
-lattices and spaces are attached afterwards.
+checks a mask again. SpectrumView is the one record of a space of
+filters, the spectrum's and F X's. The opens of a space of filters and
+the point assignment of spectrum_map are computed once per distinct
+name-free input (memo.name_free): filter masks for the one, the shapes of
+both lattices and the hom's assignment for the other. The names of each
+call's own lattices and spaces are attached afterwards.
 """
 
 from functools import cached_property
-from itertools import product
 from typing import Dict, Optional, Sequence, Tuple
 
 from .bitsets import bits, index_in, mask_of
@@ -28,15 +29,13 @@ from .dlat import (
     DistLattice,
     LatticeHom,
     check_subset_budget,
-    compose_homs,
-    hom_violation,
     ideal_functor_hom,
     ideal_view,
     inclusion_view,
     prime_filters,
     principal_embedding,
 )
-from .errors import BudgetExceeded, NotDistributive
+from .errors import NotDistributive
 from .memo import cached, name_free
 from .order import Value, _unvalidated
 from .spaces import ContinuousMap, FinSpace, open_frame_view
@@ -285,10 +284,11 @@ def _filter_opens(
 
 
 class SpectrumView(Value):
-    """Prime spectrum of a lattice.
+    """A space of prime filters: the prime spectrum of a lattice, or F X.
 
     Point k of the space is the k-th prime filter (ascending member mask);
-    sigma[a] is the point-set of the basic open for element a.
+    sigma[a] is the point-set of the basic open for carrier element a (for
+    F X, the star of the a-th open of X).
     """
 
     space: FinSpace
@@ -405,67 +405,11 @@ def counit_hom(lat: DistLattice) -> LatticeHom:
     return LatticeHom(view.lattice, lat, tuple(lat.join_mask(m) for m in view.masks))
 
 
-class CoalgebraCandidate(Value):
-    """A would-be coalgebra structure for the ideal comonad."""
-
-    carrier: DistLattice
-    structure: LatticeHom  # carrier -> ideal lattice of carrier
-
-
-def gamma_coalgebra(lat: DistLattice) -> CoalgebraCandidate:
-    """Canonical structure: an element goes to the ideal way below it."""
+def gamma_coalgebra(lat: DistLattice) -> LatticeHom:
+    """Canonical coalgebra structure of the ideal comonad: an element goes
+    to the ideal way below it. The coalgebra laws are checked as the
+    algebra laws of the locale ideal monad (instances)."""
     wb = way_below(lat)
     view = ideal_view(lat)
     assignment = tuple(view.index_of(wb.below[a]) for a in range(lat.n))
-    return CoalgebraCandidate(lat, LatticeHom(lat, view.lattice, assignment))
-
-
-class CoalgebraReport(Value):
-    counit_law: bool
-    comultiplication_law: bool
-    witness: Optional[str]
-
-    @property
-    def ok(self) -> bool:
-        return self.counit_law and self.comultiplication_law
-
-
-def check_coalgebra(cand: CoalgebraCandidate) -> CoalgebraReport:
-    lat = cand.carrier
-    k = cand.structure
-    counit_ok = compose_homs(counit_hom(lat), k).assignment == tuple(range(lat.n))
-    lhs = compose_homs(comultiplication_hom(lat), k)
-    rhs = compose_homs(ideal_functor_hom(k), k)
-    comult_ok = lhs == rhs
-    witness = None
-    if not counit_ok:
-        witness = "counit law"
-    elif not comult_ok:
-        witness = "comultiplication law"
-    return CoalgebraReport(counit_ok, comult_ok, witness)
-
-
-def coalgebra_structures(lat: DistLattice, limit: int = 2_000_000) -> Tuple[LatticeHom, ...]:
-    """Every coalgebra structure found by exhausting all maps to the
-    ideal lattice (assignments filtered through hom and law checks)."""
-    view = ideal_view(lat)
-    total = view.lattice.n ** lat.n
-    if total > limit:
-        raise BudgetExceeded(f"{total} candidate maps exceed the limit {limit}")
-    out = []
-    for assignment in product(range(view.lattice.n), repeat=lat.n):
-        if hom_violation(lat, view.lattice, assignment) is not None:
-            continue
-        cand = CoalgebraCandidate(lat, LatticeHom(lat, view.lattice, assignment))
-        if check_coalgebra(cand).ok:
-            out.append(cand.structure)
-    return tuple(out)
-
-
-def is_proper_hom(hom: LatticeHom) -> bool:
-    """Properness as the coalgebra-morphism square for the gamma structures."""
-    src_gamma = gamma_coalgebra(hom.source).structure
-    tgt_gamma = gamma_coalgebra(hom.target).structure
-    return compose_homs(ideal_functor_hom(hom), src_gamma) == compose_homs(
-        tgt_gamma, hom
-    )
+    return LatticeHom(lat, view.lattice, assignment)

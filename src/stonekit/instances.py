@@ -20,6 +20,7 @@ is the registry the command line runs and `run_suite` builds the pools.
 """
 
 import random
+from itertools import product
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .catengine import (
@@ -47,12 +48,14 @@ from .catengine import (
     make_comonad,
     make_monad,
     opposite,
+    opposite_monad,
 )
 from .dlat import (
     DistLattice,
     LatticeHom,
     all_lattice_homs,
     compose_homs,
+    hom_violation,
     ideal_functor_hom,
     ideal_lattice,
     ideals_bruteforce,
@@ -68,7 +71,6 @@ from .frame import (
     WAY_BELOW_MAX_ELEMENTS,
     center_lattice,
     center_view,
-    check_coalgebra,
     comultiplication_hom,
     comultiplication_via_functor,
     corestrict_to_center,
@@ -218,14 +220,10 @@ IDEAL_COMONAD_ON_FRAMES = make_comonad(
     "ideal comonad", IDEAL_FUNCTOR_ON_FRAMES, counit_hom, comultiplication_hom
 )
 
-IDEAL_FUNCTOR_ON_LOCALES = FunctorInstance(
-    "ideals", LOCALE_UNIVERSE, LOCALE_UNIVERSE, ideal_lattice, ideal_functor_hom
-)
-
 # the comonad read backwards: unit is the join map, multiplication the
-# comultiplication
-IDEAL_MONAD_ON_LOCALES = make_monad(
-    "locale ideal monad", IDEAL_FUNCTOR_ON_LOCALES, counit_hom, comultiplication_hom
+# comultiplication; its algebras are the coalgebras of the comonad
+IDEAL_MONAD_ON_LOCALES = opposite_monad(
+    IDEAL_COMONAD_ON_FRAMES, LOCALE_UNIVERSE, "locale ideal monad"
 )
 
 IDENTITY_MONAD_ON_LOCALES = make_monad(
@@ -352,7 +350,7 @@ def _center_ideal_mult(lat: DistLattice) -> LatticeHom:
 # multiplication
 CENTER_IDEAL_MONAD_ON_LOCALES = make_monad(
     "complemented ideal monad",
-    compose_functors(CENTER_FUNCTOR_ON_LOCALES, IDEAL_FUNCTOR_ON_LOCALES),
+    compose_functors(CENTER_FUNCTOR_ON_LOCALES, IDEAL_MONAD_ON_LOCALES.functor),
     _center_ideal_unit,
     _center_ideal_mult,
 )
@@ -365,7 +363,9 @@ COMPACT_REFLECTION_MONAD = lift_monad(
 
 # collapse of lift(center) after lift(ideals) onto the lifted composite
 COMPACTIFICATION_COLLAPSE = lift_composite_iso(
-    OPEN_SPECTRUM_ADJUNCTION, CENTER_FUNCTOR_ON_LOCALES, IDEAL_FUNCTOR_ON_LOCALES
+    OPEN_SPECTRUM_ADJUNCTION,
+    CENTER_FUNCTOR_ON_LOCALES,
+    IDEAL_MONAD_ON_LOCALES.functor,
 )
 
 
@@ -447,11 +447,58 @@ def _numbered(kind: str, items) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# algebra round trips through the comparison functors
+# algebras and coalgebras, and their round trips through the comparison
+# functors. A coalgebra of the ideal comonad is an algebra of the locale
+# ideal monad, so check_algebra checks both kinds.
 
 
 def _holds(checks) -> bool:
     return all(c.ok for c in checks)
+
+
+def coalgebra_structures(
+    lat: DistLattice, limit: int = 2_000_000
+) -> Tuple[LatticeHom, ...]:
+    """Every coalgebra structure on `lat`, found by exhausting all maps to
+    the ideal lattice: each assignment that is a hom is checked as an
+    algebra of the locale ideal monad."""
+    ideals = ideal_lattice(lat)
+    total = ideals.n ** lat.n
+    if total > limit:
+        raise BudgetExceeded(f"{total} candidate maps exceed the limit {limit}")
+    out = []
+    for assignment in product(range(ideals.n), repeat=lat.n):
+        if hom_violation(lat, ideals, assignment) is not None:
+            continue
+        gamma = LatticeHom(lat, ideals, assignment)
+        if _holds(check_algebra(AlgebraInstance(IDEAL_MONAD_ON_LOCALES, lat, gamma))):
+            out.append(gamma)
+    return tuple(out)
+
+
+def is_proper_hom(hom: LatticeHom) -> bool:
+    """Properness: `hom`, read as a locale morphism from its target to its
+    source, is a morphism between their gamma coalgebras."""
+    t = IDEAL_MONAD_ON_LOCALES
+    src, tgt = hom.source, hom.target
+    return check_algebra_morphism(
+        AlgebraInstance(t, tgt, gamma_coalgebra(tgt)),
+        AlgebraInstance(t, src, gamma_coalgebra(src)),
+        hom,
+    )
+
+
+def filter_algebra_structures(
+    x: FinSpace, limit: int = 500_000
+) -> Tuple[ContinuousMap, ...]:
+    """Every algebra structure of the filter monad on `x`, by exhausting
+    the continuous maps F X -> X."""
+    t = FILTER_MONAD_ON_SPACES
+    return tuple(
+        alpha
+        for alpha in all_continuous_maps(t.functor.on_object(x), x, limit)
+        if _holds(check_algebra(AlgebraInstance(t, x, alpha)))
+    )
 
 
 def locale_round_trip(lat: DistLattice) -> bool:
@@ -461,7 +508,7 @@ def locale_round_trip(lat: DistLattice) -> bool:
     adj = OPEN_SPECTRUM_ADJUNCTION
     t = IDEAL_MONAD_ON_LOCALES
     m = LIFTED_IDEAL_MONAD
-    t_alg = AlgebraInstance(t, lat, gamma_coalgebra(lat).structure)
+    t_alg = AlgebraInstance(t, lat, gamma_coalgebra(lat))
     m_alg = comparison_algebra(adj, t, m, t_alg)
     back = inverse_comparison(adj, t, m_alg)
     eps = adj.counit.component(lat)
@@ -578,8 +625,14 @@ def _suite_comonad_k(spaces, lats, maps, homs) -> Iterator[Row]:
             yield iid, f"comonad-k.{law_name}", check.ok, check.witness
         two_routes = comultiplication_hom(lat) == comultiplication_via_functor(lat)
         yield iid, "comonad-k.comult-two-routes", two_routes, None
-        report = check_coalgebra(gamma_coalgebra(lat))
-        yield iid, "comonad-k.downset-coalgebra", report.ok, report.witness
+        # the coalgebra laws as algebra laws on locales, each witnessed by
+        # the name the comonad gives it
+        unit, assoc = check_algebra(
+            AlgebraInstance(IDEAL_MONAD_ON_LOCALES, lat, gamma_coalgebra(lat))
+        )
+        witness = None if assoc.ok else "comultiplication law"
+        witness = witness if unit.ok else "counit law"
+        yield iid, "comonad-k.downset-coalgebra", unit.ok and assoc.ok, witness
     yield from _naturality_rows(
         "comonad-k",
         ((k.counit, "counit-naturality"), (k.comult, "comult-naturality")),

@@ -116,7 +116,8 @@ class FinPoset(Value):
 
     def cover_pairs(self) -> Tuple[Tuple[str, str], ...]:
         return tuple(
-            (self.elements[i], self.elements[j]) for i, j in covers(self.down)
+            (self.elements[i], self.elements[j])
+            for i, j in covers(self.down, self.up_masks)
         )
 
     def restrict(self, mask: int) -> "FinPoset":
@@ -160,11 +161,13 @@ def transpose(masks: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def covers(down: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
-    """The covering pairs (i, j) of a preorder given by down-masks, by j and
+def covers(
+    down: Sequence[int], up: Sequence[int]
+) -> Tuple[Tuple[int, int], ...]:
+    """The covering pairs (i, j) of a preorder given by its down-masks and
+    up-masks (transpose(down), which every caller already holds), by j and
     then i: i is strictly below j, and nothing strictly below j (`below`)
     is strictly above i, one mask test per comparable pair."""
-    up = transpose(down)
     out = []
     for j, d in enumerate(down):
         below = d & ~up[j]

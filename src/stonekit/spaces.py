@@ -248,6 +248,25 @@ def clopen_masks(x: FinSpace) -> Tuple[int, ...]:
     return tuple(o for o in x.opens if (x.full & ~o) in have)
 
 
+def closure_initiality_witness(f: ContinuousMap) -> Optional[int]:
+    """A set whose closure is not pulled back from the codomain, if any.
+
+    A map is closure-initial when closing upstream agrees with closing the
+    image downstream and pulling back.
+    """
+    for a in range(1 << f.source.n):
+        induced = preimage_mask(
+            f.assignment, closure_of(f.target, f.image_mask(a))
+        )
+        if closure_of(f.source, a) != induced:
+            return a
+    return None
+
+
+def is_closure_initial(f: ContinuousMap) -> bool:
+    return closure_initiality_witness(f) is None
+
+
 # ---------------------------------------------------------------------------
 # the open-set frame
 

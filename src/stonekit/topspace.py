@@ -10,62 +10,36 @@ compactification square. All of that is checked by the tests, not assumed.
 
 A filter of opens is a mask over x.opens. The points of F X are the prime
 filters of the open frame (dlat.prime_filters), checked there once and
-converted here without a second check; a mask that is none of them, a
-neighborhood filter included, is an invariant violation at index_of.
+converted here without a second check. F X is held in the record of every
+space of filters, frame.SpectrumView; a mask that is none of its points,
+a neighborhood filter included, is an invariant violation at index_of.
+The algebras of the monad are checked by catengine.check_algebra
+(instances).
 """
 
-from functools import cached_property
-from itertools import product
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from .bitsets import bits, format_subset, index_in, mask_of
+from .bitsets import bits, format_subset, mask_of
 from .dlat import LatticeHom, ideal_view, prime_filters
-from .errors import (
-    BudgetExceeded,
-    InvariantViolated,
-    NoCanonicalAlgebra,
-)
-from .frame import center_view, filter_space_of, spectrum_view
+from .errors import InvariantViolated, NoCanonicalAlgebra
+from .frame import SpectrumView, center_view, filter_space_of, spectrum_view
 from .memo import cached
 from .order import Value
 from .spaces import (
     ContinuousMap,
     FinSpace,
     clopen_masks,
-    compose_maps,
-    continuity_violation,
     homeomorphic,
-    identity_map,
     is_homeomorphism,
     open_frame_view,
     preimage_mask,
 )
 
 
-class FilterSpaceView(Value):
-    """F X with its bookkeeping.
-
-    filters[k] is the k-th prime filter as a mask over the opens of X;
-    star[i] is the point-set of opens[i]* in the filter space;
-    star_open_pos[i] locates opens[i]* inside space.opens.
-    """
-
-    space: FinSpace
-    filters: Tuple[int, ...]
-    star: Tuple[int, ...]
-    star_open_pos: Tuple[int, ...]
-
-    @cached_property
-    def point_of(self) -> Dict[int, int]:
-        """The point of each prime filter, keyed by its member mask."""
-        return {m: k for k, m in enumerate(self.filters)}
-
-    def index_of(self, members: int) -> int:
-        return index_in(self.point_of, members, "an open prime filter")
-
-
 @cached
-def filter_space_view(x: FinSpace) -> FilterSpaceView:
+def filter_space_view(x: FinSpace) -> SpectrumView:
+    """F X: the prime filters of the open frame as masks over x.opens, and
+    sigma[i] the star opens[i]* of each open."""
     frame = open_frame_view(x)
     pos = {o: i for i, o in enumerate(x.opens)}
     filters = tuple(
@@ -74,9 +48,8 @@ def filter_space_view(x: FinSpace) -> FilterSpaceView:
             for members in prime_filters(frame.lattice)
         )
     )
-    space, star = filter_space_of(tuple(x.set_name(o) for o in x.opens), filters)
-    star_open_pos = tuple(space.opens.index(s) for s in star)
-    return FilterSpaceView(space, filters, star, star_open_pos)
+    space, sigma = filter_space_of(tuple(x.set_name(o) for o in x.opens), filters)
+    return SpectrumView(space, filters, sigma)
 
 
 def filter_space(x: FinSpace) -> FinSpace:
@@ -119,13 +92,11 @@ def mult_map(x: FinSpace) -> ContinuousMap:
     """mu: FF X -> F X keeps the opens whose stars belong to the big filter."""
     fx = filter_space_view(x)
     ffx = filter_space_view(fx.space)
+    # the position of each open of F X, to find the stars among them
+    pos = {o: i for i, o in enumerate(fx.space.opens)}
     assignment = []
     for big in ffx.filters:
-        dropped = mask_of(
-            i
-            for i in range(len(x.opens))
-            if (big >> fx.star_open_pos[i]) & 1
-        )
+        dropped = mask_of(i for i, s in enumerate(fx.sigma) if (big >> pos[s]) & 1)
         assignment.append(fx.index_of(dropped))
     return ContinuousMap(ffx.space, fx.space, tuple(assignment))
 
@@ -147,49 +118,6 @@ def canonical_algebra(x: FinSpace) -> ContinuousMap:
         raise InvariantViolated("unit of a finite space must be onto")
     assignment = tuple(seen[k] for k in range(fx.n))
     return ContinuousMap(fx, x, assignment)
-
-
-class AlgebraReport(Value):
-    unit_law: bool
-    assoc_law: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.unit_law and self.assoc_law
-
-
-def check_filter_algebra(alpha: ContinuousMap) -> AlgebraReport:
-    """Unit and associativity squares for a candidate structure map."""
-    x = alpha.target
-    unit_ok = compose_maps(alpha, unit_map(x)) == identity_map(x)
-    assoc_ok = compose_maps(alpha, filter_map(alpha)) == compose_maps(
-        alpha, mult_map(x)
-    )
-    return AlgebraReport(unit_ok, assoc_ok)
-
-
-def filter_algebra_structures(
-    x: FinSpace, limit: int = 500_000
-) -> Tuple[ContinuousMap, ...]:
-    """All algebra structure maps, by exhausting every map F X -> X."""
-    fx = filter_space(x)
-    total = max(x.n, 1) ** fx.n
-    if total > limit:
-        raise BudgetExceeded(f"{total} candidate maps exceed the limit {limit}")
-    out = []
-    if x.n == 0:
-        if fx.n == 0:
-            alpha = ContinuousMap(fx, x, ())
-            if check_filter_algebra(alpha).ok:
-                out.append(alpha)
-        return tuple(out)
-    for assignment in product(range(x.n), repeat=fx.n):
-        if continuity_violation(fx, x, assignment) is not None:
-            continue
-        alpha = ContinuousMap(fx, x, assignment)
-        if check_filter_algebra(alpha).ok:
-            out.append(alpha)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +230,7 @@ def open_frame_of_filters_iso(x: FinSpace) -> LatticeHom:
         members = mask_of(
             p
             for p in range(frame_x.lattice.n)
-            if fx.star[pos[frame_x.masks[p]]] & ~w == 0
+            if fx.sigma[pos[frame_x.masks[p]]] & ~w == 0
         )
         assignment.append(ideals.index_of(members))
     return LatticeHom(frame_fx.lattice, ideals.lattice, tuple(assignment))

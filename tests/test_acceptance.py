@@ -11,21 +11,18 @@ from pathlib import Path
 import pytest
 
 from stonekit.catengine import (
+    AlgebraInstance,
     check_algebra,
     check_comonad_laws,
     check_lift_law,
     check_monad_laws,
     check_monad_morphism,
     check_naturality,
-    closure_initiality_witness,
-    is_closure_initial,
 )
 from stonekit.dlat import ideals_bruteforce, principal_masks
 from stonekit.documents import load_lattice
 from stonekit.errors import NoCanonicalAlgebra, NotDistributive
 from stonekit.frame import (
-    check_coalgebra,
-    coalgebra_structures,
     gamma_coalgebra,
     is_spatial,
     way_below_bruteforce,
@@ -41,6 +38,8 @@ from stonekit.instances import (
     SOBRIFICATION_MONAD,
     SOBRIFICATION_TO_FILTERS,
     SPACE_UNIVERSE,
+    coalgebra_structures,
+    filter_algebra_structures,
     locale_round_trip,
     space_morphisms,
     space_round_trip,
@@ -48,15 +47,16 @@ from stonekit.instances import (
 from stonekit.frame import comultiplication_hom, comultiplication_via_functor
 from stonekit.spaces import (
     ContinuousMap,
+    closure_initiality_witness,
     compose_maps,
     discrete_space,
     indiscrete_space,
+    is_closure_initial,
     is_t0,
 )
 from stonekit.topspace import (
     canonical_algebra,
     compactification_square,
-    filter_algebra_structures,
     filter_map,
     filter_space,
     mult_map,
@@ -165,11 +165,12 @@ def test_criterion_06_downset_coalgebra_laws_and_uniqueness():
     with _Budget("criterion 6: downset coalgebra unique on small lattices", 60):
         lats = lattice_universe(4)
         for lat in lats:
-            assert check_coalgebra(gamma_coalgebra(lat)).ok
+            alg = AlgebraInstance(IDEAL_MONAD_ON_LOCALES, lat, gamma_coalgebra(lat))
+            assert all(c.ok for c in check_algebra(alg))
         small = [lat for lat in lats if lat.n <= 6]
         assert len(small) == 83
         for lat in small:
-            assert coalgebra_structures(lat) == (gamma_coalgebra(lat).structure,)
+            assert coalgebra_structures(lat) == (gamma_coalgebra(lat),)
 
 
 def test_criterion_07_lifting_suite():

@@ -15,27 +15,29 @@ from stonekit.catengine import (
     check_monad_laws,
     check_monad_morphism,
     check_naturality,
-    closure_initiality_witness,
     comparison_algebra,
     compose_functors,
     identity_functor,
     inverse_comparison,
-    is_closure_initial,
     lift_composite_iso,
     lift_monad,
     lift_monad_morphism,
     make_monad,
+    opposite,
+    opposite_monad,
     require_laws,
     NatTransInstance,
 )
 from stonekit.errors import CounitNotIso, HypothesisFailed
 from stonekit.spaces import (
     ContinuousMap,
+    closure_initiality_witness,
     closure_of,
     discrete_space,
     disjoint_union,
     identity_map,
     indiscrete_space,
+    is_closure_initial,
     sierpinski,
     subspace,
 )
@@ -132,6 +134,23 @@ def test_flipped_tagging_is_rejected():
         ("flipped tagging: mapped counit after comult", False, "1"),
         ("flipped tagging: coassociativity", False, "1"),
     ]
+
+
+def test_coalgebras_are_algebras_of_the_opposite_monad():
+    k = tagging_comonad()
+    u = k.functor.source
+    t = opposite_monad(k, opposite(u, "finite sets reversed"), "tagging reversed")
+    assert (t.unit.component(3), t.mult.component(3)) == (
+        k.counit.component(3),
+        k.comult.component(3),
+    )
+    # a structure map 3 -> 6 sends x to (tag, x), at index tag * 3 + x
+    by_parity = (3, 6, (0, 4, 2))
+    assert all(c.ok for c in check_algebra(AlgebraInstance(t, 3, by_parity)))
+    # x to (0, x + 1): the counit does not give x back
+    shifted = (3, 6, (1, 2, 0))
+    unit, _ = check_algebra(AlgebraInstance(t, 3, shifted))
+    assert not unit.ok
 
 
 def test_collapsing_transformation_is_rejected():

@@ -527,6 +527,27 @@ def test_hom_budget_guard():
         all_lattice_homs(diamond(), diamond(), limit=1)
 
 
+def test_all_lattice_homs_match_every_assignment_hom_violation_accepts():
+    # the route through join-irreducible images against the hom equations
+    # on every assignment, for each pair of small enough universe lattices
+    lats = lattice_universe(3)
+    pairs = homs = 0
+    for src in lats:
+        for tgt in lats:
+            if tgt.n ** src.n > 20_000:
+                continue
+            expected = [
+                f
+                for f in product(range(tgt.n), repeat=src.n)
+                if hom_violation(src, tgt, f) is None
+            ]
+            found = [h.assignment for h in all_lattice_homs(src, tgt)]
+            assert found == expected, (src, tgt)
+            pairs += 1
+            homs += len(found)
+    assert (pairs, homs) == (508, 3960)
+
+
 def test_hom_violation_reports_bounds():
     two = TWO
     assert hom_violation(two, two, (1, 1)) is not None
@@ -840,7 +861,7 @@ def test_failed_distributivity_check_is_not_stored():
 
 def fresh_prime_filter_masks(lat):
     """The up-sets of the elements with exactly one lower cover, sorted."""
-    covers = order.covers(lat.poset.down)
+    covers = order.covers(lat.poset.down, lat.poset.up_masks)
     irreducible = [j for j in range(lat.n) if sum(1 for _, k in covers if k == j) == 1]
     return sorted(lat.poset.up_masks[j] for j in irreducible)
 

@@ -25,12 +25,9 @@ from stonekit.dlat import (
 from stonekit.documents import loads
 from stonekit.errors import BudgetExceeded, InvariantViolated
 from stonekit.frame import (
-    CoalgebraCandidate,
     center_lattice,
     CenterView,
     center_view,
-    check_coalgebra,
-    coalgebra_structures,
     comultiplication_hom,
     comultiplication_via_functor,
     complemented_mask,
@@ -39,7 +36,6 @@ from stonekit.frame import (
     gamma_coalgebra,
     is_boolean,
     is_compact,
-    is_proper_hom,
     is_regular,
     is_spatial,
     is_stably_compact,
@@ -54,7 +50,14 @@ from stonekit.frame import (
     way_below_bruteforce,
     well_inside_masks,
 )
-from stonekit.instances import frame_morphisms, run_suite
+from stonekit.catengine import AlgebraInstance, check_algebra
+from stonekit.instances import (
+    IDEAL_MONAD_ON_LOCALES,
+    coalgebra_structures,
+    frame_morphisms,
+    is_proper_hom,
+    run_suite,
+)
 from stonekit.order import _unvalidated, antichain, chain, make_poset, order_closure
 from stonekit.spaces import (
     discrete_space,
@@ -464,32 +467,33 @@ def test_counit_after_comultiplication_is_identity():
 
 def test_gamma_equals_principal_embedding_at_finite_scale():
     for lat in (TWO, chain3(), diamond(), six()):
-        assert gamma_coalgebra(lat).structure == principal_embedding(lat)
+        assert gamma_coalgebra(lat) == principal_embedding(lat)
 
 
 def test_gamma_is_a_coalgebra():
     for lat in lattice_universe(3):
-        report = check_coalgebra(gamma_coalgebra(lat))
-        assert report.ok, report.witness
+        alg = AlgebraInstance(IDEAL_MONAD_ON_LOCALES, lat, gamma_coalgebra(lat))
+        for check in check_algebra(alg):
+            assert check.ok, str(check)
 
 
 def test_broken_coalgebra_reported():
     c = chain3()
     view = ideal_view(c)
-    gamma = gamma_coalgebra(c).structure
+    gamma = gamma_coalgebra(c)
     squash = list(gamma.assignment)
     squash[c.index("{a}")] = gamma.assignment[c.bot]  # middle level to bottom ideal
-    report = check_coalgebra(
-        CoalgebraCandidate(c, LatticeHom(c, view.lattice, tuple(squash)))
-    )
-    assert not report.counit_law
-    assert report.witness == "counit law"
+    structure = LatticeHom(c, view.lattice, tuple(squash))
+    # the counit law of the coalgebra is the unit law of the locale algebra
+    unit, _ = check_algebra(AlgebraInstance(IDEAL_MONAD_ON_LOCALES, c, structure))
+    assert not unit.ok
+    assert unit.name.endswith(": unit")
 
 
 def test_gamma_unique_by_exhaustive_search():
     for lat in (TWO, chain3(), diamond()):
         found = coalgebra_structures(lat)
-        assert found == (gamma_coalgebra(lat).structure,)
+        assert found == (gamma_coalgebra(lat),)
 
 
 def test_coalgebra_search_budget():

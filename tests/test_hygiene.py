@@ -97,6 +97,32 @@ def test_imported_modules_are_reported():
     assert imported_modules(source) == {"os", "a"}
 
 
+def sibling_modules(source: str) -> set:
+    """The sibling modules that a relative import anywhere in the source
+    names: `from .a import b` names a, `from . import c` names c."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                out.add(node.module)
+            else:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_sibling_modules_are_reported():
+    source = "from .a import b\nfrom . import c, d\ndef f():\n    from .e import g\nimport os\n"
+    assert sibling_modules(source) == {"a", "c", "d", "e"}
+
+
+def test_catengine_imports_only_memo_errors_and_order():
+    # the category engine is generic: it needs the component memos, the
+    # error types and the record base, and no module of lattices or spaces
+    source = (ROOT / "src" / "stonekit" / "catengine.py").read_text(encoding="utf-8")
+    assert sibling_modules(source) == {"memo", "errors", "order"}
+    assert "stonekit" not in imported_modules(source)
+
+
 def private_sibling_imports(source: str) -> list:
     """`module.name` for each `_`-prefixed name that a relative import
     anywhere in the source takes from a sibling module."""
@@ -283,16 +309,16 @@ def test_every_package_definition_is_used():
 # one is either listed here on purpose, used, or deleted
 TEST_ONLY = {
     "catengine.require_laws": "public API: stop at the first failed law check",
-    "catengine.is_closure_initial": "acceptance-criterion helper: closure-initial maps",
     "dlat.is_distributive": "public API: the verdict of distributivity_witness",
     "dlat.LatticeHom.apply": "public API: a hom applied to an element name",
     "dlat.lattice_isomorphic": "public API: the verdict of lattice_isomorphism",
     "dlat.join_irreducibles": "public API: the Birkhoff dual poset of a lattice",
     "dlat.homs_to_2": "twin: the characters read off prime_filters",
     "dlat.homs_to_2_bruteforce": "twin: the characters by the hom equations",
+    "instances.coalgebra_structures": "acceptance-criterion helper: every coalgebra",
+    "instances.is_proper_hom": "public API: properness as a coalgebra-morphism square",
+    "instances.filter_algebra_structures": "acceptance-criterion helper: every F-algebra",
     "frame.WayBelowRelation.holds": "public API: way-below on element names",
-    "frame.coalgebra_structures": "acceptance-criterion helper: every coalgebra",
-    "frame.is_proper_hom": "public API: properness as a coalgebra-morphism square",
     "memo.clear_caches": "public API: empty every cache and memo",
     "order.FinPoset.leq": "public API: the order on element names",
     "order.chain": "public API: the total order on a list of names",
@@ -302,7 +328,7 @@ TEST_ONLY = {
     "spaces.subspace": "public API: the induced topology with its inclusion",
     "spaces.ContinuousMap.apply": "public API: a map applied to a point name",
     "spaces.interior_of": "public API: the dual of closure_of",
-    "topspace.filter_algebra_structures": "acceptance-criterion helper: every F-algebra",
+    "spaces.is_closure_initial": "acceptance-criterion helper: closure-initial maps",
     "universes.all_topology_families_bruteforce": "twin: the topologies by their axioms",
 }
 

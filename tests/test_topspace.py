@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stonekit import topspace
+from stonekit.catengine import AlgebraInstance, check_algebra
 from stonekit.errors import InvariantViolated, NoCanonicalAlgebra
 from stonekit.frame import spectrum_map, spectrum_view
+from stonekit.instances import FILTER_MONAD_ON_SPACES, filter_algebra_structures
 from stonekit.spaces import (
     ContinuousMap,
     compose_maps,
@@ -21,9 +23,7 @@ from stonekit.spaces import (
 )
 from stonekit.topspace import (
     canonical_algebra,
-    check_filter_algebra,
     compactification_square,
-    filter_algebra_structures,
     filter_map,
     filter_space,
     filter_space_view,
@@ -76,12 +76,14 @@ def test_indiscrete_points_share_their_filter():
 
 
 def test_filter_validation_messages():
-    # a mask over the opens that is no prime filter is no point of F X: one
-    # holding the empty set, one not up-closed, and the empty one
+    # a mask over the opens that is no prime filter of the open frame is no
+    # point of F X: one holding the empty set, one not up-closed, and the
+    # empty one
     view = filter_space_view(sierpinski())
     for members in (0b111, 0b010, 0):
         with pytest.raises(
-            InvariantViolated, match=f"mask {members:#b} is not an open prime filter"
+            InvariantViolated,
+            match=f"mask {members:#b} is not a prime filter of the lattice",
         ):
             view.index_of(members)
 
@@ -133,9 +135,10 @@ def test_functoriality_of_filter_map():
 
 
 def test_canonical_algebra_on_sierpinski():
-    alpha = canonical_algebra(sierpinski())
-    report = check_filter_algebra(alpha)
-    assert report.ok
+    s = sierpinski()
+    alg = AlgebraInstance(FILTER_MONAD_ON_SPACES, s, canonical_algebra(s))
+    for check in check_algebra(alg):
+        assert check.ok, str(check)
 
 
 def test_no_algebra_on_indiscrete_pair():
@@ -322,7 +325,9 @@ def test_a_prime_filter_missing_from_a_spectrum_is_an_invariant_violation(
 def test_a_mask_that_is_no_open_prime_filter_is_an_invariant_violation():
     view = filter_space_view(sierpinski())
     assert [view.index_of(m) for m in view.filters] == list(range(len(view.filters)))
-    with pytest.raises(InvariantViolated, match="mask 0b0 is not an open prime filter"):
+    with pytest.raises(
+        InvariantViolated, match="mask 0b0 is not a prime filter of the lattice"
+    ):
         view.index_of(0)
 
 
