@@ -29,10 +29,12 @@ def format_subset(names: Sequence[str], mask: int) -> str:
     return "{" + ",".join(names[i] for i in bits(mask)) + "}"
 
 
-def index_in(positions: Dict[int, int], mask: int, what: str) -> int:
+def index_in(positions: Dict[int, int], mask: int, what: str, names=None) -> int:
     """positions[mask], for a mask that a construction relies on finding;
-    InvariantViolated names the mask and what it should have been."""
+    InvariantViolated names the mask, by its members' `names` when given,
+    and what it should have been."""
     index = positions.get(mask)
     if index is None:
-        raise InvariantViolated(f"mask {mask:#b} is not {what}")
+        shown = f"mask {mask:#b}" if names is None else format_subset(names, mask)
+        raise InvariantViolated(f"{shown} is not {what}")
     return index

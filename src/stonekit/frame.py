@@ -21,7 +21,7 @@ call's own lattices and spaces are attached afterwards.
 """
 
 from functools import cached_property
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from .bitsets import bits, index_in, mask_of
 from .dlat import (
@@ -260,18 +260,6 @@ def corestrict_to_center(hom: LatticeHom) -> Optional[LatticeHom]:
 # spectrum
 
 
-def filter_space_of(
-    carrier: Sequence[str], filters: Sequence[int]
-) -> Tuple[FinSpace, Tuple[int, ...]]:
-    """Filters on `carrier` (member masks) as the points of a space, each
-    named up(j) after its generator j, its lowest member in carrier order;
-    topologized by the basic opens: sigma[a] is the point-set of the filters
-    that contain carrier element a."""
-    names = tuple(f"up({carrier[(m & -m).bit_length() - 1]})" for m in filters)
-    opens, sigma = _filter_opens(len(carrier), tuple(filters))
-    return FinSpace(names, opens), sigma
-
-
 @name_free(lambda *args: args)
 def _filter_opens(
     n: int, filters: Tuple[int, ...]
@@ -286,14 +274,16 @@ def _filter_opens(
 class SpectrumView(Value):
     """A space of prime filters: the prime spectrum of a lattice, or F X.
 
-    Point k of the space is the k-th prime filter (ascending member mask);
-    sigma[a] is the point-set of the basic open for carrier element a (for
-    F X, the star of the a-th open of X).
+    Point k of the space is the k-th prime filter (ascending member mask)
+    on the carrier: the elements of the lattice, or the opens of X named
+    as sets. sigma[a] is the point-set of the basic open for carrier
+    element a (for F X, the star of the a-th open of X).
     """
 
     space: FinSpace
     filters: Tuple[int, ...]
     sigma: Tuple[int, ...]
+    carrier: Tuple[str, ...]
 
     @cached_property
     def point_of(self) -> Dict[int, int]:
@@ -301,14 +291,22 @@ class SpectrumView(Value):
         return {m: k for k, m in enumerate(self.filters)}
 
     def index_of(self, members: int) -> int:
-        return index_in(self.point_of, members, "a prime filter of the lattice")
+        return index_in(self.point_of, members, "a prime filter", self.carrier)
+
+
+def filter_space_of(carrier: Tuple[str, ...], filters: Tuple[int, ...]) -> SpectrumView:
+    """Filters on `carrier` (member masks) as the points of a space, each
+    named up(j) after its generator j, its lowest member in carrier order;
+    topologized by the basic opens: sigma[a] is the point-set of the filters
+    that contain carrier element a."""
+    names = tuple(f"up({carrier[(m & -m).bit_length() - 1]})" for m in filters)
+    opens, sigma = _filter_opens(len(carrier), filters)
+    return SpectrumView(FinSpace(names, opens), filters, sigma, carrier)
 
 
 @cached
 def spectrum_view(lat: DistLattice) -> SpectrumView:
-    filters = prime_filters(lat)
-    space, sigma = filter_space_of(lat.elements, filters)
-    return SpectrumView(space, filters, sigma)
+    return filter_space_of(lat.elements, prime_filters(lat))
 
 
 def spectrum(lat: DistLattice) -> FinSpace:
@@ -341,12 +339,13 @@ def _spectrum_assignment(
     preimages = [0] * h.target.n
     for a, v in enumerate(h.assignment):
         preimages[v] |= 1 << a
+    names = h.source.elements
     assignment = []
     for fm in filters:
         pulled = 0
         for v in bits(fm):
             pulled |= preimages[v]
-        assignment.append(index_in(point_of, pulled, "a prime filter of the lattice"))
+        assignment.append(index_in(point_of, pulled, "a prime filter", names))
     return tuple(assignment)
 
 

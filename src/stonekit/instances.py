@@ -14,9 +14,13 @@ monad on spaces; and the pairing homeomorphism identifies the lifted
 monad with the open-prime-filter monad exactly. Composing with the
 Boolean-center monad lifts the compact reflection the same way.
 
-The law suites at the bottom rerun these claims by enumeration over pools
-of spaces, lattices and maps, one row per checked instance; `LAW_SUITES`
-is the registry the command line runs and `run_suite` builds the pools.
+The law table at the bottom, `LAWS`, reruns these claims by enumeration.
+Each `Law` names its law ids, the pool it runs over (each space, lattice,
+continuous map or lattice map, or a whole pool at once) and a check that
+gives one (ok, witness) pair per id on one instance. `LAW_SUITES` groups
+the laws by the prefix of their ids into the suites the command line
+runs, and `run_suite` builds the pools, labels every instance and yields
+one row per law and instance, law by law.
 """
 
 import random
@@ -86,7 +90,7 @@ from .frame import (
     way_below_bruteforce,
 )
 from .memo import cached
-from .order import preorder_closure, up_sets
+from .order import Value, preorder_closure, up_sets
 from .spaces import (
     ContinuousMap,
     FinSpace,
@@ -133,22 +137,19 @@ def _lattice_label(lat) -> str:
     return repr(lat)
 
 
+def _inverse(f, arrow):
+    """The arrow back along the bijective assignment of `f`."""
+    back = sorted(range(len(f.assignment)), key=f.assignment.__getitem__)
+    return arrow(f.target, f.source, tuple(back))
+
+
 def _invert_map(f: ContinuousMap):
-    if not is_homeomorphism(f):
-        return None
-    back = [0] * f.target.n
-    for i, k in enumerate(f.assignment):
-        back[k] = i
-    return ContinuousMap(f.target, f.source, tuple(back))
+    return _inverse(f, ContinuousMap) if is_homeomorphism(f) else None
 
 
 def _invert_hom(h: LatticeHom):
-    if sorted(h.assignment) != list(range(h.target.n)):
-        return None
-    back = [0] * h.target.n
-    for i, k in enumerate(h.assignment):
-        back[k] = i
-    return LatticeHom(h.target, h.source, tuple(back))
+    bijective = sorted(h.assignment) == list(range(h.target.n))
+    return _inverse(h, LatticeHom) if bijective else None
 
 
 # the universes are built once: the category engine composes functors only
@@ -184,22 +185,14 @@ LOCALE_UNIVERSE = opposite(FRAME_UNIVERSE, "finite locales")
 def frame_morphisms(max_poset: int = 2) -> Tuple[LatticeHom, ...]:
     """Every lattice map between universe lattices of the given size."""
     lats = lattice_universe(max_poset)
-    out = []
-    for a in lats:
-        for b in lats:
-            out.extend(all_lattice_homs(a, b))
-    return tuple(out)
+    return tuple(h for a in lats for b in lats for h in all_lattice_homs(a, b))
 
 
 @cached
 def space_morphisms(max_points: int = 2) -> Tuple[ContinuousMap, ...]:
     """Every continuous map between spaces of the given size."""
     spaces = all_spaces_upto(max_points)
-    out = []
-    for x in spaces:
-        for y in spaces:
-            out.extend(all_continuous_maps(x, y))
-    return tuple(out)
+    return tuple(f for x in spaces for y in spaces for f in all_continuous_maps(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +363,7 @@ COMPACTIFICATION_COLLAPSE = lift_composite_iso(
 
 
 # ---------------------------------------------------------------------------
-# pools: every space and lattice up to a size bound, ids naming each instance
+# pools: every space and lattice up to a size bound
 
 MAX_LATTICE = 16
 DEFAULT_SEED = 271828
@@ -424,26 +417,6 @@ def _lattice_pool(max_lattice: int, force: bool) -> Tuple[DistLattice, ...]:
         )
     bound = 4 if max_lattice <= MAX_LATTICE else 5
     return tuple(l for l in lattice_universe(bound) if l.n <= max_lattice)
-
-
-def _space_ids(spaces) -> List[str]:
-    total = len(spaces)
-    return [
-        f"space {i + 1}/{total} ({x.n} points, {len(x.opens)} opens)"
-        for i, x in enumerate(spaces)
-    ]
-
-
-def _lattice_ids(lats) -> List[str]:
-    total = len(lats)
-    return [
-        f"lattice {i + 1}/{total} ({l.n} elements)" for i, l in enumerate(lats)
-    ]
-
-
-def _numbered(kind: str, items) -> List[str]:
-    total = len(items)
-    return [f"{kind} {i + 1}/{total}" for i in range(total)]
 
 
 # ---------------------------------------------------------------------------
@@ -545,269 +518,279 @@ def space_round_trip(x: FinSpace) -> Optional[AlgebraInstance]:
 
 
 # ---------------------------------------------------------------------------
-# law suites: each yields one row (instance id, law id, ok, witness) per
-# checked instance
+# the law table. A law checks the instances of one pool: "space",
+# "lattice", "map" and "hom" give each member of that pool, "spaces",
+# "maps" and "homs" the whole pool as one instance. A check finds what it
+# calls among this module's globals when it runs, not when the table is
+# built, so a test that rebinds one of those names reaches its rows.
 
 
-def _identity_row(iid, law_id, functor: FunctorInstance, obj) -> Row:
-    identity, _ = check_functor_laws(functor, [obj], ())
-    return iid, law_id, identity.ok, identity.witness
+class Law(Value):
+    """Law ids decided together: check(instance) gives one (ok, witness)
+    pair per id, or none to skip the instance. Ids share a law only where
+    one catengine call decides them all."""
+
+    ids: Tuple[str, ...]
+    pool: str
+    check: Callable
+
+    @property
+    def suite(self) -> str:
+        return self.ids[0].partition(".")[0]
 
 
-def _monad_rows(prefix, monad, objects, ids) -> Iterator[Row]:
-    for iid, x in zip(ids, objects):
-        yield _identity_row(iid, f"{prefix}.functor-identity", monad.functor, x)
-        laws = check_monad_laws(monad, [x])
-        for law_name, check in zip(
-            ("left-unit", "right-unit", "associativity"), laws
-        ):
-            yield iid, f"{prefix}.{law_name}", check.ok, check.witness
+def _checked(ids, pool: str, checks: Callable) -> Law:
+    """A law that catengine decides: checks(instance) gives one LawCheck
+    per id, whose witness the row keeps."""
+    return Law(ids, pool, lambda item: [(c.ok, c.witness) for c in checks(item)])
 
 
-def _naturality_rows(prefix, pairs, morphisms, ids) -> Iterator[Row]:
-    for iid, f in zip(ids, morphisms):
-        for nt, law_name in pairs:
-            check = check_naturality(nt, [f])
-            yield iid, f"{prefix}.{law_name}", check.ok, check.witness
+def _verdicts(pool: str, predicates: Dict[str, Callable]) -> Tuple[Law, ...]:
+    """One law per id, without witness: predicates[id](instance) is its
+    verdict."""
+
+    def law(law_id, predicate):
+        return Law((law_id,), pool, lambda item: [(predicate(item), None)])
+
+    return tuple(law(law_id, predicate) for law_id, predicate in predicates.items())
 
 
-def _composition_row(prefix, functor, morphisms) -> Row:
-    _, comp = check_functor_laws(functor, (), morphisms)
-    return (
-        "all composable pairs",
-        f"{prefix}.functor-composition",
-        comp.ok,
-        comp.witness,
-    )
+def _natural(law_id: str, arrows: str, nt: Callable) -> Law:
+    """Naturality of nt() on each arrow."""
+    return _checked((law_id,), arrows, lambda f: [check_naturality(nt(), [f])])
 
 
-def _full_monad_rows(prefix, monad, objects, ids, morphisms, morphism_ids):
-    """Functor and monad laws per object, naturality of unit and
-    multiplication per morphism, functor composition over the morphisms."""
-    yield from _monad_rows(prefix, monad, objects, ids)
-    yield from _naturality_rows(
-        prefix,
-        ((monad.unit, "unit-naturality"), (monad.mult, "mult-naturality")),
-        morphisms,
-        morphism_ids,
-    )
-    yield _composition_row(prefix, monad.functor, morphisms)
-
-
-def _suite_monad_f(spaces, lats, maps, homs) -> Iterator[Row]:
-    ids, map_ids = _space_ids(spaces), _numbered("map", maps)
-    yield from _full_monad_rows(
-        "monad-f", FILTER_MONAD_ON_SPACES, spaces, ids, maps, map_ids
-    )
-    for iid, x in zip(ids, spaces):
-        # the canonical algebra exists exactly when the unit is injective
-        has_algebra = len(set(unit_map(x).assignment)) == x.n
-        yield iid, "monad-f.algebra-iff-t0", has_algebra == is_t0(x), None
-
-
-def _suite_monad_i(spaces, lats, maps, homs) -> Iterator[Row]:
-    ids, hom_ids = _lattice_ids(lats), _numbered("hom", homs)
-    yield from _full_monad_rows(
-        "monad-i", IDEAL_MONAD_ON_FRAMES, lats, ids, homs, hom_ids
-    )
-    yield from _full_monad_rows(
-        "monad-i.locale", IDEAL_MONAD_ON_LOCALES, lats, ids, homs, hom_ids
-    )
-
-
-def _suite_comonad_k(spaces, lats, maps, homs) -> Iterator[Row]:
-    k = IDEAL_COMONAD_ON_FRAMES
-    for iid, lat in zip(_lattice_ids(lats), lats):
-        laws = check_comonad_laws(k, [lat])
-        for law_name, check in zip(
-            ("left-counit", "right-counit", "coassociativity"), laws
-        ):
-            yield iid, f"comonad-k.{law_name}", check.ok, check.witness
-        two_routes = comultiplication_hom(lat) == comultiplication_via_functor(lat)
-        yield iid, "comonad-k.comult-two-routes", two_routes, None
-        # the coalgebra laws as algebra laws on locales, each witnessed by
-        # the name the comonad gives it
-        unit, assoc = check_algebra(
-            AlgebraInstance(IDEAL_MONAD_ON_LOCALES, lat, gamma_coalgebra(lat))
+def _functor_laws(prefix: str, functor: Callable, objects: str, arrows=None):
+    """Identity on each object of functor() and, given an arrow pool,
+    composition over the whole of it."""
+    laws = [
+        _checked(
+            (f"{prefix}.functor-identity",),
+            objects,
+            lambda x: check_functor_laws(functor(), [x], ())[:1],
         )
-        witness = None if assoc.ok else "comultiplication law"
-        witness = witness if unit.ok else "counit law"
-        yield iid, "comonad-k.downset-coalgebra", unit.ok and assoc.ok, witness
-    yield from _naturality_rows(
-        "comonad-k",
-        ((k.counit, "counit-naturality"), (k.comult, "comult-naturality")),
-        homs,
-        _numbered("hom", homs),
-    )
-
-
-def _suite_adjunction_os(spaces, lats, maps, homs) -> Iterator[Row]:
-    adj = OPEN_SPECTRUM_ADJUNCTION
-    space_ids, map_ids = _space_ids(spaces), _numbered("map", maps)
-    for iid, x in zip(space_ids, spaces):
-        triangle, _ = check_adjunction(adj, [x], [])
-        yield iid, "adjunction-os.triangle-open", triangle.ok, triangle.witness
-        unit_iso = _invert_map(adj.unit.component(x)) is not None
-        yield iid, "adjunction-os.unit-iso-iff-t0", unit_iso == is_t0(x), None
-        yield _identity_row(iid, "adjunction-os.open.functor-identity", adj.left, x)
-    for iid, lat in zip(_lattice_ids(lats), lats):
-        _, triangle = check_adjunction(adj, [], [lat])
-        yield iid, "adjunction-os.triangle-spectrum", triangle.ok, triangle.witness
-        yield iid, "adjunction-os.counit-iso", is_spatial(lat), None
-        yield _identity_row(
-            iid, "adjunction-os.spectrum.functor-identity", adj.right, lat
+    ]
+    if arrows:
+        laws.append(
+            _checked(
+                (f"{prefix}.functor-composition",),
+                f"{arrows}s",
+                lambda fs: check_functor_laws(functor(), (), fs)[1:],
+            )
         )
-    sigma = SOBRIFICATION_TO_FILTERS
-    yield from _naturality_rows(
-        "adjunction-os",
-        ((adj.unit, "unit-naturality"), (sigma, "sigma-naturality")),
-        maps,
-        map_ids,
-    )
-    yield from _naturality_rows(
-        "adjunction-os",
-        ((adj.counit, "counit-naturality"),),
-        homs,
-        _numbered("hom", homs),
-    )
-    yield _composition_row("adjunction-os.open", adj.left, maps)
-    yield _composition_row("adjunction-os.spectrum", adj.right, homs)
-    yield from _monad_rows(
-        "adjunction-os.sobrification", SOBRIFICATION_MONAD, spaces, space_ids
-    )
+    return laws
 
 
-def _suite_lifting(spaces, lats, maps, homs) -> Iterator[Row]:
-    adj = OPEN_SPECTRUM_ADJUNCTION
-    t = IDEAL_MONAD_ON_LOCALES
-    m = LIFTED_IDEAL_MONAD
+def _monad_laws(prefix: str, monad: Callable, objects: str, arrows=None, compose=True):
+    """The functor identity and the three monad laws of monad() on each
+    object; given an arrow pool, naturality of its unit and multiplication
+    on each arrow and, unless told not to, composition over the pool."""
+    laws = _functor_laws(prefix, lambda: monad().functor, objects, compose and arrows)
+    laws.append(
+        _checked(
+            (f"{prefix}.left-unit", f"{prefix}.right-unit", f"{prefix}.associativity"),
+            objects,
+            lambda x: check_monad_laws(monad(), [x]),
+        )
+    )
+    if arrows:
+        laws.append(_natural(f"{prefix}.unit-naturality", arrows, lambda: monad().unit))
+        laws.append(_natural(f"{prefix}.mult-naturality", arrows, lambda: monad().mult))
+    return laws
+
+
+def _downset_coalgebra(lat: DistLattice):
+    # the coalgebra laws as algebra laws on locales, each witnessed by the
+    # name the comonad gives it
+    unit, assoc = check_algebra(
+        AlgebraInstance(IDEAL_MONAD_ON_LOCALES, lat, gamma_coalgebra(lat))
+    )
+    witness = None if assoc.ok else "comultiplication law"
+    return [(unit.ok and assoc.ok, witness if unit.ok else "counit law")]
+
+
+def _sobrification_agrees(x: FinSpace) -> bool:
+    sober, unit = sobrification(x)
     h = SOBRIFICATION_MONAD
-    space_ids = _space_ids(spaces)
-    yield from _monad_rows("lifting", m, spaces, space_ids)
-    for iid, x in zip(space_ids, spaces):
-        sober, unit = sobrification(x)
-        agrees = h.functor.on_object(x) == sober and h.unit.component(x) == unit
-        yield iid, "lifting.sobrification-agrees", agrees, None
-        if is_t0(x):
-            ok = space_round_trip(x) is not None
-            yield iid, "lifting.comparison-round-trip", ok, None
-    for iid, lat in zip(_lattice_ids(lats), lats):
-        unit_sq, mult_sq = check_lift_law(adj, t, m, [lat])
-        yield iid, "lifting.law-unit-square", unit_sq.ok, unit_sq.witness
-        yield iid, "lifting.law-mult-square", mult_sq.ok, mult_sq.witness
-        yield iid, "lifting.inverse-round-trip", locale_round_trip(lat), None
-    sigma = SOBRIFICATION_TO_FILTERS
-    for law_name, check in zip(
-        ("morphism-unit", "morphism-mult"), check_monad_morphism(sigma, h, m, spaces)
-    ):
-        yield "all pool spaces", f"lifting.{law_name}", check.ok, check.witness
-    yield from _naturality_rows(
-        "lifting",
-        ((m.unit, "unit-naturality"), (m.mult, "mult-naturality")),
-        maps,
-        _numbered("map", maps),
-    )
+    return h.functor.on_object(x) == sober and h.unit.component(x) == unit
 
 
-def _suite_pairing(spaces, lats, maps, homs) -> Iterator[Row]:
+def _mult_transported(x: FinSpace) -> bool:
+    m, p = LIFTED_IDEAL_MONAD, pairing_map(x)
+    doubled = compose_maps(m.functor.on_morphism(p), pairing_map(filter_space(x)))
+    return compose_maps(m.mult.component(x), doubled) == compose_maps(p, mult_map(x))
+
+
+def _pairing_natural(f: ContinuousMap) -> bool:
+    lhs = compose_maps(pairing_map(f.target), filter_map(f))
+    rhs = compose_maps(LIFTED_IDEAL_MONAD.functor.on_morphism(f), pairing_map(f.source))
+    return lhs == rhs
+
+
+def _unit_factors(x: FinSpace) -> bool:
     m = LIFTED_IDEAL_MONAD
-    for iid, x in zip(_space_ids(spaces), spaces):
-        p = pairing_map(x)
-        yield iid, "pairing.homeomorphism", is_homeomorphism(p), None
-        unit_ok = compose_maps(p, unit_map(x)) == m.unit.component(x)
-        yield iid, "pairing.unit-transport", unit_ok, None
-        doubled = compose_maps(
-            m.functor.on_morphism(p), pairing_map(filter_space(x))
-        )
-        mult_ok = compose_maps(m.mult.component(x), doubled) == compose_maps(
-            p, mult_map(x)
-        )
-        yield iid, "pairing.mult-transport", mult_ok, None
-        frame_iso = _invert_hom(open_frame_of_filters_iso(x)) is not None
-        yield iid, "pairing.open-frame-iso", frame_iso, None
-    for iid, f in zip(_numbered("map", maps), maps):
-        lhs = compose_maps(pairing_map(f.target), filter_map(f))
-        rhs = compose_maps(m.functor.on_morphism(f), pairing_map(f.source))
-        yield iid, "pairing.naturality", lhs == rhs, None
+    inner = LIFTED_CENTER_MONAD.unit.component(m.functor.on_object(x))
+    route = compose_maps(inner, m.unit.component(x))
+    route = compose_maps(COMPACTIFICATION_COLLAPSE.component(x), route)
+    return route == COMPACT_REFLECTION_MONAD.unit.component(x)
 
 
-def _suite_cechstone(spaces, lats, maps, homs) -> Iterator[Row]:
-    beta = COMPACT_REFLECTION_MONAD
-    m = LIFTED_IDEAL_MONAD
-    collapse = COMPACTIFICATION_COLLAPSE
-    space_ids = _space_ids(spaces)
-    yield from _monad_rows("cechstone", beta, spaces, space_ids)
-    for iid, x in zip(space_ids, spaces):
-        report = compactification_square(x)
-        yield iid, "cechstone.square-iso", report.ok, None
-        matches = homeomorphic(
-            beta.functor.on_object(x), hausdorff_reflection(filter_space(x))[0]
-        )
-        yield iid, "cechstone.matches-clopen-quotient", matches, None
-        collapse_iso = _invert_map(collapse.component(x)) is not None
-        yield iid, "cechstone.collapse-iso", collapse_iso, None
-        route = compose_maps(
-            collapse.component(x),
-            compose_maps(
-                LIFTED_CENTER_MONAD.unit.component(m.functor.on_object(x)),
-                m.unit.component(x),
-            ),
-        )
-        yield iid, "cechstone.unit-factors", route == beta.unit.component(x), None
-    yield from _naturality_rows(
-        "cechstone",
+LAWS: Tuple[Law, ...] = (
+    *_monad_laws("monad-f", lambda: FILTER_MONAD_ON_SPACES, "space", "map"),
+    *_monad_laws("monad-i", lambda: IDEAL_MONAD_ON_FRAMES, "lattice", "hom"),
+    *_monad_laws("monad-i.locale", lambda: IDEAL_MONAD_ON_LOCALES, "lattice", "hom"),
+    _checked(
         (
-            (beta.unit, "unit-naturality"),
-            (beta.mult, "mult-naturality"),
-            (collapse, "collapse-naturality"),
+            "comonad-k.left-counit",
+            "comonad-k.right-counit",
+            "comonad-k.coassociativity",
         ),
-        maps,
-        _numbered("map", maps),
-    )
-    lattice_ids, hom_ids = _lattice_ids(lats), _numbered("hom", homs)
-    for prefix, monad in (
-        ("cechstone.center", CENTER_MONAD_ON_LOCALES),
-        ("cechstone.center-ideal", CENTER_IDEAL_MONAD_ON_LOCALES),
-    ):
-        yield from _full_monad_rows(prefix, monad, lats, lattice_ids, homs, hom_ids)
+        "lattice",
+        lambda lat: check_comonad_laws(IDEAL_COMONAD_ON_FRAMES, [lat]),
+    ),
+    Law(("comonad-k.downset-coalgebra",), "lattice", _downset_coalgebra),
+    _natural(
+        "comonad-k.counit-naturality", "hom", lambda: IDEAL_COMONAD_ON_FRAMES.counit
+    ),
+    _natural(
+        "comonad-k.comult-naturality", "hom", lambda: IDEAL_COMONAD_ON_FRAMES.comult
+    ),
+    _checked(
+        ("adjunction-os.triangle-open",),
+        "space",
+        lambda x: check_adjunction(OPEN_SPECTRUM_ADJUNCTION, [x], [])[:1],
+    ),
+    _checked(
+        ("adjunction-os.triangle-spectrum",),
+        "lattice",
+        lambda lat: check_adjunction(OPEN_SPECTRUM_ADJUNCTION, [], [lat])[1:],
+    ),
+    *_functor_laws(
+        "adjunction-os.open", lambda: OPEN_SPECTRUM_ADJUNCTION.left, "space", "map"
+    ),
+    *_functor_laws(
+        "adjunction-os.spectrum",
+        lambda: OPEN_SPECTRUM_ADJUNCTION.right,
+        "lattice",
+        "hom",
+    ),
+    _natural(
+        "adjunction-os.unit-naturality", "map", lambda: OPEN_SPECTRUM_ADJUNCTION.unit
+    ),
+    _natural("adjunction-os.sigma-naturality", "map", lambda: SOBRIFICATION_TO_FILTERS),
+    _natural(
+        "adjunction-os.counit-naturality",
+        "hom",
+        lambda: OPEN_SPECTRUM_ADJUNCTION.counit,
+    ),
+    *_monad_laws("adjunction-os.sobrification", lambda: SOBRIFICATION_MONAD, "space"),
+    *_monad_laws("lifting", lambda: LIFTED_IDEAL_MONAD, "space", "map", compose=False),
+    _checked(
+        ("lifting.law-unit-square", "lifting.law-mult-square"),
+        "lattice",
+        lambda lat: check_lift_law(
+            OPEN_SPECTRUM_ADJUNCTION, IDEAL_MONAD_ON_LOCALES, LIFTED_IDEAL_MONAD, [lat]
+        ),
+    ),
+    _checked(
+        ("lifting.morphism-unit", "lifting.morphism-mult"),
+        "spaces",
+        lambda spaces: check_monad_morphism(
+            SOBRIFICATION_TO_FILTERS, SOBRIFICATION_MONAD, LIFTED_IDEAL_MONAD, spaces
+        ),
+    ),
+    # the comparison functors carry the canonical algebras of T0 spaces
+    Law(
+        ("lifting.comparison-round-trip",),
+        "space",
+        lambda x: [(space_round_trip(x) is not None, None)] if is_t0(x) else [],
+    ),
+    *_monad_laws(
+        "cechstone", lambda: COMPACT_REFLECTION_MONAD, "space", "map", compose=False
+    ),
+    _natural("cechstone.collapse-naturality", "map", lambda: COMPACTIFICATION_COLLAPSE),
+    *_monad_laws("cechstone.center", lambda: CENTER_MONAD_ON_LOCALES, "lattice", "hom"),
+    *_monad_laws(
+        "cechstone.center-ideal",
+        lambda: CENTER_IDEAL_MONAD_ON_LOCALES,
+        "lattice",
+        "hom",
+    ),
+    *_verdicts(
+        "space",
+        {
+            # the canonical algebra exists exactly when the unit is injective
+            "monad-f.algebra-iff-t0": lambda x: is_t0(x)
+            == (len(set(unit_map(x).assignment)) == x.n),
+            "adjunction-os.unit-iso-iff-t0": lambda x: is_t0(x)
+            == (_invert_map(OPEN_SPECTRUM_ADJUNCTION.unit.component(x)) is not None),
+            "lifting.sobrification-agrees": _sobrification_agrees,
+            "pairing.homeomorphism": lambda x: is_homeomorphism(pairing_map(x)),
+            "pairing.unit-transport": lambda x: LIFTED_IDEAL_MONAD.unit.component(x)
+            == compose_maps(pairing_map(x), unit_map(x)),
+            "pairing.mult-transport": _mult_transported,
+            "pairing.open-frame-iso": lambda x: _invert_hom(
+                open_frame_of_filters_iso(x)
+            )
+            is not None,
+            "cechstone.square-iso": lambda x: compactification_square(x).ok,
+            "cechstone.matches-clopen-quotient": lambda x: homeomorphic(
+                COMPACT_REFLECTION_MONAD.functor.on_object(x),
+                hausdorff_reflection(filter_space(x))[0],
+            ),
+            "cechstone.collapse-iso": lambda x: _invert_map(
+                COMPACTIFICATION_COLLAPSE.component(x)
+            )
+            is not None,
+            "cechstone.unit-factors": _unit_factors,
+            "ultrafilter.principal-points": lambda x: ultrafilter_space(x) == x,
+            "ultrafilter.filters-recovered": lambda x: ultrafilter_comparison(x),
+            "degeneracy.sober-iff-t0": lambda x: is_sober(x) == is_t0(x),
+        },
+    ),
+    *_verdicts(
+        "lattice",
+        {
+            "comonad-k.comult-two-routes": lambda lat: comultiplication_hom(lat)
+            == comultiplication_via_functor(lat),
+            "adjunction-os.counit-iso": lambda lat: is_spatial(lat),
+            "lifting.inverse-round-trip": lambda lat: locale_round_trip(lat),
+            # finite-scale collapses, each against an independent route;
+            # is_stably_compact reads way-below off the order, and the first
+            # of them shows the definitional relation is that order
+            "degeneracy.way-below-is-order": lambda lat: way_below_bruteforce(lat).below
+            == lat.poset.down,
+            "degeneracy.regular-iff-boolean": lambda lat: is_regular(lat)
+            == is_boolean(lat),
+            "degeneracy.ideals-principal": lambda lat: ideals_bruteforce(lat)
+            == principal_masks(lat),
+            "degeneracy.prime-filter-routes": lambda lat: prime_filters(lat)
+            == prime_filters_bruteforce(lat),
+            "degeneracy.stably-compact": lambda lat: is_stably_compact(lat),
+        },
+    ),
+    *_verdicts("map", {"pairing.naturality": _pairing_natural}),
+)
 
-
-def _suite_ultrafilter(spaces, lats, maps, homs) -> Iterator[Row]:
-    for iid, x in zip(_space_ids(spaces), spaces):
-        ux = ultrafilter_space(x)
-        yield iid, "ultrafilter.principal-points", ux == x, None
-        yield iid, "ultrafilter.filters-recovered", ultrafilter_comparison(x), None
-
-
-def _suite_degeneracy(spaces, lats, maps, homs) -> Iterator[Row]:
-    """Finite-scale collapses, each against an independent route."""
-    for iid, lat in zip(_lattice_ids(lats), lats):
-        below = way_below_bruteforce(lat).below == lat.poset.down
-        yield iid, "degeneracy.way-below-is-order", below, None
-        regular = is_regular(lat) == is_boolean(lat)
-        yield iid, "degeneracy.regular-iff-boolean", regular, None
-        principal = ideals_bruteforce(lat) == principal_masks(lat)
-        yield iid, "degeneracy.ideals-principal", principal, None
-        routes = prime_filters(lat) == prime_filters_bruteforce(lat)
-        yield iid, "degeneracy.prime-filter-routes", routes, None
-        # is_stably_compact reads way-below off the order; the first row
-        # shows the definitional relation is that order on this lattice
-        yield iid, "degeneracy.stably-compact", is_stably_compact(lat), None
-    for iid, x in zip(_space_ids(spaces), spaces):
-        yield iid, "degeneracy.sober-iff-t0", is_sober(x) == is_t0(x), None
-
-
-LAW_SUITES: Dict[str, Callable[..., Iterator[Row]]] = {
-    "monad-f": _suite_monad_f,
-    "monad-i": _suite_monad_i,
-    "comonad-k": _suite_comonad_k,
-    "adjunction-os": _suite_adjunction_os,
-    "lifting": _suite_lifting,
-    "pairing": _suite_pairing,
-    "cechstone": _suite_cechstone,
-    "ultrafilter": _suite_ultrafilter,
-    "degeneracy": _suite_degeneracy,
+# the suites the command line runs: the laws by the prefix of their ids
+LAW_SUITES: Dict[str, Tuple[Law, ...]] = {
+    suite: tuple(law for law in LAWS if law.suite == suite)
+    for suite in dict.fromkeys(law.suite for law in LAWS)
 }
+
+
+def _labelled(kind: str, items, detail=lambda item: "") -> List[Tuple[str, object]]:
+    total = len(items)
+    return [(f"{kind} {i}/{total}{detail(x)}", x) for i, x in enumerate(items, 1)]
+
+
+def _rows(laws, pools) -> Iterator[Row]:
+    for law in laws:
+        for iid, item in pools[law.pool]:
+            pairs = law.check(item)
+            if pairs:
+                for law_id, (ok, witness) in zip(law.ids, pairs, strict=True):
+                    yield iid, law_id, ok, witness
 
 
 def run_suite(
@@ -817,12 +800,12 @@ def run_suite(
     seed: int = DEFAULT_SEED,
     force: bool = False,
 ) -> Iterator[Row]:
-    """Rows of the named suite over every space up to `max_points` points
-    (seeded samples from five points on), every universe lattice with at
-    most `max_lattice` elements, the continuous maps between spaces of at
-    most two points and the lattice maps between lattices from posets of
-    at most two elements. The pools are built before this returns, the
-    rows as they are consumed."""
+    """Rows of the named suite, law by law, over every space up to
+    `max_points` points (seeded samples from five points on), every
+    universe lattice with at most `max_lattice` elements, the continuous
+    maps between spaces of at most two points and the lattice maps between
+    lattices from posets of at most two elements. The pools are built
+    before this returns, the rows as they are consumed."""
     if name not in LAW_SUITES:
         known = ", ".join(sorted(LAW_SUITES))
         raise ValueError(f"unknown suite {name!r}; known suites: {known}")
@@ -835,4 +818,16 @@ def run_suite(
     spaces = _space_pool(max_points, seed, force)
     lats = _lattice_pool(max_lattice, force)
     maps = space_morphisms(min(max_points, 2))
-    return LAW_SUITES[name](spaces, lats, maps, frame_morphisms(2))
+    homs = frame_morphisms(2)
+    pools = {
+        "space": _labelled(
+            "space", spaces, lambda x: f" ({x.n} points, {len(x.opens)} opens)"
+        ),
+        "lattice": _labelled("lattice", lats, lambda lat: f" ({lat.n} elements)"),
+        "map": _labelled("map", maps),
+        "hom": _labelled("hom", homs),
+        "spaces": [("all pool spaces", spaces)],
+        "maps": [("all composable pairs", maps)],
+        "homs": [("all composable pairs", homs)],
+    }
+    return _rows(LAW_SUITES[name], pools)

@@ -48,8 +48,7 @@ def filter_space_view(x: FinSpace) -> SpectrumView:
             for members in prime_filters(frame.lattice)
         )
     )
-    space, sigma = filter_space_of(tuple(x.set_name(o) for o in x.opens), filters)
-    return SpectrumView(space, filters, sigma)
+    return filter_space_of(tuple(x.set_name(o) for o in x.opens), filters)
 
 
 def filter_space(x: FinSpace) -> FinSpace:

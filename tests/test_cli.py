@@ -610,4 +610,4 @@ def test_a_missing_prime_filter_ends_laws_in_one_invalid_line(capsys, monkeypatc
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("invalid: mask ") and "is not a prime filter" in lines[0]
+    assert lines[0].startswith("invalid: {") and lines[0].endswith(" is not a prime filter")

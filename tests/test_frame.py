@@ -294,8 +294,13 @@ def test_a_mask_that_is_no_prime_filter_is_an_invariant_violation():
     view = spectrum_view(chain3())
     assert view.filters == (0b100, 0b110)
     assert [view.index_of(m) for m in view.filters] == [0, 1]
-    with pytest.raises(InvariantViolated, match="mask 0b10 is not a prime filter"):
+    with pytest.raises(InvariantViolated, match="^{{a}} is not a prime filter$"):
         view.index_of(0b010)
+    # a pulled-back filter that no point holds is named by the source's
+    # elements as well
+    identity = LatticeHom(chain3(), chain3(), (0, 1, 2))
+    with pytest.raises(InvariantViolated, match="^{{a,b}} is not a prime filter$"):
+        frame._spectrum_assignment.__wrapped__(identity, view.filters, {})
 
 
 def _assert_named_by_lowest_member(carrier, space, filters, up):

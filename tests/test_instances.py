@@ -2,16 +2,22 @@
 
 import argparse
 import hashlib
+import re
+import sys
+from collections import Counter
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pytest
 
+from stonekit import instances
 from stonekit.catengine import check_naturality
 from stonekit.cli import _build_parser
 from stonekit.dlat import TWO, LatticeHom, compose_homs, identity_hom
 from stonekit.errors import BudgetExceeded
+from stonekit.memo import CACHES, MEMOS, clear_caches
 from stonekit.frame import WAY_BELOW_MAX_ELEMENTS, counit_hom, spectrum_map
 from stonekit.instances import (
     COMPACT_REFLECTION_MONAD,
@@ -23,6 +29,7 @@ from stonekit.instances import (
     IDEAL_MONAD_ON_FRAMES,
     IDEAL_MONAD_ON_LOCALES,
     LAW_SUITES,
+    LAWS,
     LIFTED_IDEAL_MONAD,
     LOCALE_UNIVERSE,
     OPEN_FUNCTOR,
@@ -44,8 +51,11 @@ from stonekit.spaces import (
     open_set_frame,
     sierpinski,
 )
-from stonekit.topspace import filter_space, unit_map
+from stonekit.topspace import filter_space, pairing_map, unit_map
 from stonekit.universes import all_spaces_upto, lattice_universe
+from test_cli import SUITE_PINS
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_universes_are_singletons():
@@ -206,15 +216,7 @@ def test_way_below_suites_refuse_a_lattice_bound_past_its_cap(name):
         run_suite(name, max_lattice=WAY_BELOW_MAX_ELEMENTS + 1, force=True)
 
 
-def test_law_ids_belong_to_one_suite():
-    owner = {}
-    for name in LAW_SUITES:
-        for _, law, _, _ in run_suite(name, max_points=1, max_lattice=2):
-            assert law.startswith(name + "."), (name, law)
-            assert owner.setdefault(law, name) == name, law
-    assert sorted(set(owner.values())) == sorted(LAW_SUITES)
-    with pytest.raises(ValueError):
-        run_suite("nonsense")
+def suite_choices() -> list:
     commands = next(
         action
         for action in _build_parser()._actions
@@ -225,7 +227,162 @@ def test_law_ids_belong_to_one_suite():
         for action in commands.choices["laws"]._actions
         if action.dest == "suite"
     )
-    assert list(suite.choices) == sorted(LAW_SUITES)
+    return list(suite.choices)
+
+
+def test_law_ids_belong_to_one_suite():
+    ids = [law_id for law in LAWS for law_id in law.ids]
+    assert len(ids) == len(set(ids)) == 95
+    for name, laws in LAW_SUITES.items():
+        for law in laws:
+            assert all(law_id.startswith(name + ".") for law_id in law.ids), law
+    assert sum(len(laws) for laws in LAW_SUITES.values()) == len(LAWS)
+    assert len(LAW_SUITES) == 9
+    assert suite_choices() == sorted(LAW_SUITES)
+    with pytest.raises(ValueError):
+        run_suite("nonsense")
+
+
+def claim_table() -> dict:
+    """The README's table of the abstract's claims: claim -> law-id patterns."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = text.index("The four claims of the paper's abstract")
+    rows = {}
+    for line in text[start:].splitlines()[1:]:
+        if rows and not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if len(cells) == 2 and cells[1].startswith("`"):
+            rows[cells[0]] = re.findall(r"`([^`]+)`", cells[1])
+    return rows
+
+
+# each claim of the paper's abstract and the law-id patterns that check it;
+# a trailing * stands for every law id with that prefix
+CLAIMS = {
+    "the ideal frame comonad pairs with the open prime filter monad via the "
+    "open-set / spectrum adjunction": ["pairing.*", "lifting.*"],
+    "stably compact spaces are equivalent to stably compact frames": [
+        "lifting.comparison-round-trip",
+        "degeneracy.stably-compact",
+    ],
+    "compact Hausdorff spaces are equivalent to compact regular frames": [
+        "degeneracy.regular-iff-boolean",
+        "cechstone.square-iso",
+    ],
+    "the pointfree and the pointset Čech–Stone compactifications agree": [
+        "cechstone.collapse-*",
+        "cechstone.matches-clopen-quotient",
+    ],
+}
+
+
+def test_the_readme_claim_table_names_laws_of_the_table():
+    assert claim_table() == CLAIMS
+    ids = [law_id for law in LAWS for law_id in law.ids]
+    for claim, patterns in CLAIMS.items():
+        for pattern in patterns:
+            if pattern.endswith("*"):
+                named = [i for i in ids if i.startswith(pattern[:-1])]
+            else:
+                named = [i for i in ids if i == pattern]
+            assert named, (claim, pattern)
+
+
+def _constant_pairing(x):
+    p = pairing_map(x)
+    return ContinuousMap(p.source, p.target, (0,) * p.source.n)
+
+
+# a wrong verdict from one global that the checks of the table call, and
+# the laws whose rows it must fail: a check that held the function itself
+# instead of looking it up when it runs would miss the patch
+@pytest.mark.parametrize(
+    "name, wrong, suite, failing",
+    [
+        ("is_spatial", lambda lat: False, "adjunction-os", {"adjunction-os.counit-iso"}),
+        (
+            "ultrafilter_comparison",
+            lambda x: False,
+            "ultrafilter",
+            {"ultrafilter.filters-recovered"},
+        ),
+        (
+            "is_stably_compact",
+            lambda lat: False,
+            "degeneracy",
+            {"degeneracy.stably-compact"},
+        ),
+        (
+            "locale_round_trip",
+            lambda lat: False,
+            "lifting",
+            {"lifting.inverse-round-trip"},
+        ),
+        # a constant pairing map makes both sides of the multiplication
+        # square the same constant map, so that law still holds
+        (
+            "pairing_map",
+            _constant_pairing,
+            "pairing",
+            {"pairing.homeomorphism", "pairing.unit-transport", "pairing.naturality"},
+        ),
+    ],
+    ids=lambda value: value if isinstance(value, str) else None,
+)
+def test_a_rebound_global_reaches_exactly_its_laws(
+    monkeypatch, name, wrong, suite, failing
+):
+    monkeypatch.setattr(instances, name, wrong)
+    rows = list(run_suite(suite, max_points=2, max_lattice=4))
+    assert {law for _, law, ok, _ in rows if not ok} == failing
+
+
+def test_the_suites_give_their_pinned_rows_with_every_memo_and_view_off(
+    monkeypatch,
+):
+    """The reference run: every name-free memo and cached view of the
+    package replaced, wherever a module holds it, by a pass-through that
+    counts its calls and stores nothing, so no row can rest on a result
+    stored for another object."""
+    memos = MEMOS + CACHES
+    assert len(memos) == 20
+    calls = Counter()
+
+    def pass_through(index, fn):
+        raw = fn.__wrapped__
+
+        def through(*args, **kwargs):
+            calls[index] += 1
+            return raw(*args, **kwargs)
+
+        return through
+
+    replaced = {id(fn): pass_through(i, fn) for i, fn in enumerate(memos)}
+    rebound = 0
+    for module_name, module in list(sys.modules.items()):
+        if module_name != "stonekit" and not module_name.startswith("stonekit."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if id(value) in replaced:
+                monkeypatch.setattr(module, attr, replaced[id(value)])
+                rebound += 1
+    assert rebound > len(memos)
+    clear_caches()
+    try:
+        for name, (count, digest) in SUITE_PINS.items():
+            rows = list(run_suite(name))
+            lines = [f"{iid}\t{law}\tPASS" for iid, law, ok, _ in rows if ok]
+            assert len(lines) == len(rows) == count, name
+            text = "\n".join(sorted(lines))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+            checked = {law for _, law, _, _ in rows}
+            assert checked == {i for law in LAW_SUITES[name] for i in law.ids}
+        assert sorted(calls) == list(range(len(memos)))
+        assert [len(memo.table) for memo in MEMOS] == [0] * len(MEMOS)
+        assert [view.cache_info().currsize for view in CACHES] == [0] * len(CACHES)
+    finally:
+        clear_caches()
 
 
 @given(st.data())

@@ -38,6 +38,7 @@ from stonekit.instances import (
     FRAME_UNIVERSE,
     IDEAL_COMONAD_ON_FRAMES,
     IDEAL_MONAD_ON_FRAMES,
+    LAWS,
     OPEN_SPECTRUM_ADJUNCTION,
     SPACE_UNIVERSE,
 )
@@ -112,6 +113,8 @@ def samples() -> list:
         filter_space_view(d),
         compactification_square(s),
         compactification_square(d),
+        LAWS[0],
+        LAWS[-1],
     ]
 
 
@@ -131,7 +134,7 @@ def field_values(value) -> list:
 
 
 def test_every_record_class_has_unequal_samples():
-    assert len(record_classes()) == 19
+    assert len(record_classes()) == 20
     groups = by_class()
     assert sorted(groups, key=lambda cls: cls.__name__) == record_classes()
     for cls, values in groups.items():
