@@ -4,19 +4,23 @@ Opens are bitmasks over the point tuple, stored sorted ascending, and the
 constructor enforces the closure axioms, so two equal-looking spaces are
 equal as values. All finite topologies are Alexandrov: arbitrary meets of
 opens are again open, which the rest of the package leans on freely. The
-opens are the up-sets of the specialization preorder, so a homeomorphism
-is an isomorphism of the two preorders (order.isomorphism).
+opens are the up-sets of the specialization preorder, whose up-masks are
+the minimal neighbourhoods (FinSpace.min_nbhds, built once), so the
+closure check reads them and a homeomorphism is an isomorphism of the two
+preorders (order.isomorphism).
 
 The closure check of a family of opens and the continuity check of a map
 run once per distinct (opens, assignment) value, whatever the point names
 (memo.name_free); only passing verdicts are stored.
 """
 
-from typing import Iterable, Optional, Tuple
+from functools import cached_property, reduce
+from operator import and_
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .bitsets import bits, format_subset, mask_of
 from .dlat import DistLattice, LatticeHom, SetLatticeView, inclusion_view
-from .errors import InvalidValue, NotATopology, UniverseMismatch
+from .errors import InvalidValue, InvariantViolated, NotATopology, UniverseMismatch
 from .memo import cached, name_free
 from .order import (
     Value,
@@ -39,10 +43,7 @@ class FinSpace(Value):
         if list(self.opens) != sorted(set(self.opens)):
             raise NotATopology("opens must be distinct and sorted ascending")
         if self.opens and (self.opens[0] != 0 or self.opens[-1] != full):
-            raise NotATopology(
-                "missing empty set or whole space",
-                witness=(0, full),
-            )
+            raise NotATopology("missing empty set or whole space", witness=(0, full))
         if not self.opens:
             raise NotATopology("no opens given")
         _check_closed(self)
@@ -61,19 +62,27 @@ class FinSpace(Value):
     def set_name(self, mask: int) -> str:
         return format_subset(self.points, mask)
 
+    @cached_property
+    def min_nbhds(self) -> Tuple[int, ...]:
+        """U_i, the smallest open around each point i, built once: the
+        up-masks of the specialization preorder."""
+        return _meets_around(self.n, self.opens)
+
     def min_nbhd(self, i: int) -> int:
-        """Smallest open around point i (meet of all opens containing it)."""
-        out = self.full
-        for o in self.opens:
-            if (o >> i) & 1:
-                out &= o
-        return out
+        return self.min_nbhds[i]
 
 
 @name_free(lambda x: tuple(x.opens))
 def _check_closed(x: FinSpace) -> None:
-    """NotATopology unless the opens are closed under union and intersection."""
+    """NotATopology unless the opens are closed under union and intersection.
+
+    Holding the empty set and the whole space, they are exactly when they
+    are up_sets(x.min_nbhds), that is, when adding any U_i to any open
+    gives an open: n * |opens| lookups. Only a refused family runs the
+    pairwise loop, which names the first pair that is not closed."""
     have = set(x.opens)
+    if all(o | u in have for o in x.opens for u in x.min_nbhds):
+        return
     for a in x.opens:
         for b in x.opens:
             if a | b not in have:
@@ -86,6 +95,14 @@ def _check_closed(x: FinSpace) -> None:
                     f"intersection of {x.set_name(a)} and {x.set_name(b)} not open",
                     witness=(a, b),
                 )
+    raise InvariantViolated("the neighbourhood test failed, but every pair is closed")
+
+
+def _meets_around(n: int, masks: Sequence[int]) -> Tuple[int, ...]:
+    """For each of n points, the meet of the masks that hold it (all n
+    points when none does)."""
+    full = (1 << n) - 1
+    return tuple(reduce(and_, (m for m in masks if m >> i & 1), full) for i in range(n))
 
 
 def discrete_space(names: Iterable[str]) -> FinSpace:
@@ -112,19 +129,11 @@ def space_from_basis(names: Iterable[str], basis: Iterable[int]) -> FinSpace:
     given set is the union of the U_x of its points, and U_x & U_y is the
     union of the U_z inside it."""
     names = tuple(names)
-    full = (1 << len(names)) - 1
     basis = list(basis)
     for m in basis:
-        if m & ~full:
+        if m >> len(names):
             raise NotATopology(f"set mask {m} reaches past the {len(names)} points")
-    nbhds = set()
-    for x in range(len(names)):
-        u = full
-        for m in basis:
-            if (m >> x) & 1:
-                u &= m
-        nbhds.add(u)
-    return FinSpace(names, up_sets(nbhds))
+    return FinSpace(names, up_sets(set(_meets_around(len(names), basis))))
 
 
 def disjoint_union(x: FinSpace, y: FinSpace) -> FinSpace:
@@ -219,7 +228,7 @@ def compose_maps(g: ContinuousMap, f: ContinuousMap) -> ContinuousMap:
 
 def specialization_preorder(x: FinSpace) -> Tuple[int, ...]:
     """up[i] = mask of points y with i below y: every open at i contains y."""
-    return tuple(x.min_nbhd(i) for i in range(x.n))
+    return x.min_nbhds
 
 
 def is_t0(x: FinSpace) -> bool:

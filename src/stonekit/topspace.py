@@ -8,19 +8,19 @@ sobrification of the T0 quotient, the canonical algebra exists exactly on
 T0 spaces, and the Hausdorff reflection through clopen classes closes the
 compactification square. All of that is checked by the tests, not assumed.
 
-A filter of opens is a mask over x.opens. The points of F X are the prime
-filters of the open frame (dlat.prime_filters), checked there once and
-converted here without a second check. F X is held in the record of every
-space of filters, frame.SpectrumView; a mask that is none of its points,
-a neighborhood filter included, is an invariant violation at index_of.
+A filter of opens is a mask over x.opens. The points of F X, a
+frame.SpectrumView, are the neighbourhood filters, read off FinSpace.min_nbhds.
+The prime filters of the open frame are the same masks (R. E. Stong, 1966):
+the twin in tests/test_topspace.py, and the independent side of the pairing,
+ultrafilter and sobrification laws. index_of refuses any other mask.
 The algebras of the monad are checked by catengine.check_algebra
 (instances).
 """
 
 from typing import Optional, Tuple
 
-from .bitsets import bits, format_subset, mask_of
-from .dlat import LatticeHom, ideal_view, prime_filters
+from .bitsets import format_subset, mask_of
+from .dlat import LatticeHom, ideal_view
 from .errors import InvariantViolated, NoCanonicalAlgebra
 from .frame import SpectrumView, center_view, filter_space_of, spectrum_view
 from .memo import cached
@@ -38,16 +38,12 @@ from .spaces import (
 
 @cached
 def filter_space_view(x: FinSpace) -> SpectrumView:
-    """F X: the prime filters of the open frame as masks over x.opens, and
-    sigma[i] the star opens[i]* of each open."""
-    frame = open_frame_view(x)
-    pos = {o: i for i, o in enumerate(x.opens)}
-    filters = tuple(
-        sorted(
-            mask_of(pos[frame.masks[p]] for p in bits(members))
-            for members in prime_filters(frame.lattice)
-        )
-    )
+    """F X: the distinct neighbourhood filters as masks over x.opens, and
+    sigma[i] the star opens[i]* of each open. A prime filter of the open
+    frame is the up-set of a join-irreducible open U_x, the opens around x:
+    that route, the twin and the independent side of the pairing,
+    ultrafilter and sobrification rows, gives the same masks."""
+    filters = tuple(sorted(set(_neighborhood_filters(x))))
     return filter_space_of(tuple(x.set_name(o) for o in x.opens), filters)
 
 
@@ -55,19 +51,25 @@ def filter_space(x: FinSpace) -> FinSpace:
     return filter_space_view(x).space
 
 
+def _neighborhood_filters(x: FinSpace) -> Tuple[int, ...]:
+    """The opens around each point as a mask over x.opens, once per U_x."""
+    around = {
+        u: mask_of(p for p, o in enumerate(x.opens) if u & ~o == 0)
+        for u in set(x.min_nbhds)
+    }
+    return tuple(around[u] for u in x.min_nbhds)
+
+
 def neighborhood_filter(x: FinSpace, point: str) -> int:
     """The opens around the point, as a mask over x.opens."""
-    i = x.index(point)
-    return mask_of(p for p, o in enumerate(x.opens) if (o >> i) & 1)
+    return _neighborhood_filters(x)[x.index(point)]
 
 
 def unit_map(x: FinSpace) -> ContinuousMap:
     """eta: a point goes to its neighborhood filter, which index_of finds
-    among the prime filters or reports as an invariant violation."""
+    among the points of F X or reports as an invariant violation."""
     view = filter_space_view(x)
-    assignment = tuple(
-        view.index_of(neighborhood_filter(x, name)) for name in x.points
-    )
+    assignment = tuple(view.index_of(f) for f in _neighborhood_filters(x))
     return ContinuousMap(x, view.space, assignment)
 
 
@@ -128,18 +130,14 @@ def _partition_by(x: FinSpace, key) -> Tuple[Tuple[int, ...], ...]:
     groups = {}
     for i in range(x.n):
         groups.setdefault(key(i), []).append(i)
-    return tuple(
-        tuple(group) for group in sorted(groups.values(), key=lambda g: g[0])
-    )
+    # a class enters the dict at its least member, so in that order
+    return tuple(tuple(group) for group in groups.values())
 
 
 def _quotient(x: FinSpace, classes, opens) -> Tuple[FinSpace, ContinuousMap]:
     names = tuple(format_subset(x.points, mask_of(c)) for c in classes)
     space = FinSpace(names, tuple(sorted(set(opens))))
-    cls_of = {}
-    for pos, c in enumerate(classes):
-        for i in c:
-            cls_of[i] = pos
+    cls_of = {i: pos for pos, c in enumerate(classes) for i in c}
     q = ContinuousMap(x, space, tuple(cls_of[i] for i in range(x.n)))
     return space, q
 
@@ -147,24 +145,17 @@ def _quotient(x: FinSpace, classes, opens) -> Tuple[FinSpace, ContinuousMap]:
 def t0_quotient(x: FinSpace) -> Tuple[FinSpace, ContinuousMap]:
     """Identify points with the same neighborhoods; opens pass through."""
     classes = _partition_by(x, x.min_nbhd)
-    opens = []
-    for o in x.opens:
-        opens.append(
-            mask_of(pos for pos, c in enumerate(classes) if (o >> c[0]) & 1)
-        )
+    opens = (
+        mask_of(k for k, c in enumerate(classes) if o >> c[0] & 1) for o in x.opens
+    )
     return _quotient(x, classes, opens)
 
 
 def hausdorff_reflection(x: FinSpace) -> Tuple[FinSpace, ContinuousMap]:
     """Quotient by the partition the clopen sets generate, made discrete."""
     clopens = clopen_masks(x)
-
-    def profile(i: int) -> int:
-        return mask_of(k for k, c in enumerate(clopens) if (c >> i) & 1)
-
-    classes = _partition_by(x, profile)
-    opens = range(1 << len(classes))
-    return _quotient(x, classes, opens)
+    classes = _partition_by(x, lambda i: tuple(c >> i & 1 for c in clopens))
+    return _quotient(x, classes, range(1 << len(classes)))
 
 
 def sobrification(x: FinSpace) -> Tuple[FinSpace, ContinuousMap]:

@@ -539,6 +539,24 @@ def test_cechstone_on_eight_discrete_points_fits_in_one_gib(tmp_path):
     assert len(out) < 100_000
 
 
+def test_filters_on_twelve_discrete_points_fits_in_one_gib_and_20_s(tmp_path):
+    # F X reads the minimal neighbourhoods, not the open frame of 4,096
+    # opens, and the closure check of F X costs n * |opens|, not |opens|^2
+    points = [f"p{i}" for i in range(12)]
+    path = tmp_path / "discrete12.space"
+    path.write_text(
+        'type: "space"\nname: "discrete12"\n'
+        f"points: {json.dumps(points)}\nopens: {json.dumps([[p] for p in points])}\n"
+    )
+    child = _child("filters", str(path), preexec_fn=_limit_address_space)
+    try:
+        out, err = child.communicate(timeout=20)
+    finally:
+        child.kill()
+    assert child.returncode == 0, err.decode()[-2000:]
+    assert out.decode().splitlines()[0] == "# filters: 12 filters, 4096 opens"
+
+
 # a child that swaps meet and join in every ideal lattice that ideal_view
 # builds, then runs the CLI on its own arguments. The package derives the
 # tables of every lattice from its order, so the child builds the mutant

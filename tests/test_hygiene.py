@@ -6,7 +6,8 @@ an `assert`, `clear_caches` empties every cache the package fills (the
 component memos of the natural transformations too), no cache wraps a
 function without arguments, and
 the package leaves `dataclasses` and `inspect` unimported, since every
-CLI process would pay for them.
+CLI process would pay for them, and `networkx`, which only the tests use
+as an independent oracle.
 
 The package's `__init__.py` is exempt from the import rule, since its
 imports are re-exports, and its re-exports do not count as uses. `python -O`
@@ -157,6 +158,15 @@ def test_the_package_does_not_import_dataclasses():
     # inspect, ast and tokenize into every CLI process
     importers = [
         p.name for p in PACKAGE if "dataclasses" in imported_modules(p.read_text("utf-8"))
+    ]
+    assert importers == []
+
+
+def test_the_package_does_not_import_networkx():
+    # networkx is an independent oracle of the tests (the `test` extra of
+    # pyproject.toml), never a dependency of the package
+    importers = [
+        p.name for p in PACKAGE if "networkx" in imported_modules(p.read_text("utf-8"))
     ]
     assert importers == []
 
@@ -329,6 +339,7 @@ TEST_ONLY = {
     "spaces.ContinuousMap.apply": "public API: a map applied to a point name",
     "spaces.interior_of": "public API: the dual of closure_of",
     "spaces.is_closure_initial": "acceptance-criterion helper: closure-initial maps",
+    "topspace.neighborhood_filter": "public API: the unit's filter at one point",
     "universes.all_topology_families_bruteforce": "twin: the topologies by their axioms",
 }
 

@@ -13,8 +13,13 @@ from stonekit.dlat import (
 )
 from stonekit import spaces
 from stonekit.bitsets import bits, mask_of
-from stonekit.errors import InvalidValue, NotATopology, UniverseMismatch
-from stonekit.order import antichain, chain
+from stonekit.errors import (
+    InvalidValue,
+    InvariantViolated,
+    NotATopology,
+    UniverseMismatch,
+)
+from stonekit.order import _unvalidated, antichain, chain, up_sets
 from stonekit.spaces import (
     ContinuousMap,
     FinSpace,
@@ -60,6 +65,80 @@ def test_empty_and_whole_required():
 def test_opens_must_be_sorted_unique():
     with pytest.raises(NotATopology):
         FinSpace(("x",), (0b1, 0b0))
+
+
+def _check_closed_pairwise(x):
+    """The closure check by the pairwise loop over all |opens|^2 pairs: the
+    twin of the minimal-neighbourhood test of spaces._check_closed, and one
+    of the (route, twin) pairs of the reference run (ROADMAP item 2)."""
+    have = set(x.opens)
+    for a in x.opens:
+        for b in x.opens:
+            if a | b not in have:
+                raise NotATopology(
+                    f"union of {x.set_name(a)} and {x.set_name(b)} not open",
+                    witness=(a, b),
+                )
+            if a & b not in have:
+                raise NotATopology(
+                    f"intersection of {x.set_name(a)} and {x.set_name(b)} not open",
+                    witness=(a, b),
+                )
+
+
+def _closure_verdict(check, x):
+    """None if the check accepts x, else its NotATopology message and witness."""
+    try:
+        check(x)
+    except NotATopology as exc:
+        return str(exc), exc.witness
+    return None
+
+
+def test_closure_check_accepts_and_rejects_as_its_pairwise_twin():
+    # every family of subsets of at most 4 points that holds the empty set
+    # and the whole space; the constructor refuses any other family before
+    # the closure check runs
+    fast = spaces._check_closed.__wrapped__
+    accepted = []
+    messages = set()
+    for n in range(5):
+        names = tuple("abcd"[:n])
+        full = (1 << n) - 1
+        inner = list(range(1, full))
+        count = 0
+        for pick in range(1 << len(inner)):
+            opens = tuple(sorted({0, full} | {inner[k] for k in bits(pick)}))
+            x = _unvalidated(FinSpace, names, opens)
+            expected = _closure_verdict(_check_closed_pairwise, x)
+            assert _closure_verdict(fast, x) == expected, opens
+            # the test is equality with the up-sets of the minimal neighbourhoods
+            assert (up_sets(x.min_nbhds) == opens) == (expected is None), opens
+            if expected is None:
+                count += 1
+            else:
+                messages.add(expected[0].split()[0])
+        accepted.append(count)
+    # the pinned topology counts, and both kinds of refusal seen
+    assert accepted == [1, 1, 4, 29, 355]
+    assert messages == {"union", "intersection"}
+
+
+def test_closure_check_that_finds_no_pair_is_an_invariant_violation():
+    # the Sierpinski opens with a wrong minimal neighbourhood: the fast test
+    # fails, and the pairwise loop finds every pair closed
+    x = _unvalidated(FinSpace, ("0", "1"), (0b00, 0b10, 0b11))
+    x.__dict__["min_nbhds"] = (0b01, 0b10)
+    with pytest.raises(InvariantViolated, match="every pair is closed"):
+        spaces._check_closed.__wrapped__(x)
+
+
+def test_min_nbhds_are_built_once():
+    x = FinSpace(("a", "b", "c"), (0b000, 0b001, 0b011, 0b111))
+    assert x.min_nbhds == (0b001, 0b011, 0b111)
+    assert x.min_nbhds is x.min_nbhds
+    assert specialization_preorder(x) is x.min_nbhds
+    assert [x.min_nbhd(i) for i in range(3)] == list(x.min_nbhds)
 
 
 def test_sierpinski_shape():

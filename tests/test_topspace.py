@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stonekit import topspace
+from stonekit.bitsets import bits, mask_of
 from stonekit.catengine import AlgebraInstance, check_algebra
 from stonekit.errors import InvariantViolated, NoCanonicalAlgebra
-from stonekit.frame import spectrum_map, spectrum_view
+from stonekit.dlat import prime_filters
+from stonekit.frame import filter_space_of, spectrum_map, spectrum_view
+from stonekit.memo import clear_caches
 from stonekit.instances import FILTER_MONAD_ON_SPACES, filter_algebra_structures
 from stonekit.spaces import (
     ContinuousMap,
@@ -18,6 +21,7 @@ from stonekit.spaces import (
     indiscrete_space,
     is_homeomorphism,
     is_t0,
+    open_frame_view,
     open_preimage_hom,
     sierpinski,
 )
@@ -384,6 +388,86 @@ def test_unit_laws_on_random_three_point_spaces(x):
     mu = mult_map(x)
     assert compose_maps(mu, unit_map(fx)) == identity_map(fx)
     assert compose_maps(mu, filter_map(unit_map(x))) == identity_map(fx)
+
+
+def _filter_space_view_by_prime_filters(x):
+    """F X by the prime filters of the open frame (dlat.prime_filters),
+    converted to masks over x.opens: the twin of the neighbourhood-filter
+    route of filter_space_view, and one of the (route, twin) pairs of the
+    reference run (ROADMAP item 2)."""
+    frame = open_frame_view(x)
+    pos = {o: i for i, o in enumerate(x.opens)}
+    filters = tuple(
+        sorted(
+            mask_of(pos[frame.masks[p]] for p in bits(members))
+            for members in prime_filters(frame.lattice)
+        )
+    )
+    return filter_space_of(tuple(x.set_name(o) for o in x.opens), filters)
+
+
+def test_filter_space_view_equals_its_prime_filter_twin(monkeypatch):
+    # every space of at most 5 points, each route counted so that the
+    # comparison cannot pass without running both
+    calls = {"neighbourhoods": 0, "prime filters": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        topspace,
+        "_neighborhood_filters",
+        counted("neighbourhoods", topspace._neighborhood_filters),
+    )
+    monkeypatch.setitem(
+        globals(), "prime_filters", counted("prime filters", prime_filters)
+    )
+    clear_caches()
+    pool = all_spaces_upto(5)
+    try:
+        for x in pool:
+            fast = filter_space_view.__wrapped__(x)
+            twin = _filter_space_view_by_prime_filters(x)
+            assert fast.filters == twin.filters, x
+            assert fast.sigma == twin.sigma, x
+            assert fast.carrier == twin.carrier, x
+            assert fast.space == twin.space, x
+    finally:
+        clear_caches()
+    assert len(pool) == 7332
+    assert calls == {"neighbourhoods": 7332, "prime filters": 7332}
+
+
+def test_networkx_agrees_on_the_t0_classes_and_the_preorder():
+    # an oracle outside the package: imported here, so that a missing
+    # networkx fails this test instead of skipping it
+    import networkx
+
+    pool = all_spaces_upto(4)
+    assert len(pool) == 390
+    for x in pool:
+        # i below j when every open around i holds j, read off the opens
+        specialization = networkx.DiGraph()
+        specialization.add_nodes_from(range(x.n))
+        specialization.add_edges_from(
+            (i, j)
+            for i in range(x.n)
+            for j in range(x.n)
+            if all((o >> j) & 1 for o in x.opens if (o >> i) & 1)
+        )
+        classes = networkx.condensation(specialization)
+        assert classes.number_of_nodes() == filter_space(x).n, x
+        nbhds = networkx.DiGraph()
+        nbhds.add_nodes_from(range(x.n))
+        nbhds.add_edges_from((i, j) for i in range(x.n) for j in bits(x.min_nbhds[i]))
+        closed = networkx.transitive_closure(nbhds, reflexive=True)
+        preorder = tuple(mask_of(closed.successors(i)) for i in range(x.n))
+        assert preorder == x.min_nbhds, x
+        assert set(closed.edges) == set(specialization.edges), x
 
 
 def _filter_violation_pairwise(x, members):
