@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stonekit import dlat
-from stonekit.cli import _quote, _space_dot, main
+from stonekit.cli import _build_parser, _quote, _space_dot, main
 from stonekit.instances import LAW_SUITES
 from stonekit.memo import clear_caches
 from stonekit.spaces import specialization_preorder
@@ -231,6 +231,164 @@ def test_export_dot_chain_has_two_cover_edges(capsys):
     code, out, err = run(capsys, "export", "dot", str(DATA / "chain3.lattice"))
     assert code == 0
     assert out.count("->") == 2
+
+
+COMPUTE_COMMANDS = (
+    ("validate",),
+    ("spectrum",),
+    ("ideals",),
+    ("filters",),
+    ("sobrify",),
+    ("t0",),
+    ("hausdorff",),
+    ("center",),
+    ("waybelow",),
+    ("cechstone",),
+    ("export", "dot"),
+)
+
+
+def _discrete_document(n):
+    points = [f"p{i}" for i in range(n)]
+    return (
+        f'type: "space"\nname: "discrete{n}"\n'
+        f"points: {json.dumps(points)}\nopens: {json.dumps([[p] for p in points])}\n"
+    )
+
+
+# two points a, b with the same neighbourhoods, below c, and d apart
+NON_T0_DOCUMENT = """type: "space"
+name: "twins"
+points: ["a", "b", "c", "d"]
+opens: [["a", "b"], ["a", "b", "c"], ["d"]]
+"""
+
+GENERATED_DOCUMENTS = {
+    "discrete6.space": _discrete_document(6),
+    "discrete8.space": _discrete_document(8),
+    "twins.space": NON_T0_DOCUMENT,
+}
+
+# SHA-256 of [exit code, stdout, stderr] as JSON, for every compute
+# subcommand and `export dot` on each document; a wrong-kind document pins
+# its refusal
+OUTPUT_PINS = {
+    "chain3.lattice": {
+        "validate": "3961fe3bff002fc2d2f257adea22e08126e75034aa0ca2b96a0ff602f5bc185f",
+        "spectrum": "20faf2b83e01c3d57cd9c69e37456fdb4fc3fd100cb97894f9c48b1cf9e60c35",
+        "ideals": "c54d513c022037ffecd87b669db074776e6b6418f0cb11268093cff4b43addb0",
+        "filters": "c4a7c37d7294b3faad7b3a4a6a96dcba7baac3de15cdeb53aeb002aecbe49868",
+        "sobrify": "c4a7c37d7294b3faad7b3a4a6a96dcba7baac3de15cdeb53aeb002aecbe49868",
+        "t0": "c4a7c37d7294b3faad7b3a4a6a96dcba7baac3de15cdeb53aeb002aecbe49868",
+        "hausdorff": "c4a7c37d7294b3faad7b3a4a6a96dcba7baac3de15cdeb53aeb002aecbe49868",
+        "center": "0a99728644bf508742af508a2f9d1598a58b68a579fd3b6ba705e5b41fb3ca27",
+        "waybelow": "e6ff73f6f9604a2f3d2e96497199008ba574a0cd3bb79a2a538cea11c077602d",
+        "cechstone": "c4a7c37d7294b3faad7b3a4a6a96dcba7baac3de15cdeb53aeb002aecbe49868",
+        "export dot": "9c48742d7cb75b09ff675c916da155c6bf34406dc2a9b763f848120c25cc3aec",
+    },
+    "diamond.lattice": {
+        "validate": "0e2388346aacda0202ac3aa9a39de06d012c326f317d3a8235d77d21f742d499",
+        "spectrum": "d17a65b27ec7fcf21fcd17fa381bb88e2e42f9cfc5fd3a20a51d5fe4ece9b683",
+        "ideals": "59ad0aa534144eaf6c2e265e4e41a45c63c6ece7af6fd06502578edcf338c3d5",
+        "filters": "c4a7c37d7294b3faad7b3a4a6a96dcba7baac3de15cdeb53aeb002aecbe49868",
+        "sobrify": "c4a7c37d7294b3faad7b3a4a6a96dcba7baac3de15cdeb53aeb002aecbe49868",
+        "t0": "c4a7c37d7294b3faad7b3a4a6a96dcba7baac3de15cdeb53aeb002aecbe49868",
+        "hausdorff": "c4a7c37d7294b3faad7b3a4a6a96dcba7baac3de15cdeb53aeb002aecbe49868",
+        "center": "8138c1e681f32fe84c19a60a2bd8f96d2f089105fdb029380b7f056895efbeac",
+        "waybelow": "ad4c24538b38b78988bf39f315e12ad5940aab7f8cc7f33ec93692048c9899a1",
+        "cechstone": "c4a7c37d7294b3faad7b3a4a6a96dcba7baac3de15cdeb53aeb002aecbe49868",
+        "export dot": "5d74a4b9177b1a64a07fd9e562eca2cca0e4bf26206ef8aa07daa27ec27a8c87",
+    },
+    "m3.lattice": {
+        "validate": "ce3b78e5fec9bffe4a8d82bedfe4e7cf66388f837210ec84e1453c85c6eb33ff",
+        "spectrum": "ce3b78e5fec9bffe4a8d82bedfe4e7cf66388f837210ec84e1453c85c6eb33ff",
+        "ideals": "ce3b78e5fec9bffe4a8d82bedfe4e7cf66388f837210ec84e1453c85c6eb33ff",
+        "filters": "ce3b78e5fec9bffe4a8d82bedfe4e7cf66388f837210ec84e1453c85c6eb33ff",
+        "sobrify": "ce3b78e5fec9bffe4a8d82bedfe4e7cf66388f837210ec84e1453c85c6eb33ff",
+        "t0": "ce3b78e5fec9bffe4a8d82bedfe4e7cf66388f837210ec84e1453c85c6eb33ff",
+        "hausdorff": "ce3b78e5fec9bffe4a8d82bedfe4e7cf66388f837210ec84e1453c85c6eb33ff",
+        "center": "ce3b78e5fec9bffe4a8d82bedfe4e7cf66388f837210ec84e1453c85c6eb33ff",
+        "waybelow": "ce3b78e5fec9bffe4a8d82bedfe4e7cf66388f837210ec84e1453c85c6eb33ff",
+        "cechstone": "ce3b78e5fec9bffe4a8d82bedfe4e7cf66388f837210ec84e1453c85c6eb33ff",
+        "export dot": "ce3b78e5fec9bffe4a8d82bedfe4e7cf66388f837210ec84e1453c85c6eb33ff",
+    },
+    "sierpinski.space": {
+        "validate": "61e9de8e911f90a5eaa6fc0ad38dca776f61c0e3513f0cf0b54d03bbc5feab74",
+        "spectrum": "4b5096467bda27d6ac7b53836b259b037ac549c76235adcef131fe8f9d550c65",
+        "ideals": "4b5096467bda27d6ac7b53836b259b037ac549c76235adcef131fe8f9d550c65",
+        "filters": "1e5bd49c3bd78ce1ad00bd1083f3921768aff16be9182d4bb57490a0e118a13b",
+        "sobrify": "13be558823d1b0e8cccdcac26a9ad990b799ab571dd64bb4530c44780a9ca537",
+        "t0": "6729bf63c4a305fe47f175356cff14dde55788fe161ce8ac645347501d80f2b3",
+        "hausdorff": "90a0eb379f34b30f95c722c6f79b6fdf49f11dcb19489ca3fb3fcd2c3784b6b7",
+        "center": "4b5096467bda27d6ac7b53836b259b037ac549c76235adcef131fe8f9d550c65",
+        "waybelow": "4b5096467bda27d6ac7b53836b259b037ac549c76235adcef131fe8f9d550c65",
+        "cechstone": "8ffd53101cca99b18b316367b0fc75973149aea2638df5e1096317c15cb298e4",
+        "export dot": "5ee45987716e653fc973205d610744a812dc7bb2ad484f2baf71e53a22450021",
+    },
+    "discrete6.space": {
+        "validate": "ef293cdd6c84a768ebc234de083ffcc18c8074cc9c3dac129608b95fd53ea2cc",
+        "spectrum": "4b5096467bda27d6ac7b53836b259b037ac549c76235adcef131fe8f9d550c65",
+        "ideals": "4b5096467bda27d6ac7b53836b259b037ac549c76235adcef131fe8f9d550c65",
+        "filters": "b19b41eb5320fbe15ab81b851c0749aa9156d1698b0266abce205e8d7c569c9a",
+        "sobrify": "c3f2be3f7ab1b613b1dda91ecef9a16d2c068cb22794853fd25620b5c9ea184a",
+        "t0": "185b295e81f54565cd7bfad74aa72aee56eba9642f322d157540d387a938c15b",
+        "hausdorff": "a5de379a27682052924723df47ae56cef6e04caf5f70126ffbc8b4763ea9f4cc",
+        "center": "4b5096467bda27d6ac7b53836b259b037ac549c76235adcef131fe8f9d550c65",
+        "waybelow": "4b5096467bda27d6ac7b53836b259b037ac549c76235adcef131fe8f9d550c65",
+        "cechstone": "0d6cdce216dd4603e8cd41ebc362a58f5d16fe39832e2004ef9c19daefe9488b",
+        "export dot": "b09c86b53a96aeaa9f3fa72eadaa298ceae15a811758c361d6fa450eb7077660",
+    },
+    "discrete8.space": {
+        "validate": "fcb34e70abde268031b90f49ed72e32399e16f4939361d2776fddb68030d1ac7",
+        "spectrum": "4b5096467bda27d6ac7b53836b259b037ac549c76235adcef131fe8f9d550c65",
+        "ideals": "4b5096467bda27d6ac7b53836b259b037ac549c76235adcef131fe8f9d550c65",
+        "filters": "288ccea2f9a1c90e25c702d965c2c580cdc7b0e70f84a4fa9d1a01dd2c383fe5",
+        "sobrify": "fdb6cba9122b18fa9125d1543fba6e202130ff9c6f70e4b9abfb79c55c19b92d",
+        "t0": "20ed119dcfb5079159536b158d31accb0648b5aebb075ca42b5b7066c120096e",
+        "hausdorff": "04567f6bff8ff14ac0ce4eb91087f34170cf738d2c72413c4f11615b56c7e63e",
+        "center": "4b5096467bda27d6ac7b53836b259b037ac549c76235adcef131fe8f9d550c65",
+        "waybelow": "4b5096467bda27d6ac7b53836b259b037ac549c76235adcef131fe8f9d550c65",
+        "cechstone": "0c35431e08c7efd2db5b7b4f334ba2b8d32bf323cbc4d3e14eb102fb4c95781f",
+        "export dot": "d1ae7f0b037100375d6a1cb069efd534bdcfd45eb6c3cc598a4fbcb2acd302f9",
+    },
+    "twins.space": {
+        "validate": "ff061eebabdac8366b313a81a6d7974427689fe9d5c9146f6f94ef97a8c4c6f3",
+        "spectrum": "4b5096467bda27d6ac7b53836b259b037ac549c76235adcef131fe8f9d550c65",
+        "ideals": "4b5096467bda27d6ac7b53836b259b037ac549c76235adcef131fe8f9d550c65",
+        "filters": "8d91972d3ba670704f6b221bc912b9d44be998b487103b2600b84a7196bb7629",
+        "sobrify": "b14438827fdeb188f5f808ae37bbb7fe9d4225d2c6fd5e7c9a171c2acdc7ac0f",
+        "t0": "7c2bfb2c8ec48e2e5e12e2c5a4f8076e027e33a96475dd4cb36039c1d89824c9",
+        "hausdorff": "1b4854d6087a471d003f024a183273a533862ed4e8294522dde6d2d022160cfa",
+        "center": "4b5096467bda27d6ac7b53836b259b037ac549c76235adcef131fe8f9d550c65",
+        "waybelow": "4b5096467bda27d6ac7b53836b259b037ac549c76235adcef131fe8f9d550c65",
+        "cechstone": "483c15b2ab757158682b66e56c48263250882203d3bb592d055d6a31f66d9aff",
+        "export dot": "b7ad47a5a84033e77eaf320f7bdcba306a193463f9a95bd9d49e88abbabcb71b",
+    },
+}
+
+
+def test_every_compute_subcommand_is_pinned():
+    (subcommands,) = [
+        a.choices for a in _build_parser()._actions if isinstance(a.choices, dict)
+    ]
+    assert sorted(c[0] for c in COMPUTE_COMMANDS) == sorted(set(subcommands) - {"laws"})
+    documents = sorted(p.name for p in DATA.iterdir()) + sorted(GENERATED_DOCUMENTS)
+    assert sorted(OUTPUT_PINS) == sorted(documents)
+    for pins in OUTPUT_PINS.values():
+        assert sorted(pins) == sorted(" ".join(c) for c in COMPUTE_COMMANDS)
+
+
+@pytest.mark.parametrize("document", sorted(OUTPUT_PINS))
+def test_compute_subcommand_output_is_pinned(tmp_path, capsys, document):
+    path = DATA / document
+    if document in GENERATED_DOCUMENTS:
+        path = tmp_path / document
+        path.write_text(GENERATED_DOCUMENTS[document])
+    got = {}
+    for command in COMPUTE_COMMANDS:
+        record = json.dumps(run(capsys, *command, str(path)))
+        got[" ".join(command)] = hashlib.sha256(record.encode()).hexdigest()
+    assert got == OUTPUT_PINS[document]
 
 
 @pytest.mark.parametrize("suite", ["monad-f", "monad-i", "pairing", "ultrafilter"])
