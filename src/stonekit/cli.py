@@ -31,7 +31,7 @@ from .frame import (
 )
 from .instances import DEFAULT_SEED, LAW_SUITES, run_suite
 from .order import covers, transpose
-from .spaces import FinSpace, is_homeomorphism, is_t0, specialization_preorder
+from .spaces import FinSpace, is_homeomorphism, is_t0
 from .topspace import (
     compactification_square,
     filter_space,
@@ -194,8 +194,7 @@ def _lattice_dot(name: str, lat: DistLattice) -> str:
 
 
 def _space_dot(name: str, x: FinSpace) -> str:
-    up = specialization_preorder(x)
-    down = transpose(up)
+    up, down = x.up, transpose(x.up)
     lines = [f"digraph {_quote(name)} {{", "  rankdir=BT;"]
     for point in x.points:
         lines.append(f"  {_quote(point)};")

@@ -44,11 +44,8 @@ class NotDistributive(StonekitError):
 
 
 class NotATopology(StonekitError):
-    """Open-set family fails a closure axiom; witness names the offending sets."""
-
-    def __init__(self, reason, witness=None):
-        self.witness = witness
-        super().__init__(reason)
+    """A space's specialization relation is not a preorder on its points, or
+    a set mask reaches past the points."""
 
 
 class UniverseMismatch(StonekitError):

@@ -13,11 +13,13 @@ Ideals and prime filters are masks here as in dlat: the points of the
 spectrum are the checked masks of dlat.prime_filters, and
 comultiplication_hom maps the ideal masks of dlat.ideal_view, so neither
 checks a mask again. SpectrumView is the one record of a space of
-filters, the spectrum's and F X's. The opens of a space of filters and
-the point assignment of spectrum_map are computed once per distinct
-name-free input (memo.name_free): filter masks for the one, the shapes of
-both lattices and the hom's assignment for the other. The names of each
-call's own lattices and spaces are attached afterwards.
+filters, the spectrum's and F X's: a filter lies below the filters that
+contain it, and the up-sets of that preorder are the basic opens. The
+preorder and basic opens of a space of filters and the point assignment
+of spectrum_map are computed once per distinct name-free input
+(memo.name_free): filter masks for the one, the shapes of both lattices
+and the hom's assignment for the other. The names of each call's own
+lattices and spaces are attached afterwards.
 """
 
 from functools import cached_property
@@ -264,11 +266,13 @@ def corestrict_to_center(hom: LatticeHom) -> Optional[LatticeHom]:
 def _filter_opens(
     n: int, filters: Tuple[int, ...]
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """The sorted opens of a space of filters on n elements, and sigma."""
+    """The specialization preorder of a space of filters on n elements,
+    filter k below filter l when k is a subset of l, and sigma."""
+    up = tuple(mask_of(l for l, m in enumerate(filters) if not k & ~m) for k in filters)
     sigma = tuple(
         mask_of(k for k, m in enumerate(filters) if (m >> a) & 1) for a in range(n)
     )
-    return tuple(sorted(set(sigma))), sigma
+    return up, sigma
 
 
 class SpectrumView(Value):
@@ -298,10 +302,11 @@ def filter_space_of(carrier: Tuple[str, ...], filters: Tuple[int, ...]) -> Spect
     """Filters on `carrier` (member masks) as the points of a space, each
     named up(j) after its generator j, its lowest member in carrier order;
     topologized by the basic opens: sigma[a] is the point-set of the filters
-    that contain carrier element a."""
+    that contain carrier element a. For prime filters these are the up-sets
+    of inclusion, which is the space's specialization preorder."""
     names = tuple(f"up({carrier[(m & -m).bit_length() - 1]})" for m in filters)
-    opens, sigma = _filter_opens(len(carrier), filters)
-    return SpectrumView(FinSpace(names, opens), filters, sigma, carrier)
+    up, sigma = _filter_opens(len(carrier), filters)
+    return SpectrumView(FinSpace(names, up), filters, sigma, carrier)
 
 
 @cached

@@ -90,7 +90,7 @@ from .frame import (
     way_below_bruteforce,
 )
 from .memo import cached
-from .order import Value, preorder_closure, up_sets
+from .order import Value, preorder_closure
 from .spaces import (
     ContinuousMap,
     FinSpace,
@@ -401,11 +401,11 @@ def _sampled_spaces(size: int, seed: int) -> List[FinSpace]:
             for j in range(size):
                 if i != j and rng.random() < 0.3:
                     up[i] |= 1 << j
-        opens = up_sets(preorder_closure(up))
-        if opens in seen:
+        up = preorder_closure(up)
+        if up in seen:
             continue
-        seen.add(opens)
-        out.append(FinSpace(names, opens))
+        seen.add(up)
+        out.append(FinSpace(names, up))
     return out
 
 

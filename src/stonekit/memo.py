@@ -8,7 +8,12 @@ with ``name_free(key)`` runs once per distinct key; later calls with an
 equal key return the stored result. The key must hold every input the
 function reads except names, so that it determines the result. A call that
 raises stores nothing: a failed check runs again on the next call, and its
-message names that caller's own elements.
+message names that caller's own elements. The memoised work: the tables
+of an order, the distributivity and hom checks, the order of an inclusion
+family, the ideal image of a hom, the prime filters, the preorder check
+of a space with its opens, the continuity check of a map, the preorder
+and basic opens of a space of filters, and the point assignment of
+spectrum_map.
 
 A function decorated with ``cached`` is an unbounded ``lru_cache`` on its
 arguments, for the views and pools of the package. Every such function

@@ -1,17 +1,20 @@
-"""Finite topological spaces as explicit families of open point-sets.
+"""Finite topological spaces as specialization preorders.
 
-Opens are bitmasks over the point tuple, stored sorted ascending, and the
-constructor enforces the closure axioms, so two equal-looking spaces are
-equal as values. All finite topologies are Alexandrov: arbitrary meets of
-opens are again open, which the rest of the package leans on freely. The
-opens are the up-sets of the specialization preorder, whose up-masks are
-the minimal neighbourhoods (FinSpace.min_nbhds, built once), so the
-closure check reads them and a homeomorphism is an isomorphism of the two
-preorders (order.isomorphism).
+A finite topology is exactly the set of up-sets of its specialization
+preorder (Alexandroff), so a FinSpace holds its points and the up-masks
+of that preorder: up[i] is U_i, the smallest open around point i. The
+constructor checks that `up` is reflexive and transitive with masks in
+range, and the opens are derived once, ascending (FinSpace.opens,
+order.up_sets). Two spaces are equal exactly when their topologies are.
+A map is continuous exactly when it is monotone for the two preorders,
+and a bijection is a homeomorphism exactly when it is an isomorphism of
+them (order.isomorphism). space_from_basis is the one route from a
+family of sets to a space.
 
-The closure check of a family of opens and the continuity check of a map
-run once per distinct (opens, assignment) value, whatever the point names
-(memo.name_free); only passing verdicts are stored.
+The preorder check of a space, which derives its opens, and the
+continuity check of a map run once per distinct (up, assignment) value,
+whatever the point names (memo.name_free); only passing verdicts are
+stored, and the spaces of one preorder share one tuple of opens.
 """
 
 from functools import cached_property, reduce
@@ -20,33 +23,31 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .bitsets import bits, format_subset, mask_of
 from .dlat import DistLattice, LatticeHom, SetLatticeView, inclusion_view
-from .errors import InvalidValue, InvariantViolated, NotATopology, UniverseMismatch
+from .errors import InvalidValue, NotATopology, UniverseMismatch
 from .memo import cached, name_free
 from .order import (
     Value,
     _unvalidated,
     cycle_pair,
+    is_transitive,
     isomorphism,
     up_sets,
 )
 
 
 class FinSpace(Value):
+    """Points and the up-masks of their specialization preorder: bit j of
+    up[i] means every open around point i holds point j."""
+
     points: Tuple[str, ...]
-    opens: Tuple[int, ...]
+    up: Tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.points)
-        if len(set(self.points)) != n:
+        if len(set(self.points)) != len(self.points):
             raise InvalidValue("duplicate point names")
-        full = (1 << n) - 1
-        if list(self.opens) != sorted(set(self.opens)):
-            raise NotATopology("opens must be distinct and sorted ascending")
-        if self.opens and (self.opens[0] != 0 or self.opens[-1] != full):
-            raise NotATopology("missing empty set or whole space", witness=(0, full))
-        if not self.opens:
-            raise NotATopology("no opens given")
-        _check_closed(self)
+        if len(self.up) != len(self.points):
+            raise NotATopology("one up-mask per point required")
+        _preorder_opens(self)
 
     @property
     def n(self) -> int:
@@ -63,39 +64,25 @@ class FinSpace(Value):
         return format_subset(self.points, mask)
 
     @cached_property
-    def min_nbhds(self) -> Tuple[int, ...]:
-        """U_i, the smallest open around each point i, built once: the
-        up-masks of the specialization preorder."""
-        return _meets_around(self.n, self.opens)
-
-    def min_nbhd(self, i: int) -> int:
-        return self.min_nbhds[i]
+    def opens(self) -> Tuple[int, ...]:
+        """Every up-set of the preorder, ascending, one tuple shared by
+        the spaces of one preorder."""
+        return _preorder_opens(self)
 
 
-@name_free(lambda x: tuple(x.opens))
-def _check_closed(x: FinSpace) -> None:
-    """NotATopology unless the opens are closed under union and intersection.
-
-    Holding the empty set and the whole space, they are exactly when they
-    are up_sets(x.min_nbhds), that is, when adding any U_i to any open
-    gives an open: n * |opens| lookups. Only a refused family runs the
-    pairwise loop, which names the first pair that is not closed."""
-    have = set(x.opens)
-    if all(o | u in have for o in x.opens for u in x.min_nbhds):
-        return
-    for a in x.opens:
-        for b in x.opens:
-            if a | b not in have:
-                raise NotATopology(
-                    f"union of {x.set_name(a)} and {x.set_name(b)} not open",
-                    witness=(a, b),
-                )
-            if a & b not in have:
-                raise NotATopology(
-                    f"intersection of {x.set_name(a)} and {x.set_name(b)} not open",
-                    witness=(a, b),
-                )
-    raise InvariantViolated("the neighbourhood test failed, but every pair is closed")
+@name_free(lambda x: x.up)
+def _preorder_opens(x: FinSpace) -> Tuple[int, ...]:
+    """NotATopology unless x.up is a reflexive, transitive relation on the
+    points: each U_i holds i, lies inside the points and holds U_j for
+    every j in it. Otherwise its up-sets, the opens."""
+    for i, u in enumerate(x.up):
+        if u >> x.n:
+            raise NotATopology(f"up-mask of {x.points[i]!r} reaches past the points")
+        if not u >> i & 1:
+            raise NotATopology(f"relation not reflexive at {x.points[i]!r}")
+    if not is_transitive(x.up):
+        raise NotATopology("relation not transitive")
+    return up_sets(x.up)
 
 
 def _meets_around(n: int, masks: Sequence[int]) -> Tuple[int, ...]:
@@ -107,51 +94,46 @@ def _meets_around(n: int, masks: Sequence[int]) -> Tuple[int, ...]:
 
 def discrete_space(names: Iterable[str]) -> FinSpace:
     names = tuple(names)
-    return FinSpace(names, tuple(range(1 << len(names))))
+    return FinSpace(names, tuple(1 << i for i in range(len(names))))
 
 
 def indiscrete_space(names: Iterable[str]) -> FinSpace:
     names = tuple(names)
-    full = (1 << len(names)) - 1
-    return FinSpace(names, (0, full) if full else (0,))
+    return FinSpace(names, ((1 << len(names)) - 1,) * len(names))
 
 
 def sierpinski() -> FinSpace:
     """Two points 0 < 1 with {1} the only nontrivial open."""
-    return FinSpace(("0", "1"), (0b00, 0b10, 0b11))
+    return FinSpace(("0", "1"), (0b11, 0b10))
 
 
 def space_from_basis(names: Iterable[str], basis: Iterable[int]) -> FinSpace:
-    """Close a family of point-masks under union and intersection.
-
-    The closure is the family of unions of the minimal neighbourhoods U_x,
-    the meet of the given sets that hold x: each U_x is such a meet, each
-    given set is the union of the U_x of its points, and U_x & U_y is the
-    union of the U_z inside it."""
+    """The topology a family of point-masks generates under union and
+    intersection: U_x is the meet of the given sets that hold x, and the
+    opens are the unions of the U_x."""
     names = tuple(names)
     basis = list(basis)
     for m in basis:
         if m >> len(names):
             raise NotATopology(f"set mask {m} reaches past the {len(names)} points")
-    return FinSpace(names, up_sets(set(_meets_around(len(names), basis))))
+    return FinSpace(names, _meets_around(len(names), basis))
 
 
 def disjoint_union(x: FinSpace, y: FinSpace) -> FinSpace:
     """Coproduct; point names must not clash."""
-    names = x.points + y.points
-    opens = tuple(
-        sorted(a | (b << x.n) for a in x.opens for b in y.opens)
-    )
-    return FinSpace(names, opens)
+    return FinSpace(x.points + y.points, x.up + tuple(u << x.n for u in y.up))
 
 
 def subspace(x: FinSpace, mask: int) -> "Tuple[FinSpace, ContinuousMap]":
-    """Induced topology on a subset, with the inclusion map."""
+    """Induced topology on a subset, with the inclusion map: U_i of the
+    subspace is U_i & mask."""
+    if mask >> x.n:
+        raise NotATopology(f"set mask {mask} reaches past the {x.n} points")
     keep = list(bits(mask))
     names = tuple(x.points[i] for i in keep)
     pos = {old: new for new, old in enumerate(keep)}
-    opens = sorted({mask_of(pos[i] for i in bits(o & mask)) for o in x.opens})
-    sub = FinSpace(names, tuple(opens))
+    up = tuple(mask_of(pos[j] for j in bits(x.up[i] & mask)) for i in keep)
+    sub = FinSpace(names, up)
     incl = ContinuousMap(sub, x, tuple(keep))
     return sub, incl
 
@@ -176,28 +158,23 @@ class ContinuousMap(Value):
 def continuity_violation(
     x: FinSpace, y: FinSpace, assignment: Tuple[int, ...]
 ) -> Optional[str]:
-    """Why assignment is not a continuous map x -> y, or None if it is."""
+    """Why assignment is not a continuous map x -> y, or None if it is.
+
+    A map is continuous exactly when it is monotone: the image of U_i lies
+    in U_f(i). Where it does not, U_f(i) is an open whose preimage holds i
+    but not all of U_i, so is not open."""
     if len(assignment) != x.n:
         return "assignment length mismatch"
     for v in assignment:
         if not 0 <= v < y.n:
             return "assignment value out of range"
-    # fibres[v] is the point-set sent to target point v, and the
-    # preimage of an open the union of the fibres of its points
-    fibres = [0] * y.n
-    for i, v in enumerate(assignment):
-        fibres[v] |= 1 << i
-    src_opens = set(x.opens)
-    for o in y.opens:
-        pre = 0
-        for v in bits(o):
-            pre |= fibres[v]
-        if pre not in src_opens:
-            return f"preimage of {y.set_name(o)} is not open"
+    for u, v in zip(x.up, assignment):
+        if any(not y.up[v] >> assignment[j] & 1 for j in bits(u)):
+            return f"preimage of {y.set_name(y.up[v])} is not open"
     return None
 
 
-@name_free(lambda x, y, assignment: (tuple(x.opens), tuple(y.opens), assignment))
+@name_free(lambda x, y, assignment: (x.up, y.up, assignment))
 def _check_continuous(x: FinSpace, y: FinSpace, assignment: Tuple[int, ...]) -> None:
     bad = continuity_violation(x, y, assignment)
     if bad is not None:
@@ -226,30 +203,18 @@ def compose_maps(g: ContinuousMap, f: ContinuousMap) -> ContinuousMap:
 # specialization, separation, closure
 
 
-def specialization_preorder(x: FinSpace) -> Tuple[int, ...]:
-    """up[i] = mask of points y with i below y: every open at i contains y."""
-    return x.min_nbhds
-
-
 def is_t0(x: FinSpace) -> bool:
-    return cycle_pair(specialization_preorder(x)) is None
+    return cycle_pair(x.up) is None
 
 
 def closure_of(x: FinSpace, mask: int) -> int:
-    """Smallest closed set containing mask."""
-    out = x.full
-    for o in x.opens:
-        if o & mask == 0:
-            out &= ~o
-    return out & x.full
+    """Smallest closed set containing mask: the points whose U_i meets it."""
+    return mask_of(i for i, u in enumerate(x.up) if u & mask)
 
 
 def interior_of(x: FinSpace, mask: int) -> int:
-    out = 0
-    for o in x.opens:
-        if o & ~mask == 0:
-            out |= o
-    return out
+    """Largest open inside mask: the points whose U_i lies in it."""
+    return mask_of(i for i, u in enumerate(x.up) if not u & ~mask)
 
 
 def clopen_masks(x: FinSpace) -> Tuple[int, ...]:
@@ -310,17 +275,19 @@ def open_preimage_hom(f: ContinuousMap) -> LatticeHom:
 
 
 def is_homeomorphism(f: ContinuousMap) -> bool:
-    """Bijective and carries the open-set family exactly onto the target's."""
+    """Bijective and carries each U_i exactly onto U_f(i): an isomorphism
+    of the two specialization preorders."""
     if sorted(f.assignment) != list(range(f.target.n)):
         return False
-    return sorted(f.image_mask(o) for o in f.source.opens) == list(f.target.opens)
+    return all(
+        f.image_mask(u) == f.target.up[v] for u, v in zip(f.source.up, f.assignment)
+    )
 
 
 def homeomorphism(x: FinSpace, y: FinSpace) -> Optional[ContinuousMap]:
-    """A homeomorphism x -> y, or None. The opens are the up-sets of the
-    specialization preorder, so a bijection is a homeomorphism exactly when
-    it is an isomorphism of the two preorders."""
-    assign = isomorphism(specialization_preorder(x), specialization_preorder(y))
+    """A homeomorphism x -> y, or None: an isomorphism of the two
+    specialization preorders."""
+    assign = isomorphism(x.up, y.up)
     return None if assign is None else ContinuousMap(x, y, assign)
 
 

@@ -9,12 +9,14 @@ T0 spaces, and the Hausdorff reflection through clopen classes closes the
 compactification square. All of that is checked by the tests, not assumed.
 
 A filter of opens is a mask over x.opens. The points of F X, a
-frame.SpectrumView, are the neighbourhood filters, read off FinSpace.min_nbhds.
-The prime filters of the open frame are the same masks (R. E. Stong, 1966):
-the twin in tests/test_topspace.py, and the independent side of the pairing,
-ultrafilter and sobrification laws. index_of refuses any other mask.
-The algebras of the monad are checked by catengine.check_algebra
-(instances).
+frame.SpectrumView, are the neighbourhood filters of the minimal opens
+U_x, the up-masks FinSpace.up; one filter lies below another when it is
+a subset of it. The prime filters of the open frame are the same masks
+(R. E. Stong, 1966): the twin in tests/test_topspace.py, and the
+independent side of the pairing, ultrafilter and sobrification laws.
+index_of refuses any other mask. The T0, Hausdorff and ultrafilter
+spaces are built from their preorders as well. The algebras of the monad
+are checked by catengine.check_algebra (instances).
 """
 
 from typing import Optional, Tuple
@@ -55,9 +57,9 @@ def _neighborhood_filters(x: FinSpace) -> Tuple[int, ...]:
     """The opens around each point as a mask over x.opens, once per U_x."""
     around = {
         u: mask_of(p for p, o in enumerate(x.opens) if u & ~o == 0)
-        for u in set(x.min_nbhds)
+        for u in set(x.up)
     }
-    return tuple(around[u] for u in x.min_nbhds)
+    return tuple(around[u] for u in x.up)
 
 
 def neighborhood_filter(x: FinSpace, point: str) -> int:
@@ -134,28 +136,30 @@ def _partition_by(x: FinSpace, key) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(group) for group in groups.values())
 
 
-def _quotient(x: FinSpace, classes, opens) -> Tuple[FinSpace, ContinuousMap]:
+def _quotient(x: FinSpace, classes, up) -> Tuple[FinSpace, ContinuousMap]:
     names = tuple(format_subset(x.points, mask_of(c)) for c in classes)
-    space = FinSpace(names, tuple(sorted(set(opens))))
+    space = FinSpace(names, tuple(up))
     cls_of = {i: pos for pos, c in enumerate(classes) for i in c}
     q = ContinuousMap(x, space, tuple(cls_of[i] for i in range(x.n)))
     return space, q
 
 
 def t0_quotient(x: FinSpace) -> Tuple[FinSpace, ContinuousMap]:
-    """Identify points with the same neighborhoods; opens pass through."""
-    classes = _partition_by(x, x.min_nbhd)
-    opens = (
-        mask_of(k for k, c in enumerate(classes) if o >> c[0] & 1) for o in x.opens
+    """Identify points with the same U_x; a class lies below the classes
+    inside the U_x of its points."""
+    classes = _partition_by(x, lambda i: x.up[i])
+    up = (
+        mask_of(k for k, d in enumerate(classes) if x.up[c[0]] >> d[0] & 1)
+        for c in classes
     )
-    return _quotient(x, classes, opens)
+    return _quotient(x, classes, up)
 
 
 def hausdorff_reflection(x: FinSpace) -> Tuple[FinSpace, ContinuousMap]:
     """Quotient by the partition the clopen sets generate, made discrete."""
     clopens = clopen_masks(x)
     classes = _partition_by(x, lambda i: tuple(c >> i & 1 for c in clopens))
-    return _quotient(x, classes, range(1 << len(classes)))
+    return _quotient(x, classes, (1 << k for k in range(len(classes))))
 
 
 def sobrification(x: FinSpace) -> Tuple[FinSpace, ContinuousMap]:
@@ -311,7 +315,7 @@ def ultrafilter_space(x: FinSpace) -> FinSpace:
             "ultrafilters are generated by "
             f"{[x.set_name(s) for s in found]}, not by the points"
         )
-    return FinSpace(tuple(x.points[s.bit_length() - 1] for s in found), x.opens)
+    return FinSpace(tuple(x.points[s.bit_length() - 1] for s in found), x.up)
 
 
 def ultrafilter_comparison(x: FinSpace) -> bool:

@@ -88,10 +88,9 @@ def all_spaces(n: int) -> Tuple[FinSpace, ...]:
     """
     _guard(n, MAX_POINTS, "topology enumeration")
     names = tuple(POINT_NAMES[:n])
-    out = []
-    for up in _relation_candidates(n, antisymmetric=False):
-        out.append(FinSpace(names, up_sets(up)))
-    return tuple(out)
+    return tuple(
+        FinSpace(names, up) for up in _relation_candidates(n, antisymmetric=False)
+    )
 
 
 def all_spaces_upto(n: int) -> Tuple[FinSpace, ...]:

@@ -18,7 +18,6 @@ from stonekit import dlat
 from stonekit.cli import _build_parser, _quote, _space_dot, main
 from stonekit.instances import LAW_SUITES
 from stonekit.memo import clear_caches
-from stonekit.spaces import specialization_preorder
 from stonekit.universes import all_spaces, all_spaces_upto
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -188,7 +187,7 @@ def space_dot_edges_by_search(x):
     """Twin of the edge lines of `export dot` on a space, by a triple loop
     over the specialization preorder: a two-way edge for each pair of
     equivalent points, an arrow for each pair with no point strictly between."""
-    up = specialization_preorder(x)
+    up = x.up
     lines = []
     for i in range(x.n):
         for j in range(x.n):
@@ -699,7 +698,7 @@ def test_cechstone_on_eight_discrete_points_fits_in_one_gib(tmp_path):
 
 def test_filters_on_twelve_discrete_points_fits_in_one_gib_and_20_s(tmp_path):
     # F X reads the minimal neighbourhoods, not the open frame of 4,096
-    # opens, and the closure check of F X costs n * |opens|, not |opens|^2
+    # opens, and a space is checked as a preorder on its 12 points
     points = [f"p{i}" for i in range(12)]
     path = tmp_path / "discrete12.space"
     path.write_text(

@@ -35,7 +35,8 @@ leq: [["0", "a"], ["0", "b"], ["0", "c"], ["a", "1"], ["b", "1"], ["c", "1"]]
 def test_space_document_loads():
     name, x = load_space(SIERPINSKI_DOC)
     assert name == "sierpinski"
-    assert x == sierpinski().__class__(("0", "1"), (0, 2, 3))
+    assert x == sierpinski().__class__(("0", "1"), (0b11, 0b10))
+    assert x.opens == (0, 2, 3)
 
 
 def test_space_opens_are_generators():

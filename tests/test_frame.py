@@ -66,7 +66,7 @@ from stonekit.spaces import (
     sierpinski,
 )
 from stonekit.topspace import filter_space_view
-from stonekit.universes import all_spaces, lattice_universe
+from stonekit.universes import all_spaces, all_spaces_upto, lattice_universe
 
 
 def diamond():
@@ -288,6 +288,16 @@ def test_spectrum_points_name_their_filters():
     view = spectrum_view(chain3())
     assert view.space.points == ("up({a,b})", "up({a})")
     assert view.space.opens == (0, 2, 3)
+
+
+def test_the_opens_of_a_space_of_filters_are_its_basic_opens():
+    # the space is built from the inclusion order of its filters, so its
+    # up-sets must be exactly the basic opens sigma
+    views = [spectrum_view(lat) for lat in lattice_universe(4)]
+    views += [filter_space_view(x) for x in all_spaces_upto(4)]
+    assert len(views) == 243 + 390
+    for view in views:
+        assert sorted(set(view.sigma)) == list(view.space.opens), view
 
 
 def test_a_mask_that_is_no_prime_filter_is_an_invariant_violation():
@@ -587,8 +597,8 @@ NAME_FREE_VALUE = {
         masks,
         tuple(sorted(names).index(e) for e in names),
     ),
-    "_check_closed": lambda x: x.opens,
-    "_check_continuous": lambda x, y, f: (x.opens, y.opens, f),
+    "_preorder_opens": lambda x: x.up,
+    "_check_continuous": lambda x, y, f: (x.up, y.up, f),
     "_filter_opens": lambda n, filters: (n, filters),
     "_spectrum_assignment": lambda h, filters, point_of: (
         _structure(h.source),

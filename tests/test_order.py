@@ -23,7 +23,6 @@ from stonekit.order import (
     transpose,
     up_sets,
 )
-from stonekit.spaces import specialization_preorder
 from stonekit.universes import all_posets_upto, all_spaces_upto
 
 NAMES = ["a", "b", "c", "d"]
@@ -219,7 +218,7 @@ def test_covers_match_the_definitional_search_on_preorders():
     assert len(spaces) == 1 + 1 + 4 + 29 + 355
     cyclic = 0
     for x in spaces:
-        up = specialization_preorder(x)
+        up = x.up
         cyclic += cycle_pair(up) is not None
         down = transpose(up)
         assert covers(down, up) == covers_by_search(down), x
@@ -320,3 +319,34 @@ def test_canonicalization_is_input_order_independent(p):
         mask_of(n - 1 - j for j in bits(p.down[n - 1 - i])) for i in range(n)
     ]
     assert make_poset(names, down) == p
+
+
+def test_networkx_agrees_on_the_closure_and_the_covers():
+    # an oracle outside the package: imported here, so that a missing
+    # networkx fails this test instead of skipping it
+    import networkx
+
+    rng = random.Random(20261020)
+    for _ in range(2000):
+        n = rng.randint(0, 7)
+        density = rng.random()
+        up = tuple(
+            mask_of(j for j in range(n) if rng.random() < density) for _ in range(n)
+        )
+        graph = networkx.DiGraph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from((i, j) for i in range(n) for j in bits(up[i]))
+        closed = networkx.transitive_closure(graph, reflexive=True)
+        expected = tuple(mask_of(closed.successors(i)) for i in range(n))
+        assert preorder_closure(up) == expected, up
+    posets = all_posets_upto(5)
+    assert len(posets) == 4474
+    for p in posets:
+        graph = networkx.DiGraph()
+        graph.add_nodes_from(range(p.n))
+        graph.add_edges_from(
+            (i, j) for j in range(p.n) for i in bits(p.down[j]) if i != j
+        )
+        reduced = networkx.transitive_reduction(graph)
+        expected = tuple(sorted(reduced.edges, key=lambda e: (e[1], e[0])))
+        assert covers(p.down, p.up_masks) == expected, p

@@ -1,6 +1,7 @@
 """Finite spaces: validation, specialization, open-set frames, homeomorphism."""
 
 import random
+from collections import Counter
 from itertools import combinations, permutations, product
 
 import pytest
@@ -12,14 +13,9 @@ from stonekit.dlat import (
     lattice_isomorphic,
 )
 from stonekit import spaces
-from stonekit.bitsets import bits, mask_of
-from stonekit.errors import (
-    InvalidValue,
-    InvariantViolated,
-    NotATopology,
-    UniverseMismatch,
-)
-from stonekit.order import _unvalidated, antichain, chain, up_sets
+from stonekit.bitsets import bits, format_subset, mask_of
+from stonekit.errors import InvalidValue, NotATopology, UniverseMismatch
+from stonekit.order import antichain, chain, up_sets
 from stonekit.spaces import (
     ContinuousMap,
     FinSpace,
@@ -39,67 +35,73 @@ from stonekit.spaces import (
     open_preimage_hom,
     open_frame_view,
     open_set_frame,
+    preimage_mask,
     sierpinski,
     space_from_basis,
-    specialization_preorder,
     subspace,
 )
+from stonekit.topspace import (
+    filter_space,
+    hausdorff_reflection,
+    t0_quotient,
+    ultrafilter_space,
+)
+from stonekit.frame import spectrum
 from stonekit.universes import all_spaces, all_spaces_upto
 
 
 def test_union_axiom_enforced():
-    with pytest.raises(NotATopology):
-        FinSpace(("x", "y"), (0b00, 0b01, 0b10))  # missing the union {x,y}
+    # the opens are the up-sets of the preorder, closed under union by
+    # construction: the two open points of the discrete space join
+    assert FinSpace(("x", "y"), (0b01, 0b10)).opens == (0b00, 0b01, 0b10, 0b11)
 
 
 def test_intersection_axiom_enforced():
-    with pytest.raises(NotATopology):
-        FinSpace(("x", "y", "z"), (0b000, 0b011, 0b110, 0b111))
+    # {x,y} and {y,z} as U_x and U_y: y lies in U_x but U_y does not, and
+    # the up-sets of that relation miss the intersection {y}
+    with pytest.raises(NotATopology, match="relation not transitive"):
+        FinSpace(("x", "y", "z"), (0b011, 0b110, 0b100))
+    assert 0b010 not in up_sets((0b011, 0b110, 0b100))
 
 
 def test_empty_and_whole_required():
-    with pytest.raises(NotATopology):
-        FinSpace(("x",), (0b1,))
+    # a U_x without x leaves x in no open, so the whole space is not open
+    with pytest.raises(NotATopology, match="relation not reflexive at 'x'"):
+        FinSpace(("x", "y"), (0b10, 0b10))
+    assert up_sets((0b10, 0b10)) == (0b00, 0b10)
+    for x in all_spaces_upto(3):
+        assert (x.opens[0], x.opens[-1]) == (0, x.full)
 
 
 def test_opens_must_be_sorted_unique():
-    with pytest.raises(NotATopology):
+    # one up-mask per point, each inside the points; the opens derived
+    # from them are distinct and ascending
+    with pytest.raises(NotATopology, match="one up-mask per point"):
         FinSpace(("x",), (0b1, 0b0))
+    with pytest.raises(NotATopology, match="'x' reaches past the points"):
+        FinSpace(("x",), (0b11,))
+    for x in all_spaces_upto(3):
+        assert list(x.opens) == sorted(set(x.opens))
 
 
-def _check_closed_pairwise(x):
-    """The closure check by the pairwise loop over all |opens|^2 pairs: the
-    twin of the minimal-neighbourhood test of spaces._check_closed, and one
-    of the (route, twin) pairs of the reference run (ROADMAP item 2)."""
-    have = set(x.opens)
-    for a in x.opens:
-        for b in x.opens:
-            if a | b not in have:
-                raise NotATopology(
-                    f"union of {x.set_name(a)} and {x.set_name(b)} not open",
-                    witness=(a, b),
-                )
-            if a & b not in have:
-                raise NotATopology(
-                    f"intersection of {x.set_name(a)} and {x.set_name(b)} not open",
-                    witness=(a, b),
-                )
-
-
-def _closure_verdict(check, x):
-    """None if the check accepts x, else its NotATopology message and witness."""
-    try:
-        check(x)
-    except NotATopology as exc:
-        return str(exc), exc.witness
+def _check_closed_pairwise(points, opens):
+    """The closure axioms by the pairwise loop over all |opens|^2 pairs: the
+    oracle that a family of opens is a topology. None if it is, else the
+    first union or intersection that is not open, named."""
+    have = set(opens)
+    for a in opens:
+        for b in opens:
+            for kind, c in (("union", a | b), ("intersection", a & b)):
+                if c not in have:
+                    a_name, b_name = format_subset(points, a), format_subset(points, b)
+                    return f"{kind} of {a_name} and {b_name} not open"
     return None
 
 
-def test_closure_check_accepts_and_rejects_as_its_pairwise_twin():
+def test_a_family_is_a_topology_exactly_when_its_preorder_gives_it_back():
     # every family of subsets of at most 4 points that holds the empty set
-    # and the whole space; the constructor refuses any other family before
-    # the closure check runs
-    fast = spaces._check_closed.__wrapped__
+    # and the whole space: the pairwise loop accepts it exactly when the
+    # up-sets of its minimal neighbourhoods are the family again
     accepted = []
     messages = set()
     for n in range(5):
@@ -109,44 +111,64 @@ def test_closure_check_accepts_and_rejects_as_its_pairwise_twin():
         count = 0
         for pick in range(1 << len(inner)):
             opens = tuple(sorted({0, full} | {inner[k] for k in bits(pick)}))
-            x = _unvalidated(FinSpace, names, opens)
-            expected = _closure_verdict(_check_closed_pairwise, x)
-            assert _closure_verdict(fast, x) == expected, opens
-            # the test is equality with the up-sets of the minimal neighbourhoods
-            assert (up_sets(x.min_nbhds) == opens) == (expected is None), opens
+            expected = _check_closed_pairwise(names, opens)
+            assert (space_from_basis(names, opens).opens == opens) == (
+                expected is None
+            ), opens
             if expected is None:
                 count += 1
             else:
-                messages.add(expected[0].split()[0])
+                messages.add(expected.split()[0])
         accepted.append(count)
     # the pinned topology counts, and both kinds of refusal seen
     assert accepted == [1, 1, 4, 29, 355]
     assert messages == {"union", "intersection"}
 
 
-def test_closure_check_that_finds_no_pair_is_an_invariant_violation():
-    # the Sierpinski opens with a wrong minimal neighbourhood: the fast test
-    # fails, and the pairwise loop finds every pair closed
-    x = _unvalidated(FinSpace, ("0", "1"), (0b00, 0b10, 0b11))
-    x.__dict__["min_nbhds"] = (0b01, 0b10)
-    with pytest.raises(InvariantViolated, match="every pair is closed"):
-        spaces._check_closed.__wrapped__(x)
+def _derived_spaces(x):
+    """x and the spaces the package derives from it."""
+    yield x
+    yield filter_space(x)
+    yield spectrum(open_set_frame(x))
+    yield t0_quotient(x)[0]
+    yield hausdorff_reflection(x)[0]
+    yield ultrafilter_space(x)
+    yield disjoint_union(x, sierpinski())
+    for mask in range(1 << x.n):
+        yield subspace(x, mask)[0]
 
 
-def test_min_nbhds_are_built_once():
-    x = FinSpace(("a", "b", "c"), (0b000, 0b001, 0b011, 0b111))
-    assert x.min_nbhds == (0b001, 0b011, 0b111)
-    assert x.min_nbhds is x.min_nbhds
-    assert specialization_preorder(x) is x.min_nbhds
-    assert [x.min_nbhd(i) for i in range(3)] == list(x.min_nbhds)
+def test_derived_opens_are_a_topology_that_gives_back_the_preorder():
+    # the opens of every space are closed under union and intersection,
+    # and the minimal neighbourhoods read off them are the stored up-masks
+    checked = 0
+    for x in all_spaces_upto(4):
+        for y in _derived_spaces(x):
+            assert _check_closed_pairwise(y.points, y.opens) is None, y
+            assert spaces._meets_around(y.n, y.opens) == y.up, y
+            checked += 1
+    assert checked == 390 * 7 + sum(1 << x.n for x in all_spaces_upto(4))
+
+
+def test_opens_are_built_once():
+    x = FinSpace(("a", "b", "c"), (0b001, 0b011, 0b111))
+    assert x.opens == (0b000, 0b001, 0b011, 0b111)
+    assert x.opens is x.opens
+    # equality and hashing read the preorder, not the opens, and the
+    # spaces of one preorder share one tuple of opens
+    y = FinSpace(("p", "q", "r"), (0b001, 0b011, 0b111))
+    z = FinSpace(("a", "b", "c"), (0b001, 0b011, 0b111))
+    assert z == x and hash(z) == hash(x) and y != x
+    assert "opens" not in vars(y)
+    assert y.opens is x.opens
 
 
 def test_sierpinski_shape():
     s = sierpinski()
     assert s.points == ("0", "1")
     assert s.opens == (0, 2, 3)
-    assert s.min_nbhd(s.index("1")) == 0b10
-    assert s.min_nbhd(s.index("0")) == 0b11
+    assert s.up[s.index("1")] == 0b10
+    assert s.up[s.index("0")] == 0b11
 
 
 def test_discrete_and_indiscrete():
@@ -156,7 +178,7 @@ def test_discrete_and_indiscrete():
 
 def test_specialization_of_sierpinski():
     s = sierpinski()
-    up = specialization_preorder(s)
+    up = s.up
     # the closed point 0 lies below the open point 1, and not the other way
     assert (up[s.index("0")] >> s.index("1")) & 1
     assert not (up[s.index("1")] >> s.index("0")) & 1
@@ -165,7 +187,7 @@ def test_specialization_of_sierpinski():
 def test_specialization_rejects_non_t0():
     x = indiscrete_space(["a", "b"])
     assert not is_t0(x)
-    assert specialization_preorder(x) == (0b11, 0b11)
+    assert x.up == (0b11, 0b11)
 
 
 def test_closure_and_interior():
@@ -247,7 +269,7 @@ def test_space_from_basis_closes_up():
 
 def test_homeomorphism_finds_relabeling():
     a = sierpinski()
-    b = FinSpace(("p", "q"), (0, 1, 3))  # open point listed first
+    b = FinSpace(("p", "q"), (0b01, 0b11))  # open point listed first
     h = homeomorphism(a, b)
     assert h is not None
     assert h.apply("1") == "p"
@@ -271,9 +293,10 @@ def relabelled(x, rng):
     """x with its points moved by a random permutation, under the same names."""
     move = list(range(x.n))
     rng.shuffle(move)
-    return FinSpace(
-        x.points, tuple(sorted(mask_of(move[i] for i in bits(o)) for o in x.opens))
-    )
+    up = [0] * x.n
+    for i, u in enumerate(x.up):
+        up[move[i]] = mask_of(move[j] for j in bits(u))
+    return FinSpace(x.points, tuple(up))
 
 
 def test_homeomorphic_matches_the_twin_on_every_pair_of_small_spaces():
@@ -306,7 +329,7 @@ def test_homeomorphic_matches_the_twin_on_four_points():
 
 
 def test_preorder_of_indiscrete_is_total():
-    up = specialization_preorder(indiscrete_space(["a", "b"]))
+    up = indiscrete_space(["a", "b"]).up
     assert up == (0b11, 0b11)
 
 
@@ -327,7 +350,7 @@ def test_open_frame_tables_equal_lattice_from_poset():
 
 def _continuity_violation_plain(x, y, assignment):
     """The first reason `assignment` is not a continuous map x -> y, in the
-    wording of ContinuousMap, by comparing point sets."""
+    wording of ContinuousMap, by taking the preimage of every open of y."""
     if len(assignment) != x.n:
         return "assignment length mismatch"
     if any(not 0 <= v < y.n for v in assignment):
@@ -342,7 +365,7 @@ def _continuity_violation_plain(x, y, assignment):
 
 
 def test_a_map_into_the_empty_space_is_refused():
-    empty = FinSpace((), (0,))
+    empty = FinSpace((), ())
     with pytest.raises(InvalidValue, match="assignment value out of range"):
         ContinuousMap(discrete_space(["a"]), empty, (0,))
     assert ContinuousMap(empty, empty, ()).assignment == ()
@@ -350,21 +373,32 @@ def test_a_map_into_the_empty_space_is_refused():
 
 def test_continuous_map_errors_match_their_plain_twin():
     # every assignment between spaces of at most three points, with one
-    # value out of range on either side and one assignment too short
-    spaces = all_spaces_upto(3)
+    # value out of range on either side and one assignment too short: the
+    # same verdict, and a refused monotonicity names an open of y whose
+    # preimage is not open
+    pool = all_spaces_upto(3)
     verdicts = set()
-    for x, y in product(spaces, spaces):
+    for x, y in product(pool, pool):
         values = range(-1, max(y.n, 1) + 1)
         candidates = list(product(values, repeat=x.n)) + [(0,) * (x.n - 1)]
         for assignment in candidates:
             expected = _continuity_violation_plain(x, y, assignment)
-            assert continuity_violation(x, y, assignment) == expected
+            bad = continuity_violation(x, y, assignment)
             try:
                 ContinuousMap(x, y, assignment)
                 got = None
             except ValueError as exc:
                 got = str(exc)
-            assert got == expected, (x, y, assignment)
+            assert got == bad, (x, y, assignment)
+            if expected is None or not expected.startswith("preimage"):
+                assert bad == expected, (x, y, assignment)
+            else:
+                (named,) = [
+                    o
+                    for o in y.opens
+                    if bad == f"preimage of {y.set_name(o)} is not open"
+                ]
+                assert preimage_mask(assignment, named) not in x.opens
             verdicts.add(expected if expected is None else expected.split()[0])
     assert verdicts == {None, "assignment", "preimage"}
 
@@ -385,7 +419,7 @@ def space_from_basis_fixpoint(names, basis):
                     if c not in have:
                         have.add(c)
                         grown = True
-    return FinSpace(names, tuple(sorted(have)))
+    return tuple(sorted(have))
 
 
 def test_space_from_basis_matches_the_fixpoint_on_every_small_family():
@@ -394,7 +428,7 @@ def test_space_from_basis_matches_the_fixpoint_on_every_small_family():
     for size in range(4):
         for family in combinations(range(8), size):
             got = space_from_basis(names, family)
-            assert got == space_from_basis_fixpoint(names, family), family
+            assert got.opens == space_from_basis_fixpoint(names, family), family
             checked += 1
     assert checked == 1 + 8 + 28 + 56
 
@@ -407,7 +441,7 @@ def test_space_from_basis_matches_the_fixpoint_on_random_bases():
         names = tuple(f"p{i}" for i in range(n))
         basis = [rng.randrange(1 << n) for _ in range(rng.randint(0, 6))]
         got = space_from_basis(names, basis)
-        assert got == space_from_basis_fixpoint(names, basis), (n, basis)
+        assert got.opens == space_from_basis_fixpoint(names, basis), (n, basis)
         sizes.add(len(got.opens))
     assert len(sizes) > 10
 
@@ -417,31 +451,83 @@ def test_space_from_basis_refuses_a_mask_past_the_points():
         space_from_basis(("a", "b"), [0b100])
 
 
+def test_subspace_refuses_a_mask_past_the_points():
+    with pytest.raises(NotATopology, match="reaches past the 2 points"):
+        subspace(sierpinski(), 0b100)
+
+
+def _is_homeomorphism_by_opens(f):
+    """Bijective and carries the open-set family exactly onto the target's:
+    the twin of is_homeomorphism."""
+    if sorted(f.assignment) != list(range(f.target.n)):
+        return False
+    return sorted(f.image_mask(o) for o in f.source.opens) == list(f.target.opens)
+
+
+def test_is_homeomorphism_matches_its_open_image_twin():
+    # every continuous map between spaces of at most three points, and
+    # every continuous bijection among them
+    pool = all_spaces_upto(3)
+    verdicts = Counter()
+    for x, y in product(pool, pool):
+        for assignment in product(range(y.n), repeat=x.n):
+            if continuity_violation(x, y, assignment) is not None:
+                continue
+            f = ContinuousMap(x, y, assignment)
+            verdict = is_homeomorphism(f)
+            assert verdict == _is_homeomorphism_by_opens(f), f
+            verdicts[verdict] += 1
+    # the homeomorphisms among all pairs, and the continuous maps that are not
+    assert verdicts[True] == 184 and verdicts[False] > 0
+
+
+def _closure_by_opens(x, mask):
+    """Twin of closure_of: remove every open that misses the mask."""
+    out = x.full
+    for o in x.opens:
+        if o & mask == 0:
+            out &= ~o
+    return out & x.full
+
+
+def _interior_by_opens(x, mask):
+    """Twin of interior_of: the union of the opens inside the mask."""
+    out = 0
+    for o in x.opens:
+        if o & ~mask == 0:
+            out |= o
+    return out
+
+
+def test_closure_and_interior_match_their_open_loop_twins():
+    for x in all_spaces_upto(4):
+        for mask in range(1 << x.n):
+            assert closure_of(x, mask) == _closure_by_opens(x, mask), (x, mask)
+            assert interior_of(x, mask) == _interior_by_opens(x, mask), (x, mask)
+
+
 # ---------------------------------------------------------------------------
-# memo contract: the closure and continuity checks run once per distinct
-# (opens, assignment), and a failure is never stored
+# memo contract: the preorder and continuity checks run once per distinct
+# (up, assignment), and a failure is never stored
 
 
 def test_failed_continuity_check_is_not_stored():
     for prefix in ("p", "q", "p"):
-        x = FinSpace((prefix + "0", prefix + "1"), sierpinski().opens)
+        x = FinSpace((prefix + "0", prefix + "1"), sierpinski().up)
         with pytest.raises(InvalidValue) as err:
             ContinuousMap(x, x, (1, 0))
         assert str(err.value) == f"preimage of {{{prefix}1}} is not open"
-        assert (x.opens, x.opens, (1, 0)) not in spaces._check_continuous.table
+        assert (x.up, x.up, (1, 0)) not in spaces._check_continuous.table
 
 
-def test_failed_closure_check_is_not_stored():
-    opens = (0b000, 0b011, 0b110, 0b111)
+def test_failed_preorder_check_is_not_stored():
+    up = (0b10, 0b10)
     for prefix in ("p", "q", "p"):
-        names = tuple(prefix + e for e in "xyz")
+        names = (prefix + "x", prefix + "y")
         with pytest.raises(NotATopology) as err:
-            FinSpace(names, opens)
-        assert str(err.value) == (
-            f"intersection of {{{prefix}x,{prefix}y}} and "
-            f"{{{prefix}y,{prefix}z}} not open"
-        )
-    assert opens not in spaces._check_closed.table
+            FinSpace(names, up)
+        assert str(err.value) == f"relation not reflexive at '{prefix}x'"
+    assert up not in spaces._preorder_opens.table
 
 
 def test_a_stored_verdict_still_checks_each_map_on_its_own_spaces():

@@ -378,7 +378,7 @@ def test_ultrafilter_comparison_small():
 @given(st.sampled_from(all_spaces(3)))
 def test_filter_space_count_equals_t0_classes(x):
     # eta is onto: filters biject with minimal-neighborhood classes
-    assert filter_space(x).n == len({x.min_nbhd(i) for i in range(x.n)})
+    assert filter_space(x).n == len(set(x.up))
 
 
 @settings(max_examples=40)
@@ -463,10 +463,10 @@ def test_networkx_agrees_on_the_t0_classes_and_the_preorder():
         assert classes.number_of_nodes() == filter_space(x).n, x
         nbhds = networkx.DiGraph()
         nbhds.add_nodes_from(range(x.n))
-        nbhds.add_edges_from((i, j) for i in range(x.n) for j in bits(x.min_nbhds[i]))
+        nbhds.add_edges_from((i, j) for i in range(x.n) for j in bits(x.up[i]))
         closed = networkx.transitive_closure(nbhds, reflexive=True)
         preorder = tuple(mask_of(closed.successors(i)) for i in range(x.n))
-        assert preorder == x.min_nbhds, x
+        assert preorder == x.up, x
         assert set(closed.edges) == set(specialization.edges), x
 
 

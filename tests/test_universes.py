@@ -5,7 +5,7 @@ import pytest
 from stonekit import order, universes
 from stonekit.errors import BudgetExceeded
 from stonekit.order import cycle_pair, is_transitive
-from stonekit.spaces import sierpinski, specialization_preorder, discrete_space
+from stonekit.spaces import sierpinski, discrete_space
 from stonekit.universes import (
     _relation_candidates,
     all_continuous_maps,
@@ -103,7 +103,7 @@ def test_lattice_universe_size_and_bounds():
 def test_spaces_recover_their_defining_preorder():
     seen = set()
     for space in all_spaces(3):
-        up = specialization_preorder(space)
+        up = space.up
         assert up not in seen  # enumeration is one topology per preorder
         seen.add(up)
 

@@ -185,7 +185,7 @@ def bad_inputs():
         FinPoset: (lambda: FinPoset(("a", "a"), (1, 2)), "duplicate element names"),
         DistLattice: (lambda: DistLattice(antichain(["a", "b"])), "no meet"),
         LatticeHom: (lambda: LatticeHom(two, two, (1, 1)), "fails bottom"),
-        FinSpace: (lambda: FinSpace(("a",), (1,)), "missing empty set"),
+        FinSpace: (lambda: FinSpace(("a", "b"), (2, 2)), "not reflexive at 'a'"),
         ContinuousMap: (lambda: ContinuousMap(s, d, (0, 1)), "is not open"),
     }
 
