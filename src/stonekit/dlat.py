@@ -52,7 +52,6 @@ principal masks and prime_filters the up-sets it checked, so no mask is
 checked twice.
 """
 
-from functools import cached_property
 from itertools import count, product
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -65,32 +64,33 @@ from .errors import (
     UniverseMismatch,
 )
 from .memo import cached, name_free
-from .order import FinPoset, Value, _unvalidated, isomorphism, make_poset, up_sets
+from .order import FinPoset, Value, _unvalidated, derived, isomorphism, make_poset, up_sets
 
 
 class DistLattice(Value):
     """Bounded lattice on its FinPoset carrier, the only field; the meet and
-    join tables and the shape are attributes that __post_init__ reads off
+    join tables and the shape are slots that __post_init__ fills from
     _order_tables."""
 
     poset: FinPoset
+    __slots__ = ("meet", "join", "shape")
 
     # the canonical linear extension puts bottom first and top last
     bot = 0
 
     def __post_init__(self):
-        meet, join, shape = _order_tables(self.poset)
-        self.__dict__.update(meet=meet, join=join, shape=shape)
+        for name, value in zip(("meet", "join", "shape"), _order_tables(self.poset)):
+            object.__setattr__(self, name, value)
 
     @property
     def elements(self) -> Tuple[str, ...]:
         return self.poset.elements
 
-    @cached_property
+    @derived
     def n(self) -> int:
         return self.poset.n
 
-    @cached_property
+    @derived
     def top(self) -> int:
         return self.n - 1
 
@@ -116,7 +116,7 @@ class DistLattice(Value):
     def subset_name(self, mask: int) -> str:
         return format_subset(self.elements, mask)
 
-    @cached_property
+    @derived
     def join_irreducible_mask(self) -> int:
         """Bitmask of the elements that are not bottom and not the join of
         the elements strictly below them (exactly one lower cover); built once."""
@@ -299,7 +299,7 @@ class SetLatticeView(Value):
     lattice: DistLattice
     masks: Tuple[int, ...]
 
-    @cached_property
+    @derived
     def element_of(self) -> Dict[int, int]:
         """The element that denotes each subset, keyed by its mask."""
         return {m: i for i, m in enumerate(self.masks)}

@@ -22,7 +22,6 @@ and the hom's assignment for the other. The names of each call's own
 lattices and spaces are attached afterwards.
 """
 
-from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from .bitsets import bits, index_in, mask_of
@@ -39,7 +38,7 @@ from .dlat import (
 )
 from .errors import NotDistributive
 from .memo import cached, name_free
-from .order import Value, _unvalidated
+from .order import Value, _unvalidated, derived
 from .spaces import ContinuousMap, FinSpace, open_frame_view
 
 
@@ -289,7 +288,7 @@ class SpectrumView(Value):
     sigma: Tuple[int, ...]
     carrier: Tuple[str, ...]
 
-    @cached_property
+    @derived
     def point_of(self) -> Dict[int, int]:
         """The point of each prime filter, keyed by its member mask."""
         return {m: k for k, m in enumerate(self.filters)}
@@ -300,10 +299,12 @@ class SpectrumView(Value):
 
 def filter_space_of(carrier: Tuple[str, ...], filters: Tuple[int, ...]) -> SpectrumView:
     """Filters on `carrier` (member masks) as the points of a space, each
-    named up(j) after its generator j, its lowest member in carrier order;
-    topologized by the basic opens: sigma[a] is the point-set of the filters
-    that contain carrier element a. For prime filters these are the up-sets
-    of inclusion, which is the space's specialization preorder."""
+    named up(j) after its generator j, its lowest member in carrier order.
+    sigma[a], the basic open of carrier element a, is the point-set of the
+    filters that contain a. The space has the topology the basic opens
+    generate: the up-sets of inclusion, its specialization preorder. For
+    prime filters and neighbourhood filters these are exactly the basic
+    opens; for other families they may be more, and nothing is refused."""
     names = tuple(f"up({carrier[(m & -m).bit_length() - 1]})" for m in filters)
     up, sigma = _filter_opens(len(carrier), filters)
     return SpectrumView(FinSpace(names, up), filters, sigma, carrier)

@@ -13,7 +13,6 @@ preorder_closure (Warshall's loop on masks), cycle_pair, poset_of_preorder
 and space isomorphisms.
 """
 
-from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -21,14 +20,49 @@ from .bitsets import bits, mask_of
 from .errors import CycleError, InvalidValue
 
 
-class Value:
+# what getattr gives for a derived attribute's slot before its first read
+_EMPTY = object()
+
+
+class derived(property):
+    """A lazy attribute of a record class: compute(record) runs on the first
+    read, and its result is kept in a slot of its own, "_" + its name."""
+
+    def __init__(self, compute):
+        slot = "_" + compute.__name__
+
+        def read(record):
+            value = getattr(record, slot, _EMPTY)
+            if value is _EMPTY:
+                value = compute(record)
+                object.__setattr__(record, slot, value)
+            return value
+
+        super().__init__(read, doc=compute.__doc__)
+        self.slot = slot
+
+
+class _Record(type):
+    """Gives a record class __slots__ for its fields, its derived attributes
+    and any slots it names itself, so that no record has a __dict__."""
+
+    def __new__(mcls, name, bases, namespace):
+        fields = tuple(namespace.get("__annotations__", ()))
+        lazy = tuple(v.slot for v in namespace.values() if isinstance(v, derived))
+        namespace["__slots__"] = fields + lazy + namespace.get("__slots__", ())
+        namespace["_fields"] = fields
+        return super().__new__(mcls, name, bases, namespace)
+
+
+class Value(metaclass=_Record):
     """Base of the frozen record classes. The fields are the class's own
     annotations, in order, all passed positionally; an instance compares,
     hashes and prints as the tuple of its fields, as a frozen dataclass
-    does, and runs the class's __post_init__ check once they are set."""
+    does, and runs the class's __post_init__ check once they are set.
+    Fields and derived attributes live in slots."""
 
     def __init_subclass__(cls):
-        cls._fields = fields = tuple(vars(cls).get("__annotations__", ()))
+        fields = cls._fields
         get = attrgetter(*fields)
         key = get if len(fields) > 1 else lambda v: (get(v),)
         cls._check = getattr(cls, "__post_init__", None)
@@ -88,7 +122,7 @@ class FinPoset(Value):
         if not is_transitive(self.down):
             raise InvalidValue("relation not transitive")
 
-    @cached_property
+    @derived
     def n(self) -> int:
         return len(self.elements)
 
@@ -101,7 +135,7 @@ class FinPoset(Value):
     def leq(self, x: str, y: str) -> bool:
         return self.leq_index(self.index(x), self.index(y))
 
-    @cached_property
+    @derived
     def up_masks(self) -> Tuple[int, ...]:
         """up_masks[i] is the bitmask of {j | e_i <= e_j}, built once."""
         return transpose(self.down)
@@ -268,7 +302,8 @@ def _unvalidated(cls, *values):
     only for values valid by construction, such as the composite of two
     maps that were validated when they were built."""
     obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls._fields, values))
+    for name, value in zip(cls._fields, values):
+        object.__setattr__(obj, name, value)
     return obj
 
 

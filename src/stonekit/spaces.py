@@ -17,7 +17,7 @@ whatever the point names (memo.name_free); only passing verdicts are
 stored, and the spaces of one preorder share one tuple of opens.
 """
 
-from functools import cached_property, reduce
+from functools import reduce
 from operator import and_
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -29,6 +29,7 @@ from .order import (
     Value,
     _unvalidated,
     cycle_pair,
+    derived,
     is_transitive,
     isomorphism,
     up_sets,
@@ -63,7 +64,7 @@ class FinSpace(Value):
     def set_name(self, mask: int) -> str:
         return format_subset(self.points, mask)
 
-    @cached_property
+    @derived
     def opens(self) -> Tuple[int, ...]:
         """Every up-set of the preorder, ascending, one tuple shared by
         the spaces of one preorder."""

@@ -736,9 +736,9 @@ def swapped(lat):
     view = original(lat)
     i = view.lattice
     mutant = object.__new__(dlat.DistLattice)
-    mutant.__dict__.update(
-        poset=i.poset, meet=i.join, join=i.meet, shape=next(shapes)
-    )
+    slots = dict(poset=i.poset, meet=i.join, join=i.meet, shape=next(shapes))
+    for name, value in slots.items():
+        object.__setattr__(mutant, name, value)
     return dlat.SetLatticeView(mutant, view.masks)
 
 

@@ -33,6 +33,7 @@ from stonekit.frame import (
     complemented_mask,
     corestrict_to_center,
     counit_hom,
+    filter_space_of,
     gamma_coalgebra,
     is_boolean,
     is_compact,
@@ -64,6 +65,7 @@ from stonekit.spaces import (
     homeomorphic,
     open_set_frame,
     sierpinski,
+    space_from_basis,
 )
 from stonekit.topspace import filter_space_view
 from stonekit.universes import all_spaces, all_spaces_upto, lattice_universe
@@ -298,6 +300,16 @@ def test_the_opens_of_a_space_of_filters_are_its_basic_opens():
     assert len(views) == 243 + 390
     for view in views:
         assert sorted(set(view.sigma)) == list(view.space.opens), view
+        assert view.space == space_from_basis(view.space.points, view.sigma)
+
+
+def test_other_filters_get_the_topology_their_basic_opens_generate():
+    # {a,b} and {b,c} are incomparable, so the up-sets of inclusion are
+    # discrete, and they hold the empty set that the basic opens miss
+    view = filter_space_of(("a", "b", "c"), (0b011, 0b110))
+    assert view.sigma == (0b01, 0b11, 0b10)
+    assert view.space.opens == (0, 1, 2, 3)
+    assert view.space == space_from_basis(view.space.points, view.sigma)
 
 
 def test_a_mask_that_is_no_prime_filter_is_an_invariant_violation():

@@ -15,6 +15,7 @@ from stonekit.order import (
     covers,
     cycle_pair,
     is_transitive,
+    isomorphism,
     make_poset,
     order_closure,
     poset_isomorphic,
@@ -350,3 +351,59 @@ def test_networkx_agrees_on_the_closure_and_the_covers():
         reduced = networkx.transitive_reduction(graph)
         expected = tuple(sorted(reduced.edges, key=lambda e: (e[1], e[0])))
         assert covers(p.down, p.up_masks) == expected, p
+
+
+def _strict_digraph(networkx, down):
+    """The strict order of down-masks as a digraph: i -> j for i below j."""
+    graph = networkx.DiGraph()
+    graph.add_nodes_from(range(len(down)))
+    graph.add_edges_from((i, j) for j, d in enumerate(down) for i in bits(d) if i != j)
+    return graph
+
+
+def test_networkx_agrees_on_isomorphism():
+    # VF2 on the strict orders, on every unordered same-size pair of
+    # posets of at most 4 elements; a bijection found must carry the one
+    # relation onto the other
+    import networkx
+
+    posets = all_posets_upto(4)
+    graphs = [_strict_digraph(networkx, p.down) for p in posets]
+    pairs = found = 0
+    for a, p in enumerate(posets):
+        for b in range(a, len(posets)):
+            q = posets[b]
+            if q.n != p.n:
+                continue
+            f = isomorphism(p.down, q.down)
+            assert (f is not None) == networkx.is_isomorphic(graphs[a], graphs[b]), (p, q)
+            if f is not None:
+                assert {(f[i], f[j]) for i, j in graphs[a].edges} == set(graphs[b].edges)
+                found += 1
+            pairs += 1
+    assert pairs == 1 + 1 + 3 * 4 // 2 + 19 * 20 // 2 + 219 * 220 // 2
+    assert 0 < found < pairs
+
+
+def test_networkx_gives_the_canonical_order_of_make_poset():
+    # the canonical order is the topological order that takes the least
+    # name among the ready elements: networkx's lexicographical sort keyed
+    # by name, on posets given under random names and in random order
+    import networkx
+
+    rng = random.Random(20261020)
+    pool = [a + b for a in "pqrs" for b in "0123456789"]
+    posets = all_posets_upto(5)
+    assert len(posets) == 4474
+    for p in posets:
+        names = rng.sample(pool, p.n)
+        listing = rng.sample(range(p.n), p.n)
+        pos = {old: new for new, old in enumerate(listing)}
+        down = [mask_of(pos[i] for i in bits(p.down[old])) for old in listing]
+        q = make_poset(names, down)
+        graph = _strict_digraph(networkx, down)
+        expected = networkx.lexicographical_topological_sort(graph, key=names.__getitem__)
+        assert q.elements == tuple(names[k] for k in expected), (names, down)
+        assert set(q.pairs()) == {
+            (names[i], names[j]) for j, d in enumerate(down) for i in bits(d)
+        }

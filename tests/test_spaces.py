@@ -159,8 +159,13 @@ def test_opens_are_built_once():
     y = FinSpace(("p", "q", "r"), (0b001, 0b011, 0b111))
     z = FinSpace(("a", "b", "c"), (0b001, 0b011, 0b111))
     assert z == x and hash(z) == hash(x) and y != x
-    assert "opens" not in vars(y)
+    # their slots for the opens are still empty; the first read fills one
+    slot = FinSpace.opens.slot
+    for w in (y, z):
+        with pytest.raises(AttributeError):
+            getattr(w, slot)
     assert y.opens is x.opens
+    assert getattr(y, slot) is x.opens
 
 
 def test_sierpinski_shape():

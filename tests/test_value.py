@@ -4,10 +4,13 @@ Every record class of the package derives from `order.Value`. Each one is
 compared here with a twin that `dataclasses.make_dataclass` builds frozen
 from the same field values: equality, hash and repr must agree, the
 fields stay frozen, the arity is exact, and `__post_init__` still rejects
-bad input.
+bad input. Records are slotted: no instance has a `__dict__`, and each
+derived attribute is filled once, on its first read, and stays out of
+equality, hashing and repr.
 """
 
 import dataclasses
+from functools import cached_property
 from itertools import product
 
 import pytest
@@ -48,6 +51,7 @@ from stonekit.order import (
     _unvalidated,
     antichain,
     chain,
+    derived,
 )
 from stonekit.spaces import (
     ContinuousMap,
@@ -201,3 +205,50 @@ def test_post_init_still_rejects_bad_input():
         with pytest.raises((InvalidValue, NotALattice, NotATopology), match=message):
             build()
     assert callable(FILTER_MONAD_ON_SPACES.unit.component.cache_info)
+
+
+def test_no_record_has_an_instance_dict():
+    for value in samples():
+        assert not hasattr(value, "__dict__"), type(value).__name__
+        with pytest.raises(AttributeError):
+            value.extra = None
+
+
+def test_no_record_class_uses_cached_property():
+    # cached_property stores its result in the instance dict
+    for cls in record_classes():
+        for klass in cls.__mro__:
+            cached = [k for k, v in vars(klass).items() if isinstance(v, cached_property)]
+            assert cached == [], f"{cls.__name__}: {cached}"
+
+
+def test_derived_attributes_are_filled_once_and_stay_out_of_the_value():
+    read = set()
+    for value in samples():
+        cls = type(value)
+        for name, attribute in vars(cls).items():
+            if not isinstance(attribute, derived):
+                continue
+            # a fresh twin, checked again, whose slot for it is still empty
+            twin = cls(*field_values(value))
+            with pytest.raises(AttributeError):
+                getattr(twin, attribute.slot)
+            first = getattr(value, name)
+            assert getattr(value, name) is first
+            assert getattr(value, attribute.slot) is first
+            assert twin == value and hash(twin) == hash(value)
+            assert repr(twin) == repr(value)
+            with pytest.raises(AttributeError):
+                getattr(twin, attribute.slot)
+            assert getattr(twin, name) == first
+            read.add(f"{cls.__name__}.{name}")
+    assert read == {
+        "FinPoset.n",
+        "FinPoset.up_masks",
+        "DistLattice.n",
+        "DistLattice.top",
+        "DistLattice.join_irreducible_mask",
+        "FinSpace.opens",
+        "SetLatticeView.element_of",
+        "SpectrumView.point_of",
+    }
