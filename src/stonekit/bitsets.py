@@ -4,9 +4,11 @@ A subset of a carrier with canonical element order e_0, ..., e_{n-1} is an
 int whose bit i says whether e_i is in the subset.
 """
 
-from typing import Dict, Iterator, Sequence
+import sys
+from typing import Dict, Iterator, Sequence, Tuple
 
 from .errors import InvariantViolated
+from .memo import name_free
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -25,15 +27,23 @@ def mask_of(indices) -> int:
 
 
 def format_subset(names: Sequence[str], mask: int) -> str:
-    """Render a subset as `{a,b}` in carrier order; empty set is `{}`."""
-    return "{" + ",".join(names[i] for i in bits(mask)) + "}"
+    """Render a subset as `{a,b}` in carrier order; empty set is `{}`.
+    The name is interned: equal names are one string."""
+    return sys.intern("{" + ",".join(names[i] for i in bits(mask)) + "}")
 
 
-def index_in(positions: Dict[int, int], mask: int, what: str, names=None) -> int:
-    """positions[mask], for a mask that a construction relies on finding;
+@name_free(lambda masks: masks)
+def positions(masks: Tuple[int, ...]) -> Dict[int, int]:
+    """The position of each of the distinct masks, keyed by the mask; one
+    table per family, shared by every view of it."""
+    return {m: i for i, m in enumerate(masks)}
+
+
+def index_in(table: Dict[int, int], mask: int, what: str, names=None) -> int:
+    """table[mask], for a mask that a construction relies on finding;
     InvariantViolated names the mask, by its members' `names` when given,
     and what it should have been."""
-    index = positions.get(mask)
+    index = table.get(mask)
     if index is None:
         shown = f"mask {mask:#b}" if names is None else format_subset(names, mask)
         raise InvariantViolated(f"{shown} is not {what}")

@@ -52,10 +52,11 @@ principal masks and prime_filters the up-sets it checked, so no mask is
 checked twice.
 """
 
+import sys
 from itertools import count, product
 from typing import Dict, Optional, Sequence, Tuple
 
-from .bitsets import bits, format_subset, index_in, mask_of
+from .bitsets import bits, format_subset, index_in, mask_of, positions
 from .errors import (
     BudgetExceeded,
     InvalidValue,
@@ -302,7 +303,7 @@ class SetLatticeView(Value):
     @derived
     def element_of(self) -> Dict[int, int]:
         """The element that denotes each subset, keyed by its mask."""
-        return {m: i for i, m in enumerate(self.masks)}
+        return positions(self.masks)
 
     def index_of(self, mask: int) -> int:
         return index_in(self.element_of, mask, "a subset of the lattice")
@@ -421,7 +422,7 @@ def ideal_view(lat: DistLattice) -> SetLatticeView:
     ordered by inclusion. Ideal m is named down(a) after its generator a,
     the top bit of m."""
     masks = principal_masks(lat)
-    names = [f"down({lat.elements[m.bit_length() - 1]})" for m in masks]
+    names = [sys.intern(f"down({lat.elements[m.bit_length() - 1]})") for m in masks]
     return inclusion_view(lat.elements, masks, names)
 
 

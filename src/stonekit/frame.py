@@ -22,9 +22,10 @@ and the hom's assignment for the other. The names of each call's own
 lattices and spaces are attached afterwards.
 """
 
+import sys
 from typing import Dict, Optional, Tuple
 
-from .bitsets import bits, index_in, mask_of
+from .bitsets import bits, index_in, mask_of, positions
 from .dlat import (
     SUBSET_ORACLE_MAX_ELEMENTS,
     DistLattice,
@@ -291,7 +292,7 @@ class SpectrumView(Value):
     @derived
     def point_of(self) -> Dict[int, int]:
         """The point of each prime filter, keyed by its member mask."""
-        return {m: k for k, m in enumerate(self.filters)}
+        return positions(self.filters)
 
     def index_of(self, members: int) -> int:
         return index_in(self.point_of, members, "a prime filter", self.carrier)
@@ -305,7 +306,9 @@ def filter_space_of(carrier: Tuple[str, ...], filters: Tuple[int, ...]) -> Spect
     generate: the up-sets of inclusion, its specialization preorder. For
     prime filters and neighbourhood filters these are exactly the basic
     opens; for other families they may be more, and nothing is refused."""
-    names = tuple(f"up({carrier[(m & -m).bit_length() - 1]})" for m in filters)
+    names = tuple(
+        sys.intern(f"up({carrier[(m & -m).bit_length() - 1]})") for m in filters
+    )
     up, sigma = _filter_opens(len(carrier), filters)
     return SpectrumView(FinSpace(names, up), filters, sigma, carrier)
 
@@ -363,10 +366,11 @@ def spatiality_hom(lat: DistLattice) -> LatticeHom:
     """
     view = spectrum_view(lat)
     frame = open_frame_view(view.space)
+    element_of = frame.element_of
     return LatticeHom(
         lat,
         frame.lattice,
-        tuple(frame.index_of(view.sigma[a]) for a in range(lat.n)),
+        tuple(index_in(element_of, s, "a subset of the lattice") for s in view.sigma),
     )
 
 
@@ -392,8 +396,12 @@ def comultiplication_hom(lat: DistLattice) -> LatticeHom:
     """c as a hom from the ideal lattice to the double ideal lattice."""
     view = ideal_view(lat)
     double = ideal_view(view.lattice)
+    element_of = double.element_of
     assignment = tuple(
-        double.index_of(_comultiplication_mask(view.masks, m)) for m in view.masks
+        index_in(
+            element_of, _comultiplication_mask(view.masks, m), "a subset of the lattice"
+        )
+        for m in view.masks
     )
     return LatticeHom(view.lattice, double.lattice, assignment)
 

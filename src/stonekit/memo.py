@@ -12,8 +12,8 @@ message names that caller's own elements. The memoised work: the tables
 of an order, the distributivity and hom checks, the order of an inclusion
 family, the ideal image of a hom, the prime filters, the preorder check
 of a space with its opens, the continuity check of a map, the preorder
-and basic opens of a space of filters, and the point assignment of
-spectrum_map.
+and basic opens of a space of filters, the point assignment of
+spectrum_map, and the position table of a family of masks.
 
 A function decorated with ``cached`` is an unbounded ``lru_cache`` on its
 arguments, for the views and pools of the package. Every such function

@@ -21,7 +21,7 @@ are checked by catengine.check_algebra (instances).
 
 from typing import Optional, Tuple
 
-from .bitsets import format_subset, mask_of
+from .bitsets import format_subset, index_in, mask_of
 from .dlat import LatticeHom, ideal_view
 from .errors import InvariantViolated, NoCanonicalAlgebra
 from .frame import SpectrumView, center_view, filter_space_of, spectrum_view
@@ -166,12 +166,15 @@ def sobrification(x: FinSpace) -> Tuple[FinSpace, ContinuousMap]:
     """Spectrum of the open-set frame, with the point-character unit."""
     frame = open_frame_view(x)
     sview = spectrum_view(frame.lattice)
+    point_of = sview.point_of
     assignment = []
     for i in range(x.n):
         character = mask_of(
             p for p in range(frame.lattice.n) if (frame.masks[p] >> i) & 1
         )
-        assignment.append(sview.index_of(character))
+        assignment.append(
+            index_in(point_of, character, "a prime filter", sview.carrier)
+        )
     unit = ContinuousMap(x, sview.space, tuple(assignment))
     return sview.space, unit
 

@@ -4,6 +4,7 @@ Derived values asserted here (ideal masks, hom counts, witnesses) were
 computed by the definitional brute-force routes first and then frozen.
 """
 
+import random
 import sys
 from itertools import product
 
@@ -371,6 +372,29 @@ def test_set_operation_route_equals_lattice_from_poset_on_downsets():
             for j in range(lat.n):
                 assert masks[lat.meet[i][j]] == masks[i] & masks[j]
                 assert masks[lat.join[i][j]] == masks[i] | masks[j]
+
+
+def test_networkx_counts_the_down_sets_as_the_antichains():
+    # an independent oracle: the down-sets of a finite poset are in
+    # bijection with its antichains (each the maximal elements of one),
+    # counted by networkx with the empty antichain included
+    import networkx
+
+    rng = random.Random(20261026)
+    posets = list(all_posets_upto(4))
+    for n in (6, 7, 8) * 3:
+        names = [chr(ord("a") + i) for i in range(n)]
+        pairs = [(x, y) for i, x in enumerate(names) for y in names[i + 1 :]]
+        posets.append(order_closure(names, rng.sample(pairs, rng.randint(0, n + 2))))
+    assert len(posets) == 243 + 9
+    for p in posets:
+        graph = networkx.DiGraph()
+        graph.add_nodes_from(range(p.n))
+        graph.add_edges_from(
+            (i, j) for j in range(p.n) for i in bits(p.down[j]) if i != j
+        )
+        antichains = sum(1 for _ in networkx.antichains(graph))
+        assert len(downset_view(p).masks) == antichains, p
 
 
 def test_set_operation_route_declines_a_family_not_closed_under_union():

@@ -1,5 +1,6 @@
 """Way-below, stable compactness, regularity, spectra, the ideal comonad."""
 
+import gc
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from stonekit.dlat import (
     TWO,
     DistLattice,
     LatticeHom,
+    SetLatticeView,
     all_lattice_homs,
     compose_homs,
     downset_lattice,
@@ -63,6 +65,7 @@ from stonekit.order import _unvalidated, antichain, chain, make_poset, order_clo
 from stonekit.spaces import (
     discrete_space,
     homeomorphic,
+    open_frame_view,
     open_set_frame,
     sierpinski,
     space_from_basis,
@@ -617,6 +620,7 @@ NAME_FREE_VALUE = {
         _structure(h.target),
         h.assignment,
     ),
+    "positions": lambda masks: masks,
 }
 
 
@@ -641,3 +645,65 @@ def test_each_name_free_value_is_checked_once(monkeypatch):
             assert len(memo.table) == len(values), memo.__name__
     finally:
         clear_caches()
+
+
+def _cached_results(view):
+    """The results a cached view holds: CPython's lru_cache references one
+    dict besides its __dict__, the cache, whose values are the results."""
+    (cache,) = [
+        r for r in gc.get_referents(view) if type(r) is dict and r is not view.__dict__
+    ]
+    return list(cache.values())
+
+
+def test_the_derived_names_of_a_law_run_are_one_string_per_value():
+    clear_caches()
+    try:
+        assert len(list(run_suite("lifting", max_points=2))) == 733
+        lattices = _cached_results(ideal_view) + _cached_results(open_frame_view)
+        names = [name for view in lattices for name in view.lattice.elements]
+        spaces = _cached_results(spectrum_view)
+        names += [name for view in spaces for name in view.space.points]
+        distinct = set(names)
+        # the views repeat their names, so sharing them is not vacuous
+        assert len(names) > 2 * len(distinct) > 0
+        assert len({id(name) for name in names}) == len(distinct)
+    finally:
+        clear_caches()
+
+
+def _assert_derived_table(make, table, shared):
+    read, fresh = make(), make()
+    assert getattr(read, table) is shared
+    assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+    assert "{" not in repr(read)
+
+
+def test_views_of_equal_masks_share_one_position_table():
+    abc = lattice_from_poset(chain(["a", "b", "c"]))
+    xyz = lattice_from_poset(chain(["x", "y", "z"]))
+    ideals = ideal_view(abc), ideal_view(xyz)
+    assert ideals[0].masks == ideals[1].masks and ideals[0] != ideals[1]
+    assert ideals[0].element_of is ideals[1].element_of
+    spectra = spectrum_view(abc), spectrum_view(xyz)
+    assert spectra[0].filters == spectra[1].filters == (0b100, 0b110)
+    assert spectra[0].point_of is spectra[1].point_of
+    # the table is derived: a view that has read it equals, hashes and
+    # prints as one that has not
+    _assert_derived_table(
+        lambda: SetLatticeView(abc, ideals[0].masks), "element_of", ideals[0].element_of
+    )
+    _assert_derived_table(
+        lambda: filter_space_of(abc.elements, spectra[0].filters),
+        "point_of",
+        spectra[0].point_of,
+    )
+    # a mask outside the shared table is reported in each view's own terms
+    for view in ideals:
+        with pytest.raises(InvariantViolated) as raised:
+            view.index_of(0b010)
+        assert str(raised.value) == "mask 0b10 is not a subset of the lattice"
+    for view, members in zip(spectra, ("{a,b}", "{x,y}")):
+        with pytest.raises(InvariantViolated) as raised:
+            view.index_of(0b011)
+        assert str(raised.value) == f"{members} is not a prime filter"
