@@ -5,7 +5,7 @@ int whose bit i says whether e_i is in the subset.
 """
 
 import sys
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 from .errors import InvariantViolated
 from .memo import name_free
@@ -26,6 +26,14 @@ def mask_of(indices) -> int:
     return out
 
 
+def union_of(sets: Sequence[int], mask: int) -> int:
+    """The union of sets[i] over the members i of mask."""
+    out = 0
+    for i in bits(mask):
+        out |= sets[i]
+    return out
+
+
 def format_subset(names: Sequence[str], mask: int) -> str:
     """Render a subset as `{a,b}` in carrier order; empty set is `{}`.
     The name is interned: equal names are one string."""
@@ -39,12 +47,17 @@ def positions(masks: Tuple[int, ...]) -> Dict[int, int]:
     return {m: i for i, m in enumerate(masks)}
 
 
-def index_in(table: Dict[int, int], mask: int, what: str, names=None) -> int:
-    """table[mask], for a mask that a construction relies on finding;
-    InvariantViolated names the mask, by its members' `names` when given,
-    and what it should have been."""
-    index = table.get(mask)
-    if index is None:
-        shown = f"mask {mask:#b}" if names is None else format_subset(names, mask)
-        raise InvariantViolated(f"{shown} is not {what}")
-    return index
+def indices_in(
+    table: Dict[int, int], masks: Iterable[int], what: str, names=None
+) -> Tuple[int, ...]:
+    """table[mask] for each of the masks, in order, which a construction
+    relies on finding; InvariantViolated names the first one missing, by
+    its members' `names` when given, and what it should have been."""
+    found = []
+    for mask in masks:
+        index = table.get(mask)
+        if index is None:
+            shown = f"mask {mask:#b}" if names is None else format_subset(names, mask)
+            raise InvariantViolated(f"{shown} is not {what}")
+        found.append(index)
+    return tuple(found)

@@ -54,9 +54,9 @@ checked twice.
 
 import sys
 from itertools import count, product
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .bitsets import bits, format_subset, index_in, mask_of, positions
+from .bitsets import bits, format_subset, indices_in, mask_of, positions, union_of
 from .errors import (
     BudgetExceeded,
     InvalidValue,
@@ -305,8 +305,9 @@ class SetLatticeView(Value):
         """The element that denotes each subset, keyed by its mask."""
         return positions(self.masks)
 
-    def index_of(self, mask: int) -> int:
-        return index_in(self.element_of, mask, "a subset of the lattice")
+    def indices_of(self, masks: Iterable[int]) -> Tuple[int, ...]:
+        """The element that denotes each of the subsets, in order."""
+        return indices_in(self.element_of, masks, "a subset of the lattice")
 
 
 def inclusion_view(
@@ -434,24 +435,15 @@ def ideal_lattice(lat: DistLattice) -> DistLattice:
 def principal_embedding(lat: DistLattice) -> LatticeHom:
     """Monad unit as a hom: an element goes to its principal ideal."""
     view = ideal_view(lat)
-    return LatticeHom(
-        lat,
-        view.lattice,
-        tuple(view.index_of(lat.poset.down[i]) for i in range(lat.n)),
-    )
+    return LatticeHom(lat, view.lattice, view.indices_of(lat.poset.down))
 
 
 def union_hom(lat: DistLattice) -> LatticeHom:
     """Monad multiplication as a hom from the double ideal lattice."""
     view = ideal_view(lat)
     double = ideal_view(view.lattice)
-    assignment = []
-    for m in double.masks:
-        u = 0
-        for i in bits(m):
-            u |= view.masks[i]
-        assignment.append(view.index_of(u))
-    return LatticeHom(double.lattice, view.lattice, tuple(assignment))
+    unions = (union_of(view.masks, m) for m in double.masks)
+    return LatticeHom(double.lattice, view.lattice, view.indices_of(unions))
 
 
 def ideal_functor_hom(f: LatticeHom) -> LatticeHom:
@@ -474,14 +466,10 @@ def _ideal_image_assignment(
     assignment: Tuple[int, ...],
     tgt_masks: Tuple[int, ...],
 ) -> Tuple[int, ...]:
-    index = {m: i for i, m in enumerate(tgt_masks)}
-    out = []
-    for m in src_masks:
-        image = 0
-        for a in bits(m):
-            image |= down[assignment[a]]
-        out.append(index[image])
-    return tuple(out)
+    # the image of an ideal is the union of the down-sets of its members' images
+    downs = [down[v] for v in assignment]
+    images = (union_of(downs, m) for m in src_masks)
+    return indices_in(positions(tgt_masks), images, "a subset of the lattice")
 
 
 # ---------------------------------------------------------------------------

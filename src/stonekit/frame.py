@@ -23,9 +23,9 @@ lattices and spaces are attached afterwards.
 """
 
 import sys
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
-from .bitsets import bits, index_in, mask_of, positions
+from .bitsets import bits, indices_in, mask_of, positions, union_of
 from .dlat import (
     SUBSET_ORACLE_MAX_ELEMENTS,
     DistLattice,
@@ -294,8 +294,9 @@ class SpectrumView(Value):
         """The point of each prime filter, keyed by its member mask."""
         return positions(self.filters)
 
-    def index_of(self, members: int) -> int:
-        return index_in(self.point_of, members, "a prime filter", self.carrier)
+    def indices_of(self, filters: Iterable[int]) -> Tuple[int, ...]:
+        """The point of each of the prime filters, in order."""
+        return indices_in(self.point_of, filters, "a prime filter", self.carrier)
 
 
 def filter_space_of(carrier: Tuple[str, ...], filters: Tuple[int, ...]) -> SpectrumView:
@@ -348,14 +349,8 @@ def _spectrum_assignment(
     preimages = [0] * h.target.n
     for a, v in enumerate(h.assignment):
         preimages[v] |= 1 << a
-    names = h.source.elements
-    assignment = []
-    for fm in filters:
-        pulled = 0
-        for v in bits(fm):
-            pulled |= preimages[v]
-        assignment.append(index_in(point_of, pulled, "a prime filter", names))
-    return tuple(assignment)
+    pulled = (union_of(preimages, fm) for fm in filters)
+    return indices_in(point_of, pulled, "a prime filter", h.source.elements)
 
 
 def spatiality_hom(lat: DistLattice) -> LatticeHom:
@@ -366,12 +361,7 @@ def spatiality_hom(lat: DistLattice) -> LatticeHom:
     """
     view = spectrum_view(lat)
     frame = open_frame_view(view.space)
-    element_of = frame.element_of
-    return LatticeHom(
-        lat,
-        frame.lattice,
-        tuple(index_in(element_of, s, "a subset of the lattice") for s in view.sigma),
-    )
+    return LatticeHom(lat, frame.lattice, frame.indices_of(view.sigma))
 
 
 def is_spatial(lat: DistLattice) -> bool:
@@ -396,12 +386,8 @@ def comultiplication_hom(lat: DistLattice) -> LatticeHom:
     """c as a hom from the ideal lattice to the double ideal lattice."""
     view = ideal_view(lat)
     double = ideal_view(view.lattice)
-    element_of = double.element_of
-    assignment = tuple(
-        index_in(
-            element_of, _comultiplication_mask(view.masks, m), "a subset of the lattice"
-        )
-        for m in view.masks
+    assignment = double.indices_of(
+        _comultiplication_mask(view.masks, m) for m in view.masks
     )
     return LatticeHom(view.lattice, double.lattice, assignment)
 
@@ -424,5 +410,4 @@ def gamma_coalgebra(lat: DistLattice) -> LatticeHom:
     algebra laws of the locale ideal monad (instances)."""
     wb = way_below(lat)
     view = ideal_view(lat)
-    assignment = tuple(view.index_of(wb.below[a]) for a in range(lat.n))
-    return LatticeHom(lat, view.lattice, assignment)
+    return LatticeHom(lat, view.lattice, view.indices_of(wb.below))

@@ -21,7 +21,7 @@ from functools import reduce
 from operator import and_
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .bitsets import bits, format_subset, index_in, mask_of
+from .bitsets import bits, format_subset, mask_of
 from .dlat import DistLattice, LatticeHom, SetLatticeView, inclusion_view
 from .errors import InvalidValue, NotATopology, UniverseMismatch
 from .memo import cached, name_free
@@ -261,17 +261,9 @@ def open_preimage_hom(f: ContinuousMap) -> LatticeHom:
     """Frame hom from target opens to source opens taking preimages."""
     src_view = open_frame_view(f.target)
     tgt_view = open_frame_view(f.source)
-    element_of = tgt_view.element_of
-    return LatticeHom(
-        src_view.lattice,
-        tgt_view.lattice,
-        tuple(
-            index_in(
-                element_of, preimage_mask(f.assignment, m), "a subset of the lattice"
-            )
-            for m in src_view.masks
-        ),
-    )
+    preimages = (preimage_mask(f.assignment, m) for m in src_view.masks)
+    assignment = tgt_view.indices_of(preimages)
+    return LatticeHom(src_view.lattice, tgt_view.lattice, assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,14 @@ U_x, the up-masks FinSpace.up; one filter lies below another when it is
 a subset of it. The prime filters of the open frame are the same masks
 (R. E. Stong, 1966): the twin in tests/test_topspace.py, and the
 independent side of the pairing, ultrafilter and sobrification laws.
-index_of refuses any other mask. The T0, Hausdorff and ultrafilter
-spaces are built from their preorders as well. The algebras of the monad
-are checked by catengine.check_algebra (instances).
+SpectrumView.indices_of refuses any other mask. The T0, Hausdorff and
+ultrafilter spaces are built from their preorders as well. The algebras
+of the monad are checked by catengine.check_algebra (instances).
 """
 
 from typing import Optional, Tuple
 
-from .bitsets import format_subset, index_in, mask_of
+from .bitsets import bits, format_subset, indices_in, mask_of, positions
 from .dlat import LatticeHom, ideal_view
 from .errors import InvariantViolated, NoCanonicalAlgebra
 from .frame import SpectrumView, center_view, filter_space_of, spectrum_view
@@ -68,40 +68,40 @@ def neighborhood_filter(x: FinSpace, point: str) -> int:
 
 
 def unit_map(x: FinSpace) -> ContinuousMap:
-    """eta: a point goes to its neighborhood filter, which index_of finds
+    """eta: a point goes to its neighborhood filter, which indices_of finds
     among the points of F X or reports as an invariant violation."""
     view = filter_space_view(x)
-    assignment = tuple(view.index_of(f) for f in _neighborhood_filters(x))
-    return ContinuousMap(x, view.space, assignment)
+    return ContinuousMap(x, view.space, view.indices_of(_neighborhood_filters(x)))
 
 
 def filter_map(f: ContinuousMap) -> ContinuousMap:
     """F f: push a filter forward through preimages."""
     src = filter_space_view(f.source)
     tgt = filter_space_view(f.target)
-    pos = {o: i for i, o in enumerate(f.source.opens)}
-    assignment = []
-    for members in src.filters:
-        pushed = mask_of(
-            j
-            for j, o in enumerate(f.target.opens)
-            if (members >> pos[preimage_mask(f.assignment, o)]) & 1
-        )
-        assignment.append(tgt.index_of(pushed))
-    return ContinuousMap(src.space, tgt.space, tuple(assignment))
+    # the position among the source's opens of each target open's preimage
+    preimages = indices_in(
+        positions(f.source.opens),
+        (preimage_mask(f.assignment, o) for o in f.target.opens),
+        "open",
+        f.source.points,
+    )
+    pushed = (
+        mask_of(j for j, k in enumerate(preimages) if (members >> k) & 1)
+        for members in src.filters
+    )
+    return ContinuousMap(src.space, tgt.space, tgt.indices_of(pushed))
 
 
 def mult_map(x: FinSpace) -> ContinuousMap:
     """mu: FF X -> F X keeps the opens whose stars belong to the big filter."""
     fx = filter_space_view(x)
     ffx = filter_space_view(fx.space)
-    # the position of each open of F X, to find the stars among them
-    pos = {o: i for i, o in enumerate(fx.space.opens)}
-    assignment = []
-    for big in ffx.filters:
-        dropped = mask_of(i for i, s in enumerate(fx.sigma) if (big >> pos[s]) & 1)
-        assignment.append(fx.index_of(dropped))
-    return ContinuousMap(ffx.space, fx.space, tuple(assignment))
+    # the position of each star among the opens of F X
+    stars = indices_in(positions(fx.space.opens), fx.sigma, "open", fx.space.points)
+    dropped = (
+        mask_of(i for i, k in enumerate(stars) if (big >> k) & 1) for big in ffx.filters
+    )
+    return ContinuousMap(ffx.space, fx.space, fx.indices_of(dropped))
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +166,11 @@ def sobrification(x: FinSpace) -> Tuple[FinSpace, ContinuousMap]:
     """Spectrum of the open-set frame, with the point-character unit."""
     frame = open_frame_view(x)
     sview = spectrum_view(frame.lattice)
-    point_of = sview.point_of
-    assignment = []
-    for i in range(x.n):
-        character = mask_of(
-            p for p in range(frame.lattice.n) if (frame.masks[p] >> i) & 1
-        )
-        assignment.append(
-            index_in(point_of, character, "a prime filter", sview.carrier)
-        )
-    unit = ContinuousMap(x, sview.space, tuple(assignment))
+    characters = (
+        mask_of(p for p, m in enumerate(frame.masks) if (m >> i) & 1)
+        for i in range(x.n)
+    )
+    unit = ContinuousMap(x, sview.space, sview.indices_of(characters))
     return sview.space, unit
 
 
@@ -200,19 +195,13 @@ def pairing_map(x: FinSpace) -> ContinuousMap:
     frame = open_frame_view(x)
     ideals = ideal_view(frame.lattice)
     sview = spectrum_view(ideals.lattice)
-    pos = {o: i for i, o in enumerate(x.opens)}
-    assignment = []
+    # the element of the open frame that each open of X is
+    element = frame.indices_of(x.opens)
+    touched = []
     for members in fx.filters:
-        frame_mask = mask_of(
-            p for p in range(frame.lattice.n) if (members >> pos[frame.masks[p]]) & 1
-        )
-        touched = mask_of(
-            e
-            for e in range(ideals.lattice.n)
-            if ideals.masks[e] & frame_mask
-        )
-        assignment.append(sview.index_of(touched))
-    return ContinuousMap(fx.space, sview.space, tuple(assignment))
+        frame_mask = mask_of(element[k] for k in bits(members))
+        touched.append(mask_of(e for e, m in enumerate(ideals.masks) if m & frame_mask))
+    return ContinuousMap(fx.space, sview.space, sview.indices_of(touched))
 
 
 def open_frame_of_filters_iso(x: FinSpace) -> LatticeHom:
@@ -221,16 +210,14 @@ def open_frame_of_filters_iso(x: FinSpace) -> LatticeHom:
     frame_x = open_frame_view(x)
     frame_fx = open_frame_view(fx.space)
     ideals = ideal_view(frame_x.lattice)
-    pos = {o: i for i, o in enumerate(x.opens)}
-    assignment = []
-    for w in frame_fx.masks:
-        members = mask_of(
-            p
-            for p in range(frame_x.lattice.n)
-            if fx.sigma[pos[frame_x.masks[p]]] & ~w == 0
-        )
-        assignment.append(ideals.index_of(members))
-    return LatticeHom(frame_fx.lattice, ideals.lattice, tuple(assignment))
+    # the element of the open frame that each open of X is; fx.sigma holds
+    # the star of each
+    element = frame_x.indices_of(x.opens)
+    members = (
+        mask_of(element[k] for k, star in enumerate(fx.sigma) if star & ~w == 0)
+        for w in frame_fx.masks
+    )
+    return LatticeHom(frame_fx.lattice, ideals.lattice, ideals.indices_of(members))
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,8 @@ def test_ideal_rejects_empty_and_non_down_closed():
 
 def ideal_join(view, a, b):
     """The join of ideals a and b (masks) in the ideal lattice of the view."""
-    return view.masks[view.lattice.join[view.index_of(a)][view.index_of(b)]]
+    i, j = view.indices_of((a, b))
+    return view.masks[view.lattice.join[i][j]]
 
 
 def test_ideal_join_of_two_principals():
@@ -245,7 +246,8 @@ def test_ideal_join_is_the_pairwise_join_closure():
 def ideal_image(f, mask):
     """The image of an ideal (a mask) under the ideal functor's hom of f."""
     src, tgt = ideal_view(f.source), ideal_view(f.target)
-    return tgt.masks[ideal_functor_hom(f).assignment[src.index_of(mask)]]
+    (i,) = src.indices_of((mask,))
+    return tgt.masks[ideal_functor_hom(f).assignment[i]]
 
 
 def test_ideal_image_of_embedding():
@@ -283,7 +285,7 @@ def test_ideals_are_named_by_their_generators():
         # the same family named by its members: equal masks give an order
         # isomorphism, so the names changed nothing but the labels
         old = inclusion_view(lat.elements, principal_masks(lat))
-        iso = tuple(old.index_of(m) for m in view.masks)
+        iso = old.indices_of(view.masks)
         assert sorted(iso) == list(range(old.lattice.n))
         LatticeHom(view.lattice, old.lattice, iso)
         for i in range(lat.n):
@@ -412,9 +414,24 @@ def test_set_operation_route_declines_a_family_not_closed_under_union():
 def test_a_subset_outside_the_family_is_an_invariant_violation():
     view = downset_view(chain(["a", "b"]))
     assert view.masks == (0b00, 0b01, 0b11)
-    assert [view.index_of(m) for m in view.masks] == [0, 1, 2]
+    assert view.indices_of(view.masks) == (0, 1, 2)
+    # the first mask that misses is the one named
     with pytest.raises(InvariantViolated, match="mask 0b10 is not a subset"):
-        view.index_of(0b10)
+        view.indices_of((0b01, 0b10, 0b111))
+
+
+def test_an_ideal_image_missing_from_the_target_is_an_invariant_violation():
+    # the memo's body with the top ideal left out of the target's masks: the
+    # image of the top is then no ideal it holds
+    lat = lattice_from_poset(chain(["a", "b", "c"]))
+    view = ideal_view(lat)
+    assert view.masks[-1] == 0b111
+    with pytest.raises(
+        InvariantViolated, match="^mask 0b111 is not a subset of the lattice$"
+    ):
+        dlat._ideal_image_assignment.__wrapped__(
+            view.masks, lat.poset.down, (0, 1, 2), view.masks[:-1]
+        )
 
 
 def test_principal_embedding_is_iso_on_universe_samples():
@@ -428,9 +445,8 @@ def test_ideal_union_inverts_unit():
     view = ideal_view(d)
     double = ideal_view(view.lattice)
     mult = union_hom(d)
-    for i in range(view.lattice.n):
-        # the principal ideal that ideal i generates one level up
-        big = double.index_of(view.lattice.poset.down[i])
+    # the principal ideal that each ideal generates one level up
+    for i, big in enumerate(double.indices_of(view.lattice.poset.down)):
         assert mult.assignment[big] == i
 
 
@@ -592,8 +608,8 @@ def test_principal_ideal_naturality(lat, data):
     hom = data.draw(st.sampled_from(homs_to_2(lat)))
     image = ideal_functor_hom(hom)
     src, tgt = ideal_view(lat), ideal_view(hom.target)
-    for a in range(lat.n):
-        left = tgt.masks[image.assignment[src.index_of(lat.poset.down[a])]]
+    for a, principal in enumerate(src.indices_of(lat.poset.down)):
+        left = tgt.masks[image.assignment[principal]]
         assert left == hom.target.poset.down[hom.assignment[a]]
 
 

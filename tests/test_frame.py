@@ -318,9 +318,9 @@ def test_other_filters_get_the_topology_their_basic_opens_generate():
 def test_a_mask_that_is_no_prime_filter_is_an_invariant_violation():
     view = spectrum_view(chain3())
     assert view.filters == (0b100, 0b110)
-    assert [view.index_of(m) for m in view.filters] == [0, 1]
+    assert view.indices_of(view.filters) == (0, 1)
     with pytest.raises(InvariantViolated, match="^{{a}} is not a prime filter$"):
-        view.index_of(0b010)
+        view.indices_of((0b100, 0b010, 0b001))
     # a pulled-back filter that no point holds is named by the source's
     # elements as well
     identity = LatticeHom(chain3(), chain3(), (0, 1, 2))
@@ -457,7 +457,8 @@ def test_comultiplication_pointwise_frozen():
     view = ideal_view(d)
     double = ideal_view(view.lattice)
     c = comultiplication_hom(d)
-    c_of_a = double.masks[c.assignment[view.index_of(0b0011)]]
+    (a,) = view.indices_of((0b0011,))
+    c_of_a = double.masks[c.assignment[a]]
     # ideals whose join lands under {a}: just bottom and the principal of {a}
     member_masks = {view.masks[k] for k in range(view.lattice.n) if (c_of_a >> k) & 1}
     assert member_masks == {0b0001, 0b0011}
@@ -701,9 +702,9 @@ def test_views_of_equal_masks_share_one_position_table():
     # a mask outside the shared table is reported in each view's own terms
     for view in ideals:
         with pytest.raises(InvariantViolated) as raised:
-            view.index_of(0b010)
+            view.indices_of((0b010,))
         assert str(raised.value) == "mask 0b10 is not a subset of the lattice"
     for view, members in zip(spectra, ("{a,b}", "{x,y}")):
         with pytest.raises(InvariantViolated) as raised:
-            view.index_of(0b011)
+            view.indices_of((0b011,))
         assert str(raised.value) == f"{members} is not a prime filter"

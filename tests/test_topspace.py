@@ -3,12 +3,31 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stonekit import topspace
+from stonekit import dlat, frame, spaces, topspace
 from stonekit.bitsets import bits, mask_of
 from stonekit.catengine import AlgebraInstance, check_algebra
 from stonekit.errors import InvariantViolated, NoCanonicalAlgebra
-from stonekit.dlat import prime_filters
-from stonekit.frame import filter_space_of, spectrum_map, spectrum_view
+from stonekit.dlat import (
+    TWO,
+    LatticeHom,
+    SetLatticeView,
+    ideal_functor_hom,
+    ideal_lattice,
+    lattice_from_poset,
+    prime_filters,
+    principal_embedding,
+    union_hom,
+)
+from stonekit.frame import (
+    SpectrumView,
+    comultiplication_hom,
+    filter_space_of,
+    gamma_coalgebra,
+    spatiality_hom,
+    spectrum,
+    spectrum_map,
+    spectrum_view,
+)
 from stonekit.memo import clear_caches
 from stonekit.instances import FILTER_MONAD_ON_SPACES, filter_algebra_structures
 from stonekit.spaces import (
@@ -23,8 +42,10 @@ from stonekit.spaces import (
     is_t0,
     open_frame_view,
     open_preimage_hom,
+    open_set_frame,
     sierpinski,
 )
+from stonekit.order import chain
 from stonekit.topspace import (
     canonical_algebra,
     compactification_square,
@@ -87,7 +108,7 @@ def test_filter_validation_messages():
     assert view.carrier == ("{}", "{1}", "{0,1}")
     for members, named in ((0b111, "{{},{1},{0,1}}"), (0b010, "{{1}}"), (0, "{}")):
         with pytest.raises(InvariantViolated) as raised:
-            view.index_of(members)
+            view.indices_of(view.filters + (members,))
         assert str(raised.value) == f"{named} is not a prime filter"
 
 
@@ -325,11 +346,86 @@ def test_a_prime_filter_missing_from_a_spectrum_is_an_invariant_violation(
     assert report.comparison is None and not report.ok
 
 
+def _with_a_lone_last_mask(view):
+    """The view with its last element (mask) or point (prime filter) standing
+    for its highest member alone. Every position stays, so a construction
+    that also reads the masks by position (union_hom) reaches its lookup;
+    and the union of all the masks is still the last one's set, which the
+    view no longer holds."""
+    if isinstance(view, SetLatticeView):
+        masks = view.masks
+        return SetLatticeView(view.lattice, masks[:-1] + (_highest(masks[-1]),))
+    filters = view.filters[:-1] + (_highest(view.filters[-1]),)
+    return SpectrumView(view.space, filters, view.sigma, view.carrier)
+
+
+def _highest(mask):
+    return 1 << mask.bit_length() - 1
+
+
+def _lookup_sites():
+    """Each construction that finds masks among the elements or points of a
+    derived view, its argument, and the view, by name and argument, that it
+    finds them in. Only that one view is altered: union_hom and
+    comultiplication_hom read two ideal views, and the masks they find in
+    one come from the other."""
+    abc = lattice_from_poset(chain(["a", "b", "c"]))
+    s = sierpinski()
+    collapse = LatticeHom(abc, TWO, (0, 1, 1))
+    # onto the points of the Sierpinski space, from a space of two others
+    onto = ContinuousMap(discrete_space(["p", "q"]), s, (0, 1))
+    opens = open_set_frame(s)
+    return [
+        (principal_embedding, abc, "ideal_view", abc),
+        (union_hom, abc, "ideal_view", abc),
+        (ideal_functor_hom, collapse, "ideal_view", TWO),
+        (spectrum_map, collapse, "spectrum_view", abc),
+        (spatiality_hom, abc, "open_frame_view", spectrum(abc)),
+        (comultiplication_hom, abc, "ideal_view", ideal_lattice(abc)),
+        (gamma_coalgebra, abc, "ideal_view", abc),
+        (open_preimage_hom, onto, "open_frame_view", onto.source),
+        (unit_map, s, "filter_space_view", s),
+        (filter_map, onto, "filter_space_view", s),
+        (mult_map, s, "filter_space_view", s),
+        (sobrification, s, "spectrum_view", opens),
+        (pairing_map, s, "spectrum_view", ideal_lattice(opens)),
+        (open_frame_of_filters_iso, s, "ideal_view", opens),
+    ]
+
+
+LOOKUP_SITES = _lookup_sites()
+
+
+@pytest.mark.parametrize(
+    "construct, arg, name, of", LOOKUP_SITES, ids=[s[0].__name__ for s in LOOKUP_SITES]
+)
+def test_a_mask_missing_from_a_view_is_an_invariant_violation(
+    monkeypatch, construct, arg, name, of
+):
+    # the view that the construction finds its masks in no longer holds its
+    # last one; clearing the memos keeps a result of the full view from
+    # hiding the miss
+    full = getattr(topspace, name)
+
+    def short(x):
+        return _with_a_lone_last_mask(full(x)) if x == of else full(x)
+
+    for module in (dlat, frame, spaces, topspace):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, short)
+    clear_caches()
+    with pytest.raises(
+        InvariantViolated, match=" is not (a subset of the lattice|a prime filter)$"
+    ):
+        construct(arg)
+    clear_caches()
+
+
 def test_a_mask_that_is_no_open_prime_filter_is_an_invariant_violation():
     view = filter_space_view(sierpinski())
-    assert [view.index_of(m) for m in view.filters] == list(range(len(view.filters)))
+    assert view.indices_of(view.filters) == tuple(range(len(view.filters)))
     with pytest.raises(InvariantViolated, match="^{} is not a prime filter$"):
-        view.index_of(0)
+        view.indices_of((0,))
 
 
 def test_compactification_of_sierpinski_is_a_point():
@@ -468,6 +564,20 @@ def test_networkx_agrees_on_the_t0_classes_and_the_preorder():
         preorder = tuple(mask_of(closed.successors(i)) for i in range(x.n))
         assert preorder == x.up, x
         assert set(closed.edges) == set(specialization.edges), x
+        # the T0 quotient identifies exactly the points that networkx
+        # condenses, and orders its classes by the condensation's closure
+        quotient, q = t0_quotient(x)
+        mapping = classes.graph["mapping"]
+        for i in range(x.n):
+            for j in range(x.n):
+                same = mapping[i] == mapping[j]
+                assert (q.assignment[i] == q.assignment[j]) == same, x
+        node = {q.assignment[i]: mapping[i] for i in range(x.n)}
+        below = networkx.transitive_closure(classes, reflexive=True)
+        assert quotient.up == tuple(
+            mask_of(l for l in range(quotient.n) if below.has_edge(node[k], node[l]))
+            for k in range(quotient.n)
+        ), x
 
 
 def _filter_violation_pairwise(x, members):
