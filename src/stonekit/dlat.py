@@ -64,7 +64,7 @@ from .errors import (
     NotDistributive,
     UniverseMismatch,
 )
-from .memo import cached, name_free
+from .memo import cached, name_free, shared
 from .order import FinPoset, Value, _unvalidated, derived, isomorphism, make_poset, up_sets
 
 
@@ -223,7 +223,9 @@ class LatticeHom(Value):
     assignment: Tuple[int, ...]
 
     def __post_init__(self):
-        _check_hom(self.source, self.target, tuple(self.assignment))
+        assignment = shared(tuple(self.assignment))
+        object.__setattr__(self, "assignment", assignment)
+        _check_hom(self.source, self.target, assignment)
 
     def apply(self, name: str) -> str:
         return self.target.elements[self.assignment[self.source.index(name)]]
@@ -267,7 +269,10 @@ def compose_homs(g: LatticeHom, f: LatticeHom) -> LatticeHom:
     if f.target != g.source:
         raise UniverseMismatch("hom composite endpoints do not match")
     return _unvalidated(
-        LatticeHom, f.source, g.target, tuple(g.assignment[a] for a in f.assignment)
+        LatticeHom,
+        f.source,
+        g.target,
+        shared(tuple(g.assignment[a] for a in f.assignment)),
     )
 
 

@@ -182,14 +182,14 @@ LOCALE_UNIVERSE = opposite(FRAME_UNIVERSE, "finite locales")
 
 
 @cached
-def frame_morphisms(max_poset: int = 2) -> Tuple[LatticeHom, ...]:
+def frame_morphisms(max_poset: int) -> Tuple[LatticeHom, ...]:
     """Every lattice map between universe lattices of the given size."""
     lats = lattice_universe(max_poset)
     return tuple(h for a in lats for b in lats for h in all_lattice_homs(a, b))
 
 
 @cached
-def space_morphisms(max_points: int = 2) -> Tuple[ContinuousMap, ...]:
+def space_morphisms(max_points: int) -> Tuple[ContinuousMap, ...]:
     """Every continuous map between spaces of the given size."""
     spaces = all_spaces_upto(max_points)
     return tuple(f for x in spaces for y in spaces for f in all_continuous_maps(x, y))

@@ -13,21 +13,26 @@ of an order, the distributivity and hom checks, the order of an inclusion
 family, the ideal image of a hom, the prime filters, the preorder check
 of a space with its opens, the continuity check of a map, the preorder
 and basic opens of a space of filters, the point assignment of
-spectrum_map, and the position table of a family of masks.
+spectrum_map, the position table of a family of masks, and ``shared``,
+the one stored tuple equal to a map's assignment.
 
-A function decorated with ``cached`` is an unbounded ``lru_cache`` on its
-arguments, for the views and pools of the package. Every such function
-takes an argument: an object built once, such as a monad of
+A function decorated with ``cached`` takes one argument and stores its
+result in a dict keyed by that argument itself, for the views and pools
+of the package; a miss runs ``.__wrapped__`` and stores nothing if it
+raises. Its ``cache_info()`` counts the misses since the last clear and
+the stored results. An object built once, such as a monad of
 ``instances``, is a module constant, not a cache.
 
-``component(fn)`` is the memo of one component of a natural
+``component(fn)`` is the same table for one component of a natural
 transformation (``catengine.NatTransInstance``). The transformations are
 values, many of them throwaway, so the registry holds each memo weakly:
 it lives as long as its transformation, and clear_caches empties it while
-it lives.
+it lives. A component memo passed to ``component`` again is returned as
+it is, so two transformations with one component share one table.
 """
 
-from functools import lru_cache, wraps
+from functools import wraps
+from typing import NamedTuple
 from weakref import WeakSet
 
 # every function decorated with name_free, in definition order
@@ -41,6 +46,14 @@ COMPONENTS = WeakSet()
 
 # marks a key with no stored result; None is a stored verdict
 _MISS = object()
+
+
+class CacheInfo(NamedTuple):
+    """What cache_info() reports: the misses since the last clear and the
+    number of stored results."""
+
+    misses: int
+    currsize: int
 
 
 def name_free(key):
@@ -65,19 +78,55 @@ def name_free(key):
     return decorate
 
 
+def _argument_table(fn):
+    """Memoise a function of one argument on the argument itself: `.table`
+    holds the stored results and a miss runs `.__wrapped__`."""
+    table = {}
+    misses = 0
+
+    @wraps(fn)
+    def memoised(arg):
+        nonlocal misses
+        value = table.get(arg, _MISS)
+        if value is _MISS:
+            misses += 1
+            value = table[arg] = memoised.__wrapped__(arg)
+        return value
+
+    def cache_clear():
+        nonlocal misses
+        table.clear()
+        misses = 0
+
+    memoised.table = table
+    memoised.cache_info = lambda: CacheInfo(misses, len(table))
+    memoised.cache_clear = cache_clear
+    return memoised
+
+
 def cached(fn):
-    """lru_cache(maxsize=None), registered so that clear_caches empties it."""
-    view = lru_cache(maxsize=None)(fn)
+    """fn memoised on its one argument, registered so that clear_caches
+    empties it."""
+    view = _argument_table(fn)
     CACHES.append(view)
     return view
 
 
 def component(fn):
-    """lru_cache(maxsize=None), held weakly so that clear_caches empties it
-    while it lives."""
-    memo = lru_cache(maxsize=None)(fn)
+    """fn memoised on its one argument, held weakly so that clear_caches
+    empties it while it lives; a component memo is returned unchanged."""
+    if fn in COMPONENTS:
+        return fn
+    memo = _argument_table(fn)
     COMPONENTS.add(memo)
     return memo
+
+
+@name_free(lambda values: values)
+def shared(values: tuple) -> tuple:
+    """The stored tuple equal to values: the maps that hold equal
+    assignments hold one tuple between them."""
+    return values
 
 
 def clear_caches() -> None:

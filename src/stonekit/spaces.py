@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 from .bitsets import bits, format_subset, mask_of
 from .dlat import DistLattice, LatticeHom, SetLatticeView, inclusion_view
 from .errors import InvalidValue, NotATopology, UniverseMismatch
-from .memo import cached, name_free
+from .memo import cached, name_free, shared
 from .order import (
     Value,
     _unvalidated,
@@ -147,7 +147,9 @@ class ContinuousMap(Value):
     assignment: Tuple[int, ...]
 
     def __post_init__(self):
-        _check_continuous(self.source, self.target, tuple(self.assignment))
+        assignment = shared(tuple(self.assignment))
+        object.__setattr__(self, "assignment", assignment)
+        _check_continuous(self.source, self.target, assignment)
 
     def apply(self, name: str) -> str:
         return self.target.points[self.assignment[self.source.index(name)]]
@@ -196,7 +198,10 @@ def compose_maps(g: ContinuousMap, f: ContinuousMap) -> ContinuousMap:
     if f.target != g.source:
         raise UniverseMismatch("map composite endpoints do not match")
     return _unvalidated(
-        ContinuousMap, f.source, g.target, tuple(g.assignment[v] for v in f.assignment)
+        ContinuousMap,
+        f.source,
+        g.target,
+        shared(tuple(g.assignment[v] for v in f.assignment)),
     )
 
 

@@ -115,7 +115,7 @@ def all_topology_families_bruteforce(n: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 @cached
-def lattice_universe(max_poset: int = 4) -> Tuple[DistLattice, ...]:
+def lattice_universe(max_poset: int) -> Tuple[DistLattice, ...]:
     """Downset lattices of all posets on <= max_poset elements (243 at 4)."""
     return tuple(downset_lattice(p) for p in all_posets_upto(max_poset))
 

@@ -346,7 +346,7 @@ def test_the_suites_give_their_pinned_rows_with_every_memo_and_view_off(
     counts its calls and stores nothing, so no row can rest on a result
     stored for another object."""
     memos = MEMOS + CACHES
-    assert len(memos) == 21
+    assert len(memos) == 22
     calls = Counter()
 
     def pass_through(index, fn):

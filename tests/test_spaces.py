@@ -11,6 +11,7 @@ from stonekit.dlat import (
     downset_lattice,
     lattice_from_poset,
     lattice_isomorphic,
+    lattice_isomorphism,
 )
 from stonekit import spaces
 from stonekit.bitsets import bits, format_subset, mask_of
@@ -47,7 +48,7 @@ from stonekit.topspace import (
     ultrafilter_space,
 )
 from stonekit.frame import spectrum
-from stonekit.universes import all_spaces, all_spaces_upto
+from stonekit.universes import all_spaces, all_spaces_upto, lattice_universe
 
 
 def test_union_axiom_enforced():
@@ -331,6 +332,58 @@ def test_homeomorphic_matches_the_twin_on_four_points():
         assert h is None or is_homeomorphism(h)
         neighbours += h is not None
     assert (moved, neighbours) == (319, 17)
+
+
+def _cover_digraph(networkx, up):
+    """The preorder of up-masks as a digraph: i -> j for j covering i, and
+    both ways between distinct points above each other. Its reflexive
+    transitive closure is the preorder, so two preorders are isomorphic
+    exactly when these digraphs are."""
+    strict = networkx.DiGraph()
+    strict.add_nodes_from(range(len(up)))
+    strict.add_edges_from(
+        (i, j) for i, u in enumerate(up) for j in bits(u) if not (up[j] >> i) & 1
+    )
+    graph = networkx.transitive_reduction(strict)
+    graph.add_edges_from(
+        (i, j) for i, u in enumerate(up) for j in bits(u) if i != j and (up[j] >> i) & 1
+    )
+    return graph
+
+
+def test_networkx_agrees_on_lattice_isomorphism_and_homeomorphism():
+    # VF2 on the cover digraphs, on every unordered same-size pair of
+    # lattices of lattice_universe(3) and of spaces of at most 3 points;
+    # an isomorphism found must be one
+    import networkx
+
+    lats = lattice_universe(3)
+    small = all_spaces_upto(3)
+    pools = (
+        (lats, lambda lat: lat.poset.up_masks, lattice_isomorphism),
+        (small, lambda x: x.up, homeomorphism),
+    )
+    counts = []
+    for pool, up_of, search in pools:
+        graphs = [_cover_digraph(networkx, up_of(v)) for v in pool]
+        pairs = found = 0
+        for a, v in enumerate(pool):
+            for b in range(a, len(pool)):
+                w = pool[b]
+                if len(graphs[a]) != len(graphs[b]):
+                    continue
+                f = search(v, w)
+                assert (f is not None) == networkx.is_isomorphic(graphs[a], graphs[b]), (v, w)
+                if f is not None:
+                    g = f.assignment
+                    assert sorted(g) == list(range(len(g)))
+                    assert [mask_of(g[j] for j in bits(u)) for u in up_of(v)] == [
+                        up_of(w)[k] for k in g
+                    ]
+                    found += 1
+                pairs += 1
+        counts.append((pairs, found))
+    assert counts == [(76, 61), (447, 81)]
 
 
 def test_preorder_of_indiscrete_is_total():
