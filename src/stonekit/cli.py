@@ -19,7 +19,7 @@ import sys
 
 from .bitsets import bits
 from .dlat import DistLattice, ideal_lattice
-from .documents import dumps, load_lattice, load_space, loads
+from .documents import dumps, load_lattice, load_space, loads, quoted
 from .errors import BudgetExceeded, ParseError, StonekitError
 from .frame import (
     center_lattice,
@@ -55,7 +55,7 @@ def _read_text(path: str) -> str:
 
 def _space_summary(name: str, x: FinSpace) -> str:
     t0 = "T0" if is_t0(x) else "not T0"
-    return f'# space "{name}": {x.n} points, {len(x.opens)} opens, {t0}'
+    return f"# space {quoted(name)}: {x.n} points, {len(x.opens)} opens, {t0}"
 
 
 def _lattice_summary(name: str, lat: DistLattice) -> str:
@@ -63,7 +63,7 @@ def _lattice_summary(name: str, lat: DistLattice) -> str:
     if is_boolean(lat):
         flags.append("Boolean")
     flags.append("distributive")
-    return f'# lattice "{name}": {lat.n} elements, ' + ", ".join(flags)
+    return f"# lattice {quoted(name)}: {lat.n} elements, " + ", ".join(flags)
 
 
 def _emit(summary: str, obj, name: str) -> int:
@@ -153,7 +153,7 @@ def _cmd_waybelow(args) -> int:
     stable = "yes" if is_stably_compact(lat) else "no"
     regular = "yes" if is_regular(lat) else "no"
     sys.stdout.write(
-        f'# waybelow of "{name}": {len(pairs)} pairs; '
+        f"# waybelow of {quoted(name)}: {len(pairs)} pairs; "
         f"stably compact: {stable}; regular: {regular}\n"
     )
     for a, b in pairs:
@@ -170,7 +170,7 @@ def _cmd_cechstone(args) -> int:
         sides = f"both sides: {left.n} point" + ("s" if left.n != 1 else "")
     else:
         sides = f"sides: {left.n} and {right.n} points"
-    sys.stdout.write(f'# cechstone "{name}": {sides}, {verdict}\n')
+    sys.stdout.write(f"# cechstone {quoted(name)}: {sides}, {verdict}\n")
     sys.stdout.write(dumps(left, f"compactification of {name}"))
     return 0 if report.ok else 1
 

@@ -11,6 +11,8 @@ definitional twin that the tests use as its oracle:
   - DistLattice looks each meet and join up among the down-sets and
     up-sets of its order (down(a ^ b) = down(a) & down(b), up(a v b) =
     up(a) & up(b)); twin: a search over all common bounds, in the tests;
+  - its join-irreducibles are the elements whose strict down-set is the
+    down-set of one element; twin: a count of lower covers, in the tests;
   - distributivity_witness tests Birkhoff's criterion (every
     join-irreducible is join-prime); twin: distributivity_witness_bruteforce;
   - ideal_view lists the principal ideals (principal_masks); twin:
@@ -26,20 +28,21 @@ check_subset_budget: past SUBSET_ORACLE_MAX_ELEMENTS elements they raise
 BudgetExceeded before visiting any subset.
 
 A lattice is its order. DistLattice(p) is the unchecked lattice: it
-derives the meet and join tables of p, or raises NotALattice, and checks
-nothing about distributivity. lattice_from_poset(p) is the checked one.
-The tables are derived, never given, and once per order: _order_tables
-stores them under the down-sets, so every lattice with the same order
-shares one pair of tables. inclusion_view is the one builder of derived
-lattices (lattices of sets, ideal lattices, open frames).
+takes the Shape of p, or raises NotALattice, and checks nothing about
+distributivity. lattice_from_poset(p) is the checked one. The Shape holds
+what the order fixes whatever the names: the up-masks, the meet and join
+tables and the join-irreducibles. It is derived, never given, and once
+per order: _order_shape stores it under the down-sets, so every lattice
+with the same order holds one Shape. inclusion_view is the one builder
+of derived lattices (lattices of sets, ideal lattices, open frames).
 
-Memo contract (see memo.name_free): the tables of an order, the hom and
+Memo contract (see memo.name_free): the shape of an order, the hom and
 distributivity checks, the prime filters, the assignments of
 ideal_functor_hom and the orders of inclusion_view run once per distinct
-name-free value. A lattice's `shape` is an int shared by exactly
-the lattices with equal down-sets, whatever their names: the down-sets fix
-the tables, bottom and top. The results are stored under keys built from
-down-sets, shapes and masks, and the names are attached per call.
+name-free value. The results are stored under keys built from down-sets,
+shapes and masks, and the names are attached per call. A Shape keys by
+identity, so a lattice built with tables of its own, not its order's,
+shares no stored verdict with the lattices of that order.
 inclusion_view's key is (masks, the argsort of the names): the names only
 break ties in make_poset, so their ranking fixes the element order, and a
 hit shares the stored down-sets under the caller's names (the
@@ -53,7 +56,7 @@ checked twice.
 """
 
 import sys
-from itertools import count, product
+from itertools import product
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .bitsets import bits, format_subset, indices_in, mask_of, positions, union_of
@@ -65,35 +68,59 @@ from .errors import (
     UniverseMismatch,
 )
 from .memo import cached, name_free, shared
-from .order import FinPoset, Value, _unvalidated, derived, isomorphism, make_poset, up_sets
+from .order import FinPoset, Value, _unvalidated, isomorphism, make_poset, transpose, up_sets
+
+
+class Shape:
+    """What an order fixes whatever its element names: the up-masks, the
+    meet and join tables and the mask of the join-irreducibles. The
+    lattices of one order hold one Shape; it compares and hashes by identity."""
+
+    __slots__ = ("up", "meet", "join", "irreducible")
+
+    def __init__(self, up, meet, join, irreducible):
+        self.up, self.meet, self.join, self.irreducible = up, meet, join, irreducible
 
 
 class DistLattice(Value):
-    """Bounded lattice on its FinPoset carrier, the only field; the meet and
-    join tables and the shape are slots that __post_init__ fills from
-    _order_tables."""
+    """Bounded lattice on its FinPoset carrier, the only field; __post_init__
+    takes its shape, which holds the tables, from _order_shape."""
 
     poset: FinPoset
-    __slots__ = ("meet", "join", "shape")
+    # not a field: the order fixes it
+    __slots__ = ("shape",)
 
     # the canonical linear extension puts bottom first and top last
     bot = 0
 
     def __post_init__(self):
-        for name, value in zip(("meet", "join", "shape"), _order_tables(self.poset)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "shape", _order_shape(self.poset))
 
     @property
     def elements(self) -> Tuple[str, ...]:
         return self.poset.elements
 
-    @derived
+    @property
     def n(self) -> int:
-        return self.poset.n
+        return len(self.poset.elements)
 
-    @derived
+    @property
     def top(self) -> int:
-        return self.n - 1
+        return len(self.poset.elements) - 1
+
+    @property
+    def meet(self) -> Tuple[Tuple[int, ...], ...]:
+        return self.shape.meet
+
+    @property
+    def join(self) -> Tuple[Tuple[int, ...], ...]:
+        return self.shape.join
+
+    @property
+    def join_irreducible_mask(self) -> int:
+        """Bitmask of the elements that are not bottom and not the join of
+        the elements strictly below them (exactly one lower cover)."""
+        return self.shape.irreducible
 
     def index(self, name: str) -> int:
         return self.poset.index(name)
@@ -103,29 +130,19 @@ class DistLattice(Value):
 
     def join_mask(self, mask: int) -> int:
         """Join of a subset given as a bitmask; empty mask yields bottom."""
-        out = self.bot
+        out, join = self.bot, self.shape.join
         for i in bits(mask):
-            out = self.join[out][i]
+            out = join[out][i]
         return out
 
     def meet_mask(self, mask: int) -> int:
-        out = self.top
+        out, meet = self.top, self.shape.meet
         for i in bits(mask):
-            out = self.meet[out][i]
+            out = meet[out][i]
         return out
 
     def subset_name(self, mask: int) -> str:
         return format_subset(self.elements, mask)
-
-    @derived
-    def join_irreducible_mask(self) -> int:
-        """Bitmask of the elements that are not bottom and not the join of
-        the elements strictly below them (exactly one lower cover); built once."""
-        return mask_of(
-            j
-            for j in range(self.n)
-            if j != self.bot and self.join_mask(self.poset.down[j] ^ (1 << j)) != j
-        )
 
 
 def lattice_from_poset(p: FinPoset) -> DistLattice:
@@ -134,22 +151,21 @@ def lattice_from_poset(p: FinPoset) -> DistLattice:
     return _checked(DistLattice(p))
 
 
-# shape ids are never reused, so a lattice that outlives clear_caches
-# cannot share an id with a different one built afterwards
-_SHAPE_IDS = count()
-
-
 @name_free(lambda p: p.down)
-def _order_tables(p: FinPoset):
-    """The meet and join tables of p and its shape id, or NotALattice.
+def _order_shape(p: FinPoset) -> Shape:
+    """The shape of p, or NotALattice.
 
     In a lattice, down(a ^ b) = down(a) & down(b) and up(a v b) = up(a) &
     up(b), so each meet and join is one lookup of a mask among the
     down-sets or up-sets; a pair whose mask is missing has no meet or join.
-    The pair loop runs only then, to name the first failing pair."""
-    down, up = p.down, p.up_masks
+    The pair loop runs only then, to name the first failing pair. An
+    element is join-irreducible when the elements strictly below it have a
+    greatest one, its one lower cover: when they are a down-set of the
+    order."""
+    down = p.down
     if not down:
         raise InvalidValue("the lattice has no elements")
+    up = transpose(down)
     below = {d: k for k, d in enumerate(down)}
     above = {u: k for k, u in enumerate(up)}
     try:
@@ -163,7 +179,8 @@ def _order_tables(p: FinPoset):
                 if up[i] & up[j] not in above:
                     raise NotALattice("join", (p.elements[i], p.elements[j]))
         raise
-    return meet, join, next(_SHAPE_IDS)
+    irreducible = mask_of(j for j, d in enumerate(down) if d ^ 1 << j in below)
+    return Shape(up, meet, join, irreducible)
 
 
 def _checked(lat: DistLattice) -> DistLattice:
@@ -305,7 +322,7 @@ class SetLatticeView(Value):
     lattice: DistLattice
     masks: Tuple[int, ...]
 
-    @derived
+    @property
     def element_of(self) -> Dict[int, int]:
         """The element that denotes each subset, keyed by its mask."""
         return positions(self.masks)
@@ -488,7 +505,7 @@ def _prime_filter_violation(lat: DistLattice, mask: int) -> Optional[str]:
         return "members out of range"
     if (mask >> lat.bot) & 1:
         return "contains bottom"
-    ups = lat.poset.up_masks
+    ups = lat.shape.up
     for i in bits(mask):
         if ups[i] & ~mask:
             return f"not up-closed at {lat.elements[i]!r}"
@@ -531,7 +548,7 @@ def prime_filters(lat: DistLattice) -> Tuple[int, ...]:
     up-sets of join-irreducible elements; candidates are still checked
     against the definition, once per shape, rather than trusted.
     """
-    ups = lat.poset.up_masks
+    ups = lat.shape.up
     candidates = sorted(ups[j] for j in bits(lat.join_irreducible_mask))
     for m in candidates:
         reason = _prime_filter_violation(lat, m)

@@ -162,18 +162,23 @@ def load_space(text: str) -> Tuple[str, FinSpace]:
     return name, obj
 
 
+def quoted(text: str) -> str:
+    """A string as a document writes it: a JSON string literal, one line."""
+    return json.dumps(text)
+
+
 def dumps(obj: Payload, name: str) -> str:
     """Serialize a lattice or space in the normalized document form."""
     lines = []
     if isinstance(obj, DistLattice):
         lines.append('type: "lattice"')
-        lines.append(f"name: {json.dumps(name)}")
+        lines.append(f"name: {quoted(name)}")
         lines.append(f"elements: {json.dumps(list(obj.elements))}")
         pairs = [[a, b] for a, b in obj.poset.cover_pairs()]
         lines.append(f"leq: {json.dumps(pairs)}")
     elif isinstance(obj, FinSpace):
         lines.append('type: "space"')
-        lines.append(f"name: {json.dumps(name)}")
+        lines.append(f"name: {quoted(name)}")
         lines.append(f"points: {json.dumps(list(obj.points))}")
         listed = [[obj.points[i] for i in bits(m)] for m in obj.opens]
         lines.append(f"opens: {json.dumps(listed)}")

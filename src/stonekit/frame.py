@@ -39,7 +39,7 @@ from .dlat import (
 )
 from .errors import NotDistributive
 from .memo import cached, name_free
-from .order import Value, _unvalidated, derived
+from .order import Value, _unvalidated
 from .spaces import ContinuousMap, FinSpace, open_frame_view
 
 
@@ -289,7 +289,7 @@ class SpectrumView(Value):
     sigma: Tuple[int, ...]
     carrier: Tuple[str, ...]
 
-    @derived
+    @property
     def point_of(self) -> Dict[int, int]:
         """The point of each prime filter, keyed by its member mask."""
         return positions(self.filters)

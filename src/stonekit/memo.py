@@ -8,13 +8,14 @@ with ``name_free(key)`` runs once per distinct key; later calls with an
 equal key return the stored result. The key must hold every input the
 function reads except names, so that it determines the result. A call that
 raises stores nothing: a failed check runs again on the next call, and its
-message names that caller's own elements. The memoised work: the tables
-of an order, the distributivity and hom checks, the order of an inclusion
-family, the ideal image of a hom, the prime filters, the preorder check
-of a space with its opens, the continuity check of a map, the preorder
-and basic opens of a space of filters, the point assignment of
-spectrum_map, the position table of a family of masks, and ``shared``,
-the one stored tuple equal to a map's assignment.
+message names that caller's own elements. The memoised work: the shape
+of an order (dlat.Shape, which holds its tables), the distributivity and
+hom checks, the order of an inclusion family, the ideal image of a hom,
+the prime filters, the preorder check of a space with its opens, the
+continuity check of a map, the preorder and basic opens of a space of
+filters, the point assignment of spectrum_map, the position table of a
+family of masks, and ``shared``, the one stored tuple equal to a map's
+assignment.
 
 A function decorated with ``cached`` takes one argument and stores its
 result in a dict keyed by that argument itself, for the views and pools

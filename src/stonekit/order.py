@@ -5,6 +5,10 @@ a topological order of the relation with ties broken by element name.
 Two structurally equal posets therefore compare equal as values, and
 all derived subset bitmasks are reproducible across runs.
 
+Value is the base of every record class: a record holds its fields in
+slots and nothing else, and reads what it derives from them off a memo
+(memo.name_free) or computes it from the fields on each read.
+
 Relations are tuples of masks, and each routine on them is the one the
 package uses: is_transitive, up_sets (every union of the masks: the
 up-sets of a preorder, the opens of its topology), transpose, covers,
@@ -20,36 +24,13 @@ from .bitsets import bits, mask_of
 from .errors import CycleError, InvalidValue
 
 
-# what getattr gives for a derived attribute's slot before its first read
-_EMPTY = object()
-
-
-class derived(property):
-    """A lazy attribute of a record class: compute(record) runs on the first
-    read, and its result is kept in a slot of its own, "_" + its name."""
-
-    def __init__(self, compute):
-        slot = "_" + compute.__name__
-
-        def read(record):
-            value = getattr(record, slot, _EMPTY)
-            if value is _EMPTY:
-                value = compute(record)
-                object.__setattr__(record, slot, value)
-            return value
-
-        super().__init__(read, doc=compute.__doc__)
-        self.slot = slot
-
-
 class _Record(type):
-    """Gives a record class __slots__ for its fields, its derived attributes
-    and any slots it names itself, so that no record has a __dict__."""
+    """Gives a record class __slots__ for its fields and any slots it names
+    itself, so that no record has a __dict__."""
 
     def __new__(mcls, name, bases, namespace):
         fields = tuple(namespace.get("__annotations__", ()))
-        lazy = tuple(v.slot for v in namespace.values() if isinstance(v, derived))
-        namespace["__slots__"] = fields + lazy + namespace.get("__slots__", ())
+        namespace["__slots__"] = fields + namespace.get("__slots__", ())
         namespace["_fields"] = fields
         return super().__new__(mcls, name, bases, namespace)
 
@@ -59,7 +40,7 @@ class Value(metaclass=_Record):
     annotations, in order, all passed positionally; an instance compares,
     hashes and prints as the tuple of its fields, as a frozen dataclass
     does, and runs the class's __post_init__ check once they are set.
-    Fields and derived attributes live in slots."""
+    Fields live in slots."""
 
     def __init_subclass__(cls):
         fields = cls._fields
@@ -122,7 +103,7 @@ class FinPoset(Value):
         if not is_transitive(self.down):
             raise InvalidValue("relation not transitive")
 
-    @derived
+    @property
     def n(self) -> int:
         return len(self.elements)
 
@@ -135,11 +116,6 @@ class FinPoset(Value):
     def leq(self, x: str, y: str) -> bool:
         return self.leq_index(self.index(x), self.index(y))
 
-    @derived
-    def up_masks(self) -> Tuple[int, ...]:
-        """up_masks[i] is the bitmask of {j | e_i <= e_j}, built once."""
-        return transpose(self.down)
-
     def pairs(self) -> Tuple[Tuple[str, str], ...]:
         """All comparable pairs (x, y) with x <= y, in index order."""
         out = []
@@ -151,7 +127,7 @@ class FinPoset(Value):
     def cover_pairs(self) -> Tuple[Tuple[str, str], ...]:
         return tuple(
             (self.elements[i], self.elements[j])
-            for i, j in covers(self.down, self.up_masks)
+            for i, j in covers(self.down, transpose(self.down))
         )
 
     def restrict(self, mask: int) -> "FinPoset":
@@ -199,9 +175,9 @@ def covers(
     down: Sequence[int], up: Sequence[int]
 ) -> Tuple[Tuple[int, int], ...]:
     """The covering pairs (i, j) of a preorder given by its down-masks and
-    up-masks (transpose(down), which every caller already holds), by j and
-    then i: i is strictly below j, and nothing strictly below j (`below`)
-    is strictly above i, one mask test per comparable pair."""
+    up-masks (transpose(down)), by j and then i: i is strictly below j,
+    and nothing strictly below j (`below`) is strictly above i, one mask
+    test per comparable pair."""
     out = []
     for j, d in enumerate(down):
         below = d & ~up[j]

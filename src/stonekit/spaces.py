@@ -4,12 +4,12 @@ A finite topology is exactly the set of up-sets of its specialization
 preorder (Alexandroff), so a FinSpace holds its points and the up-masks
 of that preorder: up[i] is U_i, the smallest open around point i. The
 constructor checks that `up` is reflexive and transitive with masks in
-range, and the opens are derived once, ascending (FinSpace.opens,
-order.up_sets). Two spaces are equal exactly when their topologies are.
-A map is continuous exactly when it is monotone for the two preorders,
-and a bijection is a homeomorphism exactly when it is an isomorphism of
-them (order.isomorphism). space_from_basis is the one route from a
-family of sets to a space.
+range, and the same memo derives the opens once per preorder, ascending
+(order.up_sets), where FinSpace.opens reads them. Two spaces are equal
+exactly when their topologies are. A map is continuous exactly when it
+is monotone for the two preorders, and a bijection is a homeomorphism
+exactly when it is an isomorphism of them (order.isomorphism).
+space_from_basis is the one route from a family of sets to a space.
 
 The preorder check of a space, which derives its opens, and the
 continuity check of a map run once per distinct (up, assignment) value,
@@ -29,7 +29,6 @@ from .order import (
     Value,
     _unvalidated,
     cycle_pair,
-    derived,
     is_transitive,
     isomorphism,
     up_sets,
@@ -64,10 +63,10 @@ class FinSpace(Value):
     def set_name(self, mask: int) -> str:
         return format_subset(self.points, mask)
 
-    @derived
+    @property
     def opens(self) -> Tuple[int, ...]:
-        """Every up-set of the preorder, ascending, one tuple shared by
-        the spaces of one preorder."""
+        """Every up-set of the preorder, ascending: the tuple the check of
+        the preorder stored, shared by the spaces of one preorder."""
         return _preorder_opens(self)
 
 

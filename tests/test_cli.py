@@ -503,6 +503,36 @@ def test_validate_round_trips_its_own_output(tmp_path, capsys):
     assert code2 == 0 and out2 == out
 
 
+@pytest.mark.parametrize("name", ["two\nlines", 'say "hi"', "back\\slash", "café"])
+def test_every_summary_writes_the_name_as_documents_do(tmp_path, capsys, name):
+    # a raw line break in a summary comment split it in two, so validating
+    # the output again failed on the second half
+    body = {
+        "lattice": 'elements: ["0", "1"]\nleq: [["0", "1"]]\n',
+        "space": 'points: ["a"]\nopens: [[], ["a"]]\n',
+    }
+    headers = []
+    for kind, rest in body.items():
+        path = tmp_path / kind
+        path.write_text(f'type: "{kind}"\nname: {json.dumps(name)}\n{rest}')
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 0 and err == ""
+        headers.append(out.splitlines()[0])
+        path.write_text(out)
+        assert run(capsys, "validate", str(path)) == (0, out, "")
+        command = {"lattice": "waybelow", "space": "cechstone"}[kind]
+        code, out, err = run(capsys, command, str(path))
+        assert code == 0 and err == ""
+        headers.append(out.splitlines()[0])
+    quoted = json.dumps(name)
+    assert headers == [
+        f"# lattice {quoted}: 2 elements, Boolean, distributive",
+        f"# waybelow of {quoted}: 3 pairs; stably compact: yes; regular: yes",
+        f"# space {quoted}: 1 points, 2 opens, T0",
+        f"# cechstone {quoted}: both sides: 1 point, ISO",
+    ]
+
+
 def test_an_empty_lattice_document_ends_in_one_invalid_line(tmp_path, capsys):
     doc = tmp_path / "empty.lattice"
     doc.write_text('type: "lattice"\nname: "empty"\nelements: []\nleq: []\n')
@@ -716,29 +746,26 @@ def test_filters_on_twelve_discrete_points_fits_in_one_gib_and_20_s(tmp_path):
 
 # a child that swaps meet and join in every ideal lattice that ideal_view
 # builds, then runs the CLI on its own arguments. The package derives the
-# tables of every lattice from its order, so the child builds the mutant
-# itself, and gives it a shape of its own (a negative id, which the package
-# never hands out): under the shape of its order, every check that a true
-# lattice passed first would hide the swap
+# shape of every lattice, which holds its tables, from its order, so the
+# child builds the mutant itself, with a Shape of its own that holds the
+# swapped tables
 SWAPPED_IDEAL_TABLES = """
 import sys
 from functools import lru_cache
-from itertools import count
 
 from stonekit import cli, dlat
 
 original = dlat.ideal_view
-shapes = count(-1, -1)
 
 
 @lru_cache(maxsize=None)
 def swapped(lat):
     view = original(lat)
-    i = view.lattice
+    i = view.lattice.shape
     mutant = object.__new__(dlat.DistLattice)
-    slots = dict(poset=i.poset, meet=i.join, join=i.meet, shape=next(shapes))
-    for name, value in slots.items():
-        object.__setattr__(mutant, name, value)
+    object.__setattr__(mutant, "poset", view.lattice.poset)
+    shape = dlat.Shape(i.up, i.join, i.meet, i.irreducible)
+    object.__setattr__(mutant, "shape", shape)
     return dlat.SetLatticeView(mutant, view.masks)
 
 

@@ -4,18 +4,47 @@ For a finite poset P, the down-sets O(P) form a distributive lattice L,
 and what the package derives from L is known from P alone: L has one
 prime filter per point of P, its join-irreducibles form P again, its
 center has one atom per connected component of P, it is Boolean exactly
-when P is an antichain, its spectrum is a T0 space on the points of P,
-and all its ideals are principal. The oracle side of each check below
-reads only P, so it holds on lattices far larger than the twins that
-visit all 2^n subsets can reach.
+when P is an antichain, its spectrum is a T0 space on the points of P
+whose specialization order is the opposite of P, all its ideals are
+principal (so L is its own ideal lattice), and way-below is its order.
+The lattice homs O(P) -> O(Q) are the monotone maps Q -> P, read
+backwards. The oracle side of each check below reads only P (and Q), so
+it holds on lattices far larger than the twins that visit all 2^n
+subsets can reach.
 """
 
 import random
+from itertools import product
 
-from stonekit.dlat import downset_lattice, ideal_lattice, join_irreducibles, prime_filters
-from stonekit.frame import center_lattice, is_boolean, spectrum
-from stonekit.order import antichain, chain, order_closure, poset_isomorphic
+import pytest
+
+from stonekit.dlat import (
+    all_lattice_homs,
+    downset_lattice,
+    ideal_lattice,
+    join_irreducibles,
+    lattice_isomorphism,
+    prime_filters,
+)
+from stonekit.errors import BudgetExceeded
+from stonekit.frame import (
+    WAY_BELOW_MAX_ELEMENTS,
+    center_lattice,
+    is_boolean,
+    spectrum,
+    way_below,
+)
+from stonekit.order import (
+    antichain,
+    chain,
+    make_poset,
+    order_closure,
+    poset_isomorphic,
+    poset_of_preorder,
+    transpose,
+)
 from stonekit.spaces import is_t0
+from stonekit.universes import all_posets_upto
 
 
 def _names(n):
@@ -78,3 +107,49 @@ def test_the_derived_structure_of_a_down_set_lattice_is_read_off_its_poset():
         assert ideal_lattice(lat).n == lat.n, p
     # past the subset cap of 22 elements, up to the Boolean lattice 2^9
     assert min(sizes) == 5 and max(sizes) == 512
+
+
+def _opposite(p):
+    return make_poset(p.elements, transpose(p.down))
+
+
+def test_the_spectrum_ideals_and_way_below_are_read_off_the_poset():
+    self_dual = 0
+    for p in _posets():
+        lat = downset_lattice(p)
+        # a filter lies below the filters that contain it, and the prime
+        # filter of the down-sets holding x grows as x goes down
+        space = spectrum(lat)
+        order = poset_of_preorder(space.points, space.up)
+        assert poset_isomorphic(order, _opposite(p)), p
+        self_dual += poset_isomorphic(p, _opposite(p))
+        assert lattice_isomorphism(ideal_lattice(lat), lat) is not None, p
+        if lat.n > WAY_BELOW_MAX_ELEMENTS:
+            with pytest.raises(BudgetExceeded):
+                way_below(lat)
+        else:
+            assert way_below(lat).below == lat.poset.down, p
+    # the opposite is not P itself up to isomorphism on every poset
+    assert 0 < self_dual < 60
+
+
+def _monotone_maps(q, p):
+    """The maps f: q -> p with f(i) <= f(j) whenever i <= j, counted over
+    all |p|^|q| maps."""
+    pairs = [(i, j) for j in range(q.n) for i in range(q.n) if q.leq_index(i, j)]
+    return sum(
+        all(p.leq_index(f[i], f[j]) for i, j in pairs)
+        for f in product(range(p.n), repeat=q.n)
+    )
+
+
+def test_lattice_homs_between_down_set_lattices_are_monotone_maps_back():
+    posets = all_posets_upto(3)
+    assert len(posets) == 1 + 1 + 3 + 19
+    lattices = [downset_lattice(p) for p in posets]
+    counts = set()
+    for (p, lp), (q, lq) in product(zip(posets, lattices), repeat=2):
+        count = len(all_lattice_homs(lp, lq))
+        assert count == _monotone_maps(q, p), (p, q)
+        counts.add(count)
+    assert max(counts) == 27

@@ -230,7 +230,7 @@ def join_closure_pairwise(lat, mask):
 
 
 def test_ideal_join_is_the_pairwise_join_closure():
-    # the ideal lattice takes its joins from its order (_order_tables); by
+    # the ideal lattice takes its joins from its order (_order_shape); by
     # the definition, the join of two ideals is the join-closure of their union
     pairs = 0
     for lat in lattice_universe(4):
@@ -687,18 +687,18 @@ def test_every_lattice_has_the_plain_tables_shared_per_order(monkeypatch):
         assert lat.bot == 0 and lat.top == lat.n - 1
         # and they are the least and the greatest element of the order
         full = (1 << lat.n) - 1
-        assert lat.poset.up_masks[lat.bot] == full == lat.poset.down[lat.top]
+        assert lat.shape.up[lat.bot] == full == lat.poset.down[lat.top]
         down = lat.poset.down
         if down not in plain:
             plain[down] = _plain_tables(lat.poset)
         assert tables(lat) == plain[down], lat
-    # the lattices of one order share one pair of tables and one shape
+        assert lat.join_irreducible_mask == mask_of(one_lower_cover(lat)), lat
+    # the lattices of one order share one shape, which holds the tables
     for pool in (run, lattice_universe(4)):
         first = {}
         for lat in pool:
             other = first.setdefault(lat.poset.down, lat)
-            assert lat.meet is other.meet and lat.join is other.join
-            assert lat.shape == other.shape
+            assert lat.shape is other.shape
         assert len(first) < len(pool)
 
 
@@ -843,10 +843,24 @@ def renested(lat):
 def test_relabelled_copies_share_a_shape_and_other_orders_do_not():
     lat = diamond()
     copy = relabelled(lat, "p")
-    assert copy.elements != lat.elements and copy.shape == lat.shape
+    assert copy.elements != lat.elements and copy.shape is lat.shape
     # the same names in a chain
     other = lattice_from_poset(chain(lat.elements))
-    assert other.elements == lat.elements and other.shape != lat.shape
+    assert other.elements == lat.elements and other.shape is not lat.shape
+
+
+def test_a_lattice_built_after_clear_caches_gets_a_new_shape():
+    lat = relabelled(diamond(), "p")
+    clear_caches()
+    try:
+        fresh = relabelled(diamond(), "q")
+        assert fresh.shape is not lat.shape
+        assert relabelled(diamond(), "r").shape is fresh.shape
+        # the old shape keys none of the new stored verdicts
+        assert fresh.shape in dlat._check_distributive.table
+        assert lat.shape not in dlat._check_distributive.table
+    finally:
+        clear_caches()
 
 
 def test_failed_hom_check_is_not_stored():
@@ -899,11 +913,16 @@ def test_failed_distributivity_check_is_not_stored():
     assert m3.shape not in dlat._check_distributive.table
 
 
+def one_lower_cover(lat):
+    """The elements with exactly one lower cover: the join-irreducibles."""
+    covers = order.covers(lat.poset.down, order.transpose(lat.poset.down))
+    return [j for j in range(lat.n) if sum(1 for _, k in covers if k == j) == 1]
+
+
 def fresh_prime_filter_masks(lat):
     """The up-sets of the elements with exactly one lower cover, sorted."""
-    covers = order.covers(lat.poset.down, lat.poset.up_masks)
-    irreducible = [j for j in range(lat.n) if sum(1 for _, k in covers if k == j) == 1]
-    return sorted(lat.poset.up_masks[j] for j in irreducible)
+    up = order.transpose(lat.poset.down)
+    return sorted(up[j] for j in one_lower_cover(lat))
 
 
 def test_memoised_prime_filter_masks_equal_fresh_ones():

@@ -60,7 +60,14 @@ from stonekit.instances import (
     is_proper_hom,
     run_suite,
 )
-from stonekit.order import _unvalidated, antichain, chain, make_poset, order_closure
+from stonekit.order import (
+    _unvalidated,
+    antichain,
+    chain,
+    make_poset,
+    order_closure,
+    transpose,
+)
 from stonekit.spaces import (
     discrete_space,
     homeomorphic,
@@ -341,7 +348,7 @@ def test_spectrum_points_are_named_by_their_generators():
     for lat in lattice_universe(4):
         view = spectrum_view(lat)
         _assert_named_by_lowest_member(
-            lat.elements, view.space, view.filters, lat.poset.up_masks
+            lat.elements, view.space, view.filters, transpose(lat.poset.down)
         )
 
 
@@ -602,7 +609,7 @@ def _structure(lat):
 # without shapes, so that a shape given to two equal lattices apart would
 # show up as one value checked twice
 NAME_FREE_VALUE = {
-    "_order_tables": lambda p: p.down,
+    "_order_shape": lambda p: p.down,
     "_check_distributive": _structure,
     "_check_hom": lambda s, t, f: (_structure(s), _structure(t), f),
     "prime_filters": _structure,

@@ -16,7 +16,7 @@ from stonekit.dlat import (
 from stonekit import spaces
 from stonekit.bitsets import bits, format_subset, mask_of
 from stonekit.errors import InvalidValue, NotATopology, UniverseMismatch
-from stonekit.order import antichain, chain, up_sets
+from stonekit.order import antichain, chain, transpose, up_sets
 from stonekit.spaces import (
     ContinuousMap,
     FinSpace,
@@ -160,13 +160,8 @@ def test_opens_are_built_once():
     y = FinSpace(("p", "q", "r"), (0b001, 0b011, 0b111))
     z = FinSpace(("a", "b", "c"), (0b001, 0b011, 0b111))
     assert z == x and hash(z) == hash(x) and y != x
-    # their slots for the opens are still empty; the first read fills one
-    slot = FinSpace.opens.slot
-    for w in (y, z):
-        with pytest.raises(AttributeError):
-            getattr(w, slot)
-    assert y.opens is x.opens
-    assert getattr(y, slot) is x.opens
+    assert y.opens is x.opens is z.opens
+    assert spaces._preorder_opens.table[x.up] is x.opens
 
 
 def test_sierpinski_shape():
@@ -360,7 +355,7 @@ def test_networkx_agrees_on_lattice_isomorphism_and_homeomorphism():
     lats = lattice_universe(3)
     small = all_spaces_upto(3)
     pools = (
-        (lats, lambda lat: lat.poset.up_masks, lattice_isomorphism),
+        (lats, lambda lat: transpose(lat.poset.down), lattice_isomorphism),
         (small, lambda x: x.up, homeomorphism),
     )
     counts = []

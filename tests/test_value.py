@@ -4,9 +4,9 @@ Every record class of the package derives from `order.Value`. Each one is
 compared here with a twin that `dataclasses.make_dataclass` builds frozen
 from the same field values: equality, hash and repr must agree, the
 fields stay frozen, the arity is exact, and `__post_init__` still rejects
-bad input. Records are slotted: no instance has a `__dict__`, and each
-derived attribute is filled once, on its first read, and stays out of
-equality, hashing and repr.
+bad input. Records are slotted: no instance has a `__dict__`, and a
+record holds its fields and nothing else, save the one slot listed in
+EXTRA_SLOTS with its reason.
 """
 
 import dataclasses
@@ -51,7 +51,6 @@ from stonekit.order import (
     _unvalidated,
     antichain,
     chain,
-    derived,
 )
 from stonekit.spaces import (
     ContinuousMap,
@@ -222,33 +221,23 @@ def test_no_record_class_uses_cached_property():
             assert cached == [], f"{cls.__name__}: {cached}"
 
 
-def test_derived_attributes_are_filled_once_and_stay_out_of_the_value():
-    read = set()
-    for value in samples():
-        cls = type(value)
-        for name, attribute in vars(cls).items():
-            if not isinstance(attribute, derived):
-                continue
-            # a fresh twin, checked again, whose slot for it is still empty
-            twin = cls(*field_values(value))
-            with pytest.raises(AttributeError):
-                getattr(twin, attribute.slot)
-            first = getattr(value, name)
-            assert getattr(value, name) is first
-            assert getattr(value, attribute.slot) is first
-            assert twin == value and hash(twin) == hash(value)
-            assert repr(twin) == repr(value)
-            with pytest.raises(AttributeError):
-                getattr(twin, attribute.slot)
-            assert getattr(twin, name) == first
-            read.add(f"{cls.__name__}.{name}")
-    assert read == {
-        "FinPoset.n",
-        "FinPoset.up_masks",
-        "DistLattice.n",
-        "DistLattice.top",
-        "DistLattice.join_irreducible_mask",
-        "FinSpace.opens",
-        "SetLatticeView.element_of",
-        "SpectrumView.point_of",
-    }
+# the slots of a record class that are not fields, with their reason
+EXTRA_SLOTS = {
+    # the Shape of its order, which holds its tables: the order fixes it, so
+    # it adds nothing to the value, and the lattices of one order hold one
+    "DistLattice": ("shape",),
+}
+
+
+def test_a_record_holds_its_fields_and_nothing_else():
+    assert Value.__slots__ == ()
+    classes, found = [Value], []
+    while classes:
+        subclasses = classes.pop().__subclasses__()
+        classes += subclasses
+        found += subclasses
+    assert sorted(found, key=lambda cls: cls.__name__) == record_classes()
+    for cls in found:
+        assert cls.__bases__ == (Value,), cls.__name__
+        extra = EXTRA_SLOTS.get(cls.__name__, ())
+        assert cls.__slots__ == cls._fields + extra, cls.__name__
