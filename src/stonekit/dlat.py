@@ -21,7 +21,10 @@ definitional twin that the tests use as its oracle:
     aggregate meet and one aggregate join; twin: the characters of
     homs_to_2_bruteforce;
   - prime_filters takes the up-sets of join-irreducibles; twins:
-    prime_filters_bruteforce and homs_to_2_bruteforce.
+    prime_filters_bruteforce and homs_to_2_bruteforce;
+  - all_lattice_homs reads the homs L -> M off the monotone maps
+    J(M) -> J(L) (order.monotone_maps); twin: every assignment that
+    hom_violation accepts, in the tests.
 The twins that visit every subset (ideals_bruteforce,
 prime_filters_bruteforce and frame.way_below_bruteforce) share one guard,
 check_subset_budget: past SUBSET_ORACLE_MAX_ELEMENTS elements they raise
@@ -56,7 +59,6 @@ checked twice.
 """
 
 import sys
-from itertools import product
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .bitsets import bits, format_subset, indices_in, mask_of, positions, union_of
@@ -68,7 +70,16 @@ from .errors import (
     UniverseMismatch,
 )
 from .memo import cached, name_free, shared
-from .order import FinPoset, Value, _unvalidated, isomorphism, make_poset, transpose, up_sets
+from .order import (
+    FinPoset,
+    Value,
+    _unvalidated,
+    isomorphism,
+    make_poset,
+    monotone_maps,
+    transpose,
+    up_sets,
+)
 
 
 class Shape:
@@ -576,28 +587,17 @@ def homs_to_2_bruteforce(lat: DistLattice) -> Tuple[LatticeHom, ...]:
     return tuple(out)
 
 
-def all_lattice_homs(
-    src: DistLattice, tgt: DistLattice, limit: int = 500_000
-) -> Tuple[LatticeHom, ...]:
-    """Every hom src -> tgt, enumerated through join-irreducible images.
-
-    A hom is determined by where irreducibles go; each candidate tuple is
-    expanded to a full assignment and validated. Requires src distributive.
-    """
-    irr = list(bits(_checked(src).join_irreducible_mask))
-    total = tgt.n ** len(irr)
-    if total > limit:
-        raise BudgetExceeded(
-            f"{total} irreducible assignments exceed the limit {limit}"
-        )
-    seen = set()
-    for images in product(range(tgt.n), repeat=len(irr)):
-        assignment = []
-        for x in range(src.n):
-            m = mask_of(images[k] for k, j in enumerate(irr) if (src.poset.down[x] >> j) & 1)
-            assignment.append(tgt.join_mask(m))
-        assignment = tuple(assignment)
-        # distinct image tuples can induce the same hom; deduplicate
-        if assignment not in seen and hom_violation(src, tgt, assignment) is None:
-            seen.add(assignment)
-    return tuple(LatticeHom(src, tgt, a) for a in sorted(seen))
+def all_lattice_homs(src: DistLattice, tgt: DistLattice) -> Tuple[LatticeHom, ...]:
+    """Every hom src -> tgt, by ascending assignment, through the Birkhoff
+    dual: the homs are the monotone maps g: J(tgt) -> J(src), with h(a) the
+    join of the q in J(tgt) with g(q) <= a. Requires both lattices
+    distributive; raises BudgetExceeded as order.monotone_maps does."""
+    js, jt, down = join_irreducibles(src), join_irreducibles(tgt), src.poset.down
+    src_at = [src.index(e) for e in js.elements]
+    tgt_at = [tgt.index(e) for e in jt.elements]
+    homs = []
+    for g in monotone_maps(jt.down, js.down):
+        images = [src_at[p] for p in g]
+        below = (mask_of(q for q, p in zip(tgt_at, images) if d >> p & 1) for d in down)
+        homs.append(tuple(tgt.join_mask(m) for m in below))
+    return tuple(LatticeHom(src, tgt, a) for a in sorted(homs))

@@ -130,14 +130,15 @@ def stably_compact_report(lat: DistLattice) -> StablyCompactReport:
     """Compactness, way-below a sublattice of the square, approximation."""
     wb = way_below(lat)
     compact = is_compact(lat)
-    e = lat.elements
+    e, meet, join, below = lat.elements, lat.meet, lat.join, wb.below
 
     sub_witness = None
-    pairs = [(a, b) for b in range(lat.n) for a in bits(wb.below[b])]
+    pairs = [(a, b) for b in range(lat.n) for a in bits(below[b])]
     for a, b in pairs:
+        meet_a, meet_b, join_a, join_b = meet[a], meet[b], join[a], join[b]
         for a2, b2 in pairs:
-            m_ok = (wb.below[lat.meet[b][b2]] >> lat.meet[a][a2]) & 1
-            j_ok = (wb.below[lat.join[b][b2]] >> lat.join[a][a2]) & 1
+            m_ok = (below[meet_b[b2]] >> meet_a[a2]) & 1
+            j_ok = (below[join_b[b2]] >> join_a[a2]) & 1
             if not (m_ok and j_ok):
                 sub_witness = ((e[a], e[b]), (e[a2], e[b2]))
                 break
@@ -146,7 +147,7 @@ def stably_compact_report(lat: DistLattice) -> StablyCompactReport:
 
     approx_witness = None
     for b in range(lat.n):
-        if lat.join_mask(wb.below[b]) != b:
+        if lat.join_mask(below[b]) != b:
             approx_witness = e[b]
             break
 
@@ -168,16 +169,16 @@ def is_stably_compact(lat: DistLattice) -> bool:
 
 def pseudocomplement(lat: DistLattice, a: int) -> int:
     """Largest element meeting a at bottom (index arguments)."""
-    return lat.join_mask(
-        mask_of(x for x in range(lat.n) if lat.meet[x][a] == lat.bot)
-    )
+    meet, bot = lat.meet, lat.bot
+    return lat.join_mask(mask_of(x for x in range(lat.n) if meet[x][a] == bot))
 
 
 def well_inside_masks(lat: DistLattice) -> Tuple[int, ...]:
     """inside[b] = mask of a with pseudocomplement(a) join b = top."""
+    join, top = lat.join, lat.top
     pseudo = [pseudocomplement(lat, a) for a in range(lat.n)]
     return tuple(
-        mask_of(a for a in range(lat.n) if lat.join[pseudo[a]][b] == lat.top)
+        mask_of(a for a in range(lat.n) if join[pseudo[a]][b] == top)
         for b in range(lat.n)
     )
 
@@ -190,12 +191,11 @@ def is_regular(lat: DistLattice) -> bool:
 
 def complemented_mask(lat: DistLattice) -> int:
     """Elements a with some c: a^c=bot and avc=top (definitional check)."""
+    meet, join, bot, top = lat.meet, lat.join, lat.bot, lat.top
     out = 0
     for a in range(lat.n):
-        if any(
-            lat.meet[a][c] == lat.bot and lat.join[a][c] == lat.top
-            for c in range(lat.n)
-        ):
+        meet_a, join_a = meet[a], join[a]
+        if any(meet_a[c] == bot and join_a[c] == top for c in range(lat.n)):
             out |= 1 << a
     return out
 
@@ -221,11 +221,12 @@ def center_view(lat: DistLattice) -> CenterView:
         # complemented elements cannot leave the full mask
         identity = _unvalidated(LatticeHom, lat, lat, tuple(range(lat.n)))
         return CenterView(lat, identity)
+    meet, join = lat.meet, lat.join
     for a in bits(cmask):
         for b in bits(cmask):
             # complemented elements stay closed under meet and join in any
             # distributive lattice; failing here means the input was not one
-            if not (cmask >> lat.meet[a][b]) & 1 or not (cmask >> lat.join[a][b]) & 1:
+            if not (cmask >> meet[a][b]) & 1 or not (cmask >> join[a][b]) & 1:
                 e = lat.elements
                 raise NotDistributive((e[a], e[b], "center not closed"))
     # the principal down-sets of the complemented elements, ordered by

@@ -24,7 +24,6 @@ one row per law and instance, law by law.
 """
 
 import random
-from itertools import product
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .catengine import (
@@ -59,7 +58,6 @@ from .dlat import (
     LatticeHom,
     all_lattice_homs,
     compose_homs,
-    hom_violation,
     ideal_functor_hom,
     ideal_lattice,
     ideals_bruteforce,
@@ -429,24 +427,14 @@ def _holds(checks) -> bool:
     return all(c.ok for c in checks)
 
 
-def coalgebra_structures(
-    lat: DistLattice, limit: int = 2_000_000
-) -> Tuple[LatticeHom, ...]:
-    """Every coalgebra structure on `lat`, found by exhausting all maps to
-    the ideal lattice: each assignment that is a hom is checked as an
-    algebra of the locale ideal monad."""
-    ideals = ideal_lattice(lat)
-    total = ideals.n ** lat.n
-    if total > limit:
-        raise BudgetExceeded(f"{total} candidate maps exceed the limit {limit}")
-    out = []
-    for assignment in product(range(ideals.n), repeat=lat.n):
-        if hom_violation(lat, ideals, assignment) is not None:
-            continue
-        gamma = LatticeHom(lat, ideals, assignment)
-        if _holds(check_algebra(AlgebraInstance(IDEAL_MONAD_ON_LOCALES, lat, gamma))):
-            out.append(gamma)
-    return tuple(out)
+def coalgebra_structures(lat: DistLattice) -> Tuple[LatticeHom, ...]:
+    """Every coalgebra structure on `lat`: each hom to the ideal lattice
+    that check_algebra passes as an algebra of the locale ideal monad."""
+    return tuple(
+        gamma
+        for gamma in all_lattice_homs(lat, ideal_lattice(lat))
+        if _holds(check_algebra(AlgebraInstance(IDEAL_MONAD_ON_LOCALES, lat, gamma)))
+    )
 
 
 def is_proper_hom(hom: LatticeHom) -> bool:
@@ -461,15 +449,13 @@ def is_proper_hom(hom: LatticeHom) -> bool:
     )
 
 
-def filter_algebra_structures(
-    x: FinSpace, limit: int = 500_000
-) -> Tuple[ContinuousMap, ...]:
+def filter_algebra_structures(x: FinSpace) -> Tuple[ContinuousMap, ...]:
     """Every algebra structure of the filter monad on `x`, by exhausting
     the continuous maps F X -> X."""
     t = FILTER_MONAD_ON_SPACES
     return tuple(
         alpha
-        for alpha in all_continuous_maps(t.functor.on_object(x), x, limit)
+        for alpha in all_continuous_maps(t.functor.on_object(x), x)
         if _holds(check_algebra(AlgebraInstance(t, x, alpha)))
     )
 

@@ -13,15 +13,17 @@ Relations are tuples of masks, and each routine on them is the one the
 package uses: is_transitive, up_sets (every union of the masks: the
 up-sets of a preorder, the opens of its topology), transpose, covers,
 preorder_closure (Warshall's loop on masks), cycle_pair, poset_of_preorder
-(behind order_closure), and isomorphism, the search behind poset, lattice
-and space isomorphisms.
+(behind order_closure), isomorphism, the search behind poset, lattice
+and space isomorphisms, and monotone_maps, the one enumerator of maps
+(continuous maps, and lattice homs through their Birkhoff duals).
 """
 
+from itertools import product
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .bitsets import bits, mask_of
-from .errors import CycleError, InvalidValue
+from .errors import BudgetExceeded, CycleError, InvalidValue
 
 
 class _Record(type):
@@ -325,6 +327,24 @@ def isomorphism(a: Sequence[int], b: Sequence[int]) -> Optional[Tuple[int, ...]]
         return False
 
     return tuple(assign) if extend(0) else None
+
+
+# the most assignments monotone_maps will try
+MAX_ASSIGNMENTS = 200_000
+
+
+def monotone_maps(a: Sequence[int], b: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """Every assignment f with f[i] below f[j] in b whenever i is below j
+    in a, for two relations given by masks (both up-masks or both
+    down-masks), in ascending order. Raises BudgetExceeded before the
+    first one when there are more than MAX_ASSIGNMENTS assignments."""
+    total = len(b) ** len(a)
+    if total > MAX_ASSIGNMENTS:
+        raise BudgetExceeded(f"{total} assignments exceed the limit {MAX_ASSIGNMENTS}")
+    pairs = [(i, j) for i, m in enumerate(a) for j in bits(m)]
+    for f in product(range(len(b)), repeat=len(a)):
+        if all(b[f[i]] >> f[j] & 1 for i, j in pairs):
+            yield f
 
 
 def poset_isomorphism(p: FinPoset, q: FinPoset) -> Optional[Tuple[int, ...]]:

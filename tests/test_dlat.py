@@ -563,17 +563,29 @@ def test_chain_to_diamond_hom_count_frozen():
 
 
 def test_hom_budget_guard():
-    with pytest.raises(BudgetExceeded):
-        all_lattice_homs(diamond(), diamond(), limit=1)
+    # the Boolean lattice on 7 atoms has 7 join-irreducibles: 7^7 monotone
+    # map candidates, past the one budget of order.monotone_maps
+    boolean = downset_lattice(antichain(list("abcdefg")))
+    with pytest.raises(BudgetExceeded, match="^823543 assignments exceed the limit 200000$"):
+        all_lattice_homs(boolean, boolean)
+
+
+def test_homs_into_a_lattice_that_is_not_distributive_are_refused():
+    # the Birkhoff dual describes homs only between distributive lattices
+    for src, tgt in ((TWO, m3_candidate()), (m3_candidate(), TWO)):
+        with pytest.raises(NotDistributive):
+            all_lattice_homs(src, tgt)
 
 
 def test_all_lattice_homs_match_every_assignment_hom_violation_accepts():
-    # the route through join-irreducible images against the hom equations
-    # on every assignment, for each pair of small enough universe lattices
+    # the route through the Birkhoff dual against the hom equations on every
+    # assignment, for each pair of small enough universe lattices, and for
+    # each such lattice with its ideal lattice (the coalgebra search)
     lats = lattice_universe(3)
-    pairs = homs = 0
-    for src in lats:
-        for tgt in lats:
+
+    def agree(pairs):
+        count = homs = 0
+        for src, tgt in pairs:
             if tgt.n ** src.n > 20_000:
                 continue
             expected = [
@@ -583,9 +595,12 @@ def test_all_lattice_homs_match_every_assignment_hom_violation_accepts():
             ]
             found = [h.assignment for h in all_lattice_homs(src, tgt)]
             assert found == expected, (src, tgt)
-            pairs += 1
+            count += 1
             homs += len(found)
-    assert (pairs, homs) == (508, 3960)
+        return count, homs
+
+    assert agree(product(lats, repeat=2)) == (508, 3960)
+    assert agree((lat, ideal_lattice(lat)) for lat in lats) == (17, 138)
 
 
 def test_hom_violation_reports_bounds():

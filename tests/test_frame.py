@@ -534,9 +534,12 @@ def test_gamma_unique_by_exhaustive_search():
 
 
 def test_coalgebra_search_budget():
-    big = lattice_universe(4)[-1]
-    with pytest.raises(BudgetExceeded):
-        coalgebra_structures(big, limit=10)
+    # the Boolean lattice on 7 atoms and its ideal lattice have 7
+    # join-irreducibles each: 7^7 candidates, past the one budget of
+    # order.monotone_maps
+    boolean = downset_lattice(antichain(list("abcdefg")))
+    with pytest.raises(BudgetExceeded, match="^823543 assignments exceed the limit 200000$"):
+        coalgebra_structures(boolean)
 
 
 def test_all_finite_homs_are_proper():

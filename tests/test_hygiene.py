@@ -171,6 +171,37 @@ def test_the_package_does_not_import_networkx():
     assert importers == []
 
 
+def uses_itertools_product(source: str) -> bool:
+    """Whether the source takes `product` from itertools, by a from-import
+    or as an attribute of the module."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            if any(alias.name == "product" for alias in node.names):
+                return True
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "product"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "itertools"
+        ):
+            return True
+    return False
+
+
+def test_itertools_product_use_is_reported():
+    assert uses_itertools_product("def f():\n    from itertools import chain, product\n")
+    assert uses_itertools_product("import itertools\nx = itertools.product([1], [2])\n")
+    assert not uses_itertools_product("from itertools import chain\nproduct = 1\n")
+
+
+def test_only_order_loops_over_all_assignments():
+    # order.monotone_maps is the one product-and-filter loop over maps:
+    # continuous maps and lattice homs (through the Birkhoff dual) go
+    # through it, so a second brute-force map loop cannot grow back
+    users = [p.name for p in PACKAGE if uses_itertools_product(p.read_text("utf-8"))]
+    assert users == ["order.py"]
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     probe = (
         "import sys, stonekit.cli\n"
@@ -322,7 +353,6 @@ TEST_ONLY = {
     "dlat.is_distributive": "public API: the verdict of distributivity_witness",
     "dlat.LatticeHom.apply": "public API: a hom applied to an element name",
     "dlat.lattice_isomorphic": "public API: the verdict of lattice_isomorphism",
-    "dlat.join_irreducibles": "public API: the Birkhoff dual poset of a lattice",
     "dlat.homs_to_2": "twin: the characters read off prime_filters",
     "dlat.homs_to_2_bruteforce": "twin: the characters by the hom equations",
     "instances.coalgebra_structures": "acceptance-criterion helper: every coalgebra",

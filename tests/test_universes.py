@@ -1,11 +1,13 @@
 """Enumeration backbone: labeled counts and cross-checked oracles."""
 
+from itertools import product
+
 import pytest
 
 from stonekit import order, universes
 from stonekit.errors import BudgetExceeded
-from stonekit.order import cycle_pair, is_transitive
-from stonekit.spaces import sierpinski, discrete_space
+from stonekit.order import cycle_pair, is_transitive, monotone_maps
+from stonekit.spaces import continuity_violation, discrete_space, sierpinski
 from stonekit.universes import (
     _relation_candidates,
     all_continuous_maps,
@@ -130,6 +132,22 @@ def test_continuous_map_budget_refuses_before_the_first_map():
     maps = all_continuous_maps(d, d)
     with pytest.raises(BudgetExceeded, match="^823543 assignments exceed the limit 200000$"):
         next(maps)
+
+
+def test_continuous_maps_are_the_monotone_maps_of_the_specialization_orders():
+    # twin: every assignment, in ascending order, that continuity_violation
+    # accepts, on each pair of spaces of at most 3 points
+    spaces = all_spaces_upto(3)
+    maps = 0
+    for x in spaces:
+        for y in spaces:
+            expected = [
+                f for f in product(range(y.n), repeat=x.n)
+                if continuity_violation(x, y, f) is None
+            ]
+            assert list(monotone_maps(x.up, y.up)) == expected, (x, y)
+            maps += len(expected)
+    assert maps == 11_345
 
 
 def test_empty_space_has_one_map_in():
