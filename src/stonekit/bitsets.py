@@ -8,7 +8,7 @@ import sys
 from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 from .errors import InvariantViolated
-from .memo import name_free
+from .memo import itself, keyed
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -40,7 +40,7 @@ def format_subset(names: Sequence[str], mask: int) -> str:
     return sys.intern("{" + ",".join(names[i] for i in bits(mask)) + "}")
 
 
-@name_free(lambda masks: masks)
+@keyed(itself)
 def positions(masks: Tuple[int, ...]) -> Dict[int, int]:
     """The position of each of the distinct masks, keyed by the mask; one
     table per family, shared by every view of it."""

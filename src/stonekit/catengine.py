@@ -5,7 +5,8 @@ natural transformations, monads, comonads, adjunctions and algebras are
 bundles of callables over them. Every law here is checked by running the
 relevant diagram at every supplied object or morphism, so a green check is
 a finite proof over the chosen enumeration, and a red one carries a
-witness naming where the diagram broke. A comonad is a monad on the
+witness naming where the diagram broke; a check over no case is red, with
+the witness "no case checked". A comonad is a monad on the
 opposite universe (`opposite`), so check_comonad_laws is check_monad_laws
 run there.
 
@@ -22,9 +23,9 @@ function of its object. A natural transformation therefore computes its
 component at an object once and returns the stored morphism on every
 later call, so a diagram that asks for the same component many times, or
 a monad shared by several checks, builds each structure map once. The
-store is `memo.component`: it lives as long as its transformation, and
-`clear_caches` empties it, so the monads built once at import hold no
-component across a clear. The
+store is a memo table keyed by the object (`memo.keyed(memo.itself)`): it
+lives as long as its transformation, and `clear_caches` empties it, so the
+monads built once at import hold no component across a clear. The
 composites the checks form are not re-validated either: the constructors
 of the concrete universes validate maps where they are built from raw
 data, and a composite of valid maps is valid.
@@ -67,7 +68,7 @@ class NatTransInstance(Value):
     component: Callable
 
     def __post_init__(self):
-        object.__setattr__(self, "component", memo.component(self.component))
+        object.__setattr__(self, "component", memo.keyed(memo.itself)(self.component))
 
 
 class MonadInstance(Value):
@@ -191,10 +192,15 @@ def opposite_monad(c: ComonadInstance, op: Universe, name: str) -> MonadInstance
 
 
 def _all(name, universe, cases) -> LawCheck:
-    """Run (ok, witness_object) pairs, reporting the first failure."""
+    """Run (ok, witness_object) pairs, reporting the first failure. A law
+    over no case fails: it has proved nothing."""
+    checked = False
     for ok, at in cases:
         if not ok:
             return LawCheck(name, False, universe.label(at))
+        checked = True
+    if not checked:
+        return LawCheck(name, False, "no case checked")
     return LawCheck(name, True, None)
 
 
@@ -205,21 +211,21 @@ def require_laws(checks) -> None:
             raise HypothesisFailed(str(check))
 
 
-def check_functor_laws(f: FunctorInstance, objects, morphisms) -> Tuple[LawCheck, ...]:
+def check_functor_identity(f: FunctorInstance, objects) -> LawCheck:
+    """f sends the identity at each object to the identity at its image."""
     src, tgt = f.source, f.target
-    identity = _all(
-        f"{f.name}: identities",
-        src,
-        (
-            (
-                f.on_morphism(src.identity(x)) == tgt.identity(f.on_object(x)),
-                x,
-            )
-            for x in objects
-        ),
+    cases = (
+        (f.on_morphism(src.identity(x)) == tgt.identity(f.on_object(x)), x)
+        for x in objects
     )
+    return _all(f"{f.name}: identities", src, cases)
 
-    def composition_cases():
+
+def check_functor_composition(f: FunctorInstance, morphisms) -> LawCheck:
+    """f preserves the composite of every composable pair of morphisms."""
+    src, tgt = f.source, f.target
+
+    def cases():
         by_source = {}
         for m in morphisms:
             by_source.setdefault(src.source(m), []).append(m)
@@ -229,8 +235,7 @@ def check_functor_laws(f: FunctorInstance, objects, morphisms) -> Tuple[LawCheck
                 rhs = tgt.compose(f.on_morphism(after), f.on_morphism(m))
                 yield lhs == rhs, src.source(m)
 
-    composition = _all(f"{f.name}: composition", src, composition_cases())
-    return identity, composition
+    return _all(f"{f.name}: composition", src, cases())
 
 
 def check_naturality(nt: NatTransInstance, morphisms) -> LawCheck:
@@ -301,38 +306,36 @@ def check_comonad_laws(c: ComonadInstance, objects) -> Tuple[LawCheck, ...]:
     )
 
 
-def check_adjunction(
-    adj: AdjunctionInstance, outer_objects, inner_objects
-) -> Tuple[LawCheck, ...]:
-    """Both triangle identities, at every supplied object."""
-    a, b = adj.inner, adj.outer
-    L, R = adj.left, adj.right
+def check_left_triangle(adj: AdjunctionInstance, outer_objects) -> LawCheck:
+    """The triangle identity of the left adjoint: the counit at L x after
+    L of the unit at x is the identity, at every supplied outer object."""
+    a, L = adj.inner, adj.left
     eta, eps = adj.unit.component, adj.counit.component
-    first = _all(
-        f"{adj.name}: counit.L after L.unit",
-        b,
+    cases = (
         (
-            (
-                a.compose(eps(L.on_object(x)), L.on_morphism(eta(x)))
-                == a.identity(L.on_object(x)),
-                x,
-            )
-            for x in outer_objects
-        ),
+            a.compose(eps(L.on_object(x)), L.on_morphism(eta(x)))
+            == a.identity(L.on_object(x)),
+            x,
+        )
+        for x in outer_objects
     )
-    second = _all(
-        f"{adj.name}: R.counit after unit.R",
-        a,
+    return _all(f"{adj.name}: counit.L after L.unit", adj.outer, cases)
+
+
+def check_right_triangle(adj: AdjunctionInstance, inner_objects) -> LawCheck:
+    """The triangle identity of the right adjoint: R of the counit at y
+    after the unit at R y is the identity, at every supplied inner object."""
+    b, R = adj.outer, adj.right
+    eta, eps = adj.unit.component, adj.counit.component
+    cases = (
         (
-            (
-                b.compose(R.on_morphism(eps(y)), eta(R.on_object(y)))
-                == b.identity(R.on_object(y)),
-                y,
-            )
-            for y in inner_objects
-        ),
+            b.compose(R.on_morphism(eps(y)), eta(R.on_object(y)))
+            == b.identity(R.on_object(y)),
+            y,
+        )
+        for y in inner_objects
     )
-    return first, second
+    return _all(f"{adj.name}: R.counit after unit.R", adj.inner, cases)
 
 
 def check_algebra(alg: AlgebraInstance) -> Tuple[LawCheck, ...]:
@@ -430,7 +433,9 @@ def lift_monad(
 
 
 def lift_law(adj: AdjunctionInstance, t: MonadInstance) -> NatTransInstance:
-    """The comparison M R => R T, given by R T applied to the counit."""
+    """The comparison M R => R T, given by R T applied to the counit. It
+    holds its own component table, so build it once and pass it to
+    check_lift_law and comparison_algebra."""
     R = adj.right
     T = t.functor
     m_functor = lift_functor(adj, T)
@@ -445,13 +450,15 @@ def lift_law(adj: AdjunctionInstance, t: MonadInstance) -> NatTransInstance:
 def check_lift_law(
     adj: AdjunctionInstance,
     t: MonadInstance,
+    law: NatTransInstance,
     m: MonadInstance,
     objects,
 ) -> Tuple[LawCheck, ...]:
-    """The two coherence diagrams tying the lifted structure to the inner one."""
+    """The two coherence diagrams tying m, the lift of t, to t through
+    law, its lift law (lift_law)."""
     b = adj.outer
     R = adj.right
-    lam = lift_law(adj, t).component
+    lam = law.component
 
     def unit_cases():
         for y in objects:
@@ -473,21 +480,21 @@ def check_lift_law(
 
     a = adj.inner
     return (
-        _all(f"lift-law({t.name}): unit square", a, unit_cases()),
-        _all(f"lift-law({t.name}): multiplication square", a, mult_cases()),
+        _all(f"{law.name}: unit square", a, unit_cases()),
+        _all(f"{law.name}: multiplication square", a, mult_cases()),
     )
 
 
 def comparison_algebra(
     adj: AdjunctionInstance,
-    t: MonadInstance,
+    law: NatTransInstance,
     m: MonadInstance,
     alg: AlgebraInstance,
 ) -> AlgebraInstance:
     """Send an inner algebra across R, twisting by the lift law."""
     b = adj.outer
     R = adj.right
-    lam = lift_law(adj, t).component
+    lam = law.component
     carrier = R.on_object(alg.carrier)
     structure = b.compose(R.on_morphism(alg.structure), lam(alg.carrier))
     return AlgebraInstance(m, carrier, structure)

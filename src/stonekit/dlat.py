@@ -34,12 +34,12 @@ A lattice is its order. DistLattice(p) is the unchecked lattice: it
 takes the Shape of p, or raises NotALattice, and checks nothing about
 distributivity. lattice_from_poset(p) is the checked one. The Shape holds
 what the order fixes whatever the names: the up-masks, the meet and join
-tables and the join-irreducibles. It is derived, never given, and once
+tables and the join-irreducibles with their order. It is derived, never given, and once
 per order: _order_shape stores it under the down-sets, so every lattice
 with the same order holds one Shape. inclusion_view is the one builder
 of derived lattices (lattices of sets, ideal lattices, open frames).
 
-Memo contract (see memo.name_free): the shape of an order, the hom and
+Memo contract (see memo.keyed): the shape of an order, the hom and
 distributivity checks, the prime filters, the assignments of
 ideal_functor_hom and the orders of inclusion_view run once per distinct
 name-free value. The results are stored under keys built from down-sets,
@@ -69,7 +69,7 @@ from .errors import (
     NotDistributive,
     UniverseMismatch,
 )
-from .memo import cached, name_free, shared
+from .memo import itself, keyed, shared
 from .order import (
     FinPoset,
     Value,
@@ -84,13 +84,16 @@ from .order import (
 
 class Shape:
     """What an order fixes whatever its element names: the up-masks, the
-    meet and join tables and the mask of the join-irreducibles. The
-    lattices of one order hold one Shape; it compares and hashes by identity."""
+    meet and join tables, the mask of the join-irreducibles, their
+    positions, ascending, and their order as down-masks over those
+    positions (J, the Birkhoff dual). The lattices of one order hold one
+    Shape; it compares and hashes by identity."""
 
-    __slots__ = ("up", "meet", "join", "irreducible")
+    __slots__ = ("up", "meet", "join", "irreducible", "irreducibles", "dual")
 
-    def __init__(self, up, meet, join, irreducible):
-        self.up, self.meet, self.join, self.irreducible = up, meet, join, irreducible
+    def __init__(self, up, meet, join, irreducible, irreducibles, dual):
+        self.up, self.meet, self.join = up, meet, join
+        self.irreducible, self.irreducibles, self.dual = irreducible, irreducibles, dual
 
 
 class DistLattice(Value):
@@ -162,7 +165,7 @@ def lattice_from_poset(p: FinPoset) -> DistLattice:
     return _checked(DistLattice(p))
 
 
-@name_free(lambda p: p.down)
+@keyed(lambda p: p.down)
 def _order_shape(p: FinPoset) -> Shape:
     """The shape of p, or NotALattice.
 
@@ -172,7 +175,8 @@ def _order_shape(p: FinPoset) -> Shape:
     The pair loop runs only then, to name the first failing pair. An
     element is join-irreducible when the elements strictly below it have a
     greatest one, its one lower cover: when they are a down-set of the
-    order."""
+    order. J, the join-irreducibles with the order between them, is read
+    off the down-sets once here, for all_lattice_homs."""
     down = p.down
     if not down:
         raise InvalidValue("the lattice has no elements")
@@ -190,8 +194,13 @@ def _order_shape(p: FinPoset) -> Shape:
                 if up[i] & up[j] not in above:
                     raise NotALattice("join", (p.elements[i], p.elements[j]))
         raise
-    irreducible = mask_of(j for j, d in enumerate(down) if d ^ 1 << j in below)
-    return Shape(up, meet, join, irreducible)
+    irreducibles = tuple(j for j, d in enumerate(down) if d ^ 1 << j in below)
+    irreducible = mask_of(irreducibles)
+    at = {j: k for k, j in enumerate(irreducibles)}
+    dual = tuple(
+        mask_of(at[i] for i in bits(down[j] & irreducible)) for j in irreducibles
+    )
+    return Shape(up, meet, join, irreducible, irreducibles, dual)
 
 
 def _checked(lat: DistLattice) -> DistLattice:
@@ -200,7 +209,7 @@ def _checked(lat: DistLattice) -> DistLattice:
     return lat
 
 
-@name_free(lambda lat: lat.shape)
+@keyed(lambda lat: lat.shape)
 def _check_distributive(lat: DistLattice) -> None:
     witness = distributivity_witness(lat)
     if witness is not None:
@@ -282,7 +291,7 @@ def hom_violation(
     return None
 
 
-@name_free(lambda src, tgt, assignment: (src.shape, tgt.shape, assignment))
+@keyed(lambda src, tgt, assignment: (src.shape, tgt.shape, assignment))
 def _check_hom(src: DistLattice, tgt: DistLattice, assignment: Tuple[int, ...]) -> None:
     bad = hom_violation(src, tgt, assignment)
     if bad is not None:
@@ -369,7 +378,7 @@ def _name_rank(names: Tuple[str, ...]) -> Tuple[int, ...]:
 
 # make_poset reads the names only to break ties by comparing them, so the
 # masks and the ranking of the names fix the element order and the down-sets
-@name_free(lambda masks, names: (masks, _name_rank(names)))
+@keyed(lambda masks, names: (masks, _name_rank(names)))
 def _inclusion_lattice(
     masks: Tuple[int, ...], names: Tuple[str, ...]
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
@@ -449,7 +458,7 @@ def principal_masks(lat: DistLattice) -> Tuple[int, ...]:
     return tuple(sorted(lat.poset.down))
 
 
-@cached
+@keyed(itself)
 def ideal_view(lat: DistLattice) -> SetLatticeView:
     """Every ideal of a finite lattice is principal, so the ideals are the
     down-sets of the elements (ideals_bruteforce is the test oracle),
@@ -492,7 +501,7 @@ def ideal_functor_hom(f: LatticeHom) -> LatticeHom:
 
 # keyed by the masks of both views, not by shapes: ideal_view orders the
 # ideals by their names
-@name_free(lambda *args: args)
+@keyed(lambda *args: args)
 def _ideal_image_assignment(
     src_masks: Tuple[int, ...],
     down: Tuple[int, ...],
@@ -551,7 +560,7 @@ def prime_filters_bruteforce(lat: DistLattice) -> Tuple[int, ...]:
     )
 
 
-@name_free(lambda lat: lat.shape)
+@keyed(lambda lat: lat.shape)
 def prime_filters(lat: DistLattice) -> Tuple[int, ...]:
     """The prime filter masks, ascending, via join-irreducibles.
 
@@ -592,12 +601,13 @@ def all_lattice_homs(src: DistLattice, tgt: DistLattice) -> Tuple[LatticeHom, ..
     dual: the homs are the monotone maps g: J(tgt) -> J(src), with h(a) the
     join of the q in J(tgt) with g(q) <= a. Requires both lattices
     distributive; raises BudgetExceeded as order.monotone_maps does."""
-    js, jt, down = join_irreducibles(src), join_irreducibles(tgt), src.poset.down
-    src_at = [src.index(e) for e in js.elements]
-    tgt_at = [tgt.index(e) for e in jt.elements]
+    js, jt, down = _checked(src).shape, _checked(tgt).shape, src.poset.down
     homs = []
-    for g in monotone_maps(jt.down, js.down):
-        images = [src_at[p] for p in g]
-        below = (mask_of(q for q, p in zip(tgt_at, images) if d >> p & 1) for d in down)
+    for g in monotone_maps(jt.dual, js.dual):
+        images = [js.irreducibles[p] for p in g]
+        below = (
+            mask_of(q for q, p in zip(jt.irreducibles, images) if d >> p & 1)
+            for d in down
+        )
         homs.append(tuple(tgt.join_mask(m) for m in below))
     return tuple(LatticeHom(src, tgt, a) for a in sorted(homs))

@@ -17,7 +17,7 @@ filters, the spectrum's and F X's: a filter lies below the filters that
 contain it, and the up-sets of that preorder are the basic opens. The
 preorder and basic opens of a space of filters and the point assignment
 of spectrum_map are computed once per distinct name-free input
-(memo.name_free): filter masks for the one, the shapes of both lattices
+(memo.keyed): filter masks for the one, the shapes of both lattices
 and the hom's assignment for the other. The names of each call's own
 lattices and spaces are attached afterwards.
 """
@@ -38,7 +38,7 @@ from .dlat import (
     principal_embedding,
 )
 from .errors import NotDistributive
-from .memo import cached, name_free
+from .memo import itself, keyed
 from .order import Value, _unvalidated
 from .spaces import ContinuousMap, FinSpace, open_frame_view
 
@@ -212,7 +212,7 @@ class CenterView(Value):
     inclusion: LatticeHom
 
 
-@cached
+@keyed(itself)
 def center_view(lat: DistLattice) -> CenterView:
     """Sublattice of complemented elements (the regular coreflection)."""
     cmask = complemented_mask(lat)
@@ -263,7 +263,7 @@ def corestrict_to_center(hom: LatticeHom) -> Optional[LatticeHom]:
 # spectrum
 
 
-@name_free(lambda *args: args)
+@keyed(lambda *args: args)
 def _filter_opens(
     n: int, filters: Tuple[int, ...]
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -315,7 +315,7 @@ def filter_space_of(carrier: Tuple[str, ...], filters: Tuple[int, ...]) -> Spect
     return SpectrumView(FinSpace(names, up), filters, sigma, carrier)
 
 
-@cached
+@keyed(itself)
 def spectrum_view(lat: DistLattice) -> SpectrumView:
     return filter_space_of(lat.elements, prime_filters(lat))
 
@@ -339,7 +339,7 @@ def spectrum_map(h: LatticeHom) -> ContinuousMap:
 
 # the filters of both spectra are fixed by the shapes, so the hom's
 # shapes and assignment determine the point assignment
-@name_free(lambda h, filters, point_of: (
+@keyed(lambda h, filters, point_of: (
     h.source.shape, h.target.shape, tuple(h.assignment)
 ))
 def _spectrum_assignment(

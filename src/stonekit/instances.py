@@ -32,20 +32,23 @@ from .catengine import (
     FunctorInstance,
     NatTransInstance,
     Universe,
-    check_adjunction,
     check_algebra,
     check_algebra_morphism,
     check_comonad_laws,
-    check_functor_laws,
+    check_functor_composition,
+    check_functor_identity,
+    check_left_triangle,
     check_lift_law,
     check_monad_laws,
     check_monad_morphism,
     check_naturality,
+    check_right_triangle,
     comparison_algebra,
     compose_functors,
     identity_functor,
     inverse_comparison,
     lift_composite_iso,
+    lift_law,
     lift_monad,
     lift_monad_morphism,
     make_comonad,
@@ -87,7 +90,7 @@ from .frame import (
     spectrum_map,
     way_below_bruteforce,
 )
-from .memo import cached
+from .memo import itself, keyed
 from .order import Value, preorder_closure
 from .spaces import (
     ContinuousMap,
@@ -179,14 +182,14 @@ LOCALE_UNIVERSE = opposite(FRAME_UNIVERSE, "finite locales")
 # morphism pools for the enumerating checks
 
 
-@cached
+@keyed(itself)
 def frame_morphisms(max_poset: int) -> Tuple[LatticeHom, ...]:
     """Every lattice map between universe lattices of the given size."""
     lats = lattice_universe(max_poset)
     return tuple(h for a in lats for b in lats for h in all_lattice_homs(a, b))
 
 
-@cached
+@keyed(itself)
 def space_morphisms(max_points: int) -> Tuple[ContinuousMap, ...]:
     """Every continuous map between spaces of the given size."""
     spaces = all_spaces_upto(max_points)
@@ -271,6 +274,9 @@ FILTER_MONAD_ON_SPACES = make_monad(
 LIFTED_IDEAL_MONAD = lift_monad(
     OPEN_SPECTRUM_ADJUNCTION, IDEAL_MONAD_ON_LOCALES, "spectral ideal monad"
 )
+
+# its lift law, which ties it to the locale ideal monad
+IDEAL_LIFT_LAW = lift_law(OPEN_SPECTRUM_ADJUNCTION, IDEAL_MONAD_ON_LOCALES)
 
 # the lifted identity monad; its functor is the sobrification
 SOBRIFICATION_MONAD = lift_monad(
@@ -468,7 +474,7 @@ def locale_round_trip(lat: DistLattice) -> bool:
     t = IDEAL_MONAD_ON_LOCALES
     m = LIFTED_IDEAL_MONAD
     t_alg = AlgebraInstance(t, lat, gamma_coalgebra(lat))
-    m_alg = comparison_algebra(adj, t, m, t_alg)
+    m_alg = comparison_algebra(adj, IDEAL_LIFT_LAW, m, t_alg)
     back = inverse_comparison(adj, t, m_alg)
     eps = adj.counit.component(lat)
     return (
@@ -493,7 +499,7 @@ def space_round_trip(x: FinSpace) -> Optional[AlgebraInstance]:
     ok = _holds(check_algebra(m_alg))
     t_alg = inverse_comparison(adj, t, m_alg)
     ok = ok and _holds(check_algebra(t_alg))
-    again = comparison_algebra(adj, t, m, t_alg)
+    again = comparison_algebra(adj, IDEAL_LIFT_LAW, m, t_alg)
     eta = adj.unit.component(x)
     ok = (
         ok
@@ -553,7 +559,7 @@ def _functor_laws(prefix: str, functor: Callable, objects: str, arrows=None):
         _checked(
             (f"{prefix}.functor-identity",),
             objects,
-            lambda x: check_functor_laws(functor(), [x], ())[:1],
+            lambda x: [check_functor_identity(functor(), [x])],
         )
     ]
     if arrows:
@@ -561,7 +567,7 @@ def _functor_laws(prefix: str, functor: Callable, objects: str, arrows=None):
             _checked(
                 (f"{prefix}.functor-composition",),
                 f"{arrows}s",
-                lambda fs: check_functor_laws(functor(), (), fs)[1:],
+                lambda fs: [check_functor_composition(functor(), fs)],
             )
         )
     return laws
@@ -644,12 +650,12 @@ LAWS: Tuple[Law, ...] = (
     _checked(
         ("adjunction-os.triangle-open",),
         "space",
-        lambda x: check_adjunction(OPEN_SPECTRUM_ADJUNCTION, [x], [])[:1],
+        lambda x: [check_left_triangle(OPEN_SPECTRUM_ADJUNCTION, [x])],
     ),
     _checked(
         ("adjunction-os.triangle-spectrum",),
         "lattice",
-        lambda lat: check_adjunction(OPEN_SPECTRUM_ADJUNCTION, [], [lat])[1:],
+        lambda lat: [check_right_triangle(OPEN_SPECTRUM_ADJUNCTION, [lat])],
     ),
     *_functor_laws(
         "adjunction-os.open", lambda: OPEN_SPECTRUM_ADJUNCTION.left, "space", "map"
@@ -675,7 +681,11 @@ LAWS: Tuple[Law, ...] = (
         ("lifting.law-unit-square", "lifting.law-mult-square"),
         "lattice",
         lambda lat: check_lift_law(
-            OPEN_SPECTRUM_ADJUNCTION, IDEAL_MONAD_ON_LOCALES, LIFTED_IDEAL_MONAD, [lat]
+            OPEN_SPECTRUM_ADJUNCTION,
+            IDEAL_MONAD_ON_LOCALES,
+            IDEAL_LIFT_LAW,
+            LIFTED_IDEAL_MONAD,
+            [lat],
         ),
     ),
     _checked(

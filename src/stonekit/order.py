@@ -7,7 +7,7 @@ all derived subset bitmasks are reproducible across runs.
 
 Value is the base of every record class: a record holds its fields in
 slots and nothing else, and reads what it derives from them off a memo
-(memo.name_free) or computes it from the fields on each read.
+(memo.keyed) or computes it from the fields on each read.
 
 Relations are tuples of masks, and each routine on them is the one the
 package uses: is_transitive, up_sets (every union of the masks: the

@@ -13,7 +13,7 @@ space_from_basis is the one route from a family of sets to a space.
 
 The preorder check of a space, which derives its opens, and the
 continuity check of a map run once per distinct (up, assignment) value,
-whatever the point names (memo.name_free); only passing verdicts are
+whatever the point names (memo.keyed); only passing verdicts are
 stored, and the spaces of one preorder share one tuple of opens.
 """
 
@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 from .bitsets import bits, format_subset, mask_of
 from .dlat import DistLattice, LatticeHom, SetLatticeView, inclusion_view
 from .errors import InvalidValue, NotATopology, UniverseMismatch
-from .memo import cached, name_free, shared
+from .memo import itself, keyed, shared
 from .order import (
     Value,
     _unvalidated,
@@ -70,7 +70,7 @@ class FinSpace(Value):
         return _preorder_opens(self)
 
 
-@name_free(lambda x: x.up)
+@keyed(lambda x: x.up)
 def _preorder_opens(x: FinSpace) -> Tuple[int, ...]:
     """NotATopology unless x.up is a reflexive, transitive relation on the
     points: each U_i holds i, lies inside the points and holds U_j for
@@ -176,7 +176,7 @@ def continuity_violation(
     return None
 
 
-@name_free(lambda x, y, assignment: (x.up, y.up, assignment))
+@keyed(lambda x, y, assignment: (x.up, y.up, assignment))
 def _check_continuous(x: FinSpace, y: FinSpace, assignment: Tuple[int, ...]) -> None:
     bad = continuity_violation(x, y, assignment)
     if bad is not None:
@@ -250,7 +250,7 @@ def is_closure_initial(f: ContinuousMap) -> bool:
 # the open-set frame
 
 
-@cached
+@keyed(itself)
 def open_frame_view(x: FinSpace) -> SetLatticeView:
     """Open-set lattice of a space; masks[i] is the point-set of element i."""
     return inclusion_view(x.points, x.opens)

@@ -25,7 +25,7 @@ from .bitsets import bits, format_subset, indices_in, mask_of, positions
 from .dlat import LatticeHom, ideal_view
 from .errors import InvariantViolated, NoCanonicalAlgebra
 from .frame import SpectrumView, center_view, filter_space_of, spectrum_view
-from .memo import cached
+from .memo import itself, keyed
 from .order import Value
 from .spaces import (
     ContinuousMap,
@@ -38,7 +38,7 @@ from .spaces import (
 )
 
 
-@cached
+@keyed(itself)
 def filter_space_view(x: FinSpace) -> SpectrumView:
     """F X: the distinct neighbourhood filters as masks over x.opens, and
     sigma[i] the star opens[i]* of each open. A prime filter of the open

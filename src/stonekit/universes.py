@@ -19,7 +19,7 @@ from typing import Tuple
 from .bitsets import bits
 from .dlat import DistLattice, downset_lattice
 from .errors import BudgetExceeded
-from .memo import cached
+from .memo import itself, keyed
 from .order import FinPoset, make_poset, monotone_maps, transpose, up_sets
 from .spaces import ContinuousMap, FinSpace
 
@@ -57,7 +57,7 @@ def _guard(n: int, cap: int, what: str) -> None:
         raise BudgetExceeded(f"{what} on {n} elements exceeds the cap {cap}")
 
 
-@cached
+@keyed(itself)
 def all_posets(n: int) -> Tuple[FinPoset, ...]:
     """All labeled posets on n elements (1, 1, 3, 19, 219, 4231), elements
     named a, b, c, ..., by one-point extension in ascending pick code."""
@@ -76,7 +76,7 @@ def all_posets_upto(n: int) -> Tuple[FinPoset, ...]:
     return tuple(out)
 
 
-@cached
+@keyed(itself)
 def all_spaces(n: int) -> Tuple[FinSpace, ...]:
     """All labeled topologies on n points (1, 1, 4, 29, 355, 6942), via
     their specialization preorders, by one-point extension in ascending
@@ -113,7 +113,7 @@ def all_topology_families_bruteforce(n: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(sorted(set(out)))
 
 
-@cached
+@keyed(itself)
 def lattice_universe(max_poset: int) -> Tuple[DistLattice, ...]:
     """Downset lattices of all posets on <= max_poset elements (243 at 4)."""
     return tuple(downset_lattice(p) for p in all_posets_upto(max_poset))

@@ -139,7 +139,7 @@ def tagging_comonad() -> ComonadInstance:
 def reversing_endofunctor() -> FunctorInstance:
     """Keeps objects, reverses every assignment.
 
-    check_functor_laws rejects it: the identity law fails at the first
+    check_functor_identity rejects it: the identity law fails at the first
     object with two points, witness "2".
     """
     u = finset_universe()
@@ -222,8 +222,8 @@ def misfolded_algebra() -> AlgebraInstance:
 def swap_counit_adjunction() -> AdjunctionInstance:
     """Identity functors posing as an adjunction with a swapping counit.
 
-    check_adjunction rejects it: both triangles fail at the first object
-    with two points, witness "2".
+    check_left_triangle and check_right_triangle reject it: both
+    triangles fail at the first object with two points, witness "2".
     """
     u = finset_universe()
     one = identity_functor(u)

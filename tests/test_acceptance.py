@@ -31,6 +31,7 @@ from stonekit.instances import (
     COMPACTIFICATION_COLLAPSE,
     FILTER_MONAD_ON_SPACES,
     IDEAL_COMONAD_ON_FRAMES,
+    IDEAL_LIFT_LAW,
     IDEAL_MONAD_ON_FRAMES,
     IDEAL_MONAD_ON_LOCALES,
     LIFTED_IDEAL_MONAD,
@@ -179,7 +180,7 @@ def test_criterion_07_lifting_suite():
         t = IDEAL_MONAD_ON_LOCALES
         m = LIFTED_IDEAL_MONAD
         lats = lattice_universe(4)
-        for check in check_lift_law(adj, t, m, lats):
+        for check in check_lift_law(adj, t, IDEAL_LIFT_LAW, m, lats):
             assert check.ok, str(check)
         assert all(locale_round_trip(lat) for lat in lats)
         spaces = all_spaces_upto(3)

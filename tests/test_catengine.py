@@ -6,20 +6,24 @@ import pytest
 
 from stonekit.catengine import (
     AlgebraInstance,
-    check_adjunction,
+    LawCheck,
     check_algebra,
     check_algebra_morphism,
     check_comonad_laws,
-    check_functor_laws,
+    check_functor_composition,
+    check_functor_identity,
+    check_left_triangle,
     check_lift_law,
     check_monad_laws,
     check_monad_morphism,
     check_naturality,
+    check_right_triangle,
     comparison_algebra,
     compose_functors,
     identity_functor,
     inverse_comparison,
     lift_composite_iso,
+    lift_law,
     lift_monad,
     lift_monad_morphism,
     make_monad,
@@ -76,8 +80,12 @@ def finset_morphisms():
     return tuple(out)
 
 
+def functor_laws(f, objects, morphisms):
+    return check_functor_identity(f, objects), check_functor_composition(f, morphisms)
+
+
 def test_fresh_point_functor_laws():
-    checks = check_functor_laws(fresh_point_functor(), SIZES, finset_morphisms())
+    checks = functor_laws(fresh_point_functor(), SIZES, finset_morphisms())
     assert all(c.ok for c in checks)
 
 
@@ -100,7 +108,7 @@ def test_fresh_point_algebras():
 
 
 def test_reversing_endofunctor_is_rejected():
-    identity, _ = check_functor_laws(reversing_endofunctor(), SIZES, finset_morphisms())
+    identity = check_functor_identity(reversing_endofunctor(), SIZES)
     assert not identity.ok
     assert identity.witness == "2"
 
@@ -118,7 +126,7 @@ def verdicts(checks):
 
 def test_tagging_comonad_laws():
     k = tagging_comonad()
-    assert all(c.ok for c in check_functor_laws(k.functor, SIZES, finset_morphisms()))
+    assert all(c.ok for c in functor_laws(k.functor, SIZES, finset_morphisms()))
     assert check_naturality(k.counit, finset_morphisms()).ok
     assert check_naturality(k.comult, finset_morphisms()).ok
     assert verdicts(check_comonad_laws(k, SIZES)) == [
@@ -165,7 +173,8 @@ def test_misfolded_algebra_is_rejected():
 
 
 def test_swap_counit_pose_is_rejected():
-    first, second = check_adjunction(swap_counit_adjunction(), SIZES, SIZES)
+    adj = swap_counit_adjunction()
+    first, second = check_left_triangle(adj, SIZES), check_right_triangle(adj, SIZES)
     assert not first.ok and first.witness == "2"
     assert not second.ok and second.witness == "2"
 
@@ -175,6 +184,20 @@ def test_fresh_swap_is_not_a_monad_morphism():
     unit, _ = check_monad_morphism(fresh_swap_transformation(), t, t, SIZES)
     assert not unit.ok
     assert unit.witness == "1"
+
+
+def test_a_law_over_no_case_fails():
+    # a check over an empty pool has proved nothing, so it is no PASS
+    f = fresh_point_functor()
+    empty = LawCheck("add fresh point: composition", False, "no case checked")
+    assert check_functor_composition(f, ()) == empty
+    # no pair of these composes: each map's target is no map's source
+    assert check_functor_composition(f, all_functions(1, 2)) == empty
+    assert check_functor_identity(f, ()).witness == "no case checked"
+    assert [(c.ok, c.witness) for c in check_monad_laws(fresh_point_monad(), [])] == [
+        (False, "no case checked")
+    ] * 3
+    assert not check_naturality(fresh_point_monad().unit, ()).ok
 
 
 def test_require_laws_raises_on_failure():
@@ -199,7 +222,7 @@ def test_topological_closure_is_a_monad():
         t = topological_closure_monad(x)
         subsets = tuple(range(1 << x.n))
         assert all(c.ok for c in check_monad_laws(t, subsets))
-        checks = check_functor_laws(t.functor, subsets, inclusions(x.n))
+        checks = functor_laws(t.functor, subsets, inclusions(x.n))
         assert all(c.ok for c in checks)
         assert check_naturality(t.unit, inclusions(x.n)).ok
 
@@ -208,7 +231,7 @@ def test_direct_image_adjunction_triangles():
     adj = direct_image_adjunction(3, 2, (0, 1, 1))
     low = tuple(range(8))
     high = tuple(range(4))
-    assert all(c.ok for c in check_adjunction(adj, low, high))
+    assert check_left_triangle(adj, low).ok and check_right_triangle(adj, high).ok
     assert check_naturality(adj.unit, inclusions(3)).ok
     assert check_naturality(adj.counit, inclusions(2)).ok
 
@@ -226,7 +249,7 @@ def test_lifted_closure_is_a_monad():
     adj, t, m = sierpinski_closure_setup()
     subsets = tuple(range(8))
     assert all(c.ok for c in check_monad_laws(m, subsets))
-    checks = check_functor_laws(m.functor, subsets, inclusions(3))
+    checks = functor_laws(m.functor, subsets, inclusions(3))
     assert all(c.ok for c in checks)
     # the lifted operator closes downstream, then pulls back
     assert m.functor.on_object(0b010) == 0b111
@@ -235,8 +258,11 @@ def test_lifted_closure_is_a_monad():
 
 def test_lift_law_squares():
     adj, t, m = sierpinski_closure_setup()
-    checks = check_lift_law(adj, t, m, tuple(range(4)))
-    assert all(c.ok for c in checks)
+    checks = check_lift_law(adj, t, lift_law(adj, t), m, tuple(range(4)))
+    assert [c.name for c in checks if c.ok] == [
+        "lift-law(downstream closure): unit square",
+        "lift-law(downstream closure): multiplication square",
+    ]
 
 
 def test_comparison_round_trip_from_inner_algebras():
@@ -246,7 +272,7 @@ def test_comparison_round_trip_from_inner_algebras():
     for a in closed:
         t_alg = AlgebraInstance(t, a, (a, a))
         assert all(c.ok for c in check_algebra(t_alg))
-        m_alg = comparison_algebra(adj, t, m, t_alg)
+        m_alg = comparison_algebra(adj, lift_law(adj, t), m, t_alg)
         assert all(c.ok for c in check_algebra(m_alg))
         back = inverse_comparison(adj, t, m_alg)
         assert back.carrier == t_alg.carrier
@@ -261,7 +287,7 @@ def test_comparison_round_trip_from_outer_algebras():
         assert all(c.ok for c in check_algebra(m_alg))
         back = inverse_comparison(adj, t, m_alg)
         assert all(c.ok for c in check_algebra(back))
-        again = comparison_algebra(adj, t, m, back)
+        again = comparison_algebra(adj, lift_law(adj, t), m, back)
         assert again.carrier == m_alg.carrier
         assert again.structure == m_alg.structure
 

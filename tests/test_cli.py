@@ -764,7 +764,7 @@ def swapped(lat):
     i = view.lattice.shape
     mutant = object.__new__(dlat.DistLattice)
     object.__setattr__(mutant, "poset", view.lattice.poset)
-    shape = dlat.Shape(i.up, i.join, i.meet, i.irreducible)
+    shape = dlat.Shape(i.up, i.join, i.meet, i.irreducible, i.irreducibles, i.dual)
     object.__setattr__(mutant, "shape", shape)
     return dlat.SetLatticeView(mutant, view.masks)
 

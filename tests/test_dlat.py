@@ -67,7 +67,7 @@ from stonekit.order import (
     poset_isomorphic,
 )
 from stonekit.instances import frame_morphisms, run_suite
-from stonekit.memo import MEMOS, clear_caches
+from stonekit.memo import clear_caches
 from stonekit.spaces import open_frame_view
 from stonekit.universes import (
     all_posets,
@@ -75,6 +75,7 @@ from stonekit.universes import (
     all_spaces_upto,
     lattice_universe,
 )
+from test_memo import module_tables
 
 
 def diamond():
@@ -897,13 +898,13 @@ def test_failed_ideal_and_prime_filter_checks_are_not_stored():
     # M3 has no ideal lattice, and its atoms' up-sets are no prime filters
     for prefix in ("p", "q", "p"):
         lat = DistLattice(renamed(m3_candidate(), prefix))
-        stored = [len(memo.table) for memo in MEMOS]
+        stored = {name: len(t.table) for name, t in module_tables().items()}
         with pytest.raises(NotDistributive):
             ideal_view(lat)
         with pytest.raises(NotDistributive) as err:
             prime_filters(lat)
         assert err.value.witness[2] == f"join ('{prefix}b', '{prefix}c') not prime"
-        assert [len(memo.table) for memo in MEMOS] == stored
+        assert {name: len(t.table) for name, t in module_tables().items()} == stored
 
 
 def test_failed_check_is_not_raised_inside_the_memo_lookup():

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from stonekit import frame, instances
 from stonekit.bitsets import mask_of
-from stonekit.memo import MEMOS, clear_caches
+from stonekit.memo import clear_caches
 from stonekit.cli import main
 from stonekit.dlat import (
     TWO,
@@ -78,6 +78,7 @@ from stonekit.spaces import (
 )
 from stonekit.topspace import filter_space_view
 from stonekit.universes import all_spaces, all_spaces_upto, lattice_universe
+from test_memo import VIEWS, module_tables
 
 
 def diamond():
@@ -636,10 +637,13 @@ NAME_FREE_VALUE = {
 
 
 def test_each_name_free_value_is_checked_once(monkeypatch):
-    assert sorted(memo.__name__ for memo in MEMOS) == sorted(NAME_FREE_VALUE)
+    tables = module_tables()
+    assert len(tables) == 22 and not VIEWS & set(NAME_FREE_VALUE)
+    assert sorted(set(tables) - VIEWS) == sorted(NAME_FREE_VALUE)
+    memos = [tables[name] for name in NAME_FREE_VALUE]
     clear_caches()
-    runs = {memo.__name__: [] for memo in MEMOS}
-    for memo in MEMOS:
+    runs = {memo.__name__: [] for memo in memos}
+    for memo in memos:
 
         def counted(*args, inner=memo.__wrapped__, name=memo.__name__):
             runs[name].append(NAME_FREE_VALUE[name](*args))
@@ -649,7 +653,7 @@ def test_each_name_free_value_is_checked_once(monkeypatch):
     try:
         rows = list(run_suite("lifting", max_points=2))
         assert len(rows) == 733 and all(ok for _, _, ok, _ in rows)
-        for memo in MEMOS:
+        for memo in memos:
             values = runs[memo.__name__]
             assert values, memo.__name__
             assert len(values) == len(set(values)), memo.__name__

@@ -3,7 +3,7 @@ every top-level function and class of the package and every non-dunder
 method of its classes is used somewhere, those that only the tests use are
 the listed TEST_ONLY ones, the package states no check as
 an `assert`, `clear_caches` empties every cache the package fills (the
-component memos of the natural transformations too), no cache wraps a
+component tables of the natural transformations too), no cache wraps a
 function without arguments, and
 the package leaves `dataclasses` and `inspect` unimported, since every
 CLI process would pay for them, and `networkx`, which only the tests use
@@ -30,7 +30,7 @@ import pytest
 from stonekit import instances
 from stonekit.catengine import NatTransInstance
 from stonekit.instances import run_suite
-from stonekit.memo import CACHES, MEMOS, clear_caches
+from stonekit.memo import TABLES, clear_caches
 from stonekit.order import Value
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -353,6 +353,7 @@ TEST_ONLY = {
     "dlat.is_distributive": "public API: the verdict of distributivity_witness",
     "dlat.LatticeHom.apply": "public API: a hom applied to an element name",
     "dlat.lattice_isomorphic": "public API: the verdict of lattice_isomorphism",
+    "dlat.join_irreducibles": "public API: J(L), the Birkhoff dual poset, named",
     "dlat.homs_to_2": "twin: the characters read off prime_filters",
     "dlat.homs_to_2_bruteforce": "twin: the characters by the hom equations",
     "instances.coalgebra_structures": "acceptance-criterion helper: every coalgebra",
@@ -381,9 +382,10 @@ def test_only_the_listed_definitions_are_reached_by_the_tests_alone():
 
 
 def cache_sizes(modules) -> dict:
-    """`module.name` -> (kind, size) for each lru_cache function ("cache":
-    its currsize), each memo with a `table` dict ("cache": its length) and
-    each module-level dict, set or list ("container": its length)."""
+    """`module.name` -> (kind, size) for each function with a cache_info()
+    ("cache": its currsize; memo tables and lru_cache functions), each
+    other object with a `table` dict ("cache": its length) and each
+    module-level dict, set or list ("container": its length)."""
     out = {}
     for module in modules:
         for name, obj in vars(module).items():
@@ -457,9 +459,9 @@ def test_clear_caches_empties_every_view_and_memo_table():
 
 
 def test_every_cache_of_the_package_is_registered():
-    # clear_caches empties the registered caches only, so a view cached
+    # clear_caches empties the registered tables only, so a view cached
     # with a bare lru_cache would outlive it
-    registered = {id(f) for f in CACHES + MEMOS}
+    registered = {id(f) for f in TABLES}
     unregistered = []
     for path in SOURCES:
         module = importlib.import_module(f"stonekit.{path.stem}")
@@ -475,9 +477,10 @@ def test_every_cache_of_the_package_is_registered():
 def test_no_cache_wraps_a_function_without_arguments():
     # an object built once is a module constant, not a cache
     nullary = [
-        f"{view.__module__}.{view.__name__}"
-        for view in CACHES
-        if view.__wrapped__.__code__.co_argcount == 0
+        f"{table.__module__}.{table.__name__}"
+        for table in list(TABLES)
+        if table.__module__.startswith("stonekit.")
+        and table.__wrapped__.__code__.co_argcount == 0
     ]
     assert nullary == []
 

@@ -17,7 +17,7 @@ from stonekit.catengine import check_naturality
 from stonekit.cli import _build_parser
 from stonekit.dlat import TWO, LatticeHom, compose_homs, identity_hom
 from stonekit.errors import BudgetExceeded
-from stonekit.memo import CACHES, MEMOS, clear_caches
+from stonekit.memo import clear_caches
 from stonekit.frame import WAY_BELOW_MAX_ELEMENTS, counit_hom, spectrum_map
 from stonekit.instances import (
     COMPACT_REFLECTION_MONAD,
@@ -54,6 +54,7 @@ from stonekit.spaces import (
 from stonekit.topspace import filter_space, pairing_map, unit_map
 from stonekit.universes import all_spaces_upto, lattice_universe
 from test_cli import SUITE_PINS
+from test_memo import module_tables
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -341,11 +342,12 @@ def test_a_rebound_global_reaches_exactly_its_laws(
 def test_the_suites_give_their_pinned_rows_with_every_memo_and_view_off(
     monkeypatch,
 ):
-    """The reference run: every name-free memo and cached view of the
-    package replaced, wherever a module holds it, by a pass-through that
+    """The reference run: every memo table of the package's modules (the
+    name-free memos, views and pools) replaced, wherever a module holds
+    it, by a pass-through that
     counts its calls and stores nothing, so no row can rest on a result
     stored for another object."""
-    memos = MEMOS + CACHES
+    memos = list(module_tables().values())
     assert len(memos) == 22
     calls = Counter()
 
@@ -379,8 +381,8 @@ def test_the_suites_give_their_pinned_rows_with_every_memo_and_view_off(
             checked = {law for _, law, _, _ in rows}
             assert checked == {i for law in LAW_SUITES[name] for i in law.ids}
         assert sorted(calls) == list(range(len(memos)))
-        assert [len(memo.table) for memo in MEMOS] == [0] * len(MEMOS)
-        assert [view.cache_info().currsize for view in CACHES] == [0] * len(CACHES)
+        assert [len(memo.table) for memo in memos] == [0] * len(memos)
+        assert [memo.cache_info() for memo in memos] == [(0, 0)] * len(memos)
     finally:
         clear_caches()
 

@@ -1,13 +1,45 @@
-"""The memo tables: views and component memos keyed by their one argument,
-one table per component, and one stored tuple per distinct assignment."""
+"""The memo tables: one table builder and one registry, views and component
+tables keyed by their one argument, one table per component, no table
+built after import, and one stored tuple per distinct assignment."""
+
+import gc
+import sys
+from weakref import WeakSet
 
 import pytest
 
 from stonekit import instances, memo
 from stonekit.dlat import LatticeHom, compose_homs, ideal_view, lattice_from_poset
 from stonekit.instances import run_suite
-from stonekit.memo import CACHES, COMPONENTS, clear_caches
+from stonekit.memo import TABLES, clear_caches, itself, keyed
 from stonekit.order import chain
+
+# the views and pools: the module tables keyed by their one argument, not
+# by a name-free value (test_frame.NAME_FREE_VALUE lists the others)
+VIEWS = {
+    "ideal_view",
+    "center_view",
+    "spectrum_view",
+    "open_frame_view",
+    "filter_space_view",
+    "all_posets",
+    "all_spaces",
+    "lattice_universe",
+    "frame_morphisms",
+    "space_morphisms",
+}
+
+
+def module_tables() -> dict:
+    """The memo tables that their own stonekit modules hold, by name: the
+    name-free memos, views and pools, without the component tables of the
+    natural transformations."""
+    return {
+        table.__name__: table
+        for table in sorted(TABLES, key=lambda t: (t.__module__, t.__name__))
+        if table.__module__.startswith("stonekit.")
+        and getattr(sys.modules[table.__module__], table.__name__, None) is table
+    }
 
 
 def _abc():
@@ -16,18 +48,20 @@ def _abc():
 
 @pytest.fixture
 def lifting_run():
-    """The live component memos after a lifting run from cleared caches."""
+    """The live component tables after a lifting run from cleared caches."""
     clear_caches()
     try:
         assert len(list(run_suite("lifting", max_points=2))) == 733
-        yield [memo for memo in COMPONENTS if memo.cache_info().currsize]
+        modules = set(module_tables().values())
+        yield [t for t in TABLES if t not in modules and t.cache_info().currsize]
     finally:
         clear_caches()
 
 
 def test_every_view_and_component_table_is_keyed_by_the_argument(lifting_run):
-    tables = [view.table for view in CACHES if view.table]
-    tables += [memo.table for memo in lifting_run]
+    views = [module_tables()[name] for name in VIEWS]
+    tables = [view.table for view in views if view.table]
+    tables += [table.table for table in lifting_run]
     assert len(tables) > 20
     assert [key for table in tables for key in table if type(key) is tuple] == []
     lat = _abc()
@@ -42,9 +76,10 @@ def test_every_cached_function_takes_one_argument_without_a_default():
     # the table is keyed by the one argument, so a call without it could
     # not be looked up
     loose = [
-        view.__name__
-        for view in CACHES
-        if view.__wrapped__.__code__.co_argcount != 1 or view.__wrapped__.__defaults__
+        name
+        for name, view in module_tables().items()
+        if name in VIEWS
+        and (view.__wrapped__.__code__.co_argcount != 1 or view.__wrapped__.__defaults__)
     ]
     assert loose == []
 
@@ -79,8 +114,48 @@ def test_a_miss_that_raises_stores_nothing(monkeypatch):
     clear_caches()
 
 
+def test_one_table_holds_every_key_and_is_registered_until_dropped():
+    calls = []
+
+    def parity(n, m):
+        calls.append((n, m))
+        return (n + m) % 2
+
+    table = keyed(lambda n, m: n + m)(parity)
+    assert table in TABLES and keyed(itself)(table) is table
+    assert [table(1, 2), table(2, 1), table(2, 2)] == [1, 1, 0]
+    assert calls == [(1, 2), (2, 2)] and table.table == {3: 1, 4: 0}
+    assert table.cache_info() == (2, 2)
+    clear_caches()
+    assert table.table == {} and table.cache_info() == (0, 0)
+    del table
+    gc.collect()
+    assert [t for t in TABLES if t.__wrapped__ is parity] == []
+
+
+def test_a_lifting_run_builds_no_table_after_import(monkeypatch):
+    # a throwaway table would be gone from the weak registry by the end of
+    # the run, so count the tables as they are registered
+    clear_caches()
+    built = []
+
+    class Counting(WeakSet):
+        def add(self, table):
+            built.append(table.__name__)
+            super().add(table)
+
+    registry = Counting(TABLES)
+    built.clear()
+    monkeypatch.setattr(memo, "TABLES", registry)
+    try:
+        assert len(list(run_suite("lifting", max_points=2))) == 733
+    finally:
+        clear_caches()
+    assert built == []
+
+
 def test_each_component_has_one_memo(lifting_run):
-    assert [m.__name__ for m in list(COMPONENTS) if m.__wrapped__ in COMPONENTS] == []
+    assert [t.__name__ for t in list(TABLES) if t.__wrapped__ in TABLES] == []
     comonad, monad = instances.IDEAL_COMONAD_ON_FRAMES, instances.IDEAL_MONAD_ON_LOCALES
     for ours, theirs in ((comonad.counit, monad.unit), (comonad.comult, monad.mult)):
         assert ours.component.table is theirs.component.table
@@ -88,7 +163,7 @@ def test_each_component_has_one_memo(lifting_run):
 
 
 def test_equal_assignments_of_the_stored_maps_are_one_tuple(lifting_run):
-    maps = [f for memo in lifting_run for f in memo.table.values()]
+    maps = [f for table in lifting_run for f in table.table.values()]
     held = {}
     for f in maps:
         held.setdefault(f.assignment, set()).add(id(f.assignment))
