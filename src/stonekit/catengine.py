@@ -1,14 +1,15 @@
 """A small engine for checking categorical structure by enumeration.
 
 Universes package up composition data for a finite setting; functors,
-natural transformations, monads, comonads, adjunctions and algebras are
-bundles of callables over them. Every law here is checked by running the
-relevant diagram at every supplied object or morphism, so a green check is
-a finite proof over the chosen enumeration, and a red one carries a
-witness naming where the diagram broke; a check over no case is red, with
-the witness "no case checked". A comonad is a monad on the
-opposite universe (`opposite`), so check_comonad_laws is check_monad_laws
-run there.
+natural transformations, monads, adjunctions and algebras are bundles of
+callables over them. Every law here is checked by running the relevant
+diagram at every supplied object or morphism, so a green check is a finite
+proof over the chosen enumeration, and a red one carries a witness naming
+where the diagram broke; a check over no case is red, with the witness "no
+case checked". A comonad is a monad on the opposite universe (`opposite`;
+Mac Lane, VI.2): build it there with make_monad, its counit as the unit
+and its comultiplication as the multiplication, and check_monad_laws
+checks its laws and check_algebra its coalgebras.
 
 The lifting machinery moves a monad across an adjunction L -| R: the
 lifted functor is R T L, the unit is R(e at LX) after the adjunction unit,
@@ -34,7 +35,7 @@ data, and a composite of valid maps is valid.
 from typing import Callable, Optional, Tuple
 
 from . import memo
-from .errors import CounitNotIso, HypothesisFailed
+from .errors import CounitNotIso, HypothesisFailed, UniverseMismatch
 from .order import Value
 
 
@@ -80,13 +81,6 @@ class MonadInstance(Value):
     @property
     def universe(self) -> Universe:
         return self.functor.source
-
-
-class ComonadInstance(Value):
-    name: str
-    functor: FunctorInstance
-    counit: NatTransInstance
-    comult: NatTransInstance
 
 
 class AdjunctionInstance(Value):
@@ -145,7 +139,7 @@ def identity_functor(u: Universe) -> FunctorInstance:
 
 def compose_functors(g: FunctorInstance, f: FunctorInstance) -> FunctorInstance:
     if f.target is not g.source:
-        raise ValueError("functors do not compose: universes differ")
+        raise UniverseMismatch("functors do not compose: universes differ")
     return FunctorInstance(
         f"{g.name}.{f.name}",
         f.source,
@@ -162,29 +156,6 @@ def make_monad(name, functor, unit_at, mult_at) -> MonadInstance:
     unit = NatTransInstance(f"{name}.unit", identity_functor(u), functor, unit_at)
     mult = NatTransInstance(f"{name}.mult", tt, functor, mult_at)
     return MonadInstance(name, functor, unit, mult)
-
-
-def make_comonad(name, functor, counit_at, comult_at) -> ComonadInstance:
-    u = functor.source
-    tt = compose_functors(functor, functor)
-    counit = NatTransInstance(
-        f"{name}.counit", functor, identity_functor(u), counit_at
-    )
-    comult = NatTransInstance(f"{name}.comult", functor, tt, comult_at)
-    return ComonadInstance(name, functor, counit, comult)
-
-
-def opposite_monad(c: ComonadInstance, op: Universe, name: str) -> MonadInstance:
-    """The comonad c read as a monad on op, the opposite of its universe:
-    the counit is the unit and the comultiplication the multiplication.
-    Its algebras are the coalgebras of c (Mac Lane, VI.2)."""
-    G = c.functor
-    return make_monad(
-        name,
-        FunctorInstance(G.name, op, op, G.on_object, G.on_morphism),
-        c.counit.component,
-        c.comult.component,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -291,19 +262,6 @@ def check_monad_laws(t: MonadInstance, objects) -> Tuple[LawCheck, ...]:
         ),
     )
     return left, right, assoc
-
-
-def check_comonad_laws(c: ComonadInstance, objects) -> Tuple[LawCheck, ...]:
-    """The monad laws on the opposite universe, with the counit as unit and
-    the comultiplication as multiplication: counit after comult, mapped
-    counit after comult and coassociativity, in that order."""
-    u = c.functor.source
-    t = opposite_monad(c, opposite(u, f"{u.name} reversed"), c.name)
-    names = ("counit after comult", "mapped counit after comult", "coassociativity")
-    return tuple(
-        LawCheck(f"{c.name}: {name}", law.ok, law.witness)
-        for name, law in zip(names, check_monad_laws(t, objects))
-    )
 
 
 def check_left_triangle(adj: AdjunctionInstance, outer_objects) -> LawCheck:

@@ -18,7 +18,6 @@ from stonekit.bitsets import bits, format_subset, mask_of
 from stonekit.catengine import (
     AdjunctionInstance,
     AlgebraInstance,
-    ComonadInstance,
     FunctorInstance,
     MonadInstance,
     NatTransInstance,
@@ -26,8 +25,8 @@ from stonekit.catengine import (
     compose_functors,
     identity_functor,
     lift_monad,
-    make_comonad,
     make_monad,
+    opposite,
 )
 from stonekit.spaces import FinSpace, closure_of, preimage_mask
 
@@ -98,11 +97,13 @@ def fresh_point_algebra(n: int, default: int) -> AlgebraInstance:
     return AlgebraInstance(fresh_point_monad(), n, structure)
 
 
-def _tagging(name: str, outer) -> ComonadInstance:
+def _tagging(name: str, outer) -> MonadInstance:
     """Each point paired with a tag 0 or 1: G n = 2n, with (t, x) at index
-    t * n + x. The counit forgets the tag; the comultiplication sends
-    (t, x) to (outer(t), (t, x))."""
-    u = finset_universe()
+    t * n + x. A comonad on finite sets, built as the monad it is on their
+    opposite: the unit is the counit, which forgets the tag, and the
+    multiplication the comultiplication, which sends (t, x) to
+    (outer(t), (t, x))."""
+    u = opposite(finset_universe(), "finite sets reversed")
     functor = FunctorInstance(
         "tag with 0 or 1",
         u,
@@ -114,7 +115,7 @@ def _tagging(name: str, outer) -> ComonadInstance:
             tuple(t * m[1] + v for t in (0, 1) for v in m[2]),
         ),
     )
-    return make_comonad(
+    return make_monad(
         name,
         functor,
         lambda n: (2 * n, n, tuple(i % n for i in range(2 * n))),
@@ -126,7 +127,7 @@ def _tagging(name: str, outer) -> ComonadInstance:
     )
 
 
-def tagging_comonad() -> ComonadInstance:
+def tagging_comonad() -> MonadInstance:
     """The comonad of pairs with a two-element set: the comultiplication
     copies the tag, (t, x) to (t, (t, x))."""
     return _tagging("tagging", lambda t: t)
@@ -167,14 +168,15 @@ def misrouted_mult_monad() -> MonadInstance:
     )
 
 
-def flipped_tagging_comonad() -> ComonadInstance:
+def flipped_tagging_comonad() -> MonadInstance:
     """Tagging whose comultiplication flips the outer tag: (t, x) goes to
     (1 - t, (t, x)).
 
-    check_comonad_laws rejects it: the counit after the comultiplication
-    still gives back (t, x), but the mapped counit gives (1 - t, x) and
-    the two routes of coassociativity put 1 - t and t in the middle; both
-    fail at the first object with a point, witness "1".
+    check_monad_laws rejects it: the counit after the comultiplication
+    (the left unit law) still gives back (t, x), but the mapped counit
+    (the right unit law) gives (1 - t, x), and the two routes of
+    coassociativity (the associativity law) put 1 - t and t in the middle;
+    both fail at the first object with a point, witness "1".
     """
     return _tagging("flipped tagging", lambda t: 1 - t)
 

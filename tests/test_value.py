@@ -18,7 +18,6 @@ import pytest
 from stonekit.catengine import (
     AdjunctionInstance,
     AlgebraInstance,
-    ComonadInstance,
     LawCheck,
 )
 from stonekit.dlat import (
@@ -39,7 +38,6 @@ from stonekit.frame import (
 from stonekit.instances import (
     FILTER_MONAD_ON_SPACES,
     FRAME_UNIVERSE,
-    IDEAL_COMONAD_ON_FRAMES,
     IDEAL_MONAD_ON_FRAMES,
     LAWS,
     OPEN_SPECTRUM_ADJUNCTION,
@@ -73,7 +71,6 @@ def samples() -> list:
     s, d = sierpinski(), discrete_space(["a", "b"])
     two, three = TWO, open_set_frame(s)
     f, i = FILTER_MONAD_ON_SPACES, IDEAL_MONAD_ON_FRAMES
-    k = IDEAL_COMONAD_ON_FRAMES
     adj = OPEN_SPECTRUM_ADJUNCTION
     return [
         chain(["a", "b"]),
@@ -86,8 +83,6 @@ def samples() -> list:
         f.mult,
         f,
         i,
-        k,
-        ComonadInstance("K'", k.functor, k.counit, k.comult),
         adj,
         AdjunctionInstance("O -| pt'", adj.left, adj.right, adj.unit, adj.counit),
         AlgebraInstance(f, s, canonical_algebra(s)),
@@ -137,7 +132,7 @@ def field_values(value) -> list:
 
 
 def test_every_record_class_has_unequal_samples():
-    assert len(record_classes()) == 20
+    assert len(record_classes()) == 19
     groups = by_class()
     assert sorted(groups, key=lambda cls: cls.__name__) == record_classes()
     for cls, values in groups.items():
