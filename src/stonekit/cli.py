@@ -18,8 +18,8 @@ import os
 import sys
 
 from .bitsets import bits
-from .dlat import DistLattice, ideal_lattice
-from .documents import dumps, load_lattice, load_space, loads, quoted
+from .dlat import DistLattice, check_subset_budget, ideal_lattice
+from .documents import dumps, load_lattice, load_space, loads, parse, quoted
 from .errors import BudgetExceeded, ParseError, StonekitError
 from .frame import (
     center_lattice,
@@ -148,7 +148,11 @@ def _cmd_center(args) -> int:
 
 
 def _cmd_waybelow(args) -> int:
-    name, lat = load_lattice(_read_text(args.file))
+    text = _read_text(args.file)
+    kind, _, elements, _ = parse(text)
+    if kind == "lattice":  # refused on the listed elements, before any is built
+        check_subset_budget(len(elements), "way-below")
+    name, lat = load_lattice(text)
     pairs = way_below(lat).pairs()
     stable = "yes" if is_stably_compact(lat) else "no"
     regular = "yes" if is_regular(lat) else "no"
@@ -187,7 +191,7 @@ def _lattice_dot(name: str, lat: DistLattice) -> str:
     lines = [f"digraph {_quote(name)} {{", "  rankdir=BT;"]
     for element in lat.elements:
         lines.append(f"  {_quote(element)};")
-    for low, high in lat.poset.cover_pairs():
+    for low, high in lat.cover_pairs():
         lines.append(f"  {_quote(low)} -> {_quote(high)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

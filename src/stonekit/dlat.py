@@ -8,13 +8,14 @@ Conventions:
 
 Fast routes exploit finiteness and the canonical element order; each has a
 definitional twin that the tests use as its oracle:
-  - DistLattice looks each meet and join up among the down-sets and
-    up-sets of its order (down(a ^ b) = down(a) & down(b), up(a v b) =
-    up(a) & up(b)); twin: a search over all common bounds, in the tests;
-  - its join-irreducibles are the elements whose strict down-set is the
-    down-set of one element; twin: a count of lower covers, in the tests;
-  - distributivity_witness tests Birkhoff's criterion (every
-    join-irreducible is join-prime); twin: distributivity_witness_bruteforce;
+  - a lattice is the down-sets of its join-irreducibles J (Birkhoff), so
+    meets and joins are intersections and unions of the masks of the J
+    below; twins: a search over all common bounds, and the lookup tables
+    of the down-sets and up-sets, in the tests;
+  - J is the elements with one lower cover; twin: a count of covers;
+  - _order_shape decides distributivity by Birkhoff's representation;
+    twins: distributivity_witness_bruteforce, and the join-primeness pair
+    loop, in the tests;
   - ideal_view lists the principal ideals (principal_masks); twin:
     ideals_bruteforce, over every subset;
   - is_prime_filter_mask tests closure under meets and primeness by one
@@ -33,18 +34,18 @@ BudgetExceeded before visiting any subset.
 A lattice is its order. DistLattice(p) is the unchecked lattice: it
 takes the Shape of p, or raises NotALattice, and checks nothing about
 distributivity. lattice_from_poset(p) is the checked one. The Shape holds
-what the order fixes whatever the names: the up-masks, the meet and join
-tables and the join-irreducibles with their order. It is derived, never given, and once
-per order: _order_shape stores it under the down-sets, so every lattice
-with the same order holds one Shape. inclusion_view is the one builder
-of derived lattices (lattices of sets, ideal lattices, open frames).
+what the order fixes whatever the names, and no table of meets or joins.
+It is derived, never given, and once per order: _order_shape stores it
+under the down-sets, so every lattice with the same order holds one Shape.
+inclusion_view is the one builder of derived lattices (lattices of sets,
+ideal lattices, open frames).
 
 Memo contract (see memo.keyed): the shape of an order, the hom and
 distributivity checks, the prime filters, the assignments of
 ideal_functor_hom and the orders of inclusion_view run once per distinct
 name-free value. The results are stored under keys built from down-sets,
 shapes and masks, and the names are attached per call. A Shape keys by
-identity, so a lattice built with tables of its own, not its order's,
+identity, so a lattice built with a shape of its own, not its order's,
 shares no stored verdict with the lattices of that order.
 inclusion_view's key is (masks, the argsort of the names): the names only
 break ties in make_poset, so their ranking fixes the element order, and a
@@ -74,6 +75,7 @@ from .order import (
     FinPoset,
     Value,
     _unvalidated,
+    covers,
     isomorphism,
     make_poset,
     monotone_maps,
@@ -84,21 +86,23 @@ from .order import (
 
 class Shape:
     """What an order fixes whatever its element names: the up-masks, the
-    meet and join tables, the mask of the join-irreducibles, their
-    positions, ascending, and their order as down-masks over those
-    positions (J, the Birkhoff dual). The lattices of one order hold one
-    Shape; it compares and hashes by identity."""
+    join-irreducibles J by position, and the mask of the J below each
+    element (`jdown`) with the element of each mask (`element_of`), which
+    also holds each join of a lattice that is not distributive under the
+    union of the pair's masks. One Shape per order; it compares and
+    hashes by identity."""
 
-    __slots__ = ("up", "meet", "join", "irreducible", "irreducibles", "dual")
+    __slots__ = ("up", "irreducibles", "jdown", "element_of", "distributive")
 
-    def __init__(self, up, meet, join, irreducible, irreducibles, dual):
-        self.up, self.meet, self.join = up, meet, join
-        self.irreducible, self.irreducibles, self.dual = irreducible, irreducibles, dual
+    def __init__(self, up, irreducibles, jdown):
+        self.up, self.irreducibles, self.jdown = up, irreducibles, jdown
+        self.element_of = {m: k for k, m in enumerate(jdown)}
+        self.distributive = True
 
 
 class DistLattice(Value):
     """Bounded lattice on its FinPoset carrier, the only field; __post_init__
-    takes its shape, which holds the tables, from _order_shape."""
+    takes its shape from _order_shape."""
 
     poset: FinPoset
     # not a field: the order fixes it
@@ -123,18 +127,10 @@ class DistLattice(Value):
         return len(self.poset.elements) - 1
 
     @property
-    def meet(self) -> Tuple[Tuple[int, ...], ...]:
-        return self.shape.meet
-
-    @property
-    def join(self) -> Tuple[Tuple[int, ...], ...]:
-        return self.shape.join
-
-    @property
     def join_irreducible_mask(self) -> int:
         """Bitmask of the elements that are not bottom and not the join of
         the elements strictly below them (exactly one lower cover)."""
-        return self.shape.irreducible
+        return mask_of(self.shape.irreducibles)
 
     def index(self, name: str) -> int:
         return self.poset.index(name)
@@ -142,18 +138,33 @@ class DistLattice(Value):
     def leq_index(self, i: int, j: int) -> bool:
         return self.poset.leq_index(i, j)
 
+    def meet(self, a: int, b: int) -> int:
+        shape = self.shape
+        return shape.element_of[shape.jdown[a] & shape.jdown[b]]
+
+    def join(self, a: int, b: int) -> int:
+        shape = self.shape
+        return shape.element_of[shape.jdown[a] | shape.jdown[b]]
+
     def join_mask(self, mask: int) -> int:
         """Join of a subset given as a bitmask; empty mask yields bottom."""
-        out, join = self.bot, self.shape.join
+        jdown, element_of = self.shape.jdown, self.shape.element_of
+        out = 0
         for i in bits(mask):
-            out = join[out][i]
-        return out
+            out = jdown[element_of[out | jdown[i]]]
+        return element_of[out]
 
     def meet_mask(self, mask: int) -> int:
-        out, meet = self.top, self.shape.meet
+        jdown = self.shape.jdown
+        out = jdown[self.top]
         for i in bits(mask):
-            out = meet[out][i]
-        return out
+            out &= jdown[i]
+        return self.shape.element_of[out]
+
+    def cover_pairs(self) -> Tuple[Tuple[str, str], ...]:
+        """The covering pairs by name, read off the shape's up-masks."""
+        e = self.elements
+        return tuple((e[i], e[j]) for i, j in covers(self.poset.down, self.shape.up))
 
     def subset_name(self, mask: int) -> str:
         return format_subset(self.elements, mask)
@@ -167,40 +178,50 @@ def lattice_from_poset(p: FinPoset) -> DistLattice:
 
 @keyed(lambda p: p.down)
 def _order_shape(p: FinPoset) -> Shape:
-    """The shape of p, or NotALattice.
-
-    In a lattice, down(a ^ b) = down(a) & down(b) and up(a v b) = up(a) &
-    up(b), so each meet and join is one lookup of a mask among the
-    down-sets or up-sets; a pair whose mask is missing has no meet or join.
-    The pair loop runs only then, to name the first failing pair. An
-    element is join-irreducible when the elements strictly below it have a
-    greatest one, its one lower cover: when they are a down-set of the
-    order. J, the join-irreducibles with the order between them, is read
-    off the down-sets once here, for all_lattice_homs."""
+    """The shape of p, or NotALattice. Below each element, in the linear
+    extension, the highest index left is a lower cover, and dropping its
+    down-set leaves the others; J is the elements with one, and the J
+    below an element are those below its lower covers, and itself if in J."""
     down = p.down
     if not down:
         raise InvalidValue("the lattice has no elements")
-    up = transpose(down)
+    jdown, irreducibles, lower = [], [], []
+    for a, d in enumerate(down):
+        rest, mask, count = d ^ 1 << a, 0, 0
+        while rest:
+            c = rest.bit_length() - 1
+            count, mask, rest = count + 1, mask | jdown[c], rest & ~down[c]
+        if count == 1:
+            mask |= 1 << len(irreducibles)
+            irreducibles.append(a)
+            lower.append(c)
+        jdown.append(mask)
+    shape = Shape(transpose(down), tuple(irreducibles), tuple(jdown))
+    up, element_of = shape.up, shape.element_of
+    # Birkhoff: p is a distributive lattice exactly when the masks are
+    # distinct and, for each j in J and each a above j's lower cover but not
+    # above j, jdown[a] with j added is the mask of an element above a (a
+    # missing one reads as n, above nothing): these steps reach every
+    # down-set of J from the empty one, and the inverse keeps the order
+    if len(element_of) == len(down) and all(
+        (up[a] >> element_of.get(jdown[a] | 1 << k, len(down))) & 1
+        for k, (j, c) in enumerate(zip(irreducibles, lower))
+        for a in bits(up[c] & ~up[j])
+    ):
+        return shape
+    # otherwise the pair loop names the first pair without a meet or join,
+    # or stores each join of a lattice that is not distributive
+    shape.distributive = False
     below = {d: k for k, d in enumerate(down)}
     above = {u: k for k, u in enumerate(up)}
-    try:
-        meet = tuple(tuple(below[a & b] for b in down) for a in down)
-        join = tuple(tuple(above[a & b] for b in up) for a in up)
-    except KeyError:
-        for i in range(p.n):
-            for j in range(i, p.n):
-                if down[i] & down[j] not in below:
-                    raise NotALattice("meet", (p.elements[i], p.elements[j]))
-                if up[i] & up[j] not in above:
-                    raise NotALattice("join", (p.elements[i], p.elements[j]))
-        raise
-    irreducibles = tuple(j for j, d in enumerate(down) if d ^ 1 << j in below)
-    irreducible = mask_of(irreducibles)
-    at = {j: k for k, j in enumerate(irreducibles)}
-    dual = tuple(
-        mask_of(at[i] for i in bits(down[j] & irreducible)) for j in irreducibles
-    )
-    return Shape(up, meet, join, irreducible, irreducibles, dual)
+    for i in range(p.n):
+        for j in range(i, p.n):
+            if down[i] & down[j] not in below:
+                raise NotALattice("meet", (p.elements[i], p.elements[j]))
+            if up[i] & up[j] not in above:
+                raise NotALattice("join", (p.elements[i], p.elements[j]))
+            element_of.setdefault(jdown[i] | jdown[j], above[up[i] & up[j]])
+    return shape
 
 
 def _checked(lat: DistLattice) -> DistLattice:
@@ -217,21 +238,9 @@ def _check_distributive(lat: DistLattice) -> None:
 
 
 def distributivity_witness(lat: DistLattice) -> Optional[Tuple[str, str, str]]:
-    """A triple (a, b, c) with a^(bvc) != (a^b)v(a^c), or None.
-
-    Birkhoff: a finite lattice is distributive iff every join-irreducible
-    is join-prime, i.e. no join-irreducible lies below a v b without lying
-    below a or b. The triple loop runs only when that test fails, so the
-    witness is the one distributivity_witness_bruteforce finds.
-    """
-    down, join = lat.poset.down, lat.join
-    irr = lat.join_irreducible_mask
-    for a in range(lat.n):
-        join_a, down_a = join[a], down[a]
-        for b in range(a + 1, lat.n):
-            if down[join_a[b]] & irr & ~(down_a | down[b]):
-                return distributivity_witness_bruteforce(lat)
-    return None
+    """A triple (a, b, c) with a^(bvc) != (a^b)v(a^c), or None: the
+    shape's verdict, and distributivity_witness_bruteforce's witness."""
+    return None if lat.shape.distributive else distributivity_witness_bruteforce(lat)
 
 
 def distributivity_witness_bruteforce(
@@ -242,7 +251,7 @@ def distributivity_witness_bruteforce(
     for a in range(lat.n):
         for b in range(lat.n):
             for c in range(b, lat.n):
-                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+                if meet(a, join(b, c)) != join(meet(a, b), meet(a, c)):
                     e = lat.elements
                     return (e[a], e[b], e[c])
     return None
@@ -279,14 +288,13 @@ def hom_violation(
         return f"bottom ({src.elements[src.bot]!r})"
     if f[src.top] != tgt.top:
         return f"top ({src.elements[src.top]!r})"
-    n, tgt_meet, tgt_join = src.n, tgt.meet, tgt.join
-    for a in range(n - 1):
-        meet_a, join_a = src.meet[a], src.join[a]
-        image_meet, image_join = tgt_meet[f[a]], tgt_join[f[a]]
-        for b in range(a + 1, n):
-            if f[meet_a[b]] != image_meet[f[b]]:
+    meet, join, image_meet, image_join = src.meet, src.join, tgt.meet, tgt.join
+    for a in range(src.n - 1):
+        fa = f[a]
+        for b in range(a + 1, src.n):
+            if f[meet(a, b)] != image_meet(fa, f[b]):
                 return f"meet at ({src.elements[a]!r}, {src.elements[b]!r})"
-            if f[join_a[b]] != image_join[f[b]]:
+            if f[join(a, b)] != image_join(fa, f[b]):
                 return f"join at ({src.elements[a]!r}, {src.elements[b]!r})"
     return None
 
@@ -384,8 +392,13 @@ def _inclusion_lattice(
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
     """The family ordered by inclusion, once lattice_from_poset has passed
     it: the position in masks of each element, the mask of each, and the
-    down-sets."""
-    down = [mask_of(j for j, mj in enumerate(masks) if mj & ~mi == 0) for mi in masks]
+    down-sets: all but the sets holding a point outside the mask."""
+    holders = [0] * max(masks, default=0).bit_length()
+    for j, m in enumerate(masks):
+        for x in bits(m):
+            holders[x] |= 1 << j
+    outside, family = (1 << len(holders)) - 1, (1 << len(masks)) - 1
+    down = [family & ~union_of(holders, outside & ~m) for m in masks]
     poset = lattice_from_poset(make_poset(names, down)).poset
     position = {name: i for i, name in enumerate(names)}
     order = tuple(position[e] for e in poset.elements)
@@ -416,19 +429,19 @@ def join_irreducibles(lat: DistLattice) -> FinPoset:
 SUBSET_ORACLE_MAX_ELEMENTS = 22
 
 
-def check_subset_budget(lat: DistLattice, what: str) -> None:
+def check_subset_budget(n: int, what: str) -> None:
     """Refuse a subset enumeration on more than SUBSET_ORACLE_MAX_ELEMENTS
-    elements; `what` names the enumerated relation in the message."""
-    if lat.n > SUBSET_ORACLE_MAX_ELEMENTS:
+    elements, n; `what` names the enumerated relation in the message."""
+    if n > SUBSET_ORACLE_MAX_ELEMENTS:
         raise BudgetExceeded(
-            f"{what} over all 2^{lat.n} subsets exceeds the cap of "
+            f"{what} over all 2^{n} subsets exceeds the cap of "
             f"{SUBSET_ORACLE_MAX_ELEMENTS} elements"
         )
 
 
 def ideals_bruteforce(lat: DistLattice) -> Tuple[int, ...]:
     """All ideal masks by definitional check over every subset, ascending."""
-    check_subset_budget(lat, "ideals")
+    check_subset_budget(lat.n, "ideals")
     down = lat.poset.down
     join = lat.join
     out = []
@@ -443,7 +456,7 @@ def ideals_bruteforce(lat: DistLattice) -> Tuple[int, ...]:
         members = list(bits(m))
         for x in range(len(members)):
             for y in range(x, len(members)):
-                if not (m >> join[members[x]][members[y]]) & 1:
+                if not (m >> join(members[x], members[y])) & 1:
                     ok = False
                     break
             if not ok:
@@ -535,13 +548,13 @@ def _prime_filter_violation(lat: DistLattice, mask: int) -> Optional[str]:
     if not (mask >> lat.meet_mask(mask)) & 1:
         for i in bits(mask):
             for j in bits(mask >> i << i):
-                if not (mask >> lat.meet[i][j]) & 1:
+                if not (mask >> lat.meet(i, j)) & 1:
                     return f"not meet-closed at ({lat.elements[i]!r}, {lat.elements[j]!r})"
     rest = ((1 << lat.n) - 1) & ~mask
     if (mask >> lat.join_mask(rest)) & 1:
         for a in range(lat.n):
             for b in range(a, lat.n):
-                if (mask >> lat.join[a][b]) & 1 and not (
+                if (mask >> lat.join(a, b)) & 1 and not (
                     (mask >> a) & 1 or (mask >> b) & 1
                 ):
                     return f"join ({lat.elements[a]!r}, {lat.elements[b]!r}) not prime"
@@ -554,7 +567,7 @@ def is_prime_filter_mask(lat: DistLattice, mask: int) -> bool:
 
 def prime_filters_bruteforce(lat: DistLattice) -> Tuple[int, ...]:
     """All prime filter masks by definitional check, ascending."""
-    check_subset_budget(lat, "prime filters")
+    check_subset_budget(lat.n, "prime filters")
     return tuple(
         m for m in range(1 << lat.n) if is_prime_filter_mask(lat, m)
     )
@@ -601,13 +614,10 @@ def all_lattice_homs(src: DistLattice, tgt: DistLattice) -> Tuple[LatticeHom, ..
     dual: the homs are the monotone maps g: J(tgt) -> J(src), with h(a) the
     join of the q in J(tgt) with g(q) <= a. Requires both lattices
     distributive; raises BudgetExceeded as order.monotone_maps does."""
-    js, jt, down = _checked(src).shape, _checked(tgt).shape, src.poset.down
+    js, jt = _checked(src).shape, _checked(tgt).shape
     homs = []
-    for g in monotone_maps(jt.dual, js.dual):
-        images = [js.irreducibles[p] for p in g]
-        below = (
-            mask_of(q for q, p in zip(jt.irreducibles, images) if d >> p & 1)
-            for d in down
-        )
-        homs.append(tuple(tgt.join_mask(m) for m in below))
+    duals = ([s.jdown[j] for j in s.irreducibles] for s in (jt, js))
+    for g in monotone_maps(*duals):
+        below = (mask_of(q for q, p in enumerate(g) if m >> p & 1) for m in js.jdown)
+        homs.append(tuple(jt.element_of[m] for m in below))
     return tuple(LatticeHom(src, tgt, a) for a in sorted(homs))

@@ -86,12 +86,10 @@ def _name_list(value, key, lineno):
     return value
 
 
-def loads(text: str) -> Tuple[str, str, Payload]:
-    """Parse a document; returns (kind, name, object).
-
-    Raises ParseError for malformed documents; lattice and topology
-    violations surface as their own validation errors.
-    """
+def parse(text: str) -> Tuple[str, str, list, list]:
+    """Check a document without building its object: (kind, name, the
+    element or point names, the leq pairs or the open sets as masks).
+    Raises ParseError for malformed documents."""
     entries = _parse_lines(text)
     kind_value, kind_line = _take(entries, "type", "stonekit")
     if kind_value not in ("lattice", "space"):
@@ -126,8 +124,7 @@ def loads(text: str) -> Tuple[str, str, Payload]:
                     raise ParseError(
                         f"'leq' mentions unknown element {end!r}", line=leq_line
                     )
-        poset = order_closure(tuple(elements), tuple((a, b) for a, b in pairs))
-        return "lattice", name_value, lattice_from_poset(poset)
+        return "lattice", name_value, elements, pairs
     points, pt_line = _take(entries, "points", "space")
     points = _name_list(points, "points", pt_line)
     opens, op_line = _take(entries, "opens", "space")
@@ -145,7 +142,16 @@ def loads(text: str) -> Tuple[str, str, Payload]:
             if not isinstance(p, str) or p not in index:
                 raise ParseError(f"open set mentions unknown point {p!r}", line=op_line)
         masks.append(mask_of(index[p] for p in open_set))
-    return "space", name_value, space_from_basis(points, masks)
+    return "space", name_value, points, masks
+
+
+def loads(text: str) -> Tuple[str, str, Payload]:
+    """Parse a document; returns (kind, name, object). Lattice and topology
+    violations surface as their own validation errors."""
+    kind, name, names, relation = parse(text)
+    if kind == "lattice":
+        return kind, name, lattice_from_poset(order_closure(names, relation))
+    return kind, name, space_from_basis(names, relation)
 
 
 def load_lattice(text: str) -> Tuple[str, DistLattice]:
@@ -174,7 +180,7 @@ def dumps(obj: Payload, name: str) -> str:
         lines.append('type: "lattice"')
         lines.append(f"name: {quoted(name)}")
         lines.append(f"elements: {json.dumps(list(obj.elements))}")
-        pairs = [[a, b] for a, b in obj.poset.cover_pairs()]
+        pairs = [[a, b] for a, b in obj.cover_pairs()]
         lines.append(f"leq: {json.dumps(pairs)}")
     elif isinstance(obj, FinSpace):
         lines.append('type: "space"')

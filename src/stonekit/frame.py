@@ -34,10 +34,10 @@ from .dlat import (
     ideal_functor_hom,
     ideal_view,
     inclusion_view,
+    lattice_from_poset,
     prime_filters,
     principal_embedding,
 )
-from .errors import NotDistributive
 from .memo import itself, keyed
 from .order import Value, _unvalidated
 from .spaces import ContinuousMap, FinSpace, open_frame_view
@@ -79,7 +79,7 @@ def way_below(lat: DistLattice) -> WayBelowRelation:
     down-sets. way_below_bruteforce is the definitional route, and the
     degeneracy suite proves the two equal on its pool. Lattices above
     WAY_BELOW_MAX_ELEMENTS raise BudgetExceeded as that route does."""
-    check_subset_budget(lat, "way-below")
+    check_subset_budget(lat.n, "way-below")
     return WayBelowRelation(lat, lat.poset.down)
 
 
@@ -88,14 +88,14 @@ def _join_table(lat: DistLattice) -> list:
     table = [lat.bot] * (1 << lat.n)
     for m in range(1, 1 << lat.n):
         low = m & -m
-        table[m] = lat.join[table[m ^ low]][low.bit_length() - 1]
+        table[m] = lat.join(table[m ^ low], low.bit_length() - 1)
     return table
 
 
 def way_below_bruteforce(lat: DistLattice) -> WayBelowRelation:
     """way_below from its definition, quantifying over all subsets, so
     lattices above WAY_BELOW_MAX_ELEMENTS raise BudgetExceeded."""
-    check_subset_budget(lat, "way-below")
+    check_subset_budget(lat.n, "way-below")
     joins = _join_table(lat)
     n = lat.n
     below = [(1 << n) - 1] * n
@@ -127,18 +127,22 @@ class StablyCompactReport(Value):
 
 
 def stably_compact_report(lat: DistLattice) -> StablyCompactReport:
-    """Compactness, way-below a sublattice of the square, approximation."""
+    """Compactness, way-below a sublattice of the square, approximation;
+    meets and joins on J-masks, so the lattice must be distributive."""
     wb = way_below(lat)
     compact = is_compact(lat)
-    e, meet, join, below = lat.elements, lat.meet, lat.join, wb.below
+    e, below = lat.elements, wb.below
+    shape = lattice_from_poset(lat.poset).shape
+    jdown, element_of = shape.jdown, shape.element_of
 
     sub_witness = None
     pairs = [(a, b) for b in range(lat.n) for a in bits(below[b])]
     for a, b in pairs:
-        meet_a, meet_b, join_a, join_b = meet[a], meet[b], join[a], join[b]
+        ja, jb = jdown[a], jdown[b]
         for a2, b2 in pairs:
-            m_ok = (below[meet_b[b2]] >> meet_a[a2]) & 1
-            j_ok = (below[join_b[b2]] >> join_a[a2]) & 1
+            ja2, jb2 = jdown[a2], jdown[b2]
+            m_ok = (below[element_of[jb & jb2]] >> element_of[ja & ja2]) & 1
+            j_ok = (below[element_of[jb | jb2]] >> element_of[ja | ja2]) & 1
             if not (m_ok and j_ok):
                 sub_witness = ((e[a], e[b]), (e[a2], e[b2]))
                 break
@@ -168,9 +172,9 @@ def is_stably_compact(lat: DistLattice) -> bool:
 
 
 def pseudocomplement(lat: DistLattice, a: int) -> int:
-    """Largest element meeting a at bottom (index arguments)."""
-    meet, bot = lat.meet, lat.bot
-    return lat.join_mask(mask_of(x for x in range(lat.n) if meet[x][a] == bot))
+    """Largest element meeting a at bottom (no J below both; indices)."""
+    jdown = lat.shape.jdown
+    return lat.join_mask(mask_of(x for x, m in enumerate(jdown) if not m & jdown[a]))
 
 
 def well_inside_masks(lat: DistLattice) -> Tuple[int, ...]:
@@ -178,7 +182,7 @@ def well_inside_masks(lat: DistLattice) -> Tuple[int, ...]:
     join, top = lat.join, lat.top
     pseudo = [pseudocomplement(lat, a) for a in range(lat.n)]
     return tuple(
-        mask_of(a for a in range(lat.n) if join[pseudo[a]][b] == top)
+        mask_of(a for a in range(lat.n) if join(pseudo[a], b) == top)
         for b in range(lat.n)
     )
 
@@ -190,18 +194,18 @@ def is_regular(lat: DistLattice) -> bool:
 
 
 def complemented_mask(lat: DistLattice) -> int:
-    """Elements a with some c: a^c=bot and avc=top (definitional check)."""
-    meet, join, bot, top = lat.meet, lat.join, lat.bot, lat.top
-    out = 0
-    for a in range(lat.n):
-        meet_a, join_a = meet[a], join[a]
-        if any(meet_a[c] == bot and join_a[c] == top for c in range(lat.n)):
-            out |= 1 << a
-    return out
+    """Elements a with some c: a^c=bot and avc=top. In the down-sets of J,
+    those whose rest of J is a down-set too, c's: the unions of connected
+    components of J (Davey and Priestley, ch. 5). Requires distributivity;
+    the pairwise search is the tests' twin."""
+    # the checked lattice of lat's order holds lat's shape
+    shape = lattice_from_poset(lat.poset).shape
+    full = (1 << len(shape.irreducibles)) - 1
+    return mask_of(a for a, m in enumerate(shape.jdown) if full ^ m in shape.element_of)
 
 
 def is_boolean(lat: DistLattice) -> bool:
-    """Independent oracle: every element is complemented."""
+    """Every element is complemented."""
     return complemented_mask(lat) == (1 << lat.n) - 1
 
 
@@ -221,14 +225,6 @@ def center_view(lat: DistLattice) -> CenterView:
         # complemented elements cannot leave the full mask
         identity = _unvalidated(LatticeHom, lat, lat, tuple(range(lat.n)))
         return CenterView(lat, identity)
-    meet, join = lat.meet, lat.join
-    for a in bits(cmask):
-        for b in bits(cmask):
-            # complemented elements stay closed under meet and join in any
-            # distributive lattice; failing here means the input was not one
-            if not (cmask >> meet[a][b]) & 1 or not (cmask >> join[a][b]) & 1:
-                e = lat.elements
-                raise NotDistributive((e[a], e[b], "center not closed"))
     # the principal down-sets of the complemented elements, ordered by
     # inclusion, are the center with its induced order
     kept = list(bits(cmask))

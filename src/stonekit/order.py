@@ -18,6 +18,7 @@ and space isomorphisms, and monotone_maps, the one enumerator of maps
 (continuous maps, and lattice homs through their Birkhoff duals).
 """
 
+from heapq import heapify, heappop, heappush
 from itertools import product
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
@@ -145,11 +146,17 @@ class FinPoset(Value):
 
 def is_transitive(masks: Sequence[int]) -> bool:
     """Whether the relation given by down-masks, or by up-masks, is
-    transitive: masks[j] lies inside masks[i] for every j in masks[i]."""
-    for m in masks:
-        for j in bits(m):
+    transitive: masks[j] lies inside masks[i] for every j in masks[i]. By
+    size, so that a smaller mask inside vouches for its own members."""
+    for i in sorted(range(len(masks)), key=lambda i: masks[i].bit_count()):
+        m = rest = masks[i]
+        while rest:
+            j = rest.bit_length() - 1
             if masks[j] & ~m:
                 return False
+            rest ^= 1 << j
+            if masks[j] != m:
+                rest &= ~masks[j]
     return True
 
 
@@ -165,12 +172,11 @@ def up_sets(masks: Iterable[int]) -> Tuple[int, ...]:
 
 def transpose(masks: Sequence[int]) -> Tuple[int, ...]:
     """The converse of a relation given by masks: bit i of the result's
-    entry j is bit j of masks[i], so down-masks become up-masks and back."""
-    out = [0] * len(masks)
-    for i, m in enumerate(masks):
-        for j in bits(m):
-            out[j] |= 1 << i
-    return tuple(out)
+    entry j is bit j of masks[i], so down-masks become up-masks and back.
+    Column j of the masks in binary, masks[n - 1] first, is entry j."""
+    n = len(masks)
+    rows = "".join(format(m, f"0{n}b") for m in reversed(masks))
+    return tuple(int(rows[n - 1 - j :: n], 2) for j in range(n))
 
 
 def covers(
@@ -178,40 +184,46 @@ def covers(
 ) -> Tuple[Tuple[int, int], ...]:
     """The covering pairs (i, j) of a preorder given by its down-masks and
     up-masks (transpose(down)), by j and then i: i is strictly below j,
-    and nothing strictly below j (`below`) is strictly above i, one mask
-    test per comparable pair."""
+    and nothing strictly below j is strictly above i. Below j, climb from
+    the highest index to a cover, keep its class and drop all below it: in
+    a linear extension, one step per cover."""
     out = []
     for j, d in enumerate(down):
-        below = d & ~up[j]
-        for i in bits(below):
-            if not below & up[i] & ~down[i]:
-                out.append((i, j))
+        rest, found = d & ~up[j], 0
+        while rest:
+            i = rest.bit_length() - 1
+            above = up[i] & rest & ~down[i]
+            while above:
+                i = above.bit_length() - 1
+                above = up[i] & rest & ~down[i]
+            found |= up[i] & down[i] & rest
+            rest &= ~down[i]
+        out.extend((i, j) for i in bits(found))
     return tuple(out)
 
 
 def make_poset(elements: Sequence[str], down: Sequence[int]) -> FinPoset:
-    """Build a FinPoset from down-masks in any order, canonicalizing.
-
-    The input must already be a poset; use order_closure for raw pairs.
-    """
+    """Build a FinPoset from down-masks in any order, canonicalizing by
+    Kahn's algorithm with a heap on names. The input must already be a
+    poset; use order_closure for raw pairs."""
     n = len(elements)
+    up = transpose(down)
+    waiting = [d.bit_count() - 1 for d in down]
+    ready = [(elements[i], i) for i in range(n) if not waiting[i]]
+    heapify(ready)
     order: list[int] = []
-    placed = 0
-    remaining = set(range(n))
-    while remaining:
-        ready = [i for i in remaining if down[i] & ~placed == 1 << i]
-        if not ready:
-            raise ValueError("relation is not acyclic")
-        nxt = min(ready, key=lambda i: elements[i])
-        order.append(nxt)
-        placed |= 1 << nxt
-        remaining.remove(nxt)
-    pos = {old: new for new, old in enumerate(order)}
-    new_elements = tuple(elements[i] for i in order)
-    new_down = tuple(
-        mask_of(pos[j] for j in bits(down[i])) for i in order
-    )
-    return FinPoset(new_elements, new_down)
+    while ready:
+        i = heappop(ready)[1]
+        order.append(i)
+        for j in bits(up[i] & ~(1 << i)):
+            waiting[j] -= 1
+            if not waiting[j]:
+                heappush(ready, (elements[j], j))
+    if len(order) < n:
+        raise ValueError("relation is not acyclic")
+    # new mask k holds l when down[order[k]] holds order[l]: up, reordered
+    moved = transpose([up[i] for i in order])
+    return FinPoset(tuple(elements[i] for i in order), tuple(moved[i] for i in order))
 
 
 def preorder_closure(up: Sequence[int]) -> Tuple[int, ...]:
@@ -229,11 +241,13 @@ def preorder_closure(up: Sequence[int]) -> Tuple[int, ...]:
 
 def cycle_pair(up: Sequence[int]) -> Optional[Tuple[int, int]]:
     """The first pair i < j that lie above each other in the relation given
-    by up-masks, or None when the relation is antisymmetric."""
+    by up-masks (j in up[i] and its converse), or None when it is
+    antisymmetric."""
+    down = transpose(up)
     for i, m in enumerate(up):
-        for j in bits(m >> (i + 1) << (i + 1)):
-            if (up[j] >> i) & 1:
-                return i, j
+        later = (m & down[i]) >> (i + 1)
+        if later:
+            return i, i + (later & -later).bit_length()
     return None
 
 

@@ -746,9 +746,9 @@ def test_filters_on_twelve_discrete_points_fits_in_one_gib_and_20_s(tmp_path):
 
 # a child that swaps meet and join in every ideal lattice that ideal_view
 # builds, then runs the CLI on its own arguments. The package derives the
-# shape of every lattice, which holds its tables, from its order, so the
-# child builds the mutant itself, with a Shape of its own that holds the
-# swapped tables
+# shape of every lattice from its order, so the child builds the mutant
+# itself, with a Shape of its own whose J-masks are complemented: their
+# intersections are then the old unions, and meet and join swap
 SWAPPED_IDEAL_TABLES = """
 import sys
 from functools import lru_cache
@@ -764,7 +764,8 @@ def swapped(lat):
     i = view.lattice.shape
     mutant = object.__new__(dlat.DistLattice)
     object.__setattr__(mutant, "poset", view.lattice.poset)
-    shape = dlat.Shape(i.up, i.join, i.meet, i.irreducible, i.irreducibles, i.dual)
+    full = (1 << len(i.irreducibles)) - 1
+    shape = dlat.Shape(i.up, i.irreducibles, tuple(full ^ m for m in i.jdown))
     object.__setattr__(mutant, "shape", shape)
     return dlat.SetLatticeView(mutant, view.masks)
 

@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from stonekit import dlat, order
+from stonekit import dlat, frame, order
 from stonekit.dlat import (
     SUBSET_ORACLE_MAX_ELEMENTS,
     TWO,
@@ -96,7 +96,12 @@ def m3_candidate():
 
 
 def tables(lat):
-    return lat.meet, lat.join
+    """The meet and join tables of lat, read pair by pair."""
+    pairs = range(lat.n)
+    return (
+        tuple(tuple(lat.meet(i, j) for j in pairs) for i in pairs),
+        tuple(tuple(lat.join(i, j) for j in pairs) for i in pairs),
+    )
 
 
 def test_two_lattice_shape():
@@ -108,8 +113,8 @@ def test_two_lattice_shape():
 def test_diamond_layout():
     d = diamond()
     assert d.elements == ("{}", "{a}", "{b}", "{a,b}")
-    assert d.elements[d.meet[1][2]] == "{}"
-    assert d.elements[d.join[1][2]] == "{a,b}"
+    assert d.elements[d.meet(1, 2)] == "{}"
+    assert d.elements[d.join(1, 2)] == "{a,b}"
 
 
 def test_downset_lattice_is_unions_and_intersections():
@@ -117,8 +122,8 @@ def test_downset_lattice_is_unions_and_intersections():
     lat, masks = view.lattice, view.masks
     for i in range(lat.n):
         for j in range(lat.n):
-            assert masks[lat.meet[i][j]] == masks[i] & masks[j]
-            assert masks[lat.join[i][j]] == masks[i] | masks[j]
+            assert masks[lat.meet(i, j)] == masks[i] & masks[j]
+            assert masks[lat.join(i, j)] == masks[i] | masks[j]
 
 
 def test_missing_join_is_reported():
@@ -196,7 +201,7 @@ def test_ideal_rejects_empty_and_non_down_closed():
 def ideal_join(view, a, b):
     """The join of ideals a and b (masks) in the ideal lattice of the view."""
     i, j = view.indices_of((a, b))
-    return view.masks[view.lattice.join[i][j]]
+    return view.masks[view.lattice.join(i, j)]
 
 
 def test_ideal_join_of_two_principals():
@@ -223,7 +228,7 @@ def join_closure_pairwise(lat, mask):
         members = list(bits(mask))
         for x in range(len(members)):
             for y in range(x + 1, len(members)):
-                j = lat.join[members[x]][members[y]]
+                j = lat.join(members[x], members[y])
                 if not (mask >> j) & 1:
                     mask |= 1 << j
                     grown = True
@@ -373,8 +378,8 @@ def test_set_operation_route_equals_lattice_from_poset_on_downsets():
         assert tables(lat) == tables(lattice_from_poset(lat.poset))
         for i in range(lat.n):
             for j in range(lat.n):
-                assert masks[lat.meet[i][j]] == masks[i] & masks[j]
-                assert masks[lat.join[i][j]] == masks[i] | masks[j]
+                assert masks[lat.meet(i, j)] == masks[i] & masks[j]
+                assert masks[lat.join(i, j)] == masks[i] | masks[j]
 
 
 def test_networkx_counts_the_down_sets_as_the_antichains():
@@ -409,7 +414,7 @@ def test_set_operation_route_declines_a_family_not_closed_under_union():
     assert view.masks[1] | view.masks[2] not in view.masks
     assert tables(lat) == _plain_tables(lat.poset)
     assert tables(lat) == tables(lattice_from_poset(lat.poset))
-    assert view.masks[lat.join[1][2]] == 0b1111
+    assert view.masks[lat.join(1, 2)] == 0b1111
 
 
 def test_a_subset_outside_the_family_is_an_invariant_violation():
@@ -654,6 +659,92 @@ def _plain_tables(p):
     return tuple(map(tuple, meet)), tuple(map(tuple, join))
 
 
+def _lookup_tables(p):
+    """Twin of the shape: the meet and join tables by looking each pair up
+    among the down-sets and up-sets (down(a ^ b) = down(a) & down(b), up(a
+    v b) = up(a) & up(b)), or the first (kind, pair) without one."""
+    down, up = p.down, order.transpose(p.down)
+    below = {d: k for k, d in enumerate(down)}
+    above = {u: k for k, u in enumerate(up)}
+    for i in range(p.n):
+        for j in range(i, p.n):
+            if down[i] & down[j] not in below:
+                return "meet", (p.elements[i], p.elements[j])
+            if up[i] & up[j] not in above:
+                return "join", (p.elements[i], p.elements[j])
+    return (
+        tuple(tuple(below[a & b] for b in down) for a in down),
+        tuple(tuple(above[a & b] for b in up) for a in up),
+    )
+
+
+def _make_poset_loop(elements, down):
+    """Twin of make_poset: place the least-named element whose down-set is
+    placed, scanning all the others at each step, and re-index bit by bit."""
+    order_, placed, remaining = [], 0, set(range(len(elements)))
+    while remaining:
+        ready = [i for i in remaining if down[i] & ~placed == 1 << i]
+        nxt = min(ready, key=lambda i: elements[i])
+        order_.append(nxt)
+        placed |= 1 << nxt
+        remaining.remove(nxt)
+    pos = {old: new for new, old in enumerate(order_)}
+    new_down = tuple(mask_of(pos[j] for j in bits(down[i])) for i in order_)
+    return FinPoset(tuple(elements[i] for i in order_), new_down)
+
+
+def _complemented_pairwise(lat):
+    """Twin of complemented_mask: the elements a with some c, a^c = bottom
+    and avc = top."""
+    n, meet, join = lat.n, lat.meet, lat.join
+    return mask_of(
+        a for a in range(n)
+        if any(meet(a, c) == lat.bot and join(a, c) == lat.top for c in range(n))
+    )
+
+
+def _distributivity_pairwise(lat):
+    """Twin of the shape's verdict: Birkhoff's criterion that every
+    join-irreducible is join-prime, pair by pair, and the triple loop's
+    witness when it fails."""
+    down, irr = lat.poset.down, lat.join_irreducible_mask
+    for a in range(lat.n):
+        for b in range(a + 1, lat.n):
+            if down[lat.join(a, b)] & irr & ~(down[a] | down[b]):
+                return distributivity_witness_bruteforce(lat)
+    return None
+
+
+def test_the_shape_routes_equal_their_twins():
+    # every poset of at most five points, M3 and N5 among them, and every
+    # lattice of lattice_universe(4); make_poset gets each order reversed
+    posets = list(all_posets_upto(5)[1:]) + [lat.poset for lat in lattice_universe(4)]
+    verdicts = set()
+    for p in posets:
+        n = p.n
+        names = p.elements[::-1]
+        down = [mask_of(n - 1 - j for j in bits(p.down[n - 1 - i])) for i in range(n)]
+        assert make_poset(names, down) == _make_poset_loop(names, down) == p
+        expected = _lookup_tables(p)
+        try:
+            lat = DistLattice(p)
+        except NotALattice as exc:
+            assert (exc.kind, exc.witness) == expected, p
+            verdicts.add("not a lattice")
+            continue
+        assert tables(lat) == expected, p
+        witness = _distributivity_pairwise(lat)
+        assert distributivity_witness(lat) == witness, p
+        if witness is None:
+            assert frame.complemented_mask(lat) == _complemented_pairwise(lat), p
+        else:
+            with pytest.raises(NotDistributive) as err:
+                frame.complemented_mask(lat)
+            assert err.value.witness == witness
+        verdicts.add(witness is None)
+    assert verdicts == {"not a lattice", True, False}
+
+
 def test_meet_and_join_tables_match_plain_search():
     # from five elements on, a missing join can be the first failure even
     # though common upper bounds exist (a bottom under a bowtie)
@@ -667,7 +758,7 @@ def test_meet_and_join_tables_match_plain_search():
             rejected += 1
             assert (exc.kind, exc.witness) == expected, p
         else:
-            assert (lat.meet, lat.join) == expected, p
+            assert tables(lat) == expected, p
     assert 0 < rejected < len(posets)
 
 
@@ -1045,8 +1136,8 @@ def test_memoised_inclusion_views_equal_fresh_and_plain_ones():
         if down not in plain_tables:
             plain_tables[down] = _plain_tables(plain.lattice.poset)
         assert tables(f.lattice) == tables(b.lattice) == plain_tables[down], case
-        # a hit shares the stored tables
-        assert b.lattice.meet is a.lattice.meet and b.lattice.join is a.lattice.join
+        # a hit shares the stored shape
+        assert b.lattice.shape is a.lattice.shape
 
 
 def test_duplicate_names_are_refused_on_a_hit_and_on_a_miss():

@@ -78,6 +78,7 @@ from stonekit.spaces import (
 )
 from stonekit.topspace import filter_space_view
 from stonekit.universes import all_spaces, all_spaces_upto, lattice_universe
+from test_dlat import tables
 from test_memo import VIEWS, module_tables
 
 
@@ -242,10 +243,7 @@ def test_center_of_a_boolean_lattice_is_itself_as_rebuilt():
 
 def assert_same_center(view, rebuilt):
     assert view == rebuilt
-    assert (view.lattice.meet, view.lattice.join) == (
-        rebuilt.lattice.meet,
-        rebuilt.lattice.join,
-    )
+    assert tables(view.lattice) == tables(rebuilt.lattice)
 
 
 def test_center_of_every_universe_lattice_equals_the_rebuilt_route():

@@ -49,6 +49,7 @@ from stonekit.topspace import (
 )
 from stonekit.frame import spectrum
 from stonekit.universes import all_spaces, all_spaces_upto, lattice_universe
+from test_dlat import tables
 
 
 def test_union_axiom_enforced():
@@ -394,11 +395,11 @@ def test_open_frame_tables_equal_lattice_from_poset():
         assert sorted(view.masks) == list(x.opens)
         lat, masks = view.lattice, view.masks
         plain = lattice_from_poset(lat.poset)
-        assert (lat.meet, lat.join) == (plain.meet, plain.join)
+        assert tables(lat) == tables(plain)
         for i in range(lat.n):
             for j in range(lat.n):
-                assert masks[lat.meet[i][j]] == masks[i] & masks[j]
-                assert masks[lat.join[i][j]] == masks[i] | masks[j]
+                assert masks[lat.meet(i, j)] == masks[i] & masks[j]
+                assert masks[lat.join(i, j)] == masks[i] | masks[j]
 
 
 def _continuity_violation_plain(x, y, assignment):
